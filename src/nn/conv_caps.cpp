@@ -1,5 +1,6 @@
 #include "nn/conv_caps.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -166,18 +167,10 @@ tensor::Tensor RoutedConvCapsLayer::forward(const tensor::Tensor& x,
 
   tensor::Tensor votes({batch * oplane, out_types_, in_types_, out_dim_});
   float* pvotes = votes.data();
-  // Parallelize across images (per-thread scratch below) only when the batch
-  // can occupy every thread; otherwise stay serial here so the inner GEMM
-  // batch can parallelize over types/tiles.
-#ifdef _OPENMP
-  const bool split_batch = batch >= omp_get_max_threads();
-#pragma omp parallel if (split_batch)
-#endif
-  {
+  const auto images = [&](std::int64_t b0, std::int64_t b1) {
     std::vector<float> cols(static_cast<std::size_t>(patch_full * ncols));
     std::vector<float> vbuf(static_cast<std::size_t>(in_types_ * votes_c * ncols));
-#pragma omp for schedule(static)
-    for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t b = b0; b < b1; ++b) {
       tensor::im2col(x.data() + b * g.in_c * plane, g, cols.data());
       // vbuf[t][jd, p] = W_t[jd, patch_t] * cols[t*patch_t:, p]
       tensor::gemm_batch(tensor::Trans::kN, tensor::Trans::kN, votes_c, ncols,
@@ -199,6 +192,25 @@ tensor::Tensor RoutedConvCapsLayer::forward(const tensor::Tensor& x,
           }
       }
     }
+  };
+  // Parallelize across images (per-thread scratch above) only when the batch
+  // can occupy every thread. Otherwise loop outside any parallel construct
+  // so the inner GEMM batch opens its own team over types/tiles: a team
+  // nested in an inactive `parallel if (false)` region starts fresh OS
+  // threads on every call.
+#ifdef _OPENMP
+  if (batch >= omp_get_max_threads()) {
+#pragma omp parallel
+    {
+      const std::int64_t nt = omp_get_num_threads();
+      const std::int64_t per = (batch + nt - 1) / nt;
+      const std::int64_t b0 = std::min(omp_get_thread_num() * per, batch);
+      images(b0, std::min(b0 + per, batch));
+    }
+  } else
+#endif
+  {
+    images(0, batch);
   }
 
   // The backward pass re-convolves per type, so keep the per-type input

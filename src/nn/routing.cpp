@@ -50,12 +50,11 @@ tensor::Tensor DynamicRouting::forward_fused(const tensor::Tensor& votes,
   const std::int64_t row_elems = nin * nout;
   const std::int64_t caps_elems = nout * d;
 
-#ifdef _OPENMP
-  const bool par = r_count > 1 && !omp_in_parallel() &&
-                   iterations * r_count * row_elems * d > (std::int64_t{1} << 15);
-#pragma omp parallel if (par)
-#endif
-  {
+  // The row loop runs in a team only when there are rows to share. Otherwise
+  // it runs outside any parallel construct, not in an inactive region: the
+  // routing kernels below open their own team when they have the work, and
+  // a team nested in an inactive region starts fresh OS threads every time.
+  const auto rows = [&](std::int64_t r0, std::int64_t r1) {
     // Per-thread scratch: the logits never outlive the forward pass, and
     // without a tape neither do the per-iteration c/s/v.
     std::vector<float> b_loc(static_cast<std::size_t>(row_elems));
@@ -65,10 +64,7 @@ tensor::Tensor DynamicRouting::forward_fused(const tensor::Tensor& votes,
       s_loc.resize(static_cast<std::size_t>(caps_elems));
       v_loc.resize(static_cast<std::size_t>(caps_elems));
     }
-#ifdef _OPENMP
-#pragma omp for schedule(static)
-#endif
-    for (std::int64_t r = 0; r < r_count; ++r) {
+    for (std::int64_t r = r0; r < r1; ++r) {
       const std::int64_t coff = r * row_elems;
       const std::int64_t soff = r * caps_elems;
       const float* ur = u + r * nout * nin * d;
@@ -124,7 +120,21 @@ tensor::Tensor DynamicRouting::forward_fused(const tensor::Tensor& votes,
         }
       }
     }
+  };
+#ifdef _OPENMP
+  if (r_count > 1 && !omp_in_parallel() &&
+      iterations * r_count * row_elems * d > (std::int64_t{1} << 15)) {
+#pragma omp parallel
+    {
+      const std::int64_t nt = omp_get_num_threads();
+      const std::int64_t per = (r_count + nt - 1) / nt;
+      const std::int64_t r0 = std::min(omp_get_thread_num() * per, r_count);
+      rows(r0, std::min(r0 + per, r_count));
+    }
+    return v_out;
   }
+#endif
+  rows(0, r_count);
   return v_out;
 }
 

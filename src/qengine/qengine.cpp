@@ -11,6 +11,10 @@
 #include "hwmodel/units.hpp"
 #include "tensor/qgemm.hpp"
 
+#ifdef _OPENMP
+#include <omp.h>
+#endif
+
 namespace qcaps::qengine {
 namespace {
 
@@ -122,22 +126,141 @@ void run_qgemm_votes(const QTensor& u, const QTensor& w,
                               jd * din, nin, rq, sd);
 }
 
-// Batched im2col + packed integer GEMM convolution. The whole [B, ...]
-// batch becomes ONE qgemm call: A = weights [F, C*K*K] (from the packed
-// cache when supplied), B = the images' im2col columns concatenated to
-// [C*K*K, B*OH*OW], bias folded into the fused requantization. Padding
-// contributes stored zeros, which are exact zeros on the symmetric grid.
+// ---- direct convolution ----------------------------------------------------
+//
+// The packed conv paths never build an im2col matrix. Each image is narrowed
+// once from int64 into a zero-padded int8/int16 copy [C, H + 2p, W + 2p],
+// and qgemm reads its B operand through offsets into that copy
+// (tensor::QGemmGatherB): tap[p] per K row p = (ci, ky, kx) and col[j] per
+// output column j = (image, oy, ox). Padding is stored zeros, which are exact
+// zeros on the symmetric grid.
+
+struct ConvGeom {
+  std::int64_t b, c, h, wd, k, stride, pad, oh, ow;
+  std::int64_t hp() const { return h + 2 * pad; }
+  std::int64_t wp() const { return wd + 2 * pad; }
+  std::int64_t img() const { return c * hp() * wp(); }  // narrowed image
+  std::int64_t plane() const { return oh * ow; }
+};
+
+// Offsets of the K rows of a conv over `channels` consecutive channels.
+std::vector<std::int64_t> tap_offsets(const ConvGeom& g,
+                                      std::int64_t channels) {
+  std::vector<std::int64_t> tap(static_cast<std::size_t>(channels * g.k * g.k));
+  std::size_t p = 0;
+  for (std::int64_t ci = 0; ci < channels; ++ci)
+    for (std::int64_t ky = 0; ky < g.k; ++ky)
+      for (std::int64_t kx = 0; kx < g.k; ++kx)
+        tap[p++] = (ci * g.hp() + ky) * g.wp() + kx;
+  return tap;
+}
+
+// Offsets of the output columns of `images` consecutive narrowed images.
+std::vector<std::int64_t> col_offsets(const ConvGeom& g, std::int64_t images) {
+  std::vector<std::int64_t> col(static_cast<std::size_t>(images * g.plane()));
+  std::size_t j = 0;
+  for (std::int64_t i = 0; i < images; ++i)
+    for (std::int64_t y = 0; y < g.oh; ++y)
+      for (std::int64_t xx = 0; xx < g.ow; ++xx)
+        col[j++] = i * g.img() + y * g.stride * g.wp() + xx * g.stride;
+  return col;
+}
+
+// Narrow channel ci of image bi into the interior of its padded plane at
+// dst. Only the interior is written, so the borders of a zero-initialized
+// buffer stay zero however often it is refilled.
 template <typename T>
-QTensor conv2d_qgemm(const QTensor& x, const QTensor& w, const QTensor& bias,
-                     std::int64_t stride, std::int64_t pad,
-                     fixed::FixedFormat out_fmt, int acc_qf,
-                     const QGemmOperandCache* w_cache, bool fuse_relu,
-                     const RescaleFold* fold, fixed::FixedFormat result_fmt,
-                     std::int64_t b, std::int64_t c, std::int64_t h,
-                     std::int64_t wd, std::int64_t f, std::int64_t k,
-                     std::int64_t oh, std::int64_t ow) {
-  const std::int64_t kk = c * k * k;
-  const std::int64_t plane = oh * ow;
+void narrow_channel(const QTensor& x, const ConvGeom& g, std::int64_t bi,
+                    std::int64_t ci, T* dst) {
+  const std::int64_t* src = x.raw.data() + (bi * g.c + ci) * g.h * g.wd;
+  for (std::int64_t y = 0; y < g.h; ++y) {
+    T* row = dst + (y + g.pad) * g.wp() + g.pad;
+    for (std::int64_t xx = 0; xx < g.wd; ++xx)
+      row[xx] = static_cast<T>(src[y * g.wd + xx]);
+  }
+}
+
+// Drive a direct convolution over the batch: `run(data, col, b0, j0, j1)`
+// computes output columns [j0, j1) of the images from b0 on, narrowed at
+// `data` with column offsets `col`. One OpenMP region per conv, and none when
+// the work is too small to share. With at least one image per thread each
+// thread narrows and convolves its own contiguous images, a few at a time
+// when planes are small so that strips stay full. With fewer images than
+// threads the batch is narrowed once into a shared copy and the threads
+// split its output columns.
+template <typename T, typename Run>
+void direct_conv(const QTensor& x, const ConvGeom& g, std::int64_t macs,
+                 const Run& run) {
+  constexpr std::int64_t kGroupCols = 64;  // two VNNI strips
+  int team = 1;
+#ifdef _OPENMP
+  constexpr std::int64_t kMinParallelMacs = std::int64_t{1} << 16;
+  if (!omp_in_parallel() && macs > kMinParallelMacs)
+    team = omp_get_max_threads();
+#else
+  (void)macs;
+#endif
+  const std::int64_t plane = g.plane();
+  if (g.b >= team) {
+    const std::int64_t group =
+        std::clamp<std::int64_t>((kGroupCols + plane - 1) / plane, 1, g.b);
+    const std::vector<std::int64_t> col = col_offsets(g, group);
+    const auto images = [&](std::int64_t lo, std::int64_t hi) {
+      std::vector<T> buf(static_cast<std::size_t>(
+          std::min(group, hi - lo) * g.img()));
+      for (std::int64_t b0 = lo; b0 < hi; b0 += group) {
+        const std::int64_t n = std::min(group, hi - b0);
+        for (std::int64_t i = 0; i < n; ++i)
+          for (std::int64_t ci = 0; ci < g.c; ++ci)
+            narrow_channel(x, g, b0 + i, ci,
+                           buf.data() + i * g.img() + ci * g.hp() * g.wp());
+        run(buf.data(), col.data(), b0, std::int64_t{0}, n * plane);
+      }
+    };
+    if (team == 1) {
+      images(0, g.b);
+      return;
+    }
+#ifdef _OPENMP
+#pragma omp parallel num_threads(team)
+    {
+      const std::int64_t nt = omp_get_num_threads();
+      const std::int64_t per = (g.b + nt - 1) / nt;
+      const std::int64_t lo = std::min(omp_get_thread_num() * per, g.b);
+      const std::int64_t hi = std::min(lo + per, g.b);
+      if (lo < hi) images(lo, hi);
+    }
+#endif
+    return;
+  }
+#ifdef _OPENMP
+  constexpr std::int64_t kStripCols = 32;
+  const std::int64_t ncol = g.b * plane;
+  const std::vector<std::int64_t> col = col_offsets(g, g.b);
+  std::vector<T> buf(static_cast<std::size_t>(g.b * g.img()));
+#pragma omp parallel num_threads(team)
+  {
+#pragma omp for schedule(static)
+    for (std::int64_t bc = 0; bc < g.b * g.c; ++bc)
+      narrow_channel(x, g, bc / g.c, bc % g.c,
+                     buf.data() + bc * g.hp() * g.wp());
+    const std::int64_t strips = (ncol + kStripCols - 1) / kStripCols;
+#pragma omp for schedule(static)
+    for (std::int64_t s = 0; s < strips; ++s)
+      run(buf.data(), col.data(), std::int64_t{0}, s * kStripCols,
+          std::min(ncol, (s + 1) * kStripCols));
+  }
+#endif
+}
+
+template <typename T>
+QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
+                      fixed::FixedFormat out_fmt, int acc_qf,
+                      const QGemmOperandCache* w_cache, bool fuse_relu,
+                      const RescaleFold* fold, fixed::FixedFormat result_fmt,
+                      const ConvGeom& g, std::int64_t f) {
+  const std::int64_t kk = g.c * g.k * g.k;
+  const std::int64_t plane = g.plane();
 
   std::vector<T> w_local;
   const T* wp;
@@ -178,66 +301,24 @@ QTensor conv2d_qgemm(const QTensor& x, const QTensor& w, const QTensor& bias,
   }
   if (!bias32.empty()) rq.bias = bias32.data();
 
-  // Cache-block the batch: one GEMM per chunk of images, chunk sized so the
-  // im2col columns + int32 accumulators + int64 outputs stay L2-resident
-  // (~1 MB); the packed weight panels stay hot across every chunk. Large
-  // batches keep the per-call amortization without streaming multi-MB
-  // working sets through the cache. Chunking cannot change results: each
-  // output element's exact int32 accumulation is unaffected by which chunk
-  // computes it.
-  constexpr std::int64_t kConvWorkingSetBytes = std::int64_t{1} << 20;
-  const std::int64_t bytes_per_col =
-      kk * static_cast<std::int64_t>(sizeof(T)) + 8 * f;
-  const std::int64_t chunk_b = std::clamp<std::int64_t>(
-      kConvWorkingSetBytes / std::max<std::int64_t>(bytes_per_col * plane, 1),
-      1, b);
-
-  QTensor out({b, f, oh, ow}, result_fmt);
-  std::vector<T> cols;
-  for (std::int64_t b0 = 0; b0 < b; b0 += chunk_b) {
-    const std::int64_t bc = std::min<std::int64_t>(chunk_b, b - b0);
-    const std::int64_t n_chunk = bc * plane;
-    // With pad == 0 the im2col loop writes every element, so skip the
-    // zero-fill on that (hottest) path; padding needs the zeros.
-    if (pad > 0)
-      cols.assign(static_cast<std::size_t>(kk * n_chunk), T{0});
-    else
-      cols.resize(static_cast<std::size_t>(kk * n_chunk));
-#pragma omp parallel for schedule(static)
-    for (std::int64_t bi = 0; bi < bc; ++bi) {
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        const std::int64_t* xplane =
-            x.raw.data() + ((b0 + bi) * c + ci) * h * wd;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            T* crow = cols.data() + ((ci * k + ky) * k + kx) * n_chunk +
-                      bi * plane;
-            for (std::int64_t y = 0; y < oh; ++y) {
-              const std::int64_t iy = y * stride + ky - pad;
-              if (iy < 0 || iy >= h) continue;
-              for (std::int64_t xx = 0; xx < ow; ++xx) {
-                const std::int64_t ix = xx * stride + kx - pad;
-                if (ix < 0 || ix >= wd) continue;
-                crow[y * ow + xx] = static_cast<T>(xplane[iy * wd + ix]);
-              }
-            }
-          }
-        }
-      }
-    }
-
-    // The requant epilogue scatters [F, bc*plane] -> [b0.., F, plane]
-    // directly into the widened output — no dense int32 C, no second pass.
-    tensor::QGemmScatterDst sd;
-    sd.dst = out.raw.data() + b0 * f * plane;
-    sd.row_inner = f;
-    sd.row_inner_stride = plane;
-    sd.col_inner = plane;
-    sd.col_outer_stride = f * plane;
-    sd.col_inner_stride = 1;
-    tensor::qgemm_scatter(tensor::Trans::kN, tensor::Trans::kN, f, n_chunk,
-                          kk, wp, kk, cols.data(), n_chunk, rq, sd);
-  }
+  const tensor::QGemmDirect<T> gemm(wp, f, kk, rq);
+  const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
+  QTensor out({g.b, f, g.oh, g.ow}, result_fmt);
+  // GEMM element (fi, j) of image-local column j lands at
+  // out[b0 + j / plane, fi, j % plane].
+  tensor::QGemmScatterDst sd;
+  sd.row_inner = f;
+  sd.row_inner_stride = plane;
+  sd.col_inner = plane;
+  sd.col_outer_stride = f * plane;
+  sd.col_inner_stride = 1;
+  direct_conv<T>(x, g, g.b * plane * f * kk,
+                 [&](const T* data, const std::int64_t* col, std::int64_t b0,
+                     std::int64_t j0, std::int64_t j1) {
+                   tensor::QGemmScatterDst at = sd;
+                   at.dst = out.raw.data() + b0 * f * plane;
+                   gemm.run({data, tap.data(), col}, j0, j1, at);
+                 });
   return out;
 }
 
@@ -296,15 +377,14 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
     }
     if (tier != 0 && bias_ok) {
       const RescaleFold* fp = fold_fmt ? &fold : nullptr;
+      const ConvGeom g{b, c, h, wd, k, stride, pad, oh, ow};
       return tier == 1
-                 ? conv2d_qgemm<std::int8_t>(x, w, bias, stride, pad, out_fmt,
-                                             acc_qf, w_cache, fuse_relu, fp,
-                                             result_fmt, b, c, h, wd, f, k,
-                                             oh, ow)
-                 : conv2d_qgemm<std::int16_t>(x, w, bias, stride, pad, out_fmt,
-                                              acc_qf, w_cache, fuse_relu, fp,
-                                              result_fmt, b, c, h, wd, f, k,
-                                              oh, ow);
+                 ? conv2d_direct<std::int8_t>(x, w, bias, out_fmt, acc_qf,
+                                              w_cache, fuse_relu, fp,
+                                              result_fmt, g, f)
+                 : conv2d_direct<std::int16_t>(x, w, bias, out_fmt, acc_qf,
+                                               w_cache, fuse_relu, fp,
+                                               result_fmt, g, f);
     }
   }
 
@@ -715,81 +795,44 @@ QTensor vote_transform(const QTensor& u, const QTensor& w,
 
 namespace {
 
-// Grouped ConvCaps3d vote convolutions (see the header): one im2col over the
-// full channel set, then a batch of Tin scattered GEMMs — type t's B operand
-// is the contiguous row block [t*Din*K*K, (t+1)*Din*K*K) of the shared
-// columns, its A operand the t-th slice of the concatenated packed weights.
-// The same L2-resident batch chunking as conv2d_qgemm; chunking cannot
-// change results (exact int32 accumulation per output element).
+// Grouped ConvCaps3d vote convolutions (see the header): each image is
+// narrowed once over the full channel set, and input type t's vote GEMM
+// reads its Din channels at offset t * Din * Hp * Wp of that copy, against
+// the t-th slice of the concatenated packed weights.
 template <typename T>
 void conv_caps3d_votes_impl(const QTensor& x, const T* wp,
-                            const tensor::QGemmRequant& rq, std::int64_t b,
+                            const tensor::QGemmRequant& rq, const ConvGeom& g,
                             std::int64_t in_types, std::int64_t din,
                             std::int64_t out_types, std::int64_t dout,
-                            std::int64_t h, std::int64_t wd, std::int64_t k,
-                            std::int64_t stride, std::int64_t pad,
-                            std::int64_t oh, std::int64_t ow,
                             std::int64_t* votes) {
-  const std::int64_t c = in_types * din;  // full channel count
-  const std::int64_t kk = din * k * k;    // fan-in of ONE type's vote conv
+  const std::int64_t kk = din * g.k * g.k;  // fan-in of ONE type's vote conv
   const std::int64_t jd = out_types * dout;
   const std::int64_t jd_all = out_types * in_types * dout;
-  const std::int64_t plane = oh * ow;
+  const std::int64_t plane = g.plane();
 
-  constexpr std::int64_t kConvWorkingSetBytes = std::int64_t{1} << 20;
-  const std::int64_t bytes_per_col =
-      c * k * k * static_cast<std::int64_t>(sizeof(T)) + 12 * jd;
-  const std::int64_t chunk_b = std::clamp<std::int64_t>(
-      kConvWorkingSetBytes / std::max<std::int64_t>(bytes_per_col * plane, 1),
-      1, b);
-
-  std::vector<T> cols;
-  for (std::int64_t b0 = 0; b0 < b; b0 += chunk_b) {
-    const std::int64_t bc = std::min<std::int64_t>(chunk_b, b - b0);
-    const std::int64_t n_chunk = bc * plane;
-    if (pad > 0)
-      cols.assign(static_cast<std::size_t>(c * k * k * n_chunk), T{0});
-    else
-      cols.resize(static_cast<std::size_t>(c * k * k * n_chunk));
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static)
-#endif
-    for (std::int64_t bi = 0; bi < bc; ++bi) {
-      for (std::int64_t ci = 0; ci < c; ++ci) {
-        const std::int64_t* xplane =
-            x.raw.data() + ((b0 + bi) * c + ci) * h * wd;
-        for (std::int64_t ky = 0; ky < k; ++ky) {
-          for (std::int64_t kx = 0; kx < k; ++kx) {
-            T* crow = cols.data() + ((ci * k + ky) * k + kx) * n_chunk +
-                      bi * plane;
-            for (std::int64_t y = 0; y < oh; ++y) {
-              const std::int64_t iy = y * stride + ky - pad;
-              if (iy < 0 || iy >= h) continue;
-              for (std::int64_t xx = 0; xx < ow; ++xx) {
-                const std::int64_t ix = xx * stride + kx - pad;
-                if (ix < 0 || ix >= wd) continue;
-                crow[y * ow + xx] = static_cast<T>(xplane[iy * wd + ix]);
-              }
-            }
-          }
-        }
-      }
-    }
-
-    // Batch item t: votes[((b0+bi)*plane + p)*Tout*Tin*Dout
-    //                     + j*Tin*Dout + t*Dout + dd]
-    // for GEMM element (row j*Dout + dd, column bi*plane + p).
-    tensor::QGemmScatterDst sd;
-    sd.dst = votes + b0 * plane * jd_all;
-    sd.row_inner = dout;                  // row splits as (j, dd)
-    sd.row_outer_stride = in_types * dout;
-    sd.row_inner_stride = 1;
-    sd.col_outer_stride = jd_all;         // column index is linear (inner = 1)
-    sd.batch_stride = dout;               // per input type t
-    tensor::qgemm_batch_scatter(tensor::Trans::kN, tensor::Trans::kN, jd,
-                                n_chunk, kk, wp, kk, jd * kk, cols.data(),
-                                n_chunk, kk * n_chunk, in_types, rq, sd);
-  }
+  std::vector<tensor::QGemmDirect<T>> gemms;
+  gemms.reserve(static_cast<std::size_t>(in_types));
+  for (std::int64_t t = 0; t < in_types; ++t)
+    gemms.emplace_back(wp + t * jd * kk, jd, kk, rq);
+  const std::vector<std::int64_t> tap = tap_offsets(g, din);
+  // Type t's GEMM element (j*Dout + dd, column (bi, p)) lands at
+  // votes[((b0 + bi) * plane + p) * Tout*Tin*Dout + j*Tin*Dout + t*Dout + dd].
+  tensor::QGemmScatterDst sd;
+  sd.row_inner = dout;  // row splits as (j, dd)
+  sd.row_outer_stride = in_types * dout;
+  sd.row_inner_stride = 1;
+  sd.col_outer_stride = jd_all;  // column index is linear (inner = 1)
+  direct_conv<T>(x, g, g.b * plane * in_types * jd * kk,
+                 [&](const T* data, const std::int64_t* col, std::int64_t b0,
+                     std::int64_t j0, std::int64_t j1) {
+                   tensor::QGemmScatterDst at = sd;
+                   for (std::int64_t t = 0; t < in_types; ++t) {
+                     at.dst = votes + b0 * plane * jd_all + t * dout;
+                     gemms[static_cast<std::size_t>(t)].run(
+                         {data + t * din * g.hp() * g.wp(), tap.data(), col},
+                         j0, j1, at);
+                   }
+                 });
 }
 
 }  // namespace
@@ -820,15 +863,14 @@ bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
                   "conv_caps3d_votes: votes tensor has the wrong size");
   if (votes.numel() == 0) return true;
   const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
+  const ConvGeom g{b, in_types * in_dim, h, wd, ksize, stride, pad, oh, ow};
   if (tier == 1)
-    conv_caps3d_votes_impl<std::int8_t>(x, grouped.i8_data(), rq, b, in_types,
-                                        in_dim, out_types, out_dim, h, wd,
-                                        ksize, stride, pad, oh, ow,
+    conv_caps3d_votes_impl<std::int8_t>(x, grouped.i8_data(), rq, g, in_types,
+                                        in_dim, out_types, out_dim,
                                         votes.raw.data());
   else
-    conv_caps3d_votes_impl<std::int16_t>(x, grouped.i16_data(), rq, b,
+    conv_caps3d_votes_impl<std::int16_t>(x, grouped.i16_data(), rq, g,
                                          in_types, in_dim, out_types, out_dim,
-                                         h, wd, ksize, stride, pad, oh, ow,
                                          votes.raw.data());
   return true;
 }

@@ -76,9 +76,11 @@ RescaleFold compose_rescale(int shift1, std::int64_t lo1, std::int64_t hi1,
 ///
 /// Fast path: when the operands' raw ranges admit exact int32 accumulation
 /// and the rescale is a qgemm requant (round-to-nearest, narrow output),
-/// the convolution runs as ONE packed integer GEMM over the whole batch —
-/// an im2col of every image concatenated along the output columns — with
-/// the bias folded into the fused requantization. Results are bit-identical
+/// the convolution runs as a direct packed integer GEMM
+/// (tensor::QGemmDirect): each image is narrowed once into a zero-padded
+/// int8/int16 copy, the qgemm panels are packed straight from it (no im2col
+/// matrix), and the bias is folded into the requantization, which writes
+/// [B, F, H', W'] directly. Results are bit-identical
 /// to the scalar path (integer accumulation is order-exact and the requant
 /// is the same round-half-up rescale). Pass `w_cache` (built from `w`) to
 /// skip re-packing constant weights on every call.
@@ -155,8 +157,8 @@ QTensor vote_transform(const QTensor& u, const QTensor& w,
                            fixed::RoundingScheme::kRoundToNearest,
                        const QGemmOperandCache* w_cache = nullptr);
 
-/// Fused, grouped ConvCaps3d vote convolutions: one im2col over the full
-/// [B, Tin*Din, H, W] input feeds a batch of Tin scattered GEMMs against the
+/// Fused, grouped ConvCaps3d vote convolutions: one narrowed copy of each
+/// image of the [B, Tin*Din, H, W] input feeds Tin direct GEMMs against the
 /// concatenated per-type vote weights in `grouped` (see the fusion pass in
 /// qgraph), landing votes j-major [B*OH*OW, Tout, Tin, Dout] straight out of
 /// the requant epilogue — no per-type channel-slice copies, conv dispatches,

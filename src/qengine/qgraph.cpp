@@ -208,10 +208,10 @@ QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
   QTensor votes({b * oplane, op.out_types, op.in_types, op.out_dim},
                 op.out_fmt);
 
-  // Fused path (fusion pass set op.grouped): ONE im2col over the full
-  // channel set feeds a batch of Tin scattered GEMMs against the
-  // concatenated packed vote weights; votes land j-major straight out of
-  // the requant epilogue. Bit-identical to the per-type loop below.
+  // Fused path (fusion pass set op.grouped): ONE narrowed copy of the full
+  // channel set feeds Tin direct GEMMs against the concatenated packed vote
+  // weights; votes land j-major straight out of the requant epilogue.
+  // Bit-identical to the per-type loop below.
   const bool done =
       op.grouped && op.grouped_cache &&
       conv_caps3d_votes(x, *op.grouped_cache,
@@ -767,8 +767,8 @@ void QuantizedGraph::fuse() {
     } else if (op.kind == QOpKind::kConvCaps3d && !op.type_caches.empty()) {
       // Concatenate the per-type packed vote weights into one operand image
       // so the executor can run the Tin vote convolutions as ONE grouped
-      // im2col + scattered-GEMM batch. Grouping demands one shared storage
-      // tier across all types (the batch packs A once); when the types
+      // direct conv. Grouping demands one shared storage tier across all
+      // types (one narrowed input feeds every type); when the types
       // straddle the int8 boundary, stay on the per-type path rather than
       // demote anyone to the wider tier unnecessarily — the executor's
       // range gate re-checks at run time and falls back bit-identically.

@@ -86,7 +86,7 @@ struct QuantizedOp {
   bool fused_away = false;  ///< node was folded into its producer; at run
                             ///< time it aliases its input unchanged
   bool grouped = false;     ///< kConvCaps3d: per-type vote convs run as one
-                            ///< grouped im2col + scattered GEMM batch
+                            ///< grouped direct conv over a shared input
   /// The following kRescale composed into this node's requant epilogue:
   /// the node produces fused_out_fmt directly (one pass, exact on the RTN
   /// grid) and the rescale node runs as an alias of its input.
@@ -194,7 +194,8 @@ class QuantizedGraph {
   ///     node stays but becomes an alias of its input at run time);
   ///   - kConvCaps3d nodes whose per-type packed weights share a storage
   ///     tier get a concatenated operand cache and run as ONE grouped
-  ///     im2col + scattered-GEMM batch instead of Tin separate convs;
+  ///     direct conv over a shared narrowed input instead of Tin separate
+  ///     convs;
   ///   - kRescale whose producer is a kConv2d / kConvCaps / kPrimaryCaps /
   ///     kConvCaps3d with no other consumer folds into the producer's
   ///     requant epilogue when the two-step round-to-nearest composition is

@@ -1495,8 +1495,6 @@ __attribute__((target("avx512f"))) void squash_bwd(const float* s,
   }
 }
 
-#pragma GCC diagnostic pop
-
 // Integer squash gain, 8 int64 norms per iteration (same organization as
 // the AVX2 kernel — vectorized NR body, scalar normalization/finish, block
 // falls back to the scalar element when the conservative mask trips).
@@ -1560,6 +1558,10 @@ __attribute__((target("avx512f"))) void gain_n(const std::int64_t* nsq,
   }
   for (; i < n; ++i) gain[i] = squash_gain_one(nsq[i], qf);
 }
+
+// The push above covers gain_n too: its 64-bit shifts and vpmuludq inline
+// through the same undefined-passthrough intrinsics.
+#pragma GCC diagnostic pop
 
 }  // namespace avx512
 

@@ -139,14 +139,7 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
   const std::int64_t img_in = g.in_c * g.in_h * g.in_w;
   const std::int64_t img_out = g.out_c * oh * ow;
 
-  // Parallelize across images only when the batch can occupy every thread;
-  // otherwise stay serial here so the GEMM backend parallelizes internally
-  // over output tiles.
-#ifdef _OPENMP
-  const bool split_batch = batch >= omp_get_max_threads();
-#pragma omp parallel for schedule(static) if (split_batch)
-#endif
-  for (std::int64_t b = 0; b < batch; ++b) {
+  const auto image = [&](std::int64_t b) {
     const float* img = input.data() + b * img_in;
     // out[F, ncols] = W[F, patch] * cols[patch, ncols], with the column
     // matrix produced block-by-block straight into packed panels.
@@ -164,7 +157,19 @@ Tensor conv2d_forward(const Tensor& input, const Tensor& weight,
         for (std::int64_t i = 0; i < ncols; ++i) plane[i] += bv;
       }
     }
+  };
+  // Parallelize across images only when the batch can occupy every thread.
+  // Otherwise loop outside any parallel construct so the GEMM backend opens
+  // its own team over output tiles: a team nested in an inactive
+  // `parallel if (false)` region starts fresh OS threads on every call.
+#ifdef _OPENMP
+  if (batch >= omp_get_max_threads()) {
+#pragma omp parallel for schedule(static)
+    for (std::int64_t b = 0; b < batch; ++b) image(b);
+    return output;
   }
+#endif
+  for (std::int64_t b = 0; b < batch; ++b) image(b);
   return output;
 }
 

@@ -29,6 +29,9 @@ constexpr std::int64_t MC = 96;
 constexpr std::int64_t KC = 256;  // even: K is packed in interleaved pairs
 constexpr std::int64_t NC = 1024;
 constexpr std::int64_t kParallelMinWork = std::int64_t{1} << 16;
+// Column-strip width of the VNNI int8 microkernel (two zmm per tile row).
+constexpr std::int64_t VNR = 32;
+static_assert(NC % VNR == 0, "B scratch sizing assumes NC is a strip multiple");
 
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return (a + b - 1) / b; }
 
@@ -403,10 +406,6 @@ void pack_a_vnni(Trans ta, const std::int8_t* a, std::int64_t lda,
     out += MR * kcp;
   }
 }
-
-// Column-strip width of the VNNI int8 microkernel (two zmm per tile row).
-inline constexpr std::int64_t VNR = 32;
-static_assert(NC % VNR == 0, "B scratch sizing assumes NC is a strip multiple");
 
 void pack_b_vnni(Trans tb, const std::int8_t* b, std::int64_t ldb,
                  std::int64_t p0, std::int64_t kc, std::int64_t j0,
@@ -1205,6 +1204,259 @@ void check_k_bound_s8(std::int64_t k, const QGemmRequant* rq) {
                   "qgemm int8 K too large for exact int32 accumulation");
 }
 
+// ---- direct convolution (gathered B) ---------------------------------------
+//
+// QGemmDirect walks its output columns in strips of the microkernel's width
+// (VNR on the VNNI int8 path, NR elsewhere). Per strip and K block it packs
+// one B panel straight from the caller's narrowed image, runs every A panel
+// against it into a small per-thread int32 tile, and after the last K block
+// requantizes that tile into the destination. The panels are the ones
+// pack_b_vnni / pack_b_block build, so the microkernels are unchanged.
+//
+// K tails and edge columns: a quad or pair past K reads a valid tap again,
+// which is harmless because the packed A is zero there; panel columns past
+// the strip's edge keep stale (initialized) bytes, whose lanes the kernels'
+// merges never store.
+
+// K block of the direct path: a 32-column VNNI panel (or a 16-column pair
+// panel) of this depth is 16 KB, an L1-resident B strip.
+constexpr std::int64_t kDirectKC = 512;
+static_assert(kDirectKC % 4 == 0, "direct A blocks are packed in K quads");
+
+// With the +128 B offset the VNNI accumulator holds sum_k a * (b + 128),
+// |a| <= 128 and b + 128 <= 255: it cannot wrap int32 for k up to this bound,
+// so -128 * rowsum(A) can be folded into the int64 requant base. Longer K
+// takes the int16 pair panels instead.
+constexpr std::int64_t kDirectVnniMaxK = INT32_MAX / (128 * 255);
+
+struct DirectScratch {
+  std::vector<std::uint8_t> b8;
+  std::vector<std::int16_t> b16;
+  std::vector<std::int32_t> c;
+};
+
+DirectScratch& direct_scratch() {
+  thread_local DirectScratch s;
+  return s;
+}
+
+#ifdef QCAPS_QGEMM_X86_NATIVE
+// True when col[0..n) addresses n consecutive source elements.
+bool contiguous(const std::int64_t* col, std::int64_t n) {
+  for (std::int64_t j = 1; j < n; ++j)
+    if (col[j] != col[0] + j) return false;
+  return true;
+}
+
+// One K pair of a full 16-column pair panel from two contiguous source rows:
+// widen, then interleave (lo[j], hi[j]) -> out[2j], out[2j + 1].
+__attribute__((target("avx2"))) inline void pair_row16(__m256i lo, __m256i hi,
+                                                       std::int16_t* out) {
+  const __m256i t0 = _mm256_unpacklo_epi16(lo, hi);
+  const __m256i t1 = _mm256_unpackhi_epi16(lo, hi);
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out),
+                      _mm256_permute2x128_si256(t0, t1, 0x20));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + 16),
+                      _mm256_permute2x128_si256(t0, t1, 0x31));
+}
+
+__attribute__((target("avx2"))) void pair_row16(const std::int8_t* lo,
+                                                const std::int8_t* hi,
+                                                std::int16_t* out) {
+  pair_row16(_mm256_cvtepi8_epi16(
+                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(lo))),
+             _mm256_cvtepi8_epi16(
+                 _mm_loadu_si128(reinterpret_cast<const __m128i*>(hi))),
+             out);
+}
+
+__attribute__((target("avx2"))) void pair_row16(const std::int16_t* lo,
+                                                const std::int16_t* hi,
+                                                std::int16_t* out) {
+  pair_row16(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo)),
+             _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi)), out);
+}
+
+// One K quad of 16 VNNI panel columns from four contiguous source rows:
+// out[4j + q] = uint8(s_q[j] + 128). (The PR105593 false positive again,
+// reported as -Wuninitialized for the zero-extension intrinsics.)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wuninitialized"
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+__attribute__((target("avx512f,avx512bw"))) void vnni_quad16(
+    const std::int8_t* s0, const std::int8_t* s1, const std::int8_t* s2,
+    const std::int8_t* s3, std::uint8_t* out) {
+#define QCAPS_WIDEN_U8(p) \
+  _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))
+  const __m256i w01 = _mm256_or_si256(
+      QCAPS_WIDEN_U8(s0), _mm256_slli_epi16(QCAPS_WIDEN_U8(s1), 8));
+  const __m256i w23 = _mm256_or_si256(
+      QCAPS_WIDEN_U8(s2), _mm256_slli_epi16(QCAPS_WIDEN_U8(s3), 8));
+#undef QCAPS_WIDEN_U8
+  const __m512i d = _mm512_or_si512(
+      _mm512_cvtepu16_epi32(w01),
+      _mm512_slli_epi32(_mm512_cvtepu16_epi32(w23), 16));
+  const __m512i offset = _mm512_set1_epi32(static_cast<int>(0x80808080u));
+  _mm512_storeu_si512(out, _mm512_xor_si512(d, offset));
+}
+#pragma GCC diagnostic pop
+#endif  // QCAPS_QGEMM_X86_NATIVE
+
+// Pair panel (pack_b_block's layout) of one strip of nr <= NR columns for K
+// rows tap[0..kc). `vec` allows the AVX2 path for a full contiguous strip.
+template <typename SrcT>
+void pack_b_pairs_gather(const SrcT* data, const std::int64_t* tap,
+                         const std::int64_t* col, std::int64_t kc,
+                         std::int64_t nr, bool vec, std::int16_t* out) {
+  const std::int64_t kc2 = ceil_div(kc, 2);
+#ifdef QCAPS_QGEMM_X86_NATIVE
+  if (vec && nr == NR && contiguous(col, NR)) {
+    for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
+      const SrcT* lo = data + tap[2 * p2] + col[0];
+      const SrcT* hi =
+          2 * p2 + 1 < kc ? data + tap[2 * p2 + 1] + col[0] : lo;
+      pair_row16(lo, hi, out + p2 * NR * 2);
+    }
+    return;
+  }
+#else
+  (void)vec;
+#endif
+  for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
+    const SrcT* lo = data + tap[2 * p2];
+    const SrcT* hi = 2 * p2 + 1 < kc ? data + tap[2 * p2 + 1] : lo;
+    std::int16_t* dst = out + p2 * NR * 2;
+    for (std::int64_t j = 0; j < nr; ++j) {
+      dst[2 * j] = static_cast<std::int16_t>(lo[col[j]]);
+      dst[2 * j + 1] = static_cast<std::int16_t>(hi[col[j]]);
+    }
+  }
+}
+
+#ifdef QCAPS_QGEMM_X86_NATIVE
+// Quad panel (pack_b_vnni's layout, +128 offset bytes) of one strip of
+// nr <= VNR columns. Each 16-column half whose sources are contiguous takes
+// the vector path; the rest gathers four bytes per column into one word.
+void pack_b_vnni_gather(const std::int8_t* data, const std::int64_t* tap,
+                        const std::int64_t* col, std::int64_t kc,
+                        std::int64_t nr, std::uint8_t* out) {
+  const std::int64_t kc4 = ceil_div(kc, 4);
+  const std::int64_t halves = ceil_div(nr, 16);
+  bool fast[2] = {false, false};
+  for (std::int64_t h = 0; h < halves; ++h)
+    fast[h] = 16 * h + 16 <= nr && contiguous(col + 16 * h, 16);
+  const auto byte = [](const std::int8_t* p) {
+    return static_cast<std::uint32_t>(static_cast<std::uint8_t>(*p));
+  };
+  for (std::int64_t p4 = 0; p4 < kc4; ++p4) {
+    const std::int8_t* s[4];
+    for (std::int64_t q = 0; q < 4; ++q)
+      s[q] = data + tap[4 * p4 + q < kc ? 4 * p4 + q : 4 * p4];
+    std::uint8_t* dst = out + p4 * VNR * 4;
+    for (std::int64_t h = 0; h < halves; ++h) {
+      const std::int64_t ja = 16 * h;
+      if (fast[h]) {
+        const std::int64_t c = col[ja];
+        vnni_quad16(s[0] + c, s[1] + c, s[2] + c, s[3] + c, dst + 4 * ja);
+        continue;
+      }
+      for (std::int64_t j = ja; j < std::min(ja + 16, nr); ++j) {
+        const std::int64_t c = col[j];
+        const std::uint32_t v = (byte(s[0] + c) | byte(s[1] + c) << 8 |
+                                 byte(s[2] + c) << 16 | byte(s[3] + c) << 24) ^
+                                0x80808080u;
+        std::memcpy(dst + 4 * j, &v, 4);
+      }
+    }
+  }
+}
+
+// Requantize a run of n int32 accumulators with the unit multiplier into
+// contiguous int64 outputs, 8 lanes per step. With M = 2^30 requant_one's
+// (acc * M + 2^(29 + s)) >> (30 + s) is exactly (acc + 2^(s-1)) >> s for
+// s >= 1 and acc << -s for s <= 0, so the whole rescale stays in int64
+// lanes (vpsraq / vpsllq) for any base.
+//
+// GCC 12 emits -Wmaybe-uninitialized false positives from its own AVX-512
+// intrinsic headers here (PR105593).
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+__attribute__((target("avx512f"))) void requant_run_unit_avx512(
+    const std::int32_t* acc, std::int64_t n, std::int64_t base, int shift,
+    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax,
+    std::int64_t* out) {
+  const __m512i vadd = _mm512_set1_epi64(
+      base + (shift > 0 ? std::int64_t{1} << (shift - 1) : 0));
+  const __m128i vshr = _mm_cvtsi32_si128(shift > 0 ? shift : 0);
+  const __m128i vshl = _mm_cvtsi32_si128(shift < 0 ? -shift : 0);
+  const __m512i vzero = _mm512_set1_epi64(c_zero);
+  const __m512i vmin = _mm512_set1_epi64(qmin);
+  const __m512i vmax = _mm512_set1_epi64(qmax);
+  for (std::int64_t j = 0; j < n; j += 8) {
+    const __mmask8 k = n - j >= 8
+                           ? static_cast<__mmask8>(0xFF)
+                           : static_cast<__mmask8>((1u << (n - j)) - 1);
+    const __m256i a =
+        _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(k, acc + j));
+    __m512i v = _mm512_add_epi64(_mm512_cvtepi32_epi64(a), vadd);
+    v = _mm512_sll_epi64(_mm512_sra_epi64(v, vshr), vshl);
+    v = _mm512_add_epi64(v, vzero);
+    v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
+    _mm512_mask_storeu_epi64(out + j, k, v);
+  }
+}
+#pragma GCC diagnostic pop
+#endif  // QCAPS_QGEMM_X86_NATIVE
+
+// Requantize the m x nr int32 tile of output columns [j0, j0 + nr) (row
+// stride ldc) through `sd`. Column runs that land contiguously take the
+// vector path when `vec`; everything else is requant_one per element.
+void direct_epilogue(const std::int32_t* c, std::int64_t ldc, std::int64_t m,
+                     std::int64_t j0, std::int64_t nr, const QGemmRequant& rq,
+                     const std::int64_t* base, bool vec,
+                     const QGemmScatterDst& sd) {
+#ifndef QCAPS_QGEMM_X86_NATIVE
+  (void)vec;
+#endif
+  for (std::int64_t i = 0; i < m; ++i) {
+    const std::int64_t mult =
+        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
+    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
+    const std::int64_t b = base ? base[i] : 0;
+    const std::int32_t* crow = c + i * ldc;
+    std::int64_t* drow = sd.dst + (i / sd.row_inner) * sd.row_outer_stride +
+                         (i % sd.row_inner) * sd.row_inner_stride;
+    for (std::int64_t j = j0, end = j0 + nr; j < end;) {
+      // A run of columns with one destination stride: the whole rest of the
+      // strip when columns are linear, else up to the next col_inner block.
+      std::int64_t len, stride;
+      std::int64_t* d;
+      if (sd.col_inner == 1) {
+        len = end - j;
+        stride = sd.col_outer_stride;
+        d = drow + j * stride;
+      } else {
+        const std::int64_t ji = j % sd.col_inner;
+        len = std::min(sd.col_inner - ji, end - j);
+        stride = sd.col_inner_stride;
+        d = drow + (j / sd.col_inner) * sd.col_outer_stride + ji * stride;
+      }
+      const std::int32_t* src = crow + (j - j0);
+      j += len;
+#ifdef QCAPS_QGEMM_X86_NATIVE
+      if (vec && stride == 1 && mult == kQGemmUnitMultiplier) {
+        requant_run_unit_avx512(src, len, b, shift, rq.c_zero, rq.qmin,
+                                rq.qmax, d);
+        continue;
+      }
+#endif
+      for (std::int64_t t = 0; t < len; ++t)
+        d[t * stride] =
+            requant_one(src[t] + b, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
+    }
+  }
+}
+
 }  // namespace
 
 std::int32_t qgemm_requantize(std::int64_t acc, const QGemmRequant& rq) {
@@ -1327,5 +1579,103 @@ bool qgemm_force_kernel(QGemmKernel k) {
 }
 
 void qgemm_reset_kernel() { g_choice = pick_default(); }
+
+template <typename T>
+QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
+                            const QGemmRequant& rq)
+    : m_(m), k_(k), tier_(g_choice.tier), vnni8_(false), rq_(rq) {
+  QCAPS_CHECK_MSG(m > 0 && k > 0, "qgemm direct convolution needs m, k > 0");
+  check_requant(rq);
+  check_requant_rows(rq, m);
+  QCAPS_CHECK_MSG(rq.a_zero == 0 && rq.b_zero == 0,
+                  "qgemm direct convolution takes no zero points");
+  if constexpr (std::is_same_v<T, std::int8_t>) {
+    check_k_bound_s8(k, &rq);
+    vnni8_ = tier_ == QGemmKernel::kAvx512Vnni && k <= kDirectVnniMaxK;
+  }
+  // One block of panels per kDirectKC slice of K, every block sized for a
+  // full slice: block pc / kDirectKC starts at (pc / kDirectKC) * mp * KC.
+  const std::int64_t mp = ceil_div(m, MR) * MR;
+  const std::size_t size =
+      static_cast<std::size_t>(mp * ceil_div(k, kDirectKC) * kDirectKC);
+  for (std::int64_t pc = 0; pc < k; pc += kDirectKC) {
+    const std::int64_t kc = std::min(kDirectKC, k - pc);
+    const std::int64_t at = (pc / kDirectKC) * mp * kDirectKC;
+#ifdef QCAPS_QGEMM_X86_NATIVE
+    if constexpr (std::is_same_v<T, std::int8_t>) {
+      if (vnni8_) {
+        a8_.resize(size);
+        pack_a_vnni(Trans::kN, a, k, 0, m, pc, kc, a8_.data() + at);
+        continue;
+      }
+    }
+#endif
+    a16_.resize(size);
+    pack_a_block(Trans::kN, a, k, 0, m, pc, kc, a16_.data() + at);
+  }
+  if (rq.bias != nullptr || vnni8_) {
+    base_.assign(static_cast<std::size_t>(m), 0);
+    for (std::int64_t i = 0; i < m; ++i) {
+      std::int64_t b = rq.bias ? rq.bias[i] : 0;
+      if (vnni8_)
+        for (std::int64_t p = 0; p < k; ++p)
+          b -= 128 * std::int64_t{a[i * k + p]};
+      base_[static_cast<std::size_t>(i)] = b;
+    }
+  }
+  rq_.bias = nullptr;  // folded into base_
+}
+
+template <typename T>
+void QGemmDirect<T>::run(const QGemmGatherB<T>& b, std::int64_t j0,
+                         std::int64_t j1, const QGemmScatterDst& sd) const {
+  if (j0 >= j1) return;
+  check_scatter(sd);
+  DirectScratch& s = direct_scratch();
+  const std::int64_t w = vnni8_ ? VNR : NR;  // strip width
+  const std::int64_t mp = ceil_div(m_, MR) * MR;
+  if (s.c.size() < static_cast<std::size_t>(m_ * w))
+    s.c.resize(static_cast<std::size_t>(m_ * w));
+  const KernelFn kernel = make_choice(tier_).fn;
+  const bool vec = tier_ != QGemmKernel::kScalar;
+  const bool vec_epilogue = tier_ == QGemmKernel::kAvx512 ||
+                            tier_ == QGemmKernel::kAvx512Vnni;
+  for (std::int64_t s0 = j0; s0 < j1; s0 += w) {
+    const std::int64_t nr = std::min(w, j1 - s0);
+    const std::int64_t* col = b.col + s0;
+    for (std::int64_t pc = 0; pc < k_; pc += kDirectKC) {
+      const std::int64_t kc = std::min(kDirectKC, k_ - pc);
+      const std::int64_t at = (pc / kDirectKC) * mp * kDirectKC;
+      const bool acc = pc > 0;
+#ifdef QCAPS_QGEMM_X86_NATIVE
+      if constexpr (std::is_same_v<T, std::int8_t>) {
+        if (vnni8_) {
+          if (s.b8.empty())
+            s.b8.resize(static_cast<std::size_t>(kDirectKC * VNR));
+          const std::int64_t kc4 = ceil_div(kc, 4);
+          pack_b_vnni_gather(b.data, b.tap + pc, col, kc, nr, s.b8.data());
+          for (std::int64_t ir = 0; ir < m_; ir += MR)
+            kernel_avx512vnni_q8(kc4, a8_.data() + at + ir * kc4 * 4,
+                                 s.b8.data(), s.c.data() + ir * w, w,
+                                 std::min(MR, m_ - ir), nr, acc);
+          continue;
+        }
+      }
+#endif
+      if (s.b16.empty())
+        s.b16.resize(static_cast<std::size_t>(kDirectKC * NR));
+      const std::int64_t kc2 = ceil_div(kc, 2);
+      pack_b_pairs_gather(b.data, b.tap + pc, col, kc, nr, vec, s.b16.data());
+      for (std::int64_t ir = 0; ir < m_; ir += MR)
+        kernel(kc2, a16_.data() + at + ir * kc2 * 2, s.b16.data(),
+               s.c.data() + ir * w, w, std::min(MR, m_ - ir), nr, acc);
+    }
+    direct_epilogue(s.c.data(), w, m_, s0, nr, rq_,
+                    base_.empty() ? nullptr : base_.data(), vec_epilogue, sd);
+  }
+}
+
+template class QGemmDirect<std::int8_t>;
+template class QGemmDirect<std::int16_t>;
 
 }  // namespace qcaps::tensor

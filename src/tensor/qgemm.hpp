@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 #include "tensor/gemm.hpp"  // Trans
 
@@ -195,5 +196,48 @@ bool qgemm_native_active();
 bool qgemm_force_kernel(QGemmKernel k);
 /// Undo qgemm_force_kernel.
 void qgemm_reset_kernel();
+
+/// Gathered B operand of a direct (implicit-GEMM) convolution: element
+/// (p, j) of the logical k x n B is data[tap[p] + col[j]]. The caller narrows
+/// its input once into a zero-padded copy and describes the im2col matrix by
+/// one offset per K row (channel, kernel row, kernel column) and one per
+/// output column (image, output pixel), so the packers build their panels
+/// straight from the copy and no column matrix is ever materialized.
+template <typename T>
+struct QGemmGatherB {
+  const T* data = nullptr;
+  const std::int64_t* tap = nullptr;  ///< length k
+  const std::int64_t* col = nullptr;  ///< indexed by the global column j
+};
+
+/// The direct-convolution entry: requant(A[m,k] * B) per `rq` with a
+/// gathered B (QGemmGatherB), each element written through a
+/// QGemmScatterDst. A (row-major weights) is packed into the active tier's
+/// panels once at construction, and the per-row requant base (bias, plus on
+/// the VNNI int8 tier the -128 * rowsum(A) term that undoes its +128 B
+/// offset) is folded then too. run() computes a column range on the calling
+/// thread with no OpenMP region of its own, so callers split images or
+/// columns across their own team. Zero points must be 0; the exactness
+/// contract is qgemm's (sum_k |a||b| < 2^31). `rq`'s per-row arrays, if any,
+/// must outlive the object. Bit-identical to qgemm_scatter on the
+/// materialized im2col matrix, on every tier.
+template <typename T>
+class QGemmDirect {
+ public:
+  QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
+              const QGemmRequant& rq);
+  /// Output columns [j0, j1) of the logical m x n result.
+  void run(const QGemmGatherB<T>& b, std::int64_t j0, std::int64_t j1,
+           const QGemmScatterDst& sd) const;
+
+ private:
+  std::int64_t m_, k_;
+  QGemmKernel tier_;  // the tier the panels were packed for
+  bool vnni8_;        // narrow quad panels (VNNI tier, int8 operands)
+  QGemmRequant rq_;
+  std::vector<std::int8_t> a8_;    // VNNI quad panels
+  std::vector<std::int16_t> a16_;  // pair panels of the other tiers
+  std::vector<std::int64_t> base_;  // per-row requant base (empty: none)
+};
 
 }  // namespace qcaps::tensor

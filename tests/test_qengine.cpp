@@ -3,7 +3,14 @@
 // between a fake-quantized CapsNet and its integer deployment.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -18,6 +25,7 @@
 #include "qengine/quantized_shallow_caps.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
+#include "tensor/qgemm.hpp"
 
 namespace qcaps::qengine {
 namespace {
@@ -203,6 +211,255 @@ TEST(QEngineConv, NarrowOutputFormatSaturates) {
   const QTensor out = conv2d(QTensor::from_float(x, f), QTensor::from_float(w, f),
                              QTensor(), 1, 0, f);
   EXPECT_EQ(out.raw[0], f.raw_max());
+}
+
+// ---- direct convolution: packed path against the exact int64 oracle ---------
+
+// The exact int64 scalar convolution, the same loop as qengine::conv2d's
+// fallback for formats the packed path cannot express: wide accumulate, bias
+// aligned to the accumulator, RTN rescale, then the fused ReLU and the
+// folded trailing rescale.
+QTensor conv2d_ref(const QTensor& x, const QTensor& w, const QTensor& bias,
+                   std::int64_t stride, std::int64_t pad,
+                   fixed::FixedFormat out_fmt, bool relu,
+                   const fixed::FixedFormat* fold_fmt) {
+  const std::int64_t b = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
+  const std::int64_t f = w.dim(0), k = w.dim(2);
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
+  const int acc_qf = x.fmt.qf + w.fmt.qf;
+  QTensor out({b, f, oh, ow}, fold_fmt ? *fold_fmt : out_fmt);
+  std::size_t o = 0;
+  for (std::int64_t bi = 0; bi < b; ++bi)
+    for (std::int64_t fi = 0; fi < f; ++fi)
+      for (std::int64_t y = 0; y < oh; ++y)
+        for (std::int64_t xx = 0; xx < ow; ++xx) {
+          std::int64_t acc = 0;
+          for (std::int64_t ci = 0; ci < c; ++ci)
+            for (std::int64_t ky = 0; ky < k; ++ky)
+              for (std::int64_t kx = 0; kx < k; ++kx) {
+                const std::int64_t iy = y * stride + ky - pad;
+                const std::int64_t ix = xx * stride + kx - pad;
+                if (iy < 0 || iy >= h || ix < 0 || ix >= wd) continue;
+                acc += x.raw[static_cast<std::size_t>(
+                           ((bi * c + ci) * h + iy) * wd + ix)] *
+                       w.raw[static_cast<std::size_t>(
+                           ((fi * c + ci) * k + ky) * k + kx)];
+              }
+          if (!bias.raw.empty())
+            acc += bias.raw[static_cast<std::size_t>(fi)]
+                   << (acc_qf - bias.fmt.qf);
+          std::int64_t v = hwmodel::rescale_raw(acc, acc_qf, out_fmt);
+          if (relu && v < 0) v = 0;
+          if (fold_fmt) v = hwmodel::rescale_raw(v, out_fmt.qf, *fold_fmt);
+          out.raw[o++] = v;
+        }
+  return out;
+}
+
+// Raw values uniform in [lo, hi], a quarter of them pinned to the rails.
+QTensor random_rails(common::Rng& rng, tensor::Shape shape,
+                     fixed::FixedFormat fmt, std::int64_t lo,
+                     std::int64_t hi) {
+  QTensor t(std::move(shape), fmt);
+  for (auto& v : t.raw) {
+    const std::uint64_t r = rng.uniform_index(8);
+    v = r == 0   ? lo
+        : r == 1 ? hi
+                 : lo + static_cast<std::int64_t>(rng.uniform_index(
+                            static_cast<std::uint64_t>(hi - lo + 1)));
+  }
+  return t;
+}
+
+// Runs `body` under every qgemm tier this CPU supports, at one and at two
+// OpenMP threads.
+template <typename F>
+void for_each_tier_and_team(const F& body) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (const auto tier :
+       {tensor::QGemmKernel::kScalar, tensor::QGemmKernel::kAvx2,
+        tensor::QGemmKernel::kAvx512, tensor::QGemmKernel::kAvx512Vnni}) {
+    if (!tensor::qgemm_force_kernel(tier)) continue;
+    for (const int threads : {1, 2}) {
+#ifdef _OPENMP
+      omp_set_num_threads(threads);
+#endif
+      SCOPED_TRACE(std::string("tier ") + tensor::qgemm_kernel_name() +
+                   ", threads " + std::to_string(threads));
+      body();
+    }
+  }
+  tensor::qgemm_reset_kernel();
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
+struct DirectConvCase {
+  std::int64_t b, c, hw, f, k, stride, pad;
+};
+const DirectConvCase kDirectConvCases[] = {
+    {3, 3, 12, 8, 3, 1, 1},    // L1: C = 3 is not a multiple of a K quad
+    {16, 32, 8, 16, 3, 2, 1},  // a strided block entry
+    {16, 32, 4, 16, 3, 2, 1},  // B5: a 2x2 plane, smaller than one strip
+    {1, 3, 9, 5, 9, 1, 0},     // K = 9 onto a 1x1 plane
+    {3, 32, 10, 7, 9, 2, 2},   // K = 9, stride 2, pad 2
+    {16, 32, 7, 13, 1, 1, 0},  // K = 1
+    {1, 3, 11, 6, 1, 2, 1},    // K = 1, stride 2, pad 1: three K rows
+    {1, 32, 16, 32, 3, 1, 2},  // batch 1: the column split at two threads
+    {3, 64, 6, 8, 3, 1, 1},    // 576 K rows span two K blocks
+};
+
+// Every case x epilogue (plain, bias + fused ReLU, bias + folded rescale)
+// against conv2d_ref, under every tier and team size.
+void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
+                       std::int64_t xhi, fixed::FixedFormat wf,
+                       std::int64_t wmax, fixed::FixedFormat out_fmt,
+                       fixed::FixedFormat fold_fmt) {
+  common::Rng rng(41);
+  for (const auto& cs : kDirectConvCases) {
+    SCOPED_TRACE("b=" + std::to_string(cs.b) + " c=" + std::to_string(cs.c) +
+                 " hw=" + std::to_string(cs.hw) + " k=" +
+                 std::to_string(cs.k) + " stride=" +
+                 std::to_string(cs.stride) + " pad=" + std::to_string(cs.pad));
+    const QTensor x =
+        random_rails(rng, {cs.b, cs.c, cs.hw, cs.hw}, xf, xlo, xhi);
+    const QTensor w =
+        random_rails(rng, {cs.f, cs.c, cs.k, cs.k}, wf, -wmax, wmax);
+    const QTensor bias = random_rails(rng, {cs.f}, wf, -wmax, wmax);
+    const QGemmOperandCache cache = make_operand_cache(w);
+    const QTensor want_plain =
+        conv2d_ref(x, w, QTensor(), cs.stride, cs.pad, out_fmt, false, nullptr);
+    const QTensor want_relu =
+        conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, true, nullptr);
+    const QTensor want_fold =
+        conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, false, &fold_fmt);
+    for_each_tier_and_team([&] {
+      EXPECT_EQ(conv2d(x, w, QTensor(), cs.stride, cs.pad, out_fmt).raw,
+                want_plain.raw);
+      EXPECT_EQ(conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
+                       fixed::RoundingScheme::kRoundToNearest, &cache,
+                       /*fuse_relu=*/true)
+                    .raw,
+                want_relu.raw);
+      const QTensor folded =
+          conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
+                 fixed::RoundingScheme::kRoundToNearest, &cache,
+                 /*fuse_relu=*/false, &fold_fmt);
+      EXPECT_EQ(folded.fmt, fold_fmt);
+      EXPECT_EQ(folded.raw, want_fold.raw);
+    });
+  }
+}
+
+TEST(QEngineDirectConv, Int8MatchesInt64OracleOnEveryTier) {
+  // Operands at +-127: the int8 container (the VNNI quads on that tier).
+  check_direct_conv(fixed::FixedFormat(1, 7), -127, 127,
+                    fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11),
+                    fixed::FixedFormat(6, 6));
+}
+
+TEST(QEngineDirectConv, Int8RailsMatchInt64OracleOnEveryTier) {
+  // Inputs at both rails of the Q1.7 grid, -128 and 127. |x| = 128 takes
+  // the int16 container (the tier gate reads magnitudes), on every tier.
+  check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
+                    fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11),
+                    fixed::FixedFormat(6, 6));
+}
+
+TEST(QEngineDirectConv, Int16TierMatchesInt64OracleOnEveryTier) {
+  // Raw ranges past int8 (the int16 container), still exact in int32.
+  check_direct_conv(fixed::FixedFormat(3, 9), -500, 499,
+                    fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(8, 12),
+                    fixed::FixedFormat(8, 7));
+}
+
+TEST(QEngineDirectConv, NarrowOutputSaturatesOnEveryTier) {
+  // A 4-bit output grid: most accumulators clamp at a rail.
+  common::Rng rng(43);
+  const fixed::FixedFormat f8(1, 7), out(2, 2);
+  const QTensor x = random_rails(rng, {3, 32, 8, 8}, f8, -128, 127);
+  const QTensor w = random_rails(rng, {16, 32, 3, 3}, f8, -128, 127);
+  const QTensor want = conv2d_ref(x, w, QTensor(), 1, 1, out, false, nullptr);
+  for_each_tier_and_team(
+      [&] { EXPECT_EQ(conv2d(x, w, QTensor(), 1, 1, out).raw, want.raw); });
+}
+
+struct VotesCase {
+  std::int64_t b, tin, din, tout, dout, hw, k, stride, pad;
+};
+
+// The grouped ConvCaps3d votes against the per-type path: each type's
+// channel slice convolved by the oracle and scattered j-major.
+void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
+                         std::int64_t hi) {
+  const VotesCase cases[] = {
+      {3, 4, 4, 3, 4, 6, 3, 1, 1},
+      {16, 8, 8, 8, 8, 4, 3, 2, 1},  // B5: a 2x2 plane
+      {1, 2, 3, 2, 5, 5, 1, 1, 0},
+  };
+  common::Rng rng(47);
+  const fixed::FixedFormat out_fmt(6, 10);
+  for (const auto& vc : cases) {
+    SCOPED_TRACE("b=" + std::to_string(vc.b) + " hw=" + std::to_string(vc.hw));
+    const std::int64_t jd = vc.tout * vc.dout;
+    const QTensor x = random_rails(rng, {vc.b, vc.tin * vc.din, vc.hw, vc.hw},
+                                   f, lo, hi);
+    std::vector<QTensor> wt;
+    QGemmOperandCache grouped;
+    grouped.max_abs = 0;
+    for (std::int64_t t = 0; t < vc.tin; ++t) {
+      wt.push_back(random_rails(rng, {jd, vc.din, vc.k, vc.k}, f, -hi, hi));
+      grouped.max_abs = std::max(grouped.max_abs, wt.back().max_abs_raw());
+      // Both containers when they fit, as the graph's fusion pass builds.
+      if (hi <= 127) {
+        const auto p8 = wt.back().packed_i8();
+        grouped.i8.insert(grouped.i8.end(), p8.begin(), p8.end());
+      }
+      const auto p16 = wt.back().packed_i16();
+      grouped.i16.insert(grouped.i16.end(), p16.begin(), p16.end());
+    }
+    const std::int64_t oh = (vc.hw + 2 * vc.pad - vc.k) / vc.stride + 1;
+    const std::int64_t plane = oh * oh;
+    QTensor want({vc.b * plane, vc.tout, vc.tin, vc.dout}, out_fmt);
+    for (std::int64_t t = 0; t < vc.tin; ++t) {
+      QTensor xs({vc.b, vc.din, vc.hw, vc.hw}, f);
+      const std::int64_t slab = vc.din * vc.hw * vc.hw;
+      for (std::int64_t bi = 0; bi < vc.b; ++bi)
+        std::copy_n(x.raw.begin() + (bi * vc.tin + t) * slab, slab,
+                    xs.raw.begin() + bi * slab);
+      const QTensor vmap =
+          conv2d_ref(xs, wt[static_cast<std::size_t>(t)], QTensor(),
+                     vc.stride, vc.pad, out_fmt, false, nullptr);
+      for (std::int64_t bi = 0; bi < vc.b; ++bi)
+        for (std::int64_t r = 0; r < jd; ++r)
+          for (std::int64_t p = 0; p < plane; ++p)
+            want.raw[static_cast<std::size_t>(
+                (((bi * plane + p) * vc.tout + r / vc.dout) * vc.tin + t) *
+                    vc.dout +
+                r % vc.dout)] =
+                vmap.raw[static_cast<std::size_t>((bi * jd + r) * plane + p)];
+    }
+    for_each_tier_and_team([&] {
+      QTensor votes({vc.b * plane, vc.tout, vc.tin, vc.dout}, out_fmt);
+      ASSERT_TRUE(conv_caps3d_votes(x, grouped, f, vc.tin, vc.din, vc.tout,
+                                    vc.dout, vc.k, vc.stride, vc.pad, out_fmt,
+                                    votes));
+      EXPECT_EQ(votes.raw, want.raw);
+    });
+  }
+}
+
+TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt8) {
+  check_grouped_votes(fixed::FixedFormat(1, 7), -127, 127);
+  check_grouped_votes(fixed::FixedFormat(1, 7), -128, 127);  // both rails
+}
+
+TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt16) {
+  check_grouped_votes(fixed::FixedFormat(3, 9), -500, 499);
 }
 
 TEST(QEngineRelu, ZeroesNegativeRaw) {

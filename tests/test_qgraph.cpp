@@ -811,9 +811,11 @@ TEST(QGraphSaturation, NarrowFormatsCountRailHitsAndCopiesShareCounters) {
   EXPECT_GT(saturated, 0u);
   EXPECT_GT(g.saturation_rate(), 0.0);
   // Layout-only nodes are never counted.
-  for (const auto& n : nodes)
-    if (n.kind == QOpKind::kRelu || n.kind == QOpKind::kFlatten)
+  for (const auto& n : nodes) {
+    if (n.kind == QOpKind::kRelu || n.kind == QOpKind::kFlatten) {
       EXPECT_EQ(n.total, 0u);
+    }
+  }
 
   // Copies (the serving pool's replicas) share one counter block: a forward
   // on the copy is visible through the original, and rates agree.

@@ -30,7 +30,11 @@ class ScriptedEvaluator : public EvaluatorBase {
       : oracle_(std::move(oracle)) {
     std::vector<LayerSizes> layers(num_layers);
     for (std::size_t i = 0; i < num_layers; ++i) {
-      layers[i].name = "L" + std::to_string(i);
+      // Append rather than "L" + to_string(i): GCC 12 -Wrestrict false
+      // positive (PR105651) at -O3.
+      std::string name("L");
+      name += std::to_string(i);
+      layers[i].name = std::move(name);
       layers[i].params = 1000 >> i;  // decreasing, like real CapsNets aren't —
       layers[i].activations = 256;   // sizes only matter for trace tests
       layers[i].macs = 10000;
