@@ -487,6 +487,84 @@ TEST_P(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
   }
 }
 
+// QGemmDirect against the naive oracle on the matrix its gather describes:
+// B(p, j) = b[p * n + perm[j]], with the identity permutation (contiguous
+// columns, the packers' vector paths) and a permutation (element gathers).
+// K = 600 crosses the direct path's 512-row K block, m and n leave partial
+// tiles and strips, and the columns run in two calls split mid-strip.
+template <typename T>
+void check_direct_gather(const std::vector<T>& a, const std::vector<T>& b,
+                         std::int64_t m, std::int64_t k, std::int64_t n,
+                         const QGemmRequant& rq) {
+  const QGemmDirect<T> gemm(a.data(), m, k, rq);
+  std::vector<std::int64_t> tap(static_cast<std::size_t>(k));
+  for (std::int64_t p = 0; p < k; ++p) tap[static_cast<std::size_t>(p)] = p * n;
+  for (const bool scrambled : {false, true}) {
+    SCOPED_TRACE(scrambled ? "scrambled columns" : "contiguous columns");
+    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
+    for (std::int64_t j = 0; j < n; ++j)
+      col[static_cast<std::size_t>(j)] = scrambled ? (j * 11) % n : j;
+    std::vector<T> bp(b.size());
+    for (std::int64_t p = 0; p < k; ++p)
+      for (std::int64_t j = 0; j < n; ++j)
+        bp[static_cast<std::size_t>(p * n + j)] = b[static_cast<std::size_t>(
+            p * n + col[static_cast<std::size_t>(j)])];
+    const auto want = qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k,
+                                  bp.data(), n, rq);
+    std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n), -999);
+    QGemmScatterDst sd;
+    sd.dst = dst.data();
+    sd.row_outer_stride = n;
+    sd.col_outer_stride = 1;
+    const QGemmGatherB<T> gb{b.data(), tap.data(), col.data()};
+    gemm.run(gb, 0, 37, sd);
+    gemm.run(gb, 37, n, sd);
+    for (std::size_t i = 0; i < dst.size(); ++i)
+      ASSERT_EQ(dst[i], want[i]) << "flat " << i;
+  }
+}
+
+TEST_P(QGemmAllKernels, DirectGatherMatchesNaive) {
+  common::Rng rng(32);
+  const std::int64_t m = 13, k = 600, n = 70;
+  const auto a = random_i8(rng, m * k);  // the full int8 range, -128 too
+  const auto b = random_i8(rng, k * n);
+  std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
+  std::vector<int> shift(static_cast<std::size_t>(m));
+  std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
+  for (std::int64_t i = 0; i < m; ++i) {
+    mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
+        (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
+    shift[static_cast<std::size_t>(i)] =
+        static_cast<int>(rng.uniform_index(9)) - 2;
+    bias[static_cast<std::size_t>(i)] =
+        static_cast<std::int32_t>(rng.uniform_index(40001)) - 20000;
+  }
+  QGemmRequant rq;  // unit multiplier: the vector epilogue on AVX-512
+  rq.row_shifts = shift.data();
+  rq.bias = bias.data();
+  rq.c_zero = 3;
+  rq.qmin = -3000;
+  rq.qmax = 3000;
+  check_direct_gather(a, b, m, k, n, rq);
+  rq.row_multipliers = mult.data();  // general multipliers: requant_one
+  check_direct_gather(a, b, m, k, n, rq);
+
+  const auto a16 = random_i16(rng, m * k, 300);
+  const auto b16 = random_i16(rng, k * n, 300);
+  QGemmRequant rq16;
+  rq16.shift = 7;
+  rq16.bias = bias.data();
+  check_direct_gather(a16, b16, m, k, n, rq16);
+}
+
+TEST(QGemmGuards, DirectRejectsZeroPoints) {
+  const std::vector<std::int8_t> a(12, 1);
+  QGemmRequant rq;
+  rq.a_zero = 1;
+  EXPECT_THROW(QGemmDirect<std::int8_t>(a.data(), 3, 4, rq), qcaps::Error);
+}
+
 INSTANTIATE_TEST_SUITE_P(Kernels, QGemmAllKernels,
                          ::testing::ValuesIn(available_kernels()),
                          [](const auto& info) { return kernel_tag(info.param); });
