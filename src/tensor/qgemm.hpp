@@ -212,10 +212,11 @@ struct QGemmGatherB {
 
 /// The direct-convolution entry: requant(A[m,k] * B) per `rq` with a
 /// gathered B (QGemmGatherB), each element written through a
-/// QGemmScatterDst. A (row-major weights) is packed into the active tier's
-/// panels once at construction, and the per-row requant base (bias, plus on
-/// the VNNI int8 tier the -128 * rowsum(A) term that undoes its +128 B
-/// offset) is folded then too. run() computes a column range on the calling
+/// QGemmScatterDst. A (the weights, row-major with leading dimension k) is
+/// packed into the active tier's panels once at construction, and the
+/// per-row requant base (bias, plus on the VNNI int8 tier the
+/// -128 * rowsum(A) term that undoes its +128 B offset) is folded then
+/// too. run() computes a column range on the calling
 /// thread with no OpenMP region of its own, so callers split images or
 /// columns across their own team. Zero points must be 0; the exactness
 /// contract is qgemm's (sum_k |a||b| < 2^31). `rq`'s per-row arrays, if any,
