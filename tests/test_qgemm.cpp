@@ -9,6 +9,7 @@
 // float backend.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <vector>
@@ -517,8 +518,9 @@ void check_direct_gather(const std::vector<T>& a, const std::vector<T>& b,
     sd.row_outer_stride = n;
     sd.col_outer_stride = 1;
     const QGemmGatherB<T> gb{b.data(), tap.data(), col.data()};
-    gemm.run(gb, 0, 37, sd);
-    gemm.run(gb, 37, n, sd);
+    const std::int64_t mid = std::min<std::int64_t>(37, n);
+    gemm.run(gb, 0, mid, sd);
+    gemm.run(gb, mid, n, sd);
     for (std::size_t i = 0; i < dst.size(); ++i)
       ASSERT_EQ(dst[i], want[i]) << "flat " << i;
   }
@@ -556,6 +558,18 @@ TEST_P(QGemmAllKernels, DirectGatherMatchesNaive) {
   rq16.shift = 7;
   rq16.bias = bias.data();
   check_direct_gather(a16, b16, m, k, n, rq16);
+}
+
+TEST_P(QGemmAllKernels, DirectLongKStaysExact) {
+  // Past K = 65793 the VNNI offset accumulator could wrap, so the direct
+  // path takes the int16 pair panels there. With a = -128 and b = 127 the
+  // offset sum, 70000 * -128 * 255, is past int32 while the exact product,
+  // 70000 * -128 * 127, is not.
+  const std::int64_t m = 2, k = 70000, n = 3;
+  const std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), -128);
+  const std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), 127);
+  QGemmRequant rq;
+  check_direct_gather(a, b, m, k, n, rq);
 }
 
 TEST(QGemmGuards, DirectRejectsZeroPoints) {
