@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
-#include <climits>
 #include <cstring>
 #include <fstream>
 #include <vector>
@@ -98,10 +96,6 @@ using qengine::QuantizedOp;
 constexpr std::uint32_t kMaxNodes = 1u << 20;
 constexpr std::uint32_t kMaxTypeRefs = 1u << 16;
 
-int ceil_log2(std::int64_t v) {
-  return v <= 1 ? 0 : std::bit_width(static_cast<std::uint64_t>(v - 1));
-}
-
 std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;
 }
@@ -111,38 +105,17 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
 // A weight may be stored WITHOUT its raw int64 grid values ("hollow") only
 // when the executor's packed-GEMM fast path is guaranteed for EVERY input
 // the consuming op can ever see — the scalar fallback, which reads w.raw,
-// must be statically unreachable. The predicates below mirror (and must
-// stay in sync with) qengine.cpp's requant_expressible / qgemm_tier /
-// conv2d's bias_ok, evaluated at the worst representable input magnitude
-// |x| <= 2^(wordlength-1) instead of a concrete tensor's range. The
-// executor always rescales round-to-nearest, so the scheme condition is
-// static too.
-
-bool requant_fastpath(int acc_qf, fixed::FixedFormat out_fmt) {
-  if (out_fmt.wordlength() > 31) return false;
-  const int shift = acc_qf - out_fmt.qf;
-  return shift >= -30 && shift <= 31;
-}
+// must be statically unreachable. The executor decides its packed paths
+// from the consuming op's formats and the weights' packed range alone
+// (qengine::packed_tier), so that same predicate, evaluated on the unfused
+// op, is the hollow rule.
 
 bool fast_path_guaranteed(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
                           std::int64_t w_max_abs, std::int64_t fan_in,
                           fixed::FixedFormat conv_out_fmt,
                           const QTensor& bias) {
-  if (w_max_abs < 0 || w_max_abs > 32767) return false;
-  // Worst-case |x| is the negative rail 2^(wl-1); it packs int16 only while
-  // wl <= 16, and contributes bit_width(2^(wl-1)) = wl bits to the int32
-  // accumulation budget.
-  if (x_fmt.wordlength() > 16) return false;
-  const int acc_qf = x_fmt.qf + w_fmt.qf;
-  if (!requant_fastpath(acc_qf, conv_out_fmt)) return false;
-  const int wb = std::bit_width(static_cast<std::uint64_t>(w_max_abs));
-  if (x_fmt.wordlength() + wb + ceil_log2(fan_in) > 30) return false;
-  if (!bias.raw.empty()) {
-    const int bshift = acc_qf - bias.fmt.qf;
-    if (bshift < 0 || bshift >= 31) return false;
-    if (bias.max_abs_raw() > (INT32_MAX >> bshift)) return false;
-  }
-  return true;
+  return qengine::packed_tier(x_fmt, w_fmt, w_max_abs, fan_in, conv_out_fmt,
+                              bias) != qengine::PackedTier::kNone;
 }
 
 // ---- save ------------------------------------------------------------------

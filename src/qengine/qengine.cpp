@@ -15,6 +15,11 @@
 #include <omp.h>
 #endif
 
+#if defined(__x86_64__) && defined(__GNUC__)
+#define QCAPS_QENGINE_X86_NATIVE 1
+#include <immintrin.h>
+#endif
+
 namespace qcaps::qengine {
 namespace {
 
@@ -23,8 +28,9 @@ int ceil_log2(std::int64_t v) {
                : std::bit_width(static_cast<std::uint64_t>(v - 1));
 }
 
-// qgemm storage tiers for a pair of operands (by actual raw range, not
-// format): 0 = no exact-int32 fast path, 1 = packed int8, 2 = packed int16.
+// matmul's storage tier for a pair of operands by actual raw range (its
+// operands are arbitrary tensors, not a format-bounded activation and a
+// constant): 0 = no exact-int32 fast path, 1 = packed int8, 2 = packed int16.
 int qgemm_tier(std::int64_t maxabs_a, std::int64_t maxabs_b, std::int64_t k) {
   if (maxabs_a > 32767 || maxabs_b > 32767) return 0;
   // sum_k |a||b| <= k * 2^ba * 2^bb must stay below 2^31.
@@ -141,7 +147,23 @@ struct ConvGeom {
   std::int64_t wp() const { return wd + 2 * pad; }
   std::int64_t img() const { return c * hp() * wp(); }  // narrowed image
   std::int64_t plane() const { return oh * ow; }
+  std::int64_t fan_in() const { return c * k * k; }
 };
+
+// Shape checks and output geometry of x [B, C, H, W] convolved with
+// w [F, C, K, K].
+ConvGeom conv_geom(const QTensor& x, const QTensor& w, std::int64_t stride,
+                   std::int64_t pad) {
+  QCAPS_CHECK_MSG(x.shape.size() == 4 && w.shape.size() == 4,
+                  "qengine conv2d expects [B,C,H,W] x [F,C,K,K]");
+  const std::int64_t c = x.dim(1), k = w.dim(2);
+  QCAPS_CHECK(w.dim(1) == c && w.dim(3) == k);
+  const std::int64_t h = x.dim(2), wd = x.dim(3);
+  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
+  const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
+  QCAPS_CHECK(oh > 0 && ow > 0);
+  return {x.dim(0), c, h, wd, k, stride, pad, oh, ow};
+}
 
 // Offsets of the K rows of a conv over `channels` consecutive channels.
 std::vector<std::int64_t> tap_offsets(const ConvGeom& g,
@@ -253,15 +275,15 @@ void direct_conv(const QTensor& x, const ConvGeom& g, std::int64_t macs,
 #endif
 }
 
+// The direct GEMM of a conv with weights w [F, C, K, K]: the weights packed,
+// the bias aligned to the accumulator and folded with the fused ReLU and a
+// folded trailing rescale into one requantization onto out_fmt.
 template <typename T>
-QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
-                      fixed::FixedFormat out_fmt, int acc_qf,
-                      const QGemmOperandCache* w_cache, bool fuse_relu,
-                      const RescaleFold* fold, fixed::FixedFormat result_fmt,
-                      const ConvGeom& g, std::int64_t f) {
-  const std::int64_t kk = g.c * g.k * g.k;
-  const std::int64_t plane = g.plane();
-
+tensor::QGemmDirect<T> conv_gemm(const QTensor& w, const QTensor& bias,
+                                 const QGemmOperandCache* w_cache, int acc_qf,
+                                 fixed::FixedFormat out_fmt, bool fuse_relu,
+                                 const RescaleFold* fold, std::int64_t f,
+                                 std::int64_t kk) {
   std::vector<T> w_local;
   const T* wp;
   if (w_cache) {
@@ -300,8 +322,19 @@ QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
     }
   }
   if (!bias32.empty()) rq.bias = bias32.data();
+  return tensor::QGemmDirect<T>(wp, f, kk, rq);
+}
 
-  const tensor::QGemmDirect<T> gemm(wp, f, kk, rq);
+template <typename T>
+QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
+                      fixed::FixedFormat out_fmt, int acc_qf,
+                      const QGemmOperandCache* w_cache, bool fuse_relu,
+                      const RescaleFold* fold, fixed::FixedFormat result_fmt,
+                      const ConvGeom& g, std::int64_t f) {
+  const std::int64_t kk = g.fan_in();
+  const std::int64_t plane = g.plane();
+  const tensor::QGemmDirect<T> gemm = conv_gemm<T>(
+      w, bias, w_cache, acc_qf, out_fmt, fuse_relu, fold, f, kk);
   const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
   QTensor out({g.b, f, g.oh, g.ow}, result_fmt);
   // GEMM element (fi, j) of image-local column j lands at
@@ -322,21 +355,256 @@ QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
   return out;
 }
 
+// ---- squash ----------------------------------------------------------------
+
+// The SquashUnit raw seam's per-element arithmetic (SquashUnit::apply
+// without the FixedNum marshaling), with an optional composed trailing
+// rescale. A capsule's squared norm accumulates s*s << shift_up (>> when
+// negative) at the unit's internal_qf fractional bits; each element then
+// finishes as clamp((s * gain + half) >> shift, lo, hi) in `fmt`.
+struct SquashScale {
+  int shift_up = 0;
+  int shift = 0;
+  std::int64_t half = 0, lo = 0, hi = 0;
+  fixed::FixedFormat fmt;
+};
+
+SquashScale squash_scale(const hwmodel::SquashUnit& unit,
+                         fixed::FixedFormat in_fmt,
+                         fixed::FixedFormat out_fmt,
+                         const fixed::FixedFormat* fold_fmt) {
+  SquashScale s;
+  s.shift_up = unit.internal_qf() - 2 * in_fmt.qf;
+  // The output rescale always shifts DOWN (internal_qf >= out qf), so the
+  // round-to-nearest + saturate is inlined by the callers — per-element
+  // calls into hwmodel::rescale_raw would dominate the finishing pass.
+  s.shift = in_fmt.qf + unit.internal_qf() - out_fmt.qf;
+  QCAPS_CHECK(s.shift > 0);
+  s.half = std::int64_t{1} << (s.shift - 1);
+  s.lo = out_fmt.raw_min();
+  s.hi = out_fmt.raw_max();
+  s.fmt = out_fmt;
+  if (fold_fmt != nullptr) {
+    // Compose the trailing rescale out_fmt -> *fold_fmt into the finishing
+    // pass: same bits as squash-then-rescale, one traversal (the fusion pass
+    // validated exactness before annotating).
+    const RescaleFold fold =
+        compose_rescale(s.shift, s.lo, s.hi, out_fmt, *fold_fmt);
+    QCAPS_CHECK_MSG(fold.ok, "squash: inexact rescale fold");
+    s.shift = fold.shift;
+    s.half = fold.add;
+    s.lo = fold.lo;
+    s.hi = fold.hi;
+    s.fmt = *fold_fmt;
+  }
+  return s;
+}
+
+// ---- one-pass capsule convolution ------------------------------------------
+//
+// conv_caps squashes each requantized strip of its direct GEMM
+// (tensor::QGemmDirect::run_tiles) while the strip is in cache. Strip rows
+// are the T*D output channels, so capsule (t, column) is rows
+// t*D .. t*D + D - 1 of one column: per strip one norms pass, ONE batched
+// gain call over its T*nr capsules, and one finishing pass that writes
+// [B, T*D, H', W'] directly — element for element the arithmetic of conv2d
+// into mid_fmt followed by squash_channels. The norms and finishing passes
+// have an AVX-512 path, taken on the two AVX-512 qgemm tiers, the ones that
+// run the direct GEMM's own AVX-512 epilogue.
+
+// Squared norms of the strip's capsules: nsq[t * nr + jj] for column jj.
+void strip_norms(const std::int32_t* tile, std::int64_t ld,
+                 std::int64_t types, std::int64_t dim, std::int64_t nr,
+                 int shift_up, std::int64_t* nsq) {
+  for (std::int64_t t = 0; t < types; ++t) {
+    std::int64_t* acc = nsq + t * nr;
+    std::fill(acc, acc + nr, std::int64_t{0});
+    for (std::int64_t d = 0; d < dim; ++d) {
+      const std::int32_t* row = tile + (t * dim + d) * ld;
+      for (std::int64_t jj = 0; jj < nr; ++jj) {
+        const std::int64_t wide = std::int64_t{row[jj]} * row[jj];
+        acc[jj] += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
+      }
+    }
+  }
+}
+
+// dst[i] = clamp((src[i] * gain[i] + half) >> shift, lo, hi), i < n.
+void squash_run(const std::int32_t* src, const std::int64_t* gain,
+                std::int64_t n, const SquashScale& s, std::int64_t* dst) {
+  for (std::int64_t i = 0; i < n; ++i)
+    dst[i] = std::clamp((std::int64_t{src[i]} * gain[i] + s.half) >> s.shift,
+                        s.lo, s.hi);
+}
+
+#ifdef QCAPS_QENGINE_X86_NATIVE
+// strip_norms and squash_run, 8 int64 lanes per step. vpmuldq multiplies
+// the signed low 32 bits of each lane exactly, and both of its operands fit
+// there: tile values are int32, and a squash gain, |s| / (1 + |s|^2) <= 1/2
+// at internal_qf <= 28 fractional bits, is at most 2^27. Shifts are
+// arithmetic, like the scalar >>. (GCC 12 emits -Wmaybe-uninitialized false
+// positives from its own AVX-512 intrinsic headers here, PR105593.)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+__attribute__((target("avx512f"))) inline __mmask8 lane_mask(std::int64_t n) {
+  return n >= 8 ? static_cast<__mmask8>(0xFF)
+                : static_cast<__mmask8>((1u << n) - 1);
+}
+
+__attribute__((target("avx512f"))) inline __m512i load_i32x8(
+    const std::int32_t* p, __mmask8 k) {
+  return _mm512_cvtepi32_epi64(
+      _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(k, p)));
+}
+
+__attribute__((target("avx512f"))) void strip_norms_avx512(
+    const std::int32_t* tile, std::int64_t ld, std::int64_t types,
+    std::int64_t dim, std::int64_t nr, int shift_up, std::int64_t* nsq) {
+  const __m128i vup = _mm_cvtsi32_si128(shift_up > 0 ? shift_up : 0);
+  const __m128i vdown = _mm_cvtsi32_si128(shift_up < 0 ? -shift_up : 0);
+  for (std::int64_t t = 0; t < types; ++t) {
+    const std::int32_t* rows = tile + t * dim * ld;
+    for (std::int64_t jj = 0; jj < nr; jj += 8) {
+      const __mmask8 k = lane_mask(nr - jj);
+      __m512i acc = _mm512_setzero_si512();
+      for (std::int64_t d = 0; d < dim; ++d) {
+        const __m512i v = load_i32x8(rows + d * ld + jj, k);
+        const __m512i wide = _mm512_mul_epi32(v, v);
+        acc = _mm512_add_epi64(
+            acc, _mm512_sll_epi64(_mm512_sra_epi64(wide, vdown), vup));
+      }
+      _mm512_mask_storeu_epi64(nsq + t * nr + jj, k, acc);
+    }
+  }
+}
+
+__attribute__((target("avx512f"))) void squash_run_avx512(
+    const std::int32_t* src, const std::int64_t* gain, std::int64_t n,
+    const SquashScale& s, std::int64_t* dst) {
+  const __m512i vhalf = _mm512_set1_epi64(s.half);
+  const __m128i vshift = _mm_cvtsi32_si128(s.shift);
+  const __m512i vlo = _mm512_set1_epi64(s.lo);
+  const __m512i vhi = _mm512_set1_epi64(s.hi);
+  for (std::int64_t i = 0; i < n; i += 8) {
+    const __mmask8 k = lane_mask(n - i);
+    __m512i v = _mm512_mul_epi32(load_i32x8(src + i, k),
+                                 _mm512_maskz_loadu_epi64(k, gain + i));
+    v = _mm512_sra_epi64(_mm512_add_epi64(v, vhalf), vshift);
+    v = _mm512_min_epi64(_mm512_max_epi64(v, vlo), vhi);
+    _mm512_mask_storeu_epi64(dst + i, k, v);
+  }
+}
+#pragma GCC diagnostic pop
+#endif  // QCAPS_QENGINE_X86_NATIVE
+
+struct CapsStrip {
+  std::int64_t types, dim, plane;
+  const hwmodel::SquashUnit* unit;
+  SquashScale scale;
+  bool vec;  // the AVX-512 passes
+};
+
+// Squash one requantized strip (columns [j0, j0 + nr), image-local to the
+// images whose output starts at `out`) into [T*D, H', W'] planes.
+void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
+                  std::int64_t ld, std::int64_t j0, std::int64_t nr,
+                  std::int64_t* out) {
+  thread_local std::vector<std::int64_t> nsq, gain;
+  const std::size_t n = static_cast<std::size_t>(cs.types * nr);
+  if (nsq.size() < n) {
+    nsq.resize(n);
+    gain.resize(n);
+  }
+#ifdef QCAPS_QENGINE_X86_NATIVE
+  const auto norms = cs.vec ? strip_norms_avx512 : strip_norms;
+  const auto finish = cs.vec ? squash_run_avx512 : squash_run;
+#else
+  const auto norms = strip_norms;
+  const auto finish = squash_run;
+#endif
+  norms(tile, ld, cs.types, cs.dim, nr, cs.scale.shift_up, nsq.data());
+  cs.unit->gain_raw_n(nsq.data(), gain.data(), cs.types * nr);
+  const std::int64_t channels = cs.types * cs.dim;
+  // Column runs inside one image land on consecutive output pixels.
+  for (std::int64_t jj = 0; jj < nr;) {
+    const std::int64_t img = (j0 + jj) / cs.plane;
+    const std::int64_t p = (j0 + jj) % cs.plane;
+    const std::int64_t len = std::min(nr - jj, cs.plane - p);
+    std::int64_t* dst = out + img * channels * cs.plane + p;
+    for (std::int64_t t = 0; t < cs.types; ++t)
+      for (std::int64_t d = 0; d < cs.dim; ++d) {
+        const std::int64_t row = t * cs.dim + d;
+        finish(tile + row * ld + jj, gain.data() + t * nr + jj, len,
+               cs.scale, dst + row * cs.plane);
+      }
+    jj += len;
+  }
+}
+
+template <typename T>
+QTensor conv_caps_direct(const QTensor& x, const QTensor& w,
+                         const QTensor& bias, const QGemmOperandCache* w_cache,
+                         std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
+                         const hwmodel::SquashUnit& unit,
+                         const SquashScale& scale, const ConvGeom& g,
+                         std::int64_t f) {
+  const std::int64_t kk = g.fan_in();
+  const std::int64_t plane = g.plane();
+  const tensor::QGemmDirect<T> gemm =
+      conv_gemm<T>(w, bias, w_cache, x.fmt.qf + w.fmt.qf, mid_fmt,
+                   /*fuse_relu=*/false, /*fold=*/nullptr, f, kk);
+  const tensor::QGemmKernel tier = tensor::qgemm_kernel();
+  const CapsStrip cs{f / caps_dim, caps_dim, plane, &unit, scale,
+                     tier == tensor::QGemmKernel::kAvx512 ||
+                         tier == tensor::QGemmKernel::kAvx512Vnni};
+  const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
+  QTensor out({g.b, f, g.oh, g.ow}, scale.fmt);
+  direct_conv<T>(x, g, g.b * plane * f * kk,
+                 [&](const T* data, const std::int64_t* col, std::int64_t b0,
+                     std::int64_t j0, std::int64_t j1) {
+                   std::int64_t* dst = out.raw.data() + b0 * f * plane;
+                   gemm.run_tiles({data, tap.data(), col}, j0, j1,
+                                  [&](std::int64_t s0, std::int64_t nr,
+                                      const std::int32_t* tile,
+                                      std::int64_t ld) {
+                                    squash_strip(cs, tile, ld, s0, nr, dst);
+                                  });
+                 });
+  return out;
+}
+
 }  // namespace
+
+PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
+                       std::int64_t w_max_abs, std::int64_t k,
+                       fixed::FixedFormat out_fmt, const QTensor& bias,
+                       std::int64_t bias_add) {
+  const int wl = x_fmt.wordlength();
+  if (w_max_abs < 0 || w_max_abs > 32767 || wl > 16) return PackedTier::kNone;
+  const int acc_qf = x_fmt.qf + w_fmt.qf;
+  if (!requant_expressible(acc_qf, out_fmt,
+                           fixed::RoundingScheme::kRoundToNearest))
+    return PackedTier::kNone;
+  // |x| <= 2^(wl-1) has bit width wl: sum_k |x||w| < 2^31.
+  const int wb = std::bit_width(static_cast<std::uint64_t>(w_max_abs));
+  if (wl + wb + ceil_log2(k) > 30) return PackedTier::kNone;
+  if (!bias.raw.empty()) {
+    const int bshift = acc_qf - bias.fmt.qf;
+    if (bshift < 0 || bshift >= 31 ||
+        bias.max_abs_raw() > ((INT32_MAX - bias_add) >> bshift))
+      return PackedTier::kNone;
+  }
+  return wl <= 8 && w_max_abs <= 127 ? PackedTier::kInt8 : PackedTier::kInt16;
+}
 
 QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
                std::int64_t stride, std::int64_t pad,
                fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme,
                const QGemmOperandCache* w_cache, bool fuse_relu,
                const fixed::FixedFormat* fold_fmt) {
-  QCAPS_CHECK_MSG(x.shape.size() == 4 && w.shape.size() == 4,
-                  "qengine conv2d expects [B,C,H,W] x [F,C,K,K]");
-  const std::int64_t b = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
-  const std::int64_t f = w.dim(0), k = w.dim(2);
-  QCAPS_CHECK(w.dim(1) == c && w.dim(3) == k);
-  const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
-  const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
-  QCAPS_CHECK(oh > 0 && ow > 0);
+  const ConvGeom g = conv_geom(x, w, stride, pad);
+  const std::int64_t b = g.b, c = g.c, h = g.h, wd = g.wd, k = g.k;
+  const std::int64_t oh = g.oh, ow = g.ow, f = w.dim(0);
   // Accumulator guard: fan-in * 2^(wl_x + wl_w) must fit in int64.
   QCAPS_CHECK_MSG(x.fmt.wordlength() + w.fmt.wordlength() +
                           static_cast<int>(std::ceil(std::log2(
@@ -354,9 +622,9 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
 
   // Packed-GEMM fast path (bit-identical; see header). With a folded
   // trailing rescale the requant must express the COMPOSED shift/rails, so
-  // the expressibility gate runs against the final format; any reject
-  // (range, bias widening) falls back to the scalar path, which applies
-  // the two rounding steps inline — still one pass, still bit-identical.
+  // the gate runs against the final format; any reject (formats, bias
+  // widening) falls back to the scalar path, which applies the two
+  // rounding steps inline — still one pass, still bit-identical.
   RescaleFold fold;
   if (fold_fmt != nullptr) {
     const std::int64_t lo1 = fuse_relu
@@ -365,27 +633,19 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
     fold = compose_rescale(acc_qf - out_fmt.qf, lo1, out_fmt.raw_max(),
                            out_fmt, *fold_fmt);
   }
-  if (requant_expressible(acc_qf, result_fmt, scheme) &&
+  if (scheme == fixed::RoundingScheme::kRoundToNearest &&
       (fold_fmt == nullptr || fold.ok)) {
     const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const int tier = qgemm_tier(x.max_abs_raw(), wmax, c * k * k);
-    bool bias_ok = true;
-    if (has_bias) {
-      const int bshift = acc_qf - bias.fmt.qf;
-      bias_ok = bshift >= 0 && bshift < 31 &&
-                bias.max_abs_raw() <= ((INT32_MAX - fold.bias_add) >> bshift);
-    }
-    if (tier != 0 && bias_ok) {
-      const RescaleFold* fp = fold_fmt ? &fold : nullptr;
-      const ConvGeom g{b, c, h, wd, k, stride, pad, oh, ow};
-      return tier == 1
-                 ? conv2d_direct<std::int8_t>(x, w, bias, out_fmt, acc_qf,
-                                              w_cache, fuse_relu, fp,
-                                              result_fmt, g, f)
-                 : conv2d_direct<std::int16_t>(x, w, bias, out_fmt, acc_qf,
-                                               w_cache, fuse_relu, fp,
-                                               result_fmt, g, f);
-    }
+    const PackedTier tier = packed_tier(x.fmt, w.fmt, wmax, g.fan_in(),
+                                        result_fmt, bias, fold.bias_add);
+    const RescaleFold* fp = fold_fmt ? &fold : nullptr;
+    if (tier == PackedTier::kInt8)
+      return conv2d_direct<std::int8_t>(x, w, bias, out_fmt, acc_qf, w_cache,
+                                        fuse_relu, fp, result_fmt, g, f);
+    if (tier == PackedTier::kInt16)
+      return conv2d_direct<std::int16_t>(x, w, bias, out_fmt, acc_qf,
+                                         w_cache, fuse_relu, fp, result_fmt,
+                                         g, f);
   }
 
   QTensor out({b, f, oh, ow}, result_fmt);
@@ -426,6 +686,86 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
   return out;
 }
 
+QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
+                  std::int64_t stride, std::int64_t pad,
+                  std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
+                  fixed::FixedFormat out_fmt,
+                  const QGemmOperandCache* w_cache,
+                  const fixed::FixedFormat* fold_fmt) {
+  const ConvGeom g = conv_geom(x, w, stride, pad);
+  const std::int64_t f = w.dim(0);
+  QCAPS_CHECK_MSG(caps_dim > 0 && f % caps_dim == 0,
+                  "conv_caps: " << f << " channels do not split into "
+                                << "capsules of dim " << caps_dim);
+  QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
+                  "conv_caps weight cache was not built");
+  const hwmodel::SquashUnit unit(mid_fmt);
+  const SquashScale scale = squash_scale(unit, mid_fmt, out_fmt, fold_fmt);
+  const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
+  const PackedTier tier =
+      g.b == 0 ? PackedTier::kNone
+               : packed_tier(x.fmt, w.fmt, wmax, g.fan_in(), mid_fmt, bias);
+  if (tier == PackedTier::kInt8)
+    return conv_caps_direct<std::int8_t>(x, w, bias, w_cache, caps_dim,
+                                         mid_fmt, unit, scale, g, f);
+  if (tier == PackedTier::kInt16)
+    return conv_caps_direct<std::int16_t>(x, w, bias, w_cache, caps_dim,
+                                          mid_fmt, unit, scale, g, f);
+  return squash_channels(conv2d(x, w, bias, stride, pad, mid_fmt,
+                                fixed::RoundingScheme::kRoundToNearest,
+                                w_cache),
+                         caps_dim, out_fmt, fold_fmt);
+}
+
+QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
+                        fixed::FixedFormat out_fmt,
+                        const fixed::FixedFormat* fold_fmt) {
+  QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
+                  "squash_channels expects [B, T*D, H, W] with D = "
+                      << caps_dim);
+  const std::int64_t b = s.dim(0), c = s.dim(1), plane = s.dim(2) * s.dim(3);
+  const std::int64_t types = c / caps_dim;
+  // Squash in the channel-grouped layout directly: capsule (b, t, y, x)'s
+  // elements sit exactly `plane` apart, so per (b, t) slab the squared norms
+  // accumulate vertically across the D contiguous channel rows, pixel-block
+  // by pixel-block, in one streaming pass. Bit-identical to
+  // SquashUnit::apply: integer addition is order-free and the per-term
+  // shift, the gain, and the final rescale are element-local.
+  const hwmodel::SquashUnit unit(s.fmt);
+  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt, fold_fmt);
+  QTensor out(s.shape, sc.fmt);
+  const std::int64_t slabs = b * types;
+  constexpr std::int64_t kBlock = 512;
+#pragma omp parallel for schedule(static) if (slabs > 1)
+  for (std::int64_t sl = 0; sl < slabs; ++sl) {
+    const std::int64_t* src = s.raw.data() + sl * caps_dim * plane;
+    std::int64_t* dst = out.raw.data() + sl * caps_dim * plane;
+    std::int64_t nsq[kBlock];
+    std::int64_t gain[kBlock];
+    for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
+      const std::int64_t pc = std::min(kBlock, plane - p0);
+      std::fill(nsq, nsq + pc, std::int64_t{0});
+      for (std::int64_t j = 0; j < caps_dim; ++j) {
+        const std::int64_t* row = src + j * plane + p0;
+        for (std::int64_t p = 0; p < pc; ++p) {
+          const std::int64_t wide = row[p] * row[p];
+          nsq[p] += sc.shift_up >= 0 ? (wide << sc.shift_up)
+                                     : (wide >> -sc.shift_up);
+        }
+      }
+      unit.gain_raw_n(nsq, gain, pc);
+      for (std::int64_t j = 0; j < caps_dim; ++j) {
+        const std::int64_t* row = src + j * plane + p0;
+        std::int64_t* orow = dst + j * plane + p0;
+        for (std::int64_t p = 0; p < pc; ++p)
+          orow[p] = std::clamp((row[p] * gain[p] + sc.half) >> sc.shift,
+                               sc.lo, sc.hi);
+      }
+    }
+  }
+  return out;
+}
+
 void relu(QTensor& x) {
   for (auto& v : x.raw)
     if (v < 0) v = 0;
@@ -447,27 +787,8 @@ QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
   const hwmodel::SquashUnit unit(s.fmt);
   // Raw-seam bulk path: same arithmetic as unit.apply() per row without the
   // per-row FixedNum vector allocations.
-  const int shift_up = unit.internal_qf() - 2 * s.fmt.qf;
-  const int prod_qf = s.fmt.qf + unit.internal_qf();
-  // Inlined round-to-nearest + saturate (the shift is always down here).
-  int shift = prod_qf - out_fmt.qf;
-  QCAPS_CHECK(shift > 0);
-  std::int64_t half = std::int64_t{1} << (shift - 1);
-  std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
-  fixed::FixedFormat result_fmt = out_fmt;
-  if (fold_fmt != nullptr) {
-    // Composed trailing rescale (see compose_rescale): same bits as
-    // squash-then-rescale in one traversal.
-    const RescaleFold fold =
-        compose_rescale(shift, lo, hi, out_fmt, *fold_fmt);
-    QCAPS_CHECK_MSG(fold.ok, "squash_last: inexact rescale fold");
-    shift = fold.shift;
-    half = fold.add;
-    lo = fold.lo;
-    hi = fold.hi;
-    result_fmt = *fold_fmt;
-  }
-  QTensor out(s.shape, result_fmt);
+  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt, fold_fmt);
+  QTensor out(s.shape, sc.fmt);
   // Blocked rows: one norms pass, one batched gain (vector NR over lanes of
   // rows), one scale pass — same bits as the per-row loop in any order.
   constexpr std::int64_t kBlock = 64;
@@ -483,7 +804,8 @@ QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
       std::int64_t acc = 0;
       for (std::int64_t j = 0; j < d; ++j) {
         const std::int64_t wide = src[j] * src[j];
-        acc += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
+        acc += sc.shift_up >= 0 ? (wide << sc.shift_up)
+                                : (wide >> -sc.shift_up);
       }
       nsq[rr] = acc;
     }
@@ -492,7 +814,8 @@ QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
       const std::int64_t* src = s.raw.data() + (r0 + rr) * d;
       std::int64_t* dst = out.raw.data() + (r0 + rr) * d;
       for (std::int64_t j = 0; j < d; ++j)
-        dst[j] = std::clamp((src[j] * gain[rr] + half) >> shift, lo, hi);
+        dst[j] = std::clamp((src[j] * gain[rr] + sc.half) >> sc.shift, sc.lo,
+                            sc.hi);
     }
   }
   return out;
@@ -513,17 +836,15 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
 
   // Integer fast path: with the j-major layout both contractions walk
   // unit-stride int32 slabs, and exact int32 accumulation is admissible as
-  // long as Σ |c||u| (resp. Σ |v||u|) cannot wrap. Couplings and squashed
-  // outputs carry the activation format, so their raw magnitude is bounded
-  // by 2^(wl-1); the votes' actual range is scanned once. Integer addition
-  // is associative, so the int32 and int64 paths are bit-identical — the
-  // requant points (rescale into QDR before squash, per Fig. 9) are
-  // untouched.
-  const std::int64_t umax = votes.max_abs_raw();
-  const int bu = std::bit_width(static_cast<std::uint64_t>(umax));
-  const int bact = act_fmt.wordlength();  // |c|, |v| <= 2^(wl-1)
+  // long as Σ |c||u| (resp. Σ |v||u|) cannot wrap. Votes, couplings and
+  // squashed outputs all carry the activation format, whose rails bound
+  // every raw magnitude by 2^(wl-1) (bit width wl), so the format decides.
+  // Integer addition is associative, so the int32 and int64 paths are
+  // bit-identical — the requant points (rescale into QDR before squash, per
+  // Fig. 9) are untouched.
+  const int bact = act_fmt.wordlength();
   const bool i32_ok =
-      bu + bact + ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <= 30;
+      2 * bact + ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <= 30;
   std::vector<std::int32_t> u32;
   if (i32_ok) {
     u32.resize(votes.raw.size());
@@ -758,12 +1079,12 @@ QTensor vote_transform(const QTensor& u, const QTensor& w,
   QTensor votes({b, nout, nin, dout}, out_fmt);
   if (din == 0 || votes.numel() == 0) return votes;
 
-  if (requant_expressible(acc_qf, out_fmt, scheme)) {
+  if (scheme == fixed::RoundingScheme::kRoundToNearest) {
     const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const int tier = qgemm_tier(u.max_abs_raw(), wmax, din);
-    if (tier != 0) {
+    const PackedTier tier = packed_tier(u.fmt, w.fmt, wmax, din, out_fmt);
+    if (tier != PackedTier::kNone) {
       const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-      if (tier == 1)
+      if (tier == PackedTier::kInt8)
         run_qgemm_votes<std::int8_t>(u, w, w_cache, b, nin, din, nout, dout,
                                      rq, votes.raw.data());
       else
@@ -845,16 +1166,12 @@ bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
                        fixed::FixedFormat out_fmt, QTensor& votes) {
   QCAPS_CHECK_MSG(x.shape.size() == 4 && x.dim(1) == in_types * in_dim,
                   "conv_caps3d_votes expects [B, Tin*Din, H, W] input");
-  if (grouped.max_abs < 0) return false;
+  const PackedTier tier = packed_tier(x.fmt, w_fmt, grouped.max_abs,
+                                      in_dim * ksize * ksize, out_fmt);
+  if (tier == PackedTier::kNone) return false;
+  if (tier == PackedTier::kInt8 && !grouped.has_i8()) return false;
+  if (tier == PackedTier::kInt16 && !grouped.has_i16()) return false;
   const int acc_qf = x.fmt.qf + w_fmt.qf;
-  if (!requant_expressible(acc_qf, out_fmt,
-                           fixed::RoundingScheme::kRoundToNearest))
-    return false;
-  const std::int64_t kk = in_dim * ksize * ksize;
-  const int tier = qgemm_tier(x.max_abs_raw(), grouped.max_abs, kk);
-  if (tier == 0) return false;
-  if (tier == 1 && !grouped.has_i8()) return false;
-  if (tier == 2 && !grouped.has_i16()) return false;
 
   const std::int64_t b = x.dim(0), h = x.dim(2), wd = x.dim(3);
   const std::int64_t oh = (h + 2 * pad - ksize) / stride + 1;
@@ -864,7 +1181,7 @@ bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
   if (votes.numel() == 0) return true;
   const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
   const ConvGeom g{b, in_types * in_dim, h, wd, ksize, stride, pad, oh, ow};
-  if (tier == 1)
+  if (tier == PackedTier::kInt8)
     conv_caps3d_votes_impl<std::int8_t>(x, grouped.i8_data(), rq, g, in_types,
                                         in_dim, out_types, out_dim,
                                         votes.raw.data());

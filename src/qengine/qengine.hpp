@@ -44,6 +44,31 @@ struct QGemmOperandCache {
 /// Eagerly build the packed cache for `t`.
 QGemmOperandCache make_operand_cache(const QTensor& t);
 
+// ---- packed-path gate ------------------------------------------------------
+
+/// Storage tier of the packed qgemm paths.
+enum class PackedTier { kNone, kInt8, kInt16 };
+
+/// The one gate of the packed GEMM-shaped ops (conv2d, conv_caps, the
+/// grouped ConvCaps3d votes, vote_transform), decided from formats and
+/// constant weights alone, never from an activation's values; the .qcg
+/// serializer's hollow-weight rule calls it too. Every producer clamps its
+/// values onto its format's rails, so an activation in `x_fmt` is bounded by
+/// 2^(wl-1): wl <= 8 packs int8 (-128 included), wl <= 16 packs int16. The
+/// weights pack int8 when `w_max_abs` (their QGemmOperandCache::max_abs) is
+/// <= 127 and int16 when it is <= 32767. The op's int32 accumulation over
+/// `k` terms must be exact: wl + bit_width(w_max_abs) + ceil_log2(k) <= 30.
+/// The accumulator -> `out_fmt` rescale must be a qgemm requant (wordlength
+/// <= 31, shift in [-30, 31]; the executor always rounds to nearest). A
+/// non-empty `bias` (a weight) must fit int32 at accumulator scale with
+/// `bias_add`, a folded rescale's rounding constant, on top. kNone: the op
+/// runs its exact int64 fallback.
+PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
+                       std::int64_t w_max_abs, std::int64_t k,
+                       fixed::FixedFormat out_fmt,
+                       const QTensor& bias = QTensor(),
+                       std::int64_t bias_add = 0);
+
 // ---- rescale-epilogue composition ------------------------------------------
 
 /// Exactness analysis for composing a trailing rescale (RTN, `from` ->
@@ -74,9 +99,8 @@ RescaleFold compose_rescale(int shift1, std::int64_t lo1, std::int64_t hi1,
 /// Integer conv2d: x [B, C, H, W] (act fmt) * w [F, C, K, K] (weight fmt)
 /// + bias [F] (weight fmt) -> [B, F, H', W'] in out_fmt.
 ///
-/// Fast path: when the operands' raw ranges admit exact int32 accumulation
-/// and the rescale is a qgemm requant (round-to-nearest, narrow output),
-/// the convolution runs as a direct packed integer GEMM
+/// Fast path: when packed_tier admits the formats and the scheme is
+/// round-to-nearest, the convolution runs as a direct packed integer GEMM
 /// (tensor::QGemmDirect): each image is narrowed once into a zero-padded
 /// int8/int16 copy, the qgemm panels are packed straight from it (no im2col
 /// matrix), and the bias is folded into the requantization, which writes
@@ -105,6 +129,31 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
                bool fuse_relu = false,
                const fixed::FixedFormat* fold_fmt = nullptr);
 
+/// The capsule convolution of a kConvCaps node, in one pass: conv2d of x
+/// with w/bias into the wide pre-squash format `mid_fmt`, then the
+/// per-capsule squash of squash_channels (capsules of `caps_dim` consecutive
+/// channels) into out_fmt, or into *fold_fmt through a composed trailing
+/// rescale (validated here). On the packed path (packed_tier at mid_fmt)
+/// each requantized strip of the direct GEMM is squashed while it is in
+/// cache and written straight into [B, T*D, H', W']: no pre-squash tensor
+/// exists. Other formats run conv2d then squash_channels, the exact int64
+/// path. Bit-identical to conv2d followed by squash_channels on every tier.
+QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
+                  std::int64_t stride, std::int64_t pad,
+                  std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
+                  fixed::FixedFormat out_fmt,
+                  const QGemmOperandCache* w_cache = nullptr,
+                  const fixed::FixedFormat* fold_fmt = nullptr);
+
+/// Per-capsule squash of a channel-grouped feature map [B, T*D, H, W] (each
+/// (b, t, y, x) vector of length D squashed via the SquashUnit datapath).
+/// `fold_fmt`, when given, composes an exact trailing rescale
+/// out_fmt -> *fold_fmt into the output pass (the result carries *fold_fmt);
+/// the caller must have validated exactness via compose_rescale.
+QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
+                        fixed::FixedFormat out_fmt,
+                        const fixed::FixedFormat* fold_fmt = nullptr);
+
 /// In-place ReLU on raw values.
 void relu(QTensor& x);
 
@@ -124,8 +173,8 @@ QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
 /// (the layout vote_transform emits — per (r, j) slab the weighted sum and
 /// agreement walk unit-stride rows). Logits/pre-activations use dr_fmt (the
 /// QDR width, paper Fig. 9); couplings and outputs use act_fmt. Returns
-/// v [R, Nout, D] in act fmt. When the operands' actual raw ranges admit it,
-/// both contractions accumulate in vectorizable int32 — bit-identical to the
+/// v [R, Nout, D] in act fmt. When act_fmt's wordlength admits it, both
+/// contractions accumulate in vectorizable int32 — bit-identical to the
 /// exact int64 path (integer addition is associative; every rescale point is
 /// unchanged).
 QTensor dynamic_routing(const QTensor& votes, int iterations,
@@ -164,9 +213,10 @@ QTensor vote_transform(const QTensor& u, const QTensor& w,
 /// the requant epilogue — no per-type channel-slice copies, conv dispatches,
 /// or permutation passes. `w_fmt` is the (shared) vote-weight format,
 /// `ksize` the square kernel size; `votes` must be preallocated with that
-/// shape and out_fmt. Returns false with `votes` untouched when the operands
-/// do not admit the packed fast path — the caller falls back to the
-/// per-type conv2d + scatter loop, which is bit-identical when both run.
+/// shape and out_fmt. Returns false with `votes` untouched when packed_tier
+/// rejects the formats or `grouped` lacks the tier's container — the caller
+/// falls back to the per-type conv2d + scatter loop, which is bit-identical
+/// when both run.
 bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
                        fixed::FixedFormat w_fmt, std::int64_t in_types,
                        std::int64_t in_dim, std::int64_t out_types,

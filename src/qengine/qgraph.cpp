@@ -24,6 +24,11 @@ namespace {
 
 constexpr auto kRtn = fixed::RoundingScheme::kRoundToNearest;
 
+// Whole-tensor elementwise passes of the executor (the residual add, the
+// saturation count) run under the OpenMP team from this many elements on;
+// below it a region's fork/join costs about as much as the pass.
+constexpr std::int64_t kParallelMinElems = std::int64_t{1} << 15;
+
 // Wide working format for pre-squash values: the activation format is
 // calibrated on the bounded post-squash capsules, but the conv outputs that
 // feed the squash can be far outside it. Same rule the hand-rolled
@@ -186,13 +191,6 @@ void gather_caps_rows(const std::int64_t* src, std::int64_t b,
               src[((bi * types * d) + t * d + dd) * plane + p];
 }
 
-QTensor exec_conv_caps(const QuantizedOp& op, const QTensor& x) {
-  QTensor s = conv2d(x, op.weight, op.bias, op.stride, op.pad, op.mid_fmt,
-                     kRtn, &op.wcache);
-  return squash_channels(s, op.out_dim, op.out_fmt,
-                         op.fused_rescale ? &op.fused_out_fmt : nullptr);
-}
-
 QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
   const std::int64_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
   QCAPS_CHECK_MSG(x.dim(1) == op.in_types * op.in_dim,
@@ -330,83 +328,18 @@ std::int64_t QuantizedOp::weight_bits() const {
   return bits;
 }
 
-QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
-                        fixed::FixedFormat out_fmt,
-                        const fixed::FixedFormat* fold_fmt) {
-  QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
-                  "squash_channels expects [B, T*D, H, W] with D = "
-                      << caps_dim);
-  const std::int64_t b = s.dim(0), c = s.dim(1), plane = s.dim(2) * s.dim(3);
-  const std::int64_t types = c / caps_dim;
-  // Squash in the channel-grouped layout directly: capsule (b, t, y, x)'s
-  // elements sit exactly `plane` apart, so per (b, t) slab the squared norms
-  // accumulate vertically across the D contiguous channel rows, pixel-block
-  // by pixel-block. This replaces the old gather-rows / squash / scatter-rows
-  // sequence (two full transposes of the tensor plus per-row FixedNum
-  // marshaling) with one streaming pass. Bit-identical: integer addition is
-  // order-free and the per-term shift, the gain, and the final rescale are
-  // element-local — exactly SquashUnit::apply's arithmetic.
-  const hwmodel::SquashUnit unit(s.fmt);
-  const int shift_up = unit.internal_qf() - 2 * s.fmt.qf;
-  const int prod_qf = s.fmt.qf + unit.internal_qf();
-  // The output rescale always shifts DOWN (internal_qf >= out qf), so the
-  // round-to-nearest + saturate is inlined here — per-element calls into
-  // hwmodel::rescale_raw would dominate the second pass.
-  int shift = prod_qf - out_fmt.qf;
-  QCAPS_CHECK(shift > 0);
-  std::int64_t half = std::int64_t{1} << (shift - 1);
-  std::int64_t lo = out_fmt.raw_min(), hi = out_fmt.raw_max();
-  fixed::FixedFormat result_fmt = out_fmt;
-  if (fold_fmt != nullptr) {
-    // Compose the trailing rescale out_fmt -> *fold_fmt into this pass:
-    // same bits as squash-then-rescale, one traversal (fusion pass
-    // validated exactness before annotating).
-    const RescaleFold fold =
-        compose_rescale(shift, lo, hi, out_fmt, *fold_fmt);
-    QCAPS_CHECK_MSG(fold.ok, "squash_channels: inexact rescale fold");
-    shift = fold.shift;
-    half = fold.add;
-    lo = fold.lo;
-    hi = fold.hi;
-    result_fmt = *fold_fmt;
-  }
-  QTensor out(s.shape, result_fmt);
-  const std::int64_t slabs = b * types;
-  constexpr std::int64_t kBlock = 512;
-#pragma omp parallel for schedule(static) if (slabs > 1)
-  for (std::int64_t sl = 0; sl < slabs; ++sl) {
-    const std::int64_t* src = s.raw.data() + sl * caps_dim * plane;
-    std::int64_t* dst = out.raw.data() + sl * caps_dim * plane;
-    std::int64_t nsq[kBlock];
-    std::int64_t gain[kBlock];
-    for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
-      const std::int64_t pc = std::min(kBlock, plane - p0);
-      std::fill(nsq, nsq + pc, std::int64_t{0});
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const std::int64_t* row = src + j * plane + p0;
-        for (std::int64_t p = 0; p < pc; ++p) {
-          const std::int64_t wide = row[p] * row[p];
-          nsq[p] += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
-        }
-      }
-      unit.gain_raw_n(nsq, gain, pc);
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const std::int64_t* row = src + j * plane + p0;
-        std::int64_t* orow = dst + j * plane + p0;
-        for (std::int64_t p = 0; p < pc; ++p)
-          orow[p] = std::clamp((row[p] * gain[p] + half) >> shift, lo, hi);
-      }
-    }
-  }
-  return out;
-}
-
 QTensor residual_add(const QTensor& a, const QTensor& b) {
   QCAPS_CHECK_MSG(a.shape == b.shape && a.fmt == b.fmt,
                   "residual_add expects same-shape, same-format operands");
   QTensor out(a.shape, a.fmt);
-  for (std::size_t i = 0; i < a.raw.size(); ++i)
-    out.raw[i] = hwmodel::saturate_raw(a.raw[i] + b.raw[i], a.fmt);
+  const std::int64_t n = a.numel();
+  const std::int64_t lo = a.fmt.raw_min(), hi = a.fmt.raw_max();
+  const std::int64_t* pa = a.raw.data();
+  const std::int64_t* pb = b.raw.data();
+  std::int64_t* po = out.raw.data();
+#pragma omp parallel for schedule(static) if (n >= kParallelMinElems)
+  for (std::int64_t i = 0; i < n; ++i)
+    po[i] = std::clamp(pa[i] + pb[i], lo, hi);
   return out;
 }
 
@@ -679,7 +612,7 @@ std::string rescale_fold_decision(const std::vector<QuantizedOp>& ops,
       return "";
     case QOpKind::kConvCaps:
     case QOpKind::kPrimaryCaps: {
-      // squash_channels / squash_last epilogue: one RTN shift from the
+      // conv_caps / squash_last squash epilogue: one RTN shift from the
       // squash product grid down to the activation format.
       const hwmodel::SquashUnit unit(prod.mid_fmt);
       const int s1 = prod.mid_fmt.qf + unit.internal_qf() - from.qf;
@@ -771,7 +704,8 @@ void QuantizedGraph::fuse() {
       // types (one narrowed input feeds every type); when the types
       // straddle the int8 boundary, stay on the per-type path rather than
       // demote anyone to the wider tier unnecessarily — the executor's
-      // range gate re-checks at run time and falls back bit-identically.
+      // packed_tier gate picks the tier from the formats at run time and
+      // falls back bit-identically.
       std::int64_t gmax = 0;
       bool all8 = true, all16 = true;
       for (const auto& tc : op.type_caches) {
@@ -973,7 +907,9 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
         vals[i] = dynamic_routing(x, op.iterations, op.out_fmt, op.dr_fmt);
         break;
       case QOpKind::kConvCaps:
-        vals[i] = exec_conv_caps(op, x);
+        vals[i] = conv_caps(x, op.weight, op.bias, op.stride, op.pad,
+                            op.out_dim, op.mid_fmt, op.out_fmt, &op.wcache,
+                            op.fused_rescale ? &op.fused_out_fmt : nullptr);
         break;
       case QOpKind::kConvCaps3d:
         vals[i] = exec_conv_caps3d(op, x);
@@ -1000,23 +936,25 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
     // or by landing on it exactly, which is indistinguishable and rare.
     // kRelu and kFlatten never requantize, so they are left uncounted
     // (relu also steals its input, which may already be freed). A conv with
-    // a fused relu counts only the high rail: the raised lower clamp now
-    // produces legitimate relu zeros at qmin = 0, not saturation. The scan
-    // is O(numel) over a value the op just wrote — noise next to the conv
-    // that produced it — and touches only relaxed atomics, so replica pools
-    // can run it concurrently.
+    // a fused relu counts only the high rail: its raised lower clamp makes
+    // legitimate relu zeros, which sit above the (negative) low rail, so
+    // the same two-sided compare never counts them. The scan re-reads every
+    // value the op wrote — 13-16% of a DeepCaps forward when it ran
+    // serially — so large values are counted under the team; it touches
+    // only relaxed atomics, so replica pools can run it concurrently.
     // A fused-away rescale forwards a value its producer already counted at
     // the same composed rails — scanning it again would double-count.
     if (sat_ && op.kind != QOpKind::kRelu && op.kind != QOpKind::kFlatten &&
         !op.fused_away) {
       const QTensor& y = vals[i];
       const std::int64_t lo = y.fmt.raw_min(), hi = y.fmt.raw_max();
+      const std::int64_t n = y.numel();
+      const std::int64_t* r = y.raw.data();
       std::uint64_t at_rail = 0;
-      if (op.fused_relu) {
-        for (const std::int64_t r : y.raw) at_rail += (r >= hi);
-      } else {
-        for (const std::int64_t r : y.raw) at_rail += (r <= lo || r >= hi);
-      }
+#pragma omp parallel for schedule(static) reduction(+ : at_rail) \
+    if (n >= kParallelMinElems)
+      for (std::int64_t j = 0; j < n; ++j)
+        at_rail += static_cast<std::uint64_t>((r[j] <= lo) | (r[j] >= hi));
       sat_->saturated[i].fetch_add(at_rail, std::memory_order_relaxed);
       sat_->total[i].fetch_add(static_cast<std::uint64_t>(y.numel()),
                                std::memory_order_relaxed);

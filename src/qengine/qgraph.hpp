@@ -45,7 +45,7 @@ enum class QOpKind {
   kPrimaryCaps,    ///< conv -> channel-grouped capsule list -> squash
   kVoteTransform,  ///< u [B,Nin,Din] * W -> j-major votes [B,Nout,Nin,Dout]
   kDynamicRouting, ///< votes -> routed capsules [B,Nout,Dout]
-  kConvCaps,       ///< conv (BN folded) -> per-capsule channel squash
+  kConvCaps,       ///< conv (BN folded) + per-capsule squash (conv_caps)
   kConvCaps3d,     ///< per-type vote convs -> j-major votes -> routing
   kResidualAdd,    ///< saturating raw add of two same-format values
   kFlatten,        ///< [B,T*D,H,W] capsule fmap -> [B,T*H*W,D] capsule list
@@ -282,15 +282,6 @@ std::string rescale_fold_blocker(const QuantizedGraph& g, std::size_t i);
 
 // ---- standalone op implementations ----------------------------------------
 // Exposed so tests can exercise the new integer capabilities directly.
-
-/// Per-capsule squash of a channel-grouped feature map [B, T*D, H, W] (each
-/// (b, t, y, x) vector of length D squashed via the SquashUnit datapath).
-/// `fold_fmt`, when given, composes an exact trailing rescale
-/// out_fmt -> *fold_fmt into the output pass (the result carries *fold_fmt);
-/// the caller must have validated exactness via compose_rescale.
-QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
-                        fixed::FixedFormat out_fmt,
-                        const fixed::FixedFormat* fold_fmt = nullptr);
 
 /// Saturating raw addition of two same-shape, same-format tensors — the
 /// CapsBlock residual connection in fixed point. (Both operands sit on the

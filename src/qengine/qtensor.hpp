@@ -38,9 +38,10 @@ struct QTensor {
   //
   // The fixed-point grid is symmetric two's complement: scale() = 2^-QF and
   // zero_point() = 0 are the quantization metadata a packed container
-  // carries. Whether a tensor packs into 8 or 16 bits depends on its actual
-  // raw range, not just the format: a wide-format tensor whose values stayed
-  // small still packs narrow.
+  // carries. These helpers test a tensor's actual raw values; constant
+  // weights are packed by them, while the executor packs activations by
+  // format (qengine::packed_tier), since every producer clamps onto its
+  // format's rails.
 
   /// Largest |raw| value (0 when empty).
   std::int64_t max_abs_raw() const;

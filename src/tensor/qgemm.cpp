@@ -1210,8 +1210,10 @@ void check_k_bound_s8(std::int64_t k, const QGemmRequant* rq) {
 // (VNR on the VNNI int8 path, NR elsewhere). Per strip and K block it packs
 // one B panel straight from the caller's narrowed image, runs every A panel
 // against it into a small per-thread int32 tile, and after the last K block
-// requantizes that tile into the destination. The panels are the ones
-// pack_b_vnni / pack_b_block build, so the microkernels are unchanged.
+// hands that tile to the entry's epilogue: run() requantizes it into the
+// scatter destination, run_tiles() requantizes it in place for its
+// consumer. The panels are the ones pack_b_vnni / pack_b_block build, so
+// the microkernels are unchanged.
 //
 // K tails and edge columns: a quad or pair past K reads a valid tap again,
 // which is harmless because the packed A is zero there; panel columns past
@@ -1372,19 +1374,20 @@ void pack_b_vnni_gather(const std::int8_t* data, const std::int64_t* tap,
 }
 
 // Requantize a run of n int32 accumulators with the unit multiplier into
-// contiguous int64 outputs, 8 lanes per step. With M = 2^30 requant_one's
-// (acc * M + 2^(29 + s)) >> (30 + s) is exactly (acc + 2^(s-1)) >> s for
-// s >= 1 and acc << -s for s <= 0, so the whole rescale stays in int64
-// lanes (vpsraq / vpsllq) for any base.
+// contiguous int64 (or, in place, int32) outputs, 8 lanes per step. With
+// M = 2^30 requant_one's (acc * M + 2^(29 + s)) >> (30 + s) is exactly
+// (acc + 2^(s-1)) >> s for s >= 1 and acc << -s for s <= 0, so the whole
+// rescale stays in int64 lanes (vpsraq / vpsllq) for any base; the clamp
+// to [qmin, qmax] makes the int32 store exact.
 //
 // GCC 12 emits -Wmaybe-uninitialized false positives from its own AVX-512
 // intrinsic headers here (PR105593).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+template <typename Out>
 __attribute__((target("avx512f"))) void requant_run_unit_avx512(
     const std::int32_t* acc, std::int64_t n, std::int64_t base, int shift,
-    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax,
-    std::int64_t* out) {
+    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax, Out* out) {
   const __m512i vadd = _mm512_set1_epi64(
       base + (shift > 0 ? std::int64_t{1} << (shift - 1) : 0));
   const __m128i vshr = _mm_cvtsi32_si128(shift > 0 ? shift : 0);
@@ -1402,11 +1405,41 @@ __attribute__((target("avx512f"))) void requant_run_unit_avx512(
     v = _mm512_sll_epi64(_mm512_sra_epi64(v, vshr), vshl);
     v = _mm512_add_epi64(v, vzero);
     v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
-    _mm512_mask_storeu_epi64(out + j, k, v);
+    if constexpr (std::is_same_v<Out, std::int64_t>)
+      _mm512_mask_storeu_epi64(out + j, k, v);
+    else
+      _mm512_mask_cvtepi64_storeu_epi32(out + j, k, v);
   }
 }
 #pragma GCC diagnostic pop
 #endif  // QCAPS_QGEMM_X86_NATIVE
+
+// Requantize the m x nr int32 tile in place (the run_tiles epilogue). Rows
+// with the unit multiplier take the vector path when `vec`.
+void requant_tile(std::int32_t* c, std::int64_t ldc, std::int64_t m,
+                  std::int64_t nr, const QGemmRequant& rq,
+                  const std::int64_t* base, bool vec) {
+#ifndef QCAPS_QGEMM_X86_NATIVE
+  (void)vec;
+#endif
+  for (std::int64_t i = 0; i < m; ++i) {
+    const std::int64_t mult =
+        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
+    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
+    const std::int64_t b = base ? base[i] : 0;
+    std::int32_t* row = c + i * ldc;
+#ifdef QCAPS_QGEMM_X86_NATIVE
+    if (vec && mult == kQGemmUnitMultiplier) {
+      requant_run_unit_avx512(row, nr, b, shift, rq.c_zero, rq.qmin, rq.qmax,
+                              row);
+      continue;
+    }
+#endif
+    for (std::int64_t j = 0; j < nr; ++j)
+      row[j] = requant_one(row[j] + b, mult, shift, rq.c_zero, rq.qmin,
+                           rq.qmax);
+  }
+}
 
 // Requantize the m x nr int32 tile of output columns [j0, j0 + nr) (row
 // stride ldc) through `sd`. Column runs that land contiguously take the
@@ -1627,10 +1660,9 @@ QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
 }
 
 template <typename T>
-void QGemmDirect<T>::run(const QGemmGatherB<T>& b, std::int64_t j0,
-                         std::int64_t j1, const QGemmScatterDst& sd) const {
-  if (j0 >= j1) return;
-  check_scatter(sd);
+template <typename Epilogue>
+void QGemmDirect<T>::strips(const QGemmGatherB<T>& b, std::int64_t j0,
+                            std::int64_t j1, const Epilogue& epilogue) const {
   DirectScratch& s = direct_scratch();
   const std::int64_t w = vnni8_ ? VNR : NR;  // strip width
   const std::int64_t mp = ceil_div(m_, MR) * MR;
@@ -1638,8 +1670,6 @@ void QGemmDirect<T>::run(const QGemmGatherB<T>& b, std::int64_t j0,
     s.c.resize(static_cast<std::size_t>(m_ * w));
   const KernelFn kernel = make_choice(tier_).fn;
   const bool vec = tier_ != QGemmKernel::kScalar;
-  const bool vec_epilogue = tier_ == QGemmKernel::kAvx512 ||
-                            tier_ == QGemmKernel::kAvx512Vnni;
   for (std::int64_t s0 = j0; s0 < j1; s0 += w) {
     const std::int64_t nr = std::min(w, j1 - s0);
     const std::int64_t* col = b.col + s0;
@@ -1670,9 +1700,39 @@ void QGemmDirect<T>::run(const QGemmGatherB<T>& b, std::int64_t j0,
         kernel(kc2, a16_.data() + at + ir * kc2 * 2, s.b16.data(),
                s.c.data() + ir * w, w, std::min(MR, m_ - ir), nr, acc);
     }
-    direct_epilogue(s.c.data(), w, m_, s0, nr, rq_,
-                    base_.empty() ? nullptr : base_.data(), vec_epilogue, sd);
+    epilogue(s.c.data(), w, s0, nr);
   }
+}
+
+template <typename T>
+void QGemmDirect<T>::run(const QGemmGatherB<T>& b, std::int64_t j0,
+                         std::int64_t j1, const QGemmScatterDst& sd) const {
+  if (j0 >= j1) return;
+  check_scatter(sd);
+  const std::int64_t* base = base_.empty() ? nullptr : base_.data();
+  const bool vec = tier_ == QGemmKernel::kAvx512 ||
+                   tier_ == QGemmKernel::kAvx512Vnni;
+  strips(b, j0, j1,
+         [&](const std::int32_t* c, std::int64_t ld, std::int64_t s0,
+             std::int64_t nr) {
+           direct_epilogue(c, ld, m_, s0, nr, rq_, base, vec, sd);
+         });
+}
+
+template <typename T>
+void QGemmDirect<T>::run_tiles(const QGemmGatherB<T>& b, std::int64_t j0,
+                               std::int64_t j1,
+                               const QGemmTileFn& consume) const {
+  if (j0 >= j1) return;
+  const std::int64_t* base = base_.empty() ? nullptr : base_.data();
+  const bool vec = tier_ == QGemmKernel::kAvx512 ||
+                   tier_ == QGemmKernel::kAvx512Vnni;
+  strips(b, j0, j1,
+         [&](std::int32_t* c, std::int64_t ld, std::int64_t s0,
+             std::int64_t nr) {
+           requant_tile(c, ld, m_, nr, rq_, base, vec);
+           consume(s0, nr, c, ld);
+         });
 }
 
 template class QGemmDirect<std::int8_t>;

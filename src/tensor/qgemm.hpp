@@ -37,6 +37,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "tensor/gemm.hpp"  // Trans
@@ -210,18 +211,28 @@ struct QGemmGatherB {
   const std::int64_t* col = nullptr;  ///< indexed by the global column j
 };
 
+/// Consumer of QGemmDirect::run_tiles: one requantized strip of output
+/// columns [j0, j0 + nr). Element (i, j0 + jj) of the logical m x n result,
+/// i < m and jj < nr, is tile[i * ld + jj], already on [qmin, qmax]. The
+/// tile is per-thread scratch, valid only during the call.
+using QGemmTileFn = std::function<void(std::int64_t j0, std::int64_t nr,
+                                       const std::int32_t* tile,
+                                       std::int64_t ld)>;
+
 /// The direct-convolution entry: requant(A[m,k] * B) per `rq` with a
-/// gathered B (QGemmGatherB), each element written through a
-/// QGemmScatterDst. A (the weights, row-major with leading dimension k) is
-/// packed into the active tier's panels once at construction, and the
-/// per-row requant base (bias, plus on the VNNI int8 tier the
-/// -128 * rowsum(A) term that undoes its +128 B offset) is folded then
-/// too. run() computes a column range on the calling
-/// thread with no OpenMP region of its own, so callers split images or
-/// columns across their own team. Zero points must be 0; the exactness
-/// contract is qgemm's (sum_k |a||b| < 2^31). `rq`'s per-row arrays, if any,
-/// must outlive the object. Bit-identical to qgemm_scatter on the
-/// materialized im2col matrix, on every tier.
+/// gathered B (QGemmGatherB). A (the weights, row-major with leading
+/// dimension k) is packed into the active tier's panels once at
+/// construction, and the per-row requant base (bias, plus on the VNNI int8
+/// tier the -128 * rowsum(A) term that undoes its +128 B offset) is folded
+/// then too. Both entries walk one strip loop over the output columns and
+/// differ only in the strip's epilogue: run() writes each element through a
+/// QGemmScatterDst, run_tiles() hands each requantized strip to a consumer
+/// (the capsule convolution squashes it there). They compute a column range
+/// on the calling thread with no OpenMP region of their own, so callers
+/// split images or columns across their own team. Zero points must be 0;
+/// the exactness contract is qgemm's (sum_k |a||b| < 2^31). `rq`'s per-row
+/// arrays, if any, must outlive the object. Bit-identical to qgemm_scatter
+/// on the materialized im2col matrix, on every tier.
 template <typename T>
 class QGemmDirect {
  public:
@@ -230,8 +241,19 @@ class QGemmDirect {
   /// Output columns [j0, j1) of the logical m x n result.
   void run(const QGemmGatherB<T>& b, std::int64_t j0, std::int64_t j1,
            const QGemmScatterDst& sd) const;
+  /// Output columns [j0, j1), one requantized strip of at most 32 columns
+  /// per `consume` call, in column order.
+  void run_tiles(const QGemmGatherB<T>& b, std::int64_t j0, std::int64_t j1,
+                 const QGemmTileFn& consume) const;
 
  private:
+  // The strip loop both entries share: `epilogue(c, ld, s0, nr)` receives
+  // the raw int32 accumulators of columns [s0, s0 + nr) after the last K
+  // block.
+  template <typename Epilogue>
+  void strips(const QGemmGatherB<T>& b, std::int64_t j0, std::int64_t j1,
+              const Epilogue& epilogue) const;
+
   std::int64_t m_, k_;
   QGemmKernel tier_;  // the tier the panels were packed for
   bool vnni8_;        // narrow quad panels (VNNI tier, int8 operands)

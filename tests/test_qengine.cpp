@@ -23,6 +23,7 @@
 #include "hwmodel/units.hpp"
 #include "qengine/qengine.hpp"
 #include "qengine/quantized_shallow_caps.hpp"
+#include "tensor/caps_kernels.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qgemm.hpp"
@@ -363,8 +364,9 @@ TEST(QEngineDirectConv, Int8MatchesInt64OracleOnEveryTier) {
 }
 
 TEST(QEngineDirectConv, Int8RailsMatchInt64OracleOnEveryTier) {
-  // Inputs at both rails of the Q1.7 grid, -128 and 127. |x| = 128 takes
-  // the int16 container (the tier gate reads magnitudes), on every tier.
+  // Inputs at both rails of the Q1.7 grid, -128 and 127. The tier gate
+  // reads the 8-bit format, so |x| = 128 takes the int8 container (the VNNI
+  // quads on that tier), on every tier.
   check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
                     fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11),
                     fixed::FixedFormat(6, 6));
@@ -460,6 +462,121 @@ TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt8) {
 
 TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt16) {
   check_grouped_votes(fixed::FixedFormat(3, 9), -500, 499);
+}
+
+// ---- one-pass capsule convolution against conv2d -> squash_channels --------
+
+// for_each_tier_and_team under every caps-kernel tier too (the squash gain's
+// dispatch).
+template <typename F>
+void for_each_tier_caps_and_team(const F& body) {
+  for (const auto caps : {tensor::CapsKernel::kScalar,
+                          tensor::CapsKernel::kAvx2,
+                          tensor::CapsKernel::kAvx512}) {
+    if (!tensor::caps_force_kernel(caps)) continue;
+    SCOPED_TRACE(std::string("caps ") + tensor::caps_kernel_name());
+    for_each_tier_and_team(body);
+  }
+  tensor::caps_reset_kernel();
+}
+
+struct ConvCapsCase {
+  std::int64_t b, c, hw, types, dim, stride;
+};
+// DeepCaps' capsule-block convolutions (3x3, pad 1) onto the block planes
+// 16^2, 8^2, 4^2 and 2^2, block entries (stride 2) and inner convs
+// (stride 1), T x D of 8 x 4, 4 x 8 and 8 x 8.
+const ConvCapsCase kConvCapsCases[] = {
+    {1, 32, 32, 8, 4, 2},  // B2 entry, batch 1: the column split
+    {3, 32, 16, 8, 4, 1},  // B2 inner
+    {3, 32, 16, 8, 8, 2},  // B3 entry
+    {16, 64, 8, 8, 8, 2},  // B4 entry: a strip spans four images
+    {16, 64, 2, 4, 8, 1},  // B5 inner: a strip spans eight images
+    {1, 64, 4, 8, 8, 2},   // B5 entry, batch 1: one 4-column strip
+};
+
+// Every case x epilogue (plain, bias, bias + folded rescale) against the
+// exact int64 conv followed by squash_channels, under every qgemm and caps
+// tier and team size. The pre-squash format is the executor's rule for
+// activation format `act`.
+void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
+                     std::int64_t xhi, fixed::FixedFormat wf,
+                     std::int64_t wmax, fixed::FixedFormat act,
+                     fixed::FixedFormat fold_fmt,
+                     std::vector<ConvCapsCase> cases) {
+  const fixed::FixedFormat mid(8, std::min(20, act.qf + 8));
+  common::Rng rng(53);
+  for (const auto& cs : cases) {
+    SCOPED_TRACE("b=" + std::to_string(cs.b) + " c=" + std::to_string(cs.c) +
+                 " hw=" + std::to_string(cs.hw) + " TxD=" +
+                 std::to_string(cs.types) + "x" + std::to_string(cs.dim) +
+                 " stride=" + std::to_string(cs.stride));
+    const std::int64_t f = cs.types * cs.dim;
+    const QTensor x =
+        random_rails(rng, {cs.b, cs.c, cs.hw, cs.hw}, xf, xlo, xhi);
+    const QTensor w = random_rails(rng, {f, cs.c, 3, 3}, wf, -wmax, wmax);
+    const QTensor bias = random_rails(rng, {f}, wf, -wmax, wmax);
+    const QGemmOperandCache cache = make_operand_cache(w);
+    const auto want = [&](const QTensor& bs, const fixed::FixedFormat* fold) {
+      return squash_channels(
+          conv2d_ref(x, w, bs, cs.stride, 1, mid, false, nullptr), cs.dim,
+          act, fold);
+    };
+    const QTensor want_plain = want(QTensor(), nullptr);
+    const QTensor want_bias = want(bias, nullptr);
+    const QTensor want_fold = want(bias, &fold_fmt);
+    for_each_tier_caps_and_team([&] {
+      EXPECT_EQ(conv_caps(x, w, QTensor(), cs.stride, 1, cs.dim, mid, act)
+                    .raw,
+                want_plain.raw);
+      EXPECT_EQ(
+          conv_caps(x, w, bias, cs.stride, 1, cs.dim, mid, act, &cache).raw,
+          want_bias.raw);
+      const QTensor folded = conv_caps(x, w, bias, cs.stride, 1, cs.dim, mid,
+                                       act, &cache, &fold_fmt);
+      EXPECT_EQ(folded.fmt, fold_fmt);
+      EXPECT_EQ(folded.raw, want_fold.raw);
+    });
+  }
+}
+
+TEST(QEngineConvCaps, Int8RailsMatchConvThenSquashOnEveryTier) {
+  // Q1.7 inputs at both rails, -128 and 127: the int8 tier.
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(1, 7), fixed::FixedFormat(1, 7),
+                        127, 64 * 9, fixed::FixedFormat(8, 15)),
+            PackedTier::kInt8);
+  const std::vector<ConvCapsCase> all(std::begin(kConvCapsCases),
+                                      std::end(kConvCapsCases));
+  // Full-range weights push most pre-squash values onto the wide format's
+  // rails; small ones, like BN-folded DeepCaps weights, keep them inside.
+  check_conv_caps(fixed::FixedFormat(1, 7), -128, 127,
+                  fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(1, 7),
+                  fixed::FixedFormat(1, 5), all);
+  check_conv_caps(fixed::FixedFormat(1, 7), -128, 127,
+                  fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(1, 7),
+                  fixed::FixedFormat(1, 6), all);
+}
+
+TEST(QEngineConvCaps, Int16TierMatchesConvThenSquashOnEveryTier) {
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(3, 9), fixed::FixedFormat(2, 8),
+                        199, 64 * 9, fixed::FixedFormat(8, 18)),
+            PackedTier::kInt16);
+  check_conv_caps(fixed::FixedFormat(3, 9), -500, 499,
+                  fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(2, 10),
+                  fixed::FixedFormat(2, 8),
+                  {kConvCapsCases[0], kConvCapsCases[3], kConvCapsCases[4]});
+}
+
+TEST(QEngineConvCaps, WideFormatTakesTheInt64Fallback) {
+  // An 18-bit activation format is past the int16 container: conv2d's exact
+  // int64 loop then squash_channels, with the same results.
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(6, 12), fixed::FixedFormat(2, 8),
+                        199, 64 * 9, fixed::FixedFormat(8, 18)),
+            PackedTier::kNone);
+  check_conv_caps(fixed::FixedFormat(6, 12), -131072, 131071,
+                  fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(2, 10),
+                  fixed::FixedFormat(2, 8),
+                  {kConvCapsCases[4], kConvCapsCases[5]});
 }
 
 TEST(QEngineRelu, ZeroesNegativeRaw) {

@@ -523,6 +523,25 @@ void check_direct_gather(const std::vector<T>& a, const std::vector<T>& b,
     gemm.run(gb, mid, n, sd);
     for (std::size_t i = 0; i < dst.size(); ++i)
       ASSERT_EQ(dst[i], want[i]) << "flat " << i;
+
+    // The tile-consumer entry: the same values, one requantized strip of
+    // at most 32 columns per call, in column order.
+    std::vector<std::int64_t> tiles(static_cast<std::size_t>(m * n), -999);
+    std::int64_t next = 0;
+    const auto consume = [&](std::int64_t j0, std::int64_t nr,
+                             const std::int32_t* tile, std::int64_t ld) {
+      ASSERT_EQ(j0, next);
+      ASSERT_TRUE(nr >= 1 && nr <= 32);
+      next = j0 + nr;
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t jj = 0; jj < nr; ++jj)
+          tiles[static_cast<std::size_t>(i * n + j0 + jj)] = tile[i * ld + jj];
+    };
+    gemm.run_tiles(gb, 0, mid, consume);
+    gemm.run_tiles(gb, mid, n, consume);
+    EXPECT_EQ(next, n);
+    for (std::size_t i = 0; i < tiles.size(); ++i)
+      ASSERT_EQ(tiles[i], want[i]) << "tile flat " << i;
   }
 }
 

@@ -902,15 +902,18 @@ TEST(InferenceServerRobustness, ClientRetriesTransparentlyAcrossCrash) {
   server.shutdown();
 
   // Terminal failures must NOT be retried: a deadline miss rethrows
-  // immediately even with retry budget left.
-  serve::InferenceServer server2;
-  serve::ServerConfig cfg2;
-  serve::InferenceServer* s2 = &server2;
-  s2->add_model("echo", std::make_unique<EchoBackend>(), cfg2);
+  // immediately even with retry budget left. The stall is armed before the
+  // worker starts: the failpoint sits at the top of Batcher::next(), so a
+  // worker already blocked inside its pop would serve the request at once
+  // instead of letting it age in the queue.
   common::FailpointSpec stall;
   stall.action = common::FailpointAction::kSleep;
   stall.delay_ms = 50;
   common::failpoint_arm("serve.batcher.next", stall);
+  serve::InferenceServer server2;
+  serve::ServerConfig cfg2;
+  serve::InferenceServer* s2 = &server2;
+  s2->add_model("echo", std::make_unique<EchoBackend>(), cfg2);
   serve::InferenceClient client2(server2, "echo", ccfg);
   serve::SubmitOptions rushed;
   rushed.timeout = std::chrono::milliseconds(5);
