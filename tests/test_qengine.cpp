@@ -579,6 +579,50 @@ TEST(QEngineConvCaps, WideFormatTakesTheInt64Fallback) {
                   {kConvCapsCases[4], kConvCapsCases[5]});
 }
 
+TEST(QEnginePackedTier, ContainerFollowsTheFormatsWordlength) {
+  using F = fixed::FixedFormat;
+  const F out(8, 15);
+  // Activations: wl <= 8 packs int8, -128 included; wl <= 16 int16.
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, out), PackedTier::kInt8);
+  EXPECT_EQ(packed_tier(F(2, 7), F(1, 7), 127, 9, out), PackedTier::kInt16);
+  EXPECT_EQ(packed_tier(F(1, 15), F(1, 7), 127, 9, out), PackedTier::kInt16);
+  EXPECT_EQ(packed_tier(F(2, 15), F(1, 7), 127, 9, out), PackedTier::kNone);
+  // Weights: by their packed range.
+  EXPECT_EQ(packed_tier(F(1, 7), F(2, 7), 128, 9, out), PackedTier::kInt16);
+  EXPECT_EQ(packed_tier(F(1, 7), F(9, 7), 32768, 9, out), PackedTier::kNone);
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), -1, 9, out), PackedTier::kNone);
+}
+
+TEST(QEnginePackedTier, Int32AccumulationRequantAndBiasBounds) {
+  using F = fixed::FixedFormat;
+  // wl + bit_width(max|w|) + ceil_log2(k) <= 30: 8 + 7 + 15 fits, 16 not.
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 1 << 15, F(8, 15)),
+            PackedTier::kInt8);
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, (1 << 15) + 1, F(8, 15)),
+            PackedTier::kNone);
+  // The requant onto out_fmt: wordlength <= 31, shift in [-30, 31].
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(16, 15)),
+            PackedTier::kInt8);
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(17, 15)),
+            PackedTier::kNone);
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 30), 127, 9, F(8, 6)),
+            PackedTier::kInt8);  // shift 37 - 6 = 31
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 30), 127, 9, F(8, 5)),
+            PackedTier::kNone);
+  // The bias, shifted to the accumulator's 14 fractional bits, must fit
+  // int32 together with a folded rescale's rounding constant.
+  QTensor bias({2}, F(25, 7));
+  bias.raw = {(INT32_MAX >> 7) - 1, 0};
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(8, 15), bias, 127),
+            PackedTier::kInt8);
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(8, 15), bias, 256),
+            PackedTier::kNone);
+  QTensor fine_bias({1}, F(1, 15));  // more fractional bits than the acc
+  fine_bias.raw = {1};
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(8, 15), fine_bias),
+            PackedTier::kNone);
+}
+
 TEST(QEngineRelu, ZeroesNegativeRaw) {
   tensor::Tensor t({3}, {-0.5f, 0.25f, -0.125f});
   QTensor q = QTensor::from_float(t, fixed::FixedFormat(1, 4));
