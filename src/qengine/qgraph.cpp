@@ -939,9 +939,10 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
     // a fused relu counts only the high rail: its raised lower clamp makes
     // legitimate relu zeros, which sit above the (negative) low rail, so
     // the same two-sided compare never counts them. The scan re-reads every
-    // value the op wrote — 13-16% of a DeepCaps forward when it ran
-    // serially — so large values are counted under the team; it touches
-    // only relaxed atomics, so replica pools can run it concurrently.
+    // value the op wrote, which is no small share of a forward beside
+    // multi-threaded convs, so large values are counted under the team; it
+    // touches only relaxed atomics, so replica pools can run it
+    // concurrently.
     // A fused-away rescale forwards a value its producer already counted at
     // the same composed rails — scanning it again would double-count.
     if (sat_ && op.kind != QOpKind::kRelu && op.kind != QOpKind::kFlatten &&
