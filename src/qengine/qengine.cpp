@@ -412,15 +412,18 @@ SquashScale squash_scale(const hwmodel::SquashUnit& unit,
 // have an AVX-512 path, taken on the two AVX-512 qgemm tiers, the ones that
 // run the direct GEMM's own AVX-512 epilogue.
 
-// Squared norms of the strip's capsules: nsq[t * nr + jj] for column jj.
-void strip_norms(const std::int32_t* tile, std::int64_t ld,
-                 std::int64_t types, std::int64_t dim, std::int64_t nr,
-                 int shift_up, std::int64_t* nsq) {
+// Squared norms of channel-grouped capsules: capsule (t, column jj) is rows
+// t*dim .. t*dim + dim - 1 (row stride ld) of column jj, and its norm lands
+// in nsq[t * nr + jj].
+template <typename S>
+void strip_norms(const S* tile, std::int64_t ld, std::int64_t types,
+                 std::int64_t dim, std::int64_t nr, int shift_up,
+                 std::int64_t* nsq) {
   for (std::int64_t t = 0; t < types; ++t) {
     std::int64_t* acc = nsq + t * nr;
     std::fill(acc, acc + nr, std::int64_t{0});
     for (std::int64_t d = 0; d < dim; ++d) {
-      const std::int32_t* row = tile + (t * dim + d) * ld;
+      const S* row = tile + (t * dim + d) * ld;
       for (std::int64_t jj = 0; jj < nr; ++jj) {
         const std::int64_t wide = std::int64_t{row[jj]} * row[jj];
         acc[jj] += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
@@ -430,8 +433,9 @@ void strip_norms(const std::int32_t* tile, std::int64_t ld,
 }
 
 // dst[i] = clamp((src[i] * gain[i] + half) >> shift, lo, hi), i < n.
-void squash_run(const std::int32_t* src, const std::int64_t* gain,
-                std::int64_t n, const SquashScale& s, std::int64_t* dst) {
+template <typename S>
+void squash_run(const S* src, const std::int64_t* gain, std::int64_t n,
+                const SquashScale& s, std::int64_t* dst) {
   for (std::int64_t i = 0; i < n; ++i)
     dst[i] = std::clamp((std::int64_t{src[i]} * gain[i] + s.half) >> s.shift,
                         s.lo, s.hi);
@@ -440,9 +444,9 @@ void squash_run(const std::int32_t* src, const std::int64_t* gain,
 #ifdef QCAPS_QENGINE_X86_NATIVE
 // strip_norms and squash_run, 8 int64 lanes per step. vpmuldq multiplies
 // the signed low 32 bits of each lane exactly, and both of its operands fit
-// there: tile values are int32, and a squash gain, |s| / (1 + |s|^2) <= 1/2
-// at internal_qf <= 28 fractional bits, is at most 2^27. Shifts are
-// arithmetic, like the scalar >>. (GCC 12 emits -Wmaybe-uninitialized false
+// there: tile values are int32, and a squash gain is |s| / (1 + |s|^2) <= 1/2
+// at internal_qf <= 28 fractional bits, about 2^27 at most, far below 2^31.
+// Shifts are arithmetic, like the scalar >>. (GCC 12 emits -Wmaybe-uninitialized false
 // positives from its own AVX-512 intrinsic headers here, PR105593.)
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
@@ -516,11 +520,11 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
     gain.resize(n);
   }
 #ifdef QCAPS_QENGINE_X86_NATIVE
-  const auto norms = cs.vec ? strip_norms_avx512 : strip_norms;
-  const auto finish = cs.vec ? squash_run_avx512 : squash_run;
+  const auto norms = cs.vec ? strip_norms_avx512 : strip_norms<std::int32_t>;
+  const auto finish = cs.vec ? squash_run_avx512 : squash_run<std::int32_t>;
 #else
-  const auto norms = strip_norms;
-  const auto finish = squash_run;
+  const auto norms = strip_norms<std::int32_t>;
+  const auto finish = squash_run<std::int32_t>;
 #endif
   norms(tile, ld, cs.types, cs.dim, nr, cs.scale.shift_up, nsq.data());
   cs.unit->gain_raw_n(nsq.data(), gain.data(), cs.types * nr);
@@ -744,23 +748,11 @@ QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
     std::int64_t gain[kBlock];
     for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
       const std::int64_t pc = std::min(kBlock, plane - p0);
-      std::fill(nsq, nsq + pc, std::int64_t{0});
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const std::int64_t* row = src + j * plane + p0;
-        for (std::int64_t p = 0; p < pc; ++p) {
-          const std::int64_t wide = row[p] * row[p];
-          nsq[p] += sc.shift_up >= 0 ? (wide << sc.shift_up)
-                                     : (wide >> -sc.shift_up);
-        }
-      }
+      strip_norms(src + p0, plane, 1, caps_dim, pc, sc.shift_up, nsq);
       unit.gain_raw_n(nsq, gain, pc);
-      for (std::int64_t j = 0; j < caps_dim; ++j) {
-        const std::int64_t* row = src + j * plane + p0;
-        std::int64_t* orow = dst + j * plane + p0;
-        for (std::int64_t p = 0; p < pc; ++p)
-          orow[p] = std::clamp((row[p] * gain[p] + sc.half) >> sc.shift,
-                               sc.lo, sc.hi);
-      }
+      for (std::int64_t j = 0; j < caps_dim; ++j)
+        squash_run(src + j * plane + p0, gain, pc, sc,
+                   dst + j * plane + p0);
     }
   }
   return out;

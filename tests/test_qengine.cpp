@@ -490,8 +490,8 @@ const ConvCapsCase kConvCapsCases[] = {
     {1, 32, 32, 8, 4, 2},  // B2 entry, batch 1: the column split
     {3, 32, 16, 8, 4, 1},  // B2 inner
     {3, 32, 16, 8, 8, 2},  // B3 entry
-    {16, 64, 8, 8, 8, 2},  // B4 entry: a strip spans four images
-    {16, 64, 2, 4, 8, 1},  // B5 inner: a strip spans eight images
+    {16, 64, 8, 8, 8, 2},  // B4 entry: a 32-column strip spans two images
+    {16, 64, 2, 4, 8, 1},  // B5 inner: a 32-column strip spans eight
     {1, 64, 4, 8, 8, 2},   // B5 entry, batch 1: one 4-column strip
 };
 
