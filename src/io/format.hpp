@@ -160,7 +160,8 @@ static_assert(std::is_trivially_copyable_v<QcgHeader>);
 /// calls. Chosen over IEEE CRC-32 because x86's SSE4.2 crc32 instruction
 /// implements exactly this polynomial: the payload scan is the dominant
 /// cost of a cold-start load, and the hardware path keeps it out of the
-/// critical path entirely. The software fallback (slice-by-8) computes
+/// critical path entirely. The software fallback (slice-by-8), which runs
+/// at the scalar dispatch level (common/cpu_dispatch.hpp), computes
 /// identical values, so the format does not depend on the instruction.
 std::uint32_t crc32(const void* data, std::size_t size,
                     std::uint32_t seed = 0);

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/failpoint.hpp"
 #include "io/mmap_file.hpp"
 
@@ -52,11 +53,10 @@ std::uint32_t crc32c_sw(const std::uint8_t* p, std::size_t size,
   return crc;
 }
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define QCAPS_CRC32C_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 // Hardware CRC-32C (the SSE4.2 crc32 instruction implements exactly the
-// Castagnoli polynomial this format uses). Runtime-dispatched like the
-// GEMM microkernel; bit-identical to crc32c_sw.
+// Castagnoli polynomial this format uses). Taken from the avx2 dispatch
+// level up, which implies SSE4.2; bit-identical to crc32c_sw.
 __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
     const std::uint8_t* p, std::size_t size, std::uint32_t crc) {
   std::uint64_t c = crc;
@@ -79,9 +79,8 @@ __attribute__((target("sse4.2"))) std::uint32_t crc32c_hw(
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* p = static_cast<const std::uint8_t*>(data);
   const std::uint32_t crc = ~seed;
-#ifdef QCAPS_CRC32C_X86_NATIVE
-  static const bool hw = __builtin_cpu_supports("sse4.2");
-  if (hw) return ~crc32c_hw(p, size, crc);
+#ifdef QCAPS_X86_NATIVE
+  if (common::isa() >= common::Isa::kAvx2) return ~crc32c_hw(p, size, crc);
 #endif
   return ~crc32c_sw(p, size, crc);
 }

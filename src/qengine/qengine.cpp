@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
 #include "hwmodel/units.hpp"
 #include "tensor/qgemm.hpp"
@@ -15,8 +16,7 @@
 #include <omp.h>
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__)
-#define QCAPS_QENGINE_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -26,18 +26,6 @@ namespace {
 int ceil_log2(std::int64_t v) {
   return v <= 1 ? 0
                : std::bit_width(static_cast<std::uint64_t>(v - 1));
-}
-
-// matmul's storage tier for a pair of operands by actual raw range (its
-// operands are arbitrary tensors, not a format-bounded activation and a
-// constant): 0 = no exact-int32 fast path, 1 = packed int8, 2 = packed int16.
-int qgemm_tier(std::int64_t maxabs_a, std::int64_t maxabs_b, std::int64_t k) {
-  if (maxabs_a > 32767 || maxabs_b > 32767) return 0;
-  // sum_k |a||b| <= k * 2^ba * 2^bb must stay below 2^31.
-  const int ba = std::bit_width(static_cast<std::uint64_t>(maxabs_a));
-  const int bb = std::bit_width(static_cast<std::uint64_t>(maxabs_b));
-  if (ba + bb + ceil_log2(k) > 30) return 0;
-  return (maxabs_a <= 127 && maxabs_b <= 127) ? 1 : 2;
 }
 
 // The int64 scalar fallbacks are exact only while k * |a| * |b| cannot wrap
@@ -83,16 +71,6 @@ const T* cached_data(const QGemmOperandCache& cache) {
     return cache.i8_data();
   else
     return cache.i16_data();
-}
-
-template <typename T>
-void run_qgemm_matmul(const QTensor& a, const QTensor& b, std::int64_t m,
-                      std::int64_t n, std::int64_t k,
-                      const tensor::QGemmRequant& rq, std::int32_t* c) {
-  const auto ap = packed_of<T>(a);
-  const auto bp = packed_of<T>(b);
-  tensor::qgemm(tensor::Trans::kN, tensor::Trans::kN, m, n, k, ap.data(), k,
-                bp.data(), n, c, n, rq);
 }
 
 // One strided GEMM per input type i (the shape qgemm amortizes best):
@@ -409,8 +387,8 @@ SquashScale squash_scale(const hwmodel::SquashUnit& unit,
 // gain call over its T*nr capsules, and one finishing pass that writes
 // [B, T*D, H', W'] directly — element for element the arithmetic of conv2d
 // into mid_fmt followed by squash_channels. The norms and finishing passes
-// have an AVX-512 path, taken on the two AVX-512 qgemm tiers, the ones that
-// run the direct GEMM's own AVX-512 epilogue.
+// have an AVX-512 path, taken at the avx512 and vnni dispatch levels, the
+// ones that run the direct GEMM's own AVX-512 epilogue.
 
 // Squared norms of channel-grouped capsules: capsule (t, column jj) is rows
 // t*dim .. t*dim + dim - 1 (row stride ld) of column jj, and its norm lands
@@ -441,7 +419,7 @@ void squash_run(const S* src, const std::int64_t* gain, std::int64_t n,
                         s.lo, s.hi);
 }
 
-#ifdef QCAPS_QENGINE_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 // strip_norms and squash_run, 8 int64 lanes per step. vpmuldq multiplies
 // the signed low 32 bits of each lane exactly, and both of its operands fit
 // there: tile values are int32, and a squash gain is |s| / (1 + |s|^2) <= 1/2
@@ -499,7 +477,7 @@ __attribute__((target("avx512f"))) void squash_run_avx512(
   }
 }
 #pragma GCC diagnostic pop
-#endif  // QCAPS_QENGINE_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 struct CapsStrip {
   std::int64_t types, dim, plane;
@@ -519,7 +497,7 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
     nsq.resize(n);
     gain.resize(n);
   }
-#ifdef QCAPS_QENGINE_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
   const auto norms = cs.vec ? strip_norms_avx512 : strip_norms<std::int32_t>;
   const auto finish = cs.vec ? squash_run_avx512 : squash_run<std::int32_t>;
 #else
@@ -557,10 +535,8 @@ QTensor conv_caps_direct(const QTensor& x, const QTensor& w,
   const tensor::QGemmDirect<T> gemm =
       conv_gemm<T>(w, bias, w_cache, x.fmt.qf + w.fmt.qf, mid_fmt,
                    /*fuse_relu=*/false, /*fold=*/nullptr, f, kk);
-  const tensor::QGemmKernel tier = tensor::qgemm_kernel();
   const CapsStrip cs{f / caps_dim, caps_dim, plane, &unit, scale,
-                     tier == tensor::QGemmKernel::kAvx512 ||
-                         tier == tensor::QGemmKernel::kAvx512Vnni};
+                     common::isa() >= common::Isa::kAvx512};
   const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
   QTensor out({g.b, f, g.oh, g.ow}, scale.fmt);
   direct_conv<T>(x, g, g.b * plane * f * kk,
@@ -968,46 +944,6 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
               v_out.raw.begin() + r * nout * d);
   }
   return v_out;
-}
-
-QTensor matmul(const QTensor& a, const QTensor& b, fixed::FixedFormat out_fmt,
-               fixed::RoundingScheme scheme) {
-  QCAPS_CHECK_MSG(a.shape.size() == 2 && b.shape.size() == 2,
-                  "qengine matmul expects 2-D operands");
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  QCAPS_CHECK(b.dim(0) == k);
-  const int acc_qf = a.fmt.qf + b.fmt.qf;
-  QTensor out({m, n}, out_fmt);
-  if (k == 0) return out;
-
-  if (requant_expressible(acc_qf, out_fmt, scheme)) {
-    const int tier = qgemm_tier(a.max_abs_raw(), b.max_abs_raw(), k);
-    if (tier != 0) {
-      const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-      std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-      if (tier == 1)
-        run_qgemm_matmul<std::int8_t>(a, b, m, n, k, rq, c.data());
-      else
-        run_qgemm_matmul<std::int16_t>(a, b, m, n, k, rq, c.data());
-      std::copy(c.begin(), c.end(), out.raw.begin());
-      return out;
-    }
-  }
-
-  // Exact int64 scalar path (wide operands or non-RTN schemes).
-  check_i64_acc(a, b, k, "qengine matmul");
-#pragma omp parallel for schedule(static) if (m * n * k > (1 << 16))
-  for (std::int64_t i = 0; i < m; ++i) {
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += a.raw[static_cast<std::size_t>(i * k + p)] *
-               b.raw[static_cast<std::size_t>(p * n + j)];
-      out.raw[static_cast<std::size_t>(i * n + j)] =
-          hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
-    }
-  }
-  return out;
 }
 
 RescaleFold compose_rescale(int shift1, std::int64_t lo1, std::int64_t hi1,

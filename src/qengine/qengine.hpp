@@ -180,17 +180,6 @@ QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
 QTensor dynamic_routing(const QTensor& votes, int iterations,
                         fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt);
 
-/// Integer matrix product a [M, K] * b [K, N] -> [M, N] in out_fmt.
-///
-/// Runs on the packed int8/int16 qgemm backend (tensor/qgemm.hpp) whenever
-/// the operands' actual raw ranges allow exact int32 accumulation and the
-/// scheme is round-to-nearest; otherwise falls back to the exact int64
-/// scalar path. Both paths produce bit-identical results: the qgemm
-/// requantization is the same round-half-up rescale as hwmodel::rescale_raw.
-QTensor matmul(const QTensor& a, const QTensor& b, fixed::FixedFormat out_fmt,
-               fixed::RoundingScheme scheme =
-                   fixed::RoundingScheme::kRoundToNearest);
-
 /// Batched capsule vote product: u [B, Nin, Din] (activations) *
 /// w [Nin, Nout, Dout, Din] (weights) -> j-major votes [B, Nout, Nin, Dout]
 /// in out_fmt — the layout dynamic_routing consumes. One strided batch of

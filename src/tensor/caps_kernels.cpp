@@ -3,16 +3,16 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
+
+#include "common/cpu_dispatch.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(QCAPS_CAPS_DISABLE_NATIVE)
-#define QCAPS_CAPS_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -342,7 +342,7 @@ void gain_n(const std::int64_t* nsq, std::int64_t* gain, std::int64_t n,
 
 }  // namespace scalar
 
-#ifdef QCAPS_CAPS_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 
 // ---- AVX2+FMA tier ---------------------------------------------------------
 
@@ -1565,7 +1565,7 @@ __attribute__((target("avx512f"))) void gain_n(const std::int64_t* nsq,
 
 }  // namespace avx512
 
-#endif  // QCAPS_CAPS_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 // ---- dispatch --------------------------------------------------------------
 
@@ -1594,98 +1594,44 @@ struct OpsTable {
   void (*squash_bwd)(const float*, const float*, float*, std::int64_t, float,
                      std::int64_t, std::int64_t);
   void (*gain_n)(const std::int64_t*, std::int64_t*, std::int64_t, int);
-  CapsKernel tier;
+  const char* name;
 };
 
-bool tier_supported(CapsKernel k) {
-  switch (k) {
-    case CapsKernel::kScalar:
-      return true;
-#ifdef QCAPS_CAPS_X86_NATIVE
-    case CapsKernel::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-    case CapsKernel::kAvx512:
-      return __builtin_cpu_supports("avx512f");
+constexpr OpsTable kScalarOps = {
+    scalar::ws,        scalar::ws_squash,  scalar::agree,
+    scalar::iter_fused, scalar::ws_bwd,     scalar::agree_bwd,
+    scalar::softmax,    scalar::softmax_t,  scalar::squash,
+    scalar::squash_bwd, scalar::gain_n,     "scalar"};
+
+// The kernels of each dispatch level; VNNI adds nothing here.
+#ifdef QCAPS_X86_NATIVE
+constexpr OpsTable kAvx2Ops = {
+    avx2::ws,        avx2::ws_squash,  avx2::agree,
+    avx2::iter_fused, avx2::ws_bwd,     avx2::agree_bwd,
+    avx2::softmax,    avx2::softmax_t,  avx2::squash,
+    avx2::squash_bwd, avx2::gain_n,     "avx2"};
+constexpr OpsTable kAvx512Ops = {
+    avx512::ws,        avx512::ws_squash,  avx512::agree,
+    avx512::iter_fused, avx512::ws_bwd,     avx512::agree_bwd,
+    avx512::softmax,    avx512::softmax_t,  avx512::squash,
+    avx512::squash_bwd, avx512::gain_n,     "avx512"};
+constexpr OpsTable kOps[] = {kScalarOps, kAvx2Ops, kAvx512Ops, kAvx512Ops};
 #else
-    case CapsKernel::kAvx2:
-    case CapsKernel::kAvx512:
-      return false;
+constexpr OpsTable kOps[] = {kScalarOps, kScalarOps, kScalarOps, kScalarOps};
 #endif
-  }
-  return false;
-}
 
-OpsTable make_table(CapsKernel k) {
-  switch (k) {
-#ifdef QCAPS_CAPS_X86_NATIVE
-    case CapsKernel::kAvx512:
-      return {avx512::ws,        avx512::ws_squash,  avx512::agree,
-              avx512::iter_fused, avx512::ws_bwd,     avx512::agree_bwd,
-              avx512::softmax,    avx512::softmax_t,  avx512::squash,
-              avx512::squash_bwd, avx512::gain_n,     CapsKernel::kAvx512};
-    case CapsKernel::kAvx2:
-      return {avx2::ws,        avx2::ws_squash,  avx2::agree,
-              avx2::iter_fused, avx2::ws_bwd,     avx2::agree_bwd,
-              avx2::softmax,    avx2::softmax_t,  avx2::squash,
-              avx2::squash_bwd, avx2::gain_n,     CapsKernel::kAvx2};
-#else
-    case CapsKernel::kAvx512:
-    case CapsKernel::kAvx2:
-#endif
-    case CapsKernel::kScalar:
-      break;
-  }
-  return {scalar::ws,        scalar::ws_squash,  scalar::agree,
-          scalar::iter_fused, scalar::ws_bwd,     scalar::agree_bwd,
-          scalar::softmax,    scalar::softmax_t,  scalar::squash,
-          scalar::squash_bwd, scalar::gain_n,     CapsKernel::kScalar};
-}
-
-OpsTable pick_default() {
-  CapsKernel best = CapsKernel::kScalar;
-  const char* env = std::getenv("QCAPS_CAPS_NATIVE");
-  const bool env_off = env && std::strcmp(env, "0") == 0;
-  const bool cap_avx2 = env && std::strcmp(env, "avx2") == 0;
-  if (!env_off) {
-    if (!cap_avx2 && tier_supported(CapsKernel::kAvx512))
-      best = CapsKernel::kAvx512;
-    else if (tier_supported(CapsKernel::kAvx2))
-      best = CapsKernel::kAvx2;
-  }
-  return make_table(best);
-}
-
-OpsTable g_ops = pick_default();
+const OpsTable& ops() { return common::at_isa(kOps); }
 
 }  // namespace
 
-CapsKernel caps_kernel() { return g_ops.tier; }
-
-const char* caps_kernel_name() {
-  switch (g_ops.tier) {
-    case CapsKernel::kScalar: return "scalar";
-    case CapsKernel::kAvx2: return "avx2";
-    case CapsKernel::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
-bool caps_native_active() { return g_ops.tier != CapsKernel::kScalar; }
-
-bool caps_force_kernel(CapsKernel k) {
-  if (!tier_supported(k)) return false;
-  g_ops = make_table(k);
-  return true;
-}
-
-void caps_reset_kernel() { g_ops = pick_default(); }
+const char* caps_kernel_name() { return ops().name; }
 
 void routing_weighted_sum(const float* u, const float* c, float* s,
                           std::int64_t r, std::int64_t nin, std::int64_t nout,
                           std::int64_t d, bool c_transposed) {
   const std::int64_t cstride = c_transposed ? 1 : nout;
   run_ranges(r * nout, nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.ws(u, c, s, nin, nout, cstride, d, t0, t1);
+    ops().ws(u, c, s, nin, nout, cstride, d, t0, t1);
   });
 }
 
@@ -1695,7 +1641,7 @@ void routing_weighted_sum_squash(const float* u, const float* c, float* s,
                                  bool c_transposed) {
   const std::int64_t cstride = c_transposed ? 1 : nout;
   run_ranges(r * nout, nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.ws_squash(u, c, s, v, nin, nout, cstride, d, eps, t0, t1);
+    ops().ws_squash(u, c, s, v, nin, nout, cstride, d, eps, t0, t1);
   });
 }
 
@@ -1704,7 +1650,7 @@ void routing_agreement(const float* u, const float* v, float* out,
                        std::int64_t d, bool accumulate, bool out_transposed) {
   const std::int64_t cstride = out_transposed ? 1 : nout;
   run_ranges(r * nout, nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.agree(u, v, out, nin, nout, cstride, d, accumulate, t0, t1);
+    ops().agree(u, v, out, nin, nout, cstride, d, accumulate, t0, t1);
   });
 }
 
@@ -1714,7 +1660,7 @@ void routing_iteration_fused(const float* u, const float* c, float* s,
                              std::int64_t d, float eps, bool c_transposed) {
   const std::int64_t cstride = c_transposed ? 1 : nout;
   run_ranges(r * nout, 2 * nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.iter_fused(u, c, s, v, b, nin, nout, cstride, d, eps, t0, t1);
+    ops().iter_fused(u, c, s, v, b, nin, nout, cstride, d, eps, t0, t1);
   });
 }
 
@@ -1723,7 +1669,7 @@ void routing_weighted_sum_backward(const float* u, const float* c,
                                    std::int64_t r, std::int64_t nin,
                                    std::int64_t nout, std::int64_t d) {
   run_ranges(r * nout, 2 * nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.ws_bwd(u, c, gs, gc, gu, nin, nout, d, t0, t1);
+    ops().ws_bwd(u, c, gs, gc, gu, nin, nout, d, t0, t1);
   });
 }
 
@@ -1732,21 +1678,21 @@ void routing_agreement_backward(const float* u, const float* v,
                                 std::int64_t r, std::int64_t nin,
                                 std::int64_t nout, std::int64_t d) {
   run_ranges(r * nout, 2 * nin * d, [&](std::int64_t t0, std::int64_t t1) {
-    g_ops.agree_bwd(u, v, gb, gv, gu, nin, nout, d, t0, t1);
+    ops().agree_bwd(u, v, gb, gv, gu, nin, nout, d, t0, t1);
   });
 }
 
 void softmax_rows(float* x, std::int64_t rows, std::int64_t d) {
   if (d <= 0) return;
   run_ranges(rows, 4 * d, [&](std::int64_t r0, std::int64_t r1) {
-    g_ops.softmax(x, d, r0, r1);
+    ops().softmax(x, d, r0, r1);
   });
 }
 
 void softmax_rows_t(float* x, std::int64_t rows, std::int64_t d) {
   if (d <= 0 || rows <= 0) return;
   run_ranges(rows, 4 * d, [&](std::int64_t r0, std::int64_t r1) {
-    g_ops.softmax_t(x, rows, d, r0, r1);
+    ops().softmax_t(x, rows, d, r0, r1);
   });
 }
 
@@ -1754,7 +1700,7 @@ void squash_rows(const float* s, float* v, std::int64_t rows, std::int64_t d,
                  float eps) {
   if (d <= 0) return;
   run_ranges(rows, 2 * d, [&](std::int64_t r0, std::int64_t r1) {
-    g_ops.squash(s, v, d, eps, r0, r1);
+    ops().squash(s, v, d, eps, r0, r1);
   });
 }
 
@@ -1762,7 +1708,7 @@ void squash_rows_backward(const float* s, const float* g, float* gs,
                           std::int64_t rows, std::int64_t d, float eps) {
   if (d <= 0) return;
   run_ranges(rows, 3 * d, [&](std::int64_t r0, std::int64_t r1) {
-    g_ops.squash_bwd(s, g, gs, d, eps, r0, r1);
+    ops().squash_bwd(s, g, gs, d, eps, r0, r1);
   });
 }
 
@@ -1771,7 +1717,7 @@ void squash_gain_raw_n(const std::int64_t* nsq, std::int64_t* gain,
   // No internal threading: callers batch per pixel-block inside their own
   // parallel loops, so the call sees short arrays on a hot path.
   if (n <= 0) return;
-  g_ops.gain_n(nsq, gain, n, qf);
+  ops().gain_n(nsq, gain, n, qf);
 }
 
 }  // namespace qcaps::tensor

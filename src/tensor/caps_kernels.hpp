@@ -15,9 +15,10 @@
 //
 // Per (r, j) slab the weighted sum is a c-broadcast AXPY chain over U_j's
 // rows and the agreement a row of D-length dot products — both carried by
-// runtime-dispatched microkernels (AVX-512F tier, AVX2+FMA tier, portable
-// scalar fallback) with dedicated small-D specializations for the capsule
-// dimensions the models use (D = 8, 16). OpenMP parallelizes over the
+// microkernels picked by the common::isa() dispatch level (an AVX-512F tier
+// at the avx512 and vnni levels, an AVX2+FMA tier at avx2, the portable
+// scalar loops at scalar) with dedicated small-D specializations for the
+// capsule dimensions the models use (D = 8, 16). OpenMP parallelizes over the
 // R*Nout slab batch; every slab is computed whole by exactly one thread, so
 // results are identical for any thread count.
 //
@@ -26,29 +27,17 @@
 // two steps (paper Fig. 9 places QDR right before the squash, in which case
 // the caller quantizes the materialized s and squashes separately).
 //
-// Tier selection mirrors the gemm/qgemm backends: picked once from CPUID,
-// overridable with QCAPS_CAPS_NATIVE=0 (force scalar) or =avx2 (cap the
-// tier) in the environment, and forceable from tests via caps_force_kernel.
+// common/cpu_dispatch.hpp documents the level and its QCAPS_ISA cap,
+// -DQCAPS_NATIVE=OFF and the force_isa test seam, shared with the GEMMs.
 #pragma once
 
 #include <cstdint>
 
 namespace qcaps::tensor {
 
-/// Microkernel tiers, simplest first.
-enum class CapsKernel { kScalar, kAvx2, kAvx512 };
-
-/// The active tier.
-CapsKernel caps_kernel();
-/// Name of the active tier ("scalar", "avx2", "avx512").
+/// Name of the tier the active dispatch level runs ("scalar", "avx2",
+/// "avx512").
 const char* caps_kernel_name();
-/// True when a vector (AVX2 or AVX-512) tier is active.
-bool caps_native_active();
-/// Test seam: force a specific tier. Returns false (and changes nothing)
-/// when that tier is unsupported on this CPU/build.
-bool caps_force_kernel(CapsKernel k);
-/// Undo caps_force_kernel.
-void caps_reset_kernel();
 
 // ---- routing forward -------------------------------------------------------
 

@@ -1,16 +1,15 @@
 #include "tensor/gemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
+
+#include "common/cpu_dispatch.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(QCAPS_GEMM_DISABLE_NATIVE)
-#define QCAPS_GEMM_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -114,7 +113,7 @@ void kernel_scalar(std::int64_t kc, const float* ap, const float* bp,
   std::copy(t, t + MR * NR, acc);
 }
 
-#ifdef QCAPS_GEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 __attribute__((target("avx2,fma"))) void kernel_avx2(std::int64_t kc,
                                                      const float* ap,
                                                      const float* bp,
@@ -195,65 +194,19 @@ __attribute__((target("avx512f"))) void kernel_avx512(std::int64_t kc,
   _mm512_storeu_ps(acc + 4 * NR, r4);
   _mm512_storeu_ps(acc + 5 * NR, r5);
 }
-#endif  // QCAPS_GEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 using KernelFn = void (*)(std::int64_t, const float*, const float*, float*);
 
-struct KernelChoice {
-  KernelFn fn;
-  GemmKernel tier;
-};
-
-bool tier_supported(GemmKernel k) {
-  switch (k) {
-    case GemmKernel::kScalar:
-      return true;
-#ifdef QCAPS_GEMM_X86_NATIVE
-    case GemmKernel::kAvx2:
-      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-    case GemmKernel::kAvx512:
-      return __builtin_cpu_supports("avx512f");
+// The microkernel of each dispatch level; VNNI adds nothing to fp32.
+#ifdef QCAPS_X86_NATIVE
+constexpr KernelFn kKernels[] = {kernel_scalar, kernel_avx2, kernel_avx512,
+                                 kernel_avx512};
 #else
-    case GemmKernel::kAvx2:
-    case GemmKernel::kAvx512:
-      return false;
+constexpr KernelFn kKernels[] = {kernel_scalar, kernel_scalar, kernel_scalar,
+                                 kernel_scalar};
 #endif
-  }
-  return false;
-}
-
-KernelChoice make_choice(GemmKernel k) {
-  switch (k) {
-#ifdef QCAPS_GEMM_X86_NATIVE
-    case GemmKernel::kAvx512:
-      return {kernel_avx512, GemmKernel::kAvx512};
-    case GemmKernel::kAvx2:
-      return {kernel_avx2, GemmKernel::kAvx2};
-#else
-    case GemmKernel::kAvx512:
-    case GemmKernel::kAvx2:
-#endif
-    case GemmKernel::kScalar:
-      break;
-  }
-  return {kernel_scalar, GemmKernel::kScalar};
-}
-
-KernelChoice pick_default() {
-  GemmKernel best = GemmKernel::kScalar;
-  const char* env = std::getenv("QCAPS_GEMM_NATIVE");
-  const bool env_off = env && std::strcmp(env, "0") == 0;
-  const bool cap_avx2 = env && std::strcmp(env, "avx2") == 0;
-  if (!env_off) {
-    if (!cap_avx2 && tier_supported(GemmKernel::kAvx512))
-      best = GemmKernel::kAvx512;
-    else if (tier_supported(GemmKernel::kAvx2))
-      best = GemmKernel::kAvx2;
-  }
-  return make_choice(best);
-}
-
-KernelChoice g_choice = pick_default();
+constexpr const char* kKernelNames[] = {"scalar", "avx2", "avx512", "avx512"};
 
 void write_tile(const float* t, float* c, std::int64_t ldc, std::int64_t mr,
                 std::int64_t nr, bool accumulate) {
@@ -285,7 +238,7 @@ void gemm_serial(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
   Scratch& s = scratch();
   float* apack = s.a.data();
   float* bpack = s.b.data();
-  const KernelFn kernel = g_choice.fn;
+  const KernelFn kernel = common::at_isa(kKernels);
   float tile[MR * NR];
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
@@ -409,7 +362,7 @@ void gemm_scatter_c(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
   Scratch& s = scratch();
   float* apack = s.a.data();
   float* bpack = s.b.data();
-  const KernelFn kernel = g_choice.fn;
+  const KernelFn kernel = common::at_isa(kKernels);
   float tile[MR * NR];
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
@@ -464,25 +417,6 @@ void gemm_pack_b(std::int64_t m, std::int64_t n, std::int64_t k,
   gemm_serial(Trans::kN, m, n, k, a, lda, pack_b, c, ldc, accumulate);
 }
 
-GemmKernel gemm_kernel() { return g_choice.tier; }
-
-const char* gemm_kernel_name() {
-  switch (g_choice.tier) {
-    case GemmKernel::kScalar: return "scalar";
-    case GemmKernel::kAvx2: return "avx2";
-    case GemmKernel::kAvx512: return "avx512";
-  }
-  return "?";
-}
-
-bool gemm_native_active() { return g_choice.tier != GemmKernel::kScalar; }
-
-bool gemm_force_kernel(GemmKernel k) {
-  if (!tier_supported(k)) return false;
-  g_choice = make_choice(k);
-  return true;
-}
-
-void gemm_reset_kernel() { g_choice = pick_default(); }
+const char* gemm_kernel_name() { return common::at_isa(kKernelNames); }
 
 }  // namespace qcaps::tensor

@@ -10,14 +10,14 @@
 //     block into column panels of kGemmNR so the innermost loops read
 //     contiguous memory regardless of transposition or leading dimension;
 //   - compute each kGemmMR x kGemmNR output tile with a register-resident
-//     microkernel. On x86 a runtime-dispatched vector microkernel is used
-//     when the CPU supports it — an AVX-512F tier (the 16-wide tile row is
-//     one zmm vector, halving the FMA count per k-step) above the AVX2+FMA
-//     tier. Disable with QCAPS_GEMM_NATIVE=0 in the environment (or
-//     -DQCAPS_GEMM_NATIVE=OFF at configure time), cap at the AVX2 tier with
-//     QCAPS_GEMM_NATIVE=avx2; everywhere else a portable auto-vectorizable
-//     scalar microkernel runs. The AVX-512 and AVX2 tiers are bit-identical
-//     (each output lane runs the same FMA sequence).
+//     microkernel picked by the common::isa() dispatch level
+//     (common/cpu_dispatch.hpp, which also documents QCAPS_ISA and
+//     -DQCAPS_NATIVE=OFF): an AVX-512F kernel at the avx512 and vnni levels
+//     (the 16-wide tile row is one zmm vector, halving the FMA count per
+//     k-step), an AVX2+FMA kernel at avx2, and a portable auto-vectorizable
+//     scalar kernel at scalar. The AVX-512 and AVX2 kernels are
+//     bit-identical (each output lane runs the same FMA sequence); the
+//     scalar kernel does not fuse the multiply-add, so its rounding differs.
 //
 // Matrices are row-major. `lda/ldb/ldc` are leading dimensions (row strides)
 // of the *stored* matrices, which lets callers run GEMM on strided
@@ -97,22 +97,8 @@ void gemm_scatter_c(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                     std::int64_t k, const float* a, std::int64_t lda,
                     const float* b, std::int64_t ldb, const ScatterCFn& scatter);
 
-/// Microkernel tiers, simplest first (mirrors the qgemm backend).
-enum class GemmKernel { kScalar, kAvx2, kAvx512 };
-
-/// The active microkernel tier.
-GemmKernel gemm_kernel();
-/// Name of the active tier ("scalar", "avx2", "avx512").
+/// Name of the microkernel the active dispatch level runs ("scalar",
+/// "avx2", "avx512").
 const char* gemm_kernel_name();
-/// True when a vector (AVX2 or AVX-512) microkernel is active.
-bool gemm_native_active();
-
-/// Test seam: force a specific tier. Returns false (and changes nothing)
-/// when that tier is unsupported on this CPU/build. Like the qgemm seam,
-/// this mutates the global dispatch without synchronization — call only
-/// from single-threaded test setup, never while other threads run GEMMs.
-bool gemm_force_kernel(GemmKernel k);
-/// Undo gemm_force_kernel (same single-threaded contract).
-void gemm_reset_kernel();
 
 }  // namespace qcaps::tensor

@@ -1,19 +1,18 @@
 #include "tensor/qgemm.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <cstring>
 #include <type_traits>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
 
 #ifdef _OPENMP
 #include <omp.h>
 #endif
 
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(QCAPS_QGEMM_DISABLE_NATIVE)
-#define QCAPS_QGEMM_X86_NATIVE 1
+#ifdef QCAPS_X86_NATIVE
 #include <immintrin.h>
 #endif
 
@@ -53,7 +52,7 @@ Scratch& scratch() {
   return s;
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 Scratch& scratch_vnni() {
   Scratch& s = scratch();
   if (s.a8.empty()) {
@@ -199,7 +198,7 @@ void kernel_scalar_q(std::int64_t kc2, const std::int16_t* ap,
   merge_tile(t32, c, ldc, mr, nr, accumulate);
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 
 // Broadcast one packed (a_2p, a_2p+1) int16 pair into every 32-bit lane.
 inline std::int32_t load_pair(const std::int16_t* p) {
@@ -604,83 +603,24 @@ kernel_avx512vnni_q16(std::int64_t kc2, const std::int16_t* ap,
   QCAPS_QGEMM_MERGE_ROW512(5, r5);
 #undef QCAPS_QGEMM_MERGE_ROW512
 }
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 using KernelFn = void (*)(std::int64_t kc2, const std::int16_t* ap,
                           const std::int16_t* bp, std::int32_t* c,
                           std::int64_t ldc, std::int64_t mr, std::int64_t nr,
                           bool accumulate);
 
-struct KernelChoice {
-  KernelFn fn;
-  QGemmKernel tier;
-};
-
-bool tier_supported(QGemmKernel k) {
-  switch (k) {
-    case QGemmKernel::kScalar:
-      return true;
-#ifdef QCAPS_QGEMM_X86_NATIVE
-    case QGemmKernel::kAvx2:
-      return __builtin_cpu_supports("avx2");
-    case QGemmKernel::kAvx512:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw");
-    case QGemmKernel::kAvx512Vnni:
-      return __builtin_cpu_supports("avx512f") &&
-             __builtin_cpu_supports("avx512bw") &&
-             __builtin_cpu_supports("avx512vnni");
+// The microkernel of each dispatch level. At vnni this is the int16-panel
+// kernel; int8 operands take the narrow-operand driver (qgemm_i32_vnni).
+#ifdef QCAPS_X86_NATIVE
+constexpr KernelFn kKernels[] = {kernel_scalar_q, kernel_avx2_q,
+                                 kernel_avx512_q, kernel_avx512vnni_q16};
 #else
-    case QGemmKernel::kAvx2:
-    case QGemmKernel::kAvx512:
-    case QGemmKernel::kAvx512Vnni:
-      return false;
+constexpr KernelFn kKernels[] = {kernel_scalar_q, kernel_scalar_q,
+                                 kernel_scalar_q, kernel_scalar_q};
 #endif
-  }
-  return false;
-}
-
-KernelChoice make_choice(QGemmKernel k) {
-  switch (k) {
-#ifdef QCAPS_QGEMM_X86_NATIVE
-    case QGemmKernel::kAvx512Vnni:
-      // The int16-panel kernel; the int8 path routes to the dedicated
-      // narrow-operand driver in qgemm_i32_impl.
-      return {kernel_avx512vnni_q16, QGemmKernel::kAvx512Vnni};
-    case QGemmKernel::kAvx512:
-      return {kernel_avx512_q, QGemmKernel::kAvx512};
-    case QGemmKernel::kAvx2:
-      return {kernel_avx2_q, QGemmKernel::kAvx2};
-#else
-    case QGemmKernel::kAvx512Vnni:
-    case QGemmKernel::kAvx512:
-    case QGemmKernel::kAvx2:
-#endif
-    case QGemmKernel::kScalar:
-      break;
-  }
-  return {kernel_scalar_q, QGemmKernel::kScalar};
-}
-
-KernelChoice pick_default() {
-  QGemmKernel best = QGemmKernel::kScalar;
-  const char* env = std::getenv("QCAPS_QGEMM_NATIVE");
-  const bool env_off = env && std::strcmp(env, "0") == 0;
-  const bool cap_avx2 = env && std::strcmp(env, "avx2") == 0;
-  const bool cap_avx512 = env && std::strcmp(env, "avx512") == 0;
-  if (!env_off) {
-    if (!cap_avx2 && !cap_avx512 &&
-        tier_supported(QGemmKernel::kAvx512Vnni))
-      best = QGemmKernel::kAvx512Vnni;
-    else if (!cap_avx2 && tier_supported(QGemmKernel::kAvx512))
-      best = QGemmKernel::kAvx512;
-    else if (tier_supported(QGemmKernel::kAvx2))
-      best = QGemmKernel::kAvx2;
-  }
-  return make_choice(best);
-}
-
-KernelChoice g_choice = pick_default();
+constexpr const char* kKernelNames[] = {"scalar", "avx2", "avx512",
+                                        "avx512vnni"};
 
 // Single-threaded blocked driver, structured exactly like gemm_serial in the
 // float backend. `pack_b(p0, kc, j0, nc, out)` fills the packed B panels for
@@ -699,7 +639,7 @@ void qgemm_serial(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
   Scratch& s = scratch();
   std::int16_t* apack = s.a.data();
   std::int16_t* bpack = s.b.data();
-  const KernelFn kernel = g_choice.fn;
+  const KernelFn kernel = common::at_isa(kKernels);
   for (std::int64_t jc = 0; jc < n; jc += NC) {
     const std::int64_t nc = std::min(NC, n - jc);
     for (std::int64_t pc = 0; pc < k; pc += KC) {
@@ -731,7 +671,7 @@ bool want_parallel(std::int64_t work) {
 }
 #endif
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 // Blocked driver for the VNNI int8 tier: same loop structure as
 // qgemm_serial, narrow panels, vpdpbusd microkernel.
 template <typename PackB>
@@ -844,16 +784,16 @@ void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
           static_cast<std::int32_t>(static_cast<std::uint32_t>(row[j]) - off);
   }
 }
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 template <typename SrcT>
 void qgemm_i32_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                     std::int64_t k, const SrcT* a, std::int64_t lda,
                     const SrcT* b, std::int64_t ldb, std::int32_t* c,
                     std::int64_t ldc, bool accumulate) {
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
   if constexpr (std::is_same_v<SrcT, std::int8_t>) {
-    if (g_choice.tier == QGemmKernel::kAvx512Vnni) {
+    if (common::isa() == common::Isa::kAvx512Vnni) {
       qgemm_i32_vnni(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
       return;
     }
@@ -974,7 +914,7 @@ std::vector<std::int64_t> op_b_col_sums(Trans tb, std::int64_t k,
   return sums;
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 // Vectorized row requantization for the common case (no per-column
 // compensation): 8 accumulators per iteration through vpmuldq (the sign
 // behaviour matches the scalar requant_one exactly — the low 32 bits of the
@@ -1017,7 +957,7 @@ __attribute__((target("avx512f"))) void requant_row_avx512(
     row[j] = requant_one(row[j] + base, mult, total - 30, c_zero, qmin, qmax);
 }
 #pragma GCC diagnostic pop
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 // In-place requantization of the raw int32 accumulators in C, including the
 // zero-point compensation terms:
@@ -1028,15 +968,14 @@ void requant_pass(std::int32_t* c, std::int64_t ldc, std::int64_t m,
                   const std::int64_t* rowsum, const std::int64_t* colsum) {
   const std::int64_t zz =
       static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
   // The vector path reads each compensated accumulator from the low 32 bits
   // of its lane (vpmuldq), which is exact only while |acc + base| < 2^31.
   // Without bias that follows from the caller's no-wrap bound on the
   // effective (zero-point-adjusted) operands; an arbitrary int32 bias can
   // push past it, so bias rows take the scalar path.
   const bool vector_rows = colsum == nullptr && rq.bias == nullptr &&
-                           (g_choice.tier == QGemmKernel::kAvx512 ||
-                            g_choice.tier == QGemmKernel::kAvx512Vnni);
+                           common::isa() >= common::Isa::kAvx512;
 #endif
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) if (want_parallel(m * n))
@@ -1049,7 +988,7 @@ void requant_pass(std::int32_t* c, std::int64_t ldc, std::int64_t m,
     if (rq.bias) base += rq.bias[i];
     if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
     std::int32_t* row = c + i * ldc;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
     if (vector_rows) {
       requant_row_avx512(row, n, base, mult, 30 + shift, rq.c_zero, rq.qmin,
                          rq.qmax);
@@ -1242,7 +1181,7 @@ DirectScratch& direct_scratch() {
   return s;
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 // True when col[0..n) addresses n consecutive source elements.
 bool contiguous(const std::int64_t* col, std::int64_t n) {
   for (std::int64_t j = 1; j < n; ++j)
@@ -1302,7 +1241,7 @@ __attribute__((target("avx512f,avx512bw"))) void vnni_quad16(
   _mm512_storeu_si512(out, _mm512_xor_si512(d, offset));
 }
 #pragma GCC diagnostic pop
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 // Pair panel (pack_b_block's layout) of one strip of nr <= NR columns for K
 // rows tap[0..kc). `vec` allows the AVX2 path for a full contiguous strip.
@@ -1311,7 +1250,7 @@ void pack_b_pairs_gather(const SrcT* data, const std::int64_t* tap,
                          const std::int64_t* col, std::int64_t kc,
                          std::int64_t nr, bool vec, std::int16_t* out) {
   const std::int64_t kc2 = ceil_div(kc, 2);
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
   if (vec && nr == NR && contiguous(col, NR)) {
     for (std::int64_t p2 = 0; p2 < kc2; ++p2) {
       const SrcT* lo = data + tap[2 * p2] + col[0];
@@ -1335,7 +1274,7 @@ void pack_b_pairs_gather(const SrcT* data, const std::int64_t* tap,
   }
 }
 
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
 // Quad panel (pack_b_vnni's layout, +128 offset bytes) of one strip of
 // nr <= VNR columns. Each 16-column half whose sources are contiguous takes
 // the vector path; the rest gathers four bytes per column into one word.
@@ -1412,14 +1351,14 @@ __attribute__((target("avx512f"))) void requant_run_unit_avx512(
   }
 }
 #pragma GCC diagnostic pop
-#endif  // QCAPS_QGEMM_X86_NATIVE
+#endif  // QCAPS_X86_NATIVE
 
 // Requantize the m x nr int32 tile in place (the run_tiles epilogue). Rows
 // with the unit multiplier take the vector path when `vec`.
 void requant_tile(std::int32_t* c, std::int64_t ldc, std::int64_t m,
                   std::int64_t nr, const QGemmRequant& rq,
                   const std::int64_t* base, bool vec) {
-#ifndef QCAPS_QGEMM_X86_NATIVE
+#ifndef QCAPS_X86_NATIVE
   (void)vec;
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
@@ -1428,7 +1367,7 @@ void requant_tile(std::int32_t* c, std::int64_t ldc, std::int64_t m,
     const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
     const std::int64_t b = base ? base[i] : 0;
     std::int32_t* row = c + i * ldc;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
     if (vec && mult == kQGemmUnitMultiplier) {
       requant_run_unit_avx512(row, nr, b, shift, rq.c_zero, rq.qmin, rq.qmax,
                               row);
@@ -1448,7 +1387,7 @@ void direct_epilogue(const std::int32_t* c, std::int64_t ldc, std::int64_t m,
                      std::int64_t j0, std::int64_t nr, const QGemmRequant& rq,
                      const std::int64_t* base, bool vec,
                      const QGemmScatterDst& sd) {
-#ifndef QCAPS_QGEMM_X86_NATIVE
+#ifndef QCAPS_X86_NATIVE
   (void)vec;
 #endif
   for (std::int64_t i = 0; i < m; ++i) {
@@ -1476,7 +1415,7 @@ void direct_epilogue(const std::int32_t* c, std::int64_t ldc, std::int64_t m,
       }
       const std::int32_t* src = crow + (j - j0);
       j += len;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
       if (vec && stride == 1 && mult == kQGemmUnitMultiplier) {
         requant_run_unit_avx512(src, len, b, shift, rq.c_zero, rq.qmin,
                                 rq.qmax, d);
@@ -1591,32 +1530,12 @@ void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                            stride_b, batch, rq, sd);
 }
 
-QGemmKernel qgemm_kernel() { return g_choice.tier; }
-
-const char* qgemm_kernel_name() {
-  switch (g_choice.tier) {
-    case QGemmKernel::kScalar: return "scalar";
-    case QGemmKernel::kAvx2: return "avx2";
-    case QGemmKernel::kAvx512: return "avx512";
-    case QGemmKernel::kAvx512Vnni: return "avx512vnni";
-  }
-  return "?";
-}
-
-bool qgemm_native_active() { return g_choice.tier != QGemmKernel::kScalar; }
-
-bool qgemm_force_kernel(QGemmKernel k) {
-  if (!tier_supported(k)) return false;
-  g_choice = make_choice(k);
-  return true;
-}
-
-void qgemm_reset_kernel() { g_choice = pick_default(); }
+const char* qgemm_kernel_name() { return common::at_isa(kKernelNames); }
 
 template <typename T>
 QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
                             const QGemmRequant& rq)
-    : m_(m), k_(k), tier_(g_choice.tier), vnni8_(false), rq_(rq) {
+    : m_(m), k_(k), isa_(common::isa()), vnni8_(false), rq_(rq) {
   QCAPS_CHECK_MSG(m > 0 && k > 0, "qgemm direct convolution needs m, k > 0");
   check_requant(rq);
   check_requant_rows(rq, m);
@@ -1624,7 +1543,7 @@ QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
                   "qgemm direct convolution takes no zero points");
   if constexpr (std::is_same_v<T, std::int8_t>) {
     check_k_bound_s8(k, &rq);
-    vnni8_ = tier_ == QGemmKernel::kAvx512Vnni && k <= kDirectVnniMaxK;
+    vnni8_ = isa_ == common::Isa::kAvx512Vnni && k <= kDirectVnniMaxK;
   }
   // One block of panels per kDirectKC slice of K, every block sized for a
   // full slice: block pc / kDirectKC starts at (pc / kDirectKC) * mp * KC.
@@ -1634,7 +1553,7 @@ QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
   for (std::int64_t pc = 0; pc < k; pc += kDirectKC) {
     const std::int64_t kc = std::min(kDirectKC, k - pc);
     const std::int64_t at = (pc / kDirectKC) * mp * kDirectKC;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
     if constexpr (std::is_same_v<T, std::int8_t>) {
       if (vnni8_) {
         a8_.resize(size);
@@ -1668,8 +1587,8 @@ void QGemmDirect<T>::strips(const QGemmGatherB<T>& b, std::int64_t j0,
   const std::int64_t mp = ceil_div(m_, MR) * MR;
   if (s.c.size() < static_cast<std::size_t>(m_ * w))
     s.c.resize(static_cast<std::size_t>(m_ * w));
-  const KernelFn kernel = make_choice(tier_).fn;
-  const bool vec = tier_ != QGemmKernel::kScalar;
+  const KernelFn kernel = kKernels[static_cast<std::size_t>(isa_)];
+  const bool vec = isa_ != common::Isa::kScalar;
   for (std::int64_t s0 = j0; s0 < j1; s0 += w) {
     const std::int64_t nr = std::min(w, j1 - s0);
     const std::int64_t* col = b.col + s0;
@@ -1677,7 +1596,7 @@ void QGemmDirect<T>::strips(const QGemmGatherB<T>& b, std::int64_t j0,
       const std::int64_t kc = std::min(kDirectKC, k_ - pc);
       const std::int64_t at = (pc / kDirectKC) * mp * kDirectKC;
       const bool acc = pc > 0;
-#ifdef QCAPS_QGEMM_X86_NATIVE
+#ifdef QCAPS_X86_NATIVE
       if constexpr (std::is_same_v<T, std::int8_t>) {
         if (vnni8_) {
           if (s.b8.empty())
@@ -1710,8 +1629,7 @@ void QGemmDirect<T>::run(const QGemmGatherB<T>& b, std::int64_t j0,
   if (j0 >= j1) return;
   check_scatter(sd);
   const std::int64_t* base = base_.empty() ? nullptr : base_.data();
-  const bool vec = tier_ == QGemmKernel::kAvx512 ||
-                   tier_ == QGemmKernel::kAvx512Vnni;
+  const bool vec = isa_ >= common::Isa::kAvx512;
   strips(b, j0, j1,
          [&](const std::int32_t* c, std::int64_t ld, std::int64_t s0,
              std::int64_t nr) {
@@ -1725,8 +1643,7 @@ void QGemmDirect<T>::run_tiles(const QGemmGatherB<T>& b, std::int64_t j0,
                                const QGemmTileFn& consume) const {
   if (j0 >= j1) return;
   const std::int64_t* base = base_.empty() ? nullptr : base_.data();
-  const bool vec = tier_ == QGemmKernel::kAvx512 ||
-                   tier_ == QGemmKernel::kAvx512Vnni;
+  const bool vec = isa_ >= common::Isa::kAvx512;
   strips(b, j0, j1,
          [&](std::int32_t* c, std::int64_t ld, std::int64_t s0,
              std::int64_t nr) {

@@ -20,10 +20,10 @@
 //   - AVX2 tier: two ymm per tile row;
 //   - portable scalar fallback everywhere else.
 //
-// The tier is picked once at runtime from CPUID; QCAPS_QGEMM_NATIVE=0 in the
-// environment forces the scalar kernel, QCAPS_QGEMM_NATIVE=avx2 caps the
-// tier at AVX2 and QCAPS_QGEMM_NATIVE=avx512 caps it at the vpmaddwd
-// AVX-512BW tier (excluding VNNI).
+// Each tier runs at the common::isa() dispatch level of the same name
+// (common/cpu_dispatch.hpp, which also documents QCAPS_ISA and
+// -DQCAPS_NATIVE=OFF): the VNNI tier at vnni, the vpmaddwd AVX-512BW tier
+// at avx512, the AVX2 tier at avx2 and the scalar kernel at scalar.
 //
 // Accumulation is exact as long as the int32 accumulator cannot wrap:
 // sum_k |a_ik| * |b_kj| must stay below 2^31 for every output element. For
@@ -40,6 +40,7 @@
 #include <functional>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "tensor/gemm.hpp"  // Trans
 
 namespace qcaps::tensor {
@@ -182,21 +183,9 @@ void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                          std::int64_t stride_b, std::int64_t batch,
                          const QGemmRequant& rq, const QGemmScatterDst& sd);
 
-/// Microkernel tiers, simplest first.
-enum class QGemmKernel { kScalar, kAvx2, kAvx512, kAvx512Vnni };
-
-/// The active microkernel tier.
-QGemmKernel qgemm_kernel();
-/// Name of the active tier ("scalar", "avx2", "avx512", "avx512vnni").
+/// Name of the microkernel the active dispatch level runs ("scalar",
+/// "avx2", "avx512", "avx512vnni").
 const char* qgemm_kernel_name();
-/// True when a vector (AVX2 or AVX-512) microkernel is active.
-bool qgemm_native_active();
-
-/// Test seam: force a specific tier. Returns false (and changes nothing)
-/// when that tier is unsupported on this CPU/build.
-bool qgemm_force_kernel(QGemmKernel k);
-/// Undo qgemm_force_kernel.
-void qgemm_reset_kernel();
 
 /// Gathered B operand of a direct (implicit-GEMM) convolution: element
 /// (p, j) of the logical k x n B is data[tap[p] + col[j]]. The caller narrows
@@ -221,7 +210,7 @@ using QGemmTileFn = std::function<void(std::int64_t j0, std::int64_t nr,
 
 /// The direct-convolution entry: requant(A[m,k] * B) per `rq` with a
 /// gathered B (QGemmGatherB). A (the weights, row-major with leading
-/// dimension k) is packed into the active tier's panels once at
+/// dimension k) is packed into the active level's panels once at
 /// construction, and the per-row requant base (bias, plus on the VNNI int8
 /// tier the -128 * rowsum(A) term that undoes its +128 B offset) is folded
 /// then too. Both entries walk one strip loop over the output columns and
@@ -255,7 +244,7 @@ class QGemmDirect {
               const Epilogue& epilogue) const;
 
   std::int64_t m_, k_;
-  QGemmKernel tier_;  // the tier the panels were packed for
+  common::Isa isa_;   // the dispatch level the panels were packed for
   bool vnni8_;        // narrow quad panels (VNNI tier, int8 operands)
   QGemmRequant rq_;
   std::vector<std::int8_t> a8_;    // VNNI quad panels

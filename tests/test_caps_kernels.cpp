@@ -1,7 +1,7 @@
 // Tests for the batched j-major routing kernel backend
 // (tensor/caps_kernels.{hpp,cpp}) and the layout refactor built on it:
 //
-//  * every vector tier (AVX-512, AVX2, forced scalar) agrees with the plain
+//  * every dispatch level (testutil::for_each_isa) agrees with the plain
 //    scalar loops on randomized shapes, including odd capsule dimensions;
 //  * DynamicRouting on the j-major layout reproduces the pre-refactor
 //    i-major implementation (kept verbatim below) within float tolerance on
@@ -22,27 +22,6 @@
 
 namespace qcaps::tensor {
 namespace {
-
-// Run `fn` once per tier supported on this machine (scalar always runs; the
-// env-forced scalar CI job exercises the same seam via QCAPS_CAPS_NATIVE=0).
-template <typename F>
-void for_each_tier(const F& fn) {
-  for (CapsKernel k :
-       {CapsKernel::kScalar, CapsKernel::kAvx2, CapsKernel::kAvx512}) {
-    if (!caps_force_kernel(k)) continue;
-    fn(k);
-  }
-  caps_reset_kernel();
-}
-
-const char* tier_name(CapsKernel k) {
-  switch (k) {
-    case CapsKernel::kScalar: return "scalar";
-    case CapsKernel::kAvx2: return "avx2";
-    case CapsKernel::kAvx512: return "avx512";
-  }
-  return "?";
-}
 
 struct Shape4 {
   std::int64_t r, nin, nout, d;
@@ -151,7 +130,7 @@ TEST(CapsKernels, TiersAgreeWithScalarOnRandomShapes) {
         tensor::Tensor::randn({sh.r, sh.nin, sh.nout}, rng, 0.0f, 0.5f);
 
     // Scalar references.
-    ASSERT_TRUE(caps_force_kernel(CapsKernel::kScalar));
+    ASSERT_TRUE(common::force_isa(common::Isa::kScalar));
     tensor::Tensor s_ref({sh.r, sh.nout, sh.d});
     routing_weighted_sum(u.data(), c.data(), s_ref.data(), sh.r, sh.nin,
                          sh.nout, sh.d);
@@ -167,32 +146,32 @@ TEST(CapsKernels, TiersAgreeWithScalarOnRandomShapes) {
     routing_agreement_backward(u.data(), v.data(), gb.data(), gv_ref.data(),
                                gu2_ref.data(), sh.r, sh.nin, sh.nout, sh.d);
 
-    for_each_tier([&](CapsKernel k) {
+    testutil::for_each_isa([&](common::Isa) {
       const float tol = 2e-4f;
       tensor::Tensor s({sh.r, sh.nout, sh.d});
       routing_weighted_sum(u.data(), c.data(), s.data(), sh.r, sh.nin, sh.nout,
                            sh.d);
-      testutil::expect_tensor_near(s, s_ref, tol, tier_name(k));
+      testutil::expect_tensor_near(s, s_ref, tol, caps_kernel_name());
 
       tensor::Tensor s2({sh.r, sh.nout, sh.d});
       tensor::Tensor vout({sh.r, sh.nout, sh.d});
       routing_weighted_sum_squash(u.data(), c.data(), s2.data(), vout.data(),
                                   sh.r, sh.nin, sh.nout, sh.d, 1e-8f);
-      testutil::expect_tensor_near(s2, s_ref, tol, tier_name(k));
+      testutil::expect_tensor_near(s2, s_ref, tol, caps_kernel_name());
       testutil::expect_tensor_near(vout, nn::squash_last(s2), 1e-5f,
-                                   tier_name(k));
+                                   caps_kernel_name());
 
       tensor::Tensor a({sh.r, sh.nin, sh.nout});
       routing_agreement(u.data(), v.data(), a.data(), sh.r, sh.nin, sh.nout,
                         sh.d, /*accumulate=*/false);
-      testutil::expect_tensor_near(a, a_ref, tol, tier_name(k));
+      testutil::expect_tensor_near(a, a_ref, tol, caps_kernel_name());
 
       // accumulate=true must add on top of existing values.
       tensor::Tensor b2 = a_ref;
       routing_agreement(u.data(), v.data(), b2.data(), sh.r, sh.nin, sh.nout,
                         sh.d, /*accumulate=*/true);
       for (std::int64_t x = 0; x < b2.numel(); ++x)
-        ASSERT_NEAR(b2[x], 2.0f * a_ref[x], 4e-4f) << tier_name(k);
+        ASSERT_NEAR(b2[x], 2.0f * a_ref[x], 4e-4f) << caps_kernel_name();
 
       // Fused iteration == weighted sum + squash + agreement update.
       tensor::Tensor fs({sh.r, sh.nout, sh.d});
@@ -200,25 +179,25 @@ TEST(CapsKernels, TiersAgreeWithScalarOnRandomShapes) {
       tensor::Tensor fb({sh.r, sh.nin, sh.nout});
       routing_iteration_fused(u.data(), c.data(), fs.data(), fv.data(),
                               fb.data(), sh.r, sh.nin, sh.nout, sh.d, 1e-8f);
-      testutil::expect_tensor_near(fs, s_ref, tol, tier_name(k));
+      testutil::expect_tensor_near(fs, s_ref, tol, caps_kernel_name());
       tensor::Tensor want_b({sh.r, sh.nin, sh.nout});
       routing_agreement(u.data(), fv.data(), want_b.data(), sh.r, sh.nin,
                         sh.nout, sh.d, /*accumulate=*/false);
-      testutil::expect_tensor_near(fb, want_b, 4e-4f, tier_name(k));
+      testutil::expect_tensor_near(fb, want_b, 4e-4f, caps_kernel_name());
 
       tensor::Tensor gc({sh.r, sh.nin, sh.nout});
       tensor::Tensor gu(u.shape());
       routing_weighted_sum_backward(u.data(), c.data(), gs.data(), gc.data(),
                                     gu.data(), sh.r, sh.nin, sh.nout, sh.d);
-      testutil::expect_tensor_near(gc, gc_ref, tol, tier_name(k));
-      testutil::expect_tensor_near(gu, gu_ref, tol, tier_name(k));
+      testutil::expect_tensor_near(gc, gc_ref, tol, caps_kernel_name());
+      testutil::expect_tensor_near(gu, gu_ref, tol, caps_kernel_name());
 
       tensor::Tensor gv({sh.r, sh.nout, sh.d});
       tensor::Tensor gu2(u.shape());
       routing_agreement_backward(u.data(), v.data(), gb.data(), gv.data(),
                                  gu2.data(), sh.r, sh.nin, sh.nout, sh.d);
-      testutil::expect_tensor_near(gv, gv_ref, tol, tier_name(k));
-      testutil::expect_tensor_near(gu2, gu2_ref, tol, tier_name(k));
+      testutil::expect_tensor_near(gv, gv_ref, tol, caps_kernel_name());
+      testutil::expect_tensor_near(gu2, gu2_ref, tol, caps_kernel_name());
     });
   }
 }
@@ -241,12 +220,12 @@ TEST(CapsKernels, SoftmaxRowsMatchesReferenceAllTiers) {
       for (std::int64_t j = 0; j < d; ++j)
         want[static_cast<std::size_t>(r * d + j)] /= sum;
     }
-    for_each_tier([&](CapsKernel k) {
+    testutil::for_each_isa([&](common::Isa) {
       tensor::Tensor y = x;
       softmax_rows(y.data(), 37, d);
       for (std::int64_t i = 0; i < y.numel(); ++i)
         ASSERT_NEAR(y[i], want[static_cast<std::size_t>(i)], 2e-6)
-            << tier_name(k) << " d=" << d << " flat " << i;
+            << caps_kernel_name() << " d=" << d << " flat " << i;
     });
   }
 }
@@ -274,12 +253,12 @@ TEST(CapsKernels, SoftmaxRowsTransposedMatchesReferenceAllTiers) {
       for (std::int64_t j = 0; j < d; ++j)
         want[static_cast<std::size_t>(j * rows + r)] /= sum;
     }
-    for_each_tier([&](CapsKernel k) {
+    testutil::for_each_isa([&](common::Isa) {
       tensor::Tensor y = x;
       softmax_rows_t(y.data(), rows, d);
       for (std::int64_t i = 0; i < y.numel(); ++i)
         ASSERT_NEAR(y[i], want[static_cast<std::size_t>(i)], 2e-6)
-            << tier_name(k) << " d=" << d << " flat " << i;
+            << caps_kernel_name() << " d=" << d << " flat " << i;
     });
   }
 }
@@ -289,16 +268,16 @@ TEST(CapsKernels, SquashRowsMatchesScalarAllTiers) {
   for (std::int64_t d : {1, 5, 8, 16, 19}) {
     const tensor::Tensor s = tensor::Tensor::randn({23, d}, rng);
     const tensor::Tensor g = tensor::Tensor::randn({23, d}, rng);
-    ASSERT_TRUE(caps_force_kernel(CapsKernel::kScalar));
+    ASSERT_TRUE(common::force_isa(common::Isa::kScalar));
     tensor::Tensor v_ref({23, d}), gs_ref({23, d});
     squash_rows(s.data(), v_ref.data(), 23, d, 1e-8f);
     squash_rows_backward(s.data(), g.data(), gs_ref.data(), 23, d, 1e-8f);
-    for_each_tier([&](CapsKernel k) {
+    testutil::for_each_isa([&](common::Isa) {
       tensor::Tensor v({23, d}), gs({23, d});
       squash_rows(s.data(), v.data(), 23, d, 1e-8f);
       squash_rows_backward(s.data(), g.data(), gs.data(), 23, d, 1e-8f);
-      testutil::expect_tensor_near(v, v_ref, 1e-5f, tier_name(k));
-      testutil::expect_tensor_near(gs, gs_ref, 1e-5f, tier_name(k));
+      testutil::expect_tensor_near(v, v_ref, 1e-5f, caps_kernel_name());
+      testutil::expect_tensor_near(gs, gs_ref, 1e-5f, caps_kernel_name());
     });
   }
 }
@@ -331,19 +310,19 @@ TEST(CapsKernels, SquashGainRawMatchesSquashUnitOracleAllTiers) {
     std::vector<std::int64_t> want(nsq.size());
     for (std::size_t i = 0; i < nsq.size(); ++i)
       want[i] = unit.gain_raw(nsq[i]);
-    for_each_tier([&](CapsKernel k) {
+    testutil::for_each_isa([&](common::Isa) {
       std::vector<std::int64_t> got(nsq.size(), -1);
       squash_gain_raw_n(nsq.data(), got.data(),
                         static_cast<std::int64_t>(nsq.size()), qf);
       for (std::size_t i = 0; i < nsq.size(); ++i)
         ASSERT_EQ(got[i], want[i])
-            << tier_name(k) << " qf " << qf << " nsq " << nsq[i];
+            << caps_kernel_name() << " qf " << qf << " nsq " << nsq[i];
       // Odd lengths exercise the masked/scalar tail.
       std::vector<std::int64_t> tail(nsq.begin(), nsq.begin() + 7);
       std::vector<std::int64_t> tg(7, -1);
       squash_gain_raw_n(tail.data(), tg.data(), 7, qf);
       for (std::size_t i = 0; i < 7; ++i)
-        ASSERT_EQ(tg[i], want[i]) << tier_name(k) << " tail " << i;
+        ASSERT_EQ(tg[i], want[i]) << caps_kernel_name() << " tail " << i;
     });
   }
 }
@@ -361,11 +340,11 @@ TEST(CapsKernels, JMajorRoutingMatchesLegacyLayoutOnRandomShapes) {
           tensor::Tensor::randn({sh.r, sh.nin, sh.nout, sh.d}, rng, 0.0f, 0.6f);
       const tensor::Tensor want = legacy_routing_forward(votes_imajor, iters);
       const tensor::Tensor votes_j = permute_to_jmajor(votes_imajor);
-      for_each_tier([&](CapsKernel k) {
+      testutil::for_each_isa([&](common::Isa) {
         nn::DynamicRouting routing;
         const tensor::Tensor got =
             routing.forward(votes_j, iters, false, nn::RoutingQuantPoints{});
-        testutil::expect_tensor_near(got, want, 5e-4f, tier_name(k));
+        testutil::expect_tensor_near(got, want, 5e-4f, caps_kernel_name());
       });
     }
   }
@@ -377,8 +356,7 @@ TEST(CapsKernels, RoutingBackwardGradcheckAllTiers) {
   common::Rng rng(15);
   const tensor::Tensor votes =
       tensor::Tensor::randn({2, 3, 4, 3}, rng, 0.0f, 0.7f);  // [R,Nout,Nin,D]
-  for_each_tier([&](CapsKernel k) {
-    SCOPED_TRACE(tier_name(k));
+  testutil::for_each_isa([&](common::Isa) {
     nn::DynamicRouting r;
     const tensor::Tensor v =
         r.forward(votes, 3, true, nn::RoutingQuantPoints{});
@@ -390,16 +368,6 @@ TEST(CapsKernels, RoutingBackwardGradcheckAllTiers) {
     };
     testutil::check_gradient(votes, loss, analytic, 1e-3f, 3e-2f, 3e-3f);
   });
-}
-
-TEST(CapsKernels, ForceKernelSeamsBehave) {
-  // Unsupported tiers must refuse without changing the active choice.
-  const CapsKernel active = caps_kernel();
-  EXPECT_TRUE(caps_force_kernel(CapsKernel::kScalar));
-  EXPECT_EQ(caps_kernel(), CapsKernel::kScalar);
-  EXPECT_STREQ(caps_kernel_name(), "scalar");
-  caps_reset_kernel();
-  EXPECT_EQ(caps_kernel(), active);
 }
 
 }  // namespace

@@ -1,17 +1,26 @@
-// Tests for src/common: RNG, counter hash, logging, CLI parsing.
+// Tests for src/common: RNG, counter hash, logging, CLI parsing, failpoints
+// and the CPU-dispatch level.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/cpu_dispatch.hpp"
 #include "common/error.hpp"
 #include "common/failpoint.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
+#include "tensor/caps_kernels.hpp"
+#include "tensor/gemm.hpp"
+#include "tensor/qgemm.hpp"
+#include "test_util.hpp"
 
 namespace qcaps {
 namespace {
@@ -270,6 +279,141 @@ TEST(Failpoint, MalformedEnvEntriesThrow) {
   EXPECT_THROW(common::failpoints_arm_from_env("site=bogus"), qcaps::Error);
   EXPECT_THROW(common::failpoints_arm_from_env("site=sleep"), qcaps::Error);
   EXPECT_THROW(common::failpoints_arm_from_env("site=throw:x"), qcaps::Error);
+}
+
+// ---- CPU dispatch ----------------------------------------------------------
+
+using common::Isa;
+
+constexpr const char* kLegacyCaps[] = {
+    "QCAPS_GEMM_NATIVE", "QCAPS_QGEMM_NATIVE", "QCAPS_CAPS_NATIVE"};
+
+// Sets (or, for nullptr, unsets) one environment variable for a scope, then
+// restores it and re-reads the dispatch level.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    if (value)
+      setenv(name, value, 1);
+    else
+      unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (old_)
+      setenv(name_, old_->c_str(), 1);
+    else
+      unsetenv(name_);
+    common::reset_isa();
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+// The highest level force_isa accepts on this machine and build.
+Isa top_level() {
+  Isa top = Isa::kScalar;
+  testutil::for_each_isa([&](Isa level) { top = level; });
+  return top;
+}
+
+TEST(CpuDispatch, ParseIsaCapAcceptsEachLevelName) {
+  EXPECT_EQ(common::parse_isa_cap(nullptr), Isa::kAvx512Vnni);  // no cap
+  EXPECT_EQ(common::parse_isa_cap(""), Isa::kAvx512Vnni);
+  EXPECT_EQ(common::parse_isa_cap("scalar"), Isa::kScalar);
+  EXPECT_EQ(common::parse_isa_cap("avx2"), Isa::kAvx2);
+  EXPECT_EQ(common::parse_isa_cap("avx512"), Isa::kAvx512);
+  EXPECT_EQ(common::parse_isa_cap("vnni"), Isa::kAvx512Vnni);
+}
+
+TEST(CpuDispatch, ParseIsaCapRejectsEverythingElse) {
+  for (const char* bad : {"0", "1", "off", "native", "AVX2", " avx2", "avx2 ",
+                          "avx512vnni", "avx512bw", "sse4.2", "avx"})
+    EXPECT_EQ(common::parse_isa_cap(bad), std::nullopt) << bad;
+}
+
+TEST(CpuDispatch, EachLevelPinsWhatEveryBackendRuns) {
+  struct Names {
+    const char *gemm, *qgemm, *caps;
+  };
+  const Names want[common::kIsaLevels] = {
+      {"scalar", "scalar", "scalar"},
+      {"avx2", "avx2", "avx2"},
+      {"avx512", "avx512", "avx512"},
+      {"avx512", "avx512vnni", "avx512"},  // VNNI only changes qgemm
+  };
+  testutil::for_each_isa([&](Isa level) {
+    EXPECT_EQ(common::isa(), level);
+    const Names& w = want[static_cast<std::size_t>(level)];
+    EXPECT_STREQ(tensor::gemm_kernel_name(), w.gemm);
+    EXPECT_STREQ(tensor::qgemm_kernel_name(), w.qgemm);
+    EXPECT_STREQ(tensor::caps_kernel_name(), w.caps);
+  });
+  const Isa top = top_level();
+#ifdef QCAPS_DISABLE_NATIVE
+  EXPECT_EQ(top, Isa::kScalar);
+#endif
+  // Levels this machine or build lacks are refused and change nothing.
+  const Isa before = common::isa();
+  for (auto i = static_cast<std::size_t>(top) + 1; i < common::kIsaLevels;
+       ++i) {
+    EXPECT_FALSE(common::force_isa(static_cast<Isa>(i)));
+    EXPECT_EQ(common::isa(), before);
+  }
+}
+
+TEST(CpuDispatch, QcapsIsaCapsTheDetectedLevel) {
+  const Isa top = top_level();
+  const ScopedEnv g(kLegacyCaps[0], nullptr), q(kLegacyCaps[1], nullptr),
+      c(kLegacyCaps[2], nullptr);
+  for (std::size_t i = 0; i < common::kIsaLevels; ++i) {
+    const auto cap = static_cast<Isa>(i);
+    const ScopedEnv env("QCAPS_ISA", common::isa_name(cap));
+    common::reset_isa();
+    EXPECT_EQ(common::isa(), std::min(cap, top)) << common::isa_name(cap);
+  }
+}
+
+TEST(CpuDispatch, LegacyZeroPinsEveryBackendAtScalar) {
+  // The scalar oracle of the benchmark forces scalar through these names.
+  for (const char* name : kLegacyCaps) {
+    SCOPED_TRACE(name);
+    const ScopedEnv env(name, "0");
+    common::reset_isa();
+    EXPECT_EQ(common::isa(), Isa::kScalar);
+    EXPECT_STREQ(tensor::gemm_kernel_name(), "scalar");
+    EXPECT_STREQ(tensor::qgemm_kernel_name(), "scalar");
+    EXPECT_STREQ(tensor::caps_kernel_name(), "scalar");
+  }
+}
+
+TEST(CpuDispatchDeathTest, UnknownCapValueStopsTheProcess) {
+  // OpenMP worker threads may exist by now: re-execute instead of forking.
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(
+      {
+        setenv("QCAPS_ISA", "avx3", 1);
+        common::reset_isa();
+      },
+      ::testing::ExitedWithCode(2),
+      "QCAPS_ISA=avx3 .*accepted values: scalar, avx2, avx512, vnni");
+  // The per-backend names take 0 only; their old caps are errors now.
+  EXPECT_EXIT(
+      {
+        setenv("QCAPS_QGEMM_NATIVE", "avx2", 1);
+        common::reset_isa();
+      },
+      ::testing::ExitedWithCode(2),
+      "QCAPS_QGEMM_NATIVE=avx2 .*accepted values: 0");
+  EXPECT_EXIT(
+      {
+        setenv("QCAPS_CAPS_NATIVE", "off", 1);
+        common::reset_isa();
+      },
+      ::testing::ExitedWithCode(2),
+      "QCAPS_CAPS_NATIVE=off .*accepted values: 0");
 }
 
 }  // namespace

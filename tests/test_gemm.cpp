@@ -190,21 +190,12 @@ TEST(GemmPackB, CustomProducerMatchesMaterializedB) {
   }
 }
 
-// Restores the default kernel dispatch even when an ASSERT aborts the test
-// body, so a tier-test failure cannot leak a forced tier into later tests.
-struct KernelResetGuard {
-  ~KernelResetGuard() { gemm_reset_kernel(); }
-};
-
-// Every supported microkernel tier must agree with the naive reference on
-// all edge shapes, and the AVX-512 tier must be bit-identical to AVX2 (each
-// output lane runs the same FMA sequence — see kernel_avx512).
+// Every dispatch level must agree with the naive reference on all edge
+// shapes, and the AVX-512 kernel must be bit-identical to AVX2 (each output
+// lane runs the same FMA sequence — see kernel_avx512).
 TEST(GemmBackend, EveryKernelTierMatchesNaive) {
-  const KernelResetGuard guard;
   common::Rng rng(19);
-  for (const GemmKernel tier :
-       {GemmKernel::kScalar, GemmKernel::kAvx2, GemmKernel::kAvx512}) {
-    if (!gemm_force_kernel(tier)) continue;  // unsupported on this CPU/build
+  testutil::for_each_isa([&](common::Isa) {
     for (const Mkn& s : kShapes) {
       const Tensor a = Tensor::randn({s.m, s.k}, rng);
       const Tensor b = Tensor::randn({s.k, s.n}, rng);
@@ -215,46 +206,27 @@ TEST(GemmBackend, EveryKernelTierMatchesNaive) {
           << "tier " << gemm_kernel_name() << " m=" << s.m << " k=" << s.k
           << " n=" << s.n;
     }
-  }
+  });
 }
 
 TEST(GemmBackend, Avx512TierBitIdenticalToAvx2) {
-  const KernelResetGuard guard;
-  if (!gemm_force_kernel(GemmKernel::kAvx512))
-    GTEST_SKIP() << "avx512f unavailable";
   common::Rng rng(23);
   const std::int64_t m = 37, k = 65, n = 51;
   const Tensor a = Tensor::randn({m, k}, rng);
   const Tensor b = Tensor::randn({k, n}, rng);
-  Tensor c512({m, n}), c256({m, n});
-  gemm_ex(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
-          c512.data(), n, false);
-  ASSERT_TRUE(gemm_force_kernel(GemmKernel::kAvx2));  // implied by avx512f here
-  gemm_ex(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
-          c256.data(), n, false);
-  for (std::int64_t i = 0; i < c512.numel(); ++i)
-    ASSERT_EQ(c512[i], c256[i]) << "tier divergence at " << i;
-}
-
-TEST(GemmBackend, ForceKernelRejectsUnsupportedTierAndResets) {
-  const KernelResetGuard guard;
-  const GemmKernel active = gemm_kernel();
-  // Probe every tier: forcing an unsupported one must fail AND leave the
-  // active tier untouched (this is the rejection path on non-AVX-512 x86
-  // and on non-x86/QCAPS_GEMM_NATIVE=OFF builds).
-  for (const GemmKernel tier :
-       {GemmKernel::kScalar, GemmKernel::kAvx2, GemmKernel::kAvx512}) {
-    const bool forced = gemm_force_kernel(tier);
-    if (forced) {
-      EXPECT_EQ(gemm_kernel(), tier);
-      gemm_reset_kernel();
-    } else {
-      EXPECT_EQ(gemm_kernel(), active)
-          << "failed force must not change the active tier";
-    }
-  }
-  gemm_reset_kernel();
-  EXPECT_EQ(gemm_kernel(), active);
+  std::vector<Tensor> vector_levels;  // avx2 first, then avx512 and vnni
+  testutil::for_each_isa([&](common::Isa level) {
+    if (level == common::Isa::kScalar) return;
+    Tensor c({m, n});
+    gemm_ex(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(),
+            n, false);
+    vector_levels.push_back(c);
+  });
+  if (vector_levels.size() < 2) GTEST_SKIP() << "avx512 level unavailable";
+  for (std::size_t t = 1; t < vector_levels.size(); ++t)
+    for (std::int64_t i = 0; i < vector_levels[0].numel(); ++i)
+      ASSERT_EQ(vector_levels[t][i], vector_levels[0][i])
+          << "tier divergence at " << i;
 }
 
 TEST(GemmBackend, DeterministicAcrossThreadCounts) {

@@ -23,10 +23,10 @@
 #include "hwmodel/units.hpp"
 #include "qengine/qengine.hpp"
 #include "qengine/quantized_shallow_caps.hpp"
-#include "tensor/caps_kernels.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qgemm.hpp"
+#include "test_util.hpp"
 
 namespace qcaps::qengine {
 namespace {
@@ -38,24 +38,6 @@ QTensor random_q(common::Rng& rng, tensor::Shape shape, fixed::FixedFormat fmt,
   return QTensor::from_float(
       q.quantized(tensor::Tensor::uniform(std::move(shape), rng, -amp, amp)),
       fmt);
-}
-
-// The pre-qgemm scalar matmul: int64 accumulate + per-element rescale_raw.
-QTensor matmul_ref(const QTensor& a, const QTensor& b,
-                   fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme) {
-  const std::int64_t m = a.dim(0), k = a.dim(1), n = b.dim(1);
-  const int acc_qf = a.fmt.qf + b.fmt.qf;
-  QTensor out({m, n}, out_fmt);
-  for (std::int64_t i = 0; i < m; ++i)
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = 0;
-      for (std::int64_t p = 0; p < k; ++p)
-        acc += a.raw[static_cast<std::size_t>(i * k + p)] *
-               b.raw[static_cast<std::size_t>(p * n + j)];
-      out.raw[static_cast<std::size_t>(i * n + j)] =
-          hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
-    }
-  return out;
 }
 
 // The legacy vote product exactly as QuantizedShallowCaps::forward computed
@@ -273,27 +255,22 @@ QTensor random_rails(common::Rng& rng, tensor::Shape shape,
   return t;
 }
 
-// Runs `body` under every qgemm tier this CPU supports, at one and at two
+// Runs `body` at every dispatch level this CPU supports, at one and at two
 // OpenMP threads.
 template <typename F>
-void for_each_tier_and_team(const F& body) {
+void for_each_isa_and_team(const F& body) {
 #ifdef _OPENMP
   const int saved = omp_get_max_threads();
 #endif
-  for (const auto tier :
-       {tensor::QGemmKernel::kScalar, tensor::QGemmKernel::kAvx2,
-        tensor::QGemmKernel::kAvx512, tensor::QGemmKernel::kAvx512Vnni}) {
-    if (!tensor::qgemm_force_kernel(tier)) continue;
+  testutil::for_each_isa([&](common::Isa) {
     for (const int threads : {1, 2}) {
 #ifdef _OPENMP
       omp_set_num_threads(threads);
 #endif
-      SCOPED_TRACE(std::string("tier ") + tensor::qgemm_kernel_name() +
-                   ", threads " + std::to_string(threads));
+      SCOPED_TRACE("threads " + std::to_string(threads));
       body();
     }
-  }
-  tensor::qgemm_reset_kernel();
+  });
 #ifdef _OPENMP
   omp_set_num_threads(saved);
 #endif
@@ -338,7 +315,7 @@ void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
         conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, true, nullptr);
     const QTensor want_fold =
         conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, false, &fold_fmt);
-    for_each_tier_and_team([&] {
+    for_each_isa_and_team([&] {
       EXPECT_EQ(conv2d(x, w, QTensor(), cs.stride, cs.pad, out_fmt).raw,
                 want_plain.raw);
       EXPECT_EQ(conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
@@ -386,7 +363,7 @@ TEST(QEngineDirectConv, NarrowOutputSaturatesOnEveryTier) {
   const QTensor x = random_rails(rng, {3, 32, 8, 8}, f8, -128, 127);
   const QTensor w = random_rails(rng, {16, 32, 3, 3}, f8, -128, 127);
   const QTensor want = conv2d_ref(x, w, QTensor(), 1, 1, out, false, nullptr);
-  for_each_tier_and_team(
+  for_each_isa_and_team(
       [&] { EXPECT_EQ(conv2d(x, w, QTensor(), 1, 1, out).raw, want.raw); });
 }
 
@@ -445,7 +422,7 @@ void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
                 r % vc.dout)] =
                 vmap.raw[static_cast<std::size_t>((bi * jd + r) * plane + p)];
     }
-    for_each_tier_and_team([&] {
+    for_each_isa_and_team([&] {
       QTensor votes({vc.b * plane, vc.tout, vc.tin, vc.dout}, out_fmt);
       ASSERT_TRUE(conv_caps3d_votes(x, grouped, f, vc.tin, vc.din, vc.tout,
                                     vc.dout, vc.k, vc.stride, vc.pad, out_fmt,
@@ -466,20 +443,6 @@ TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt16) {
 
 // ---- one-pass capsule convolution against conv2d -> squash_channels --------
 
-// for_each_tier_and_team under every caps-kernel tier too (the squash gain's
-// dispatch).
-template <typename F>
-void for_each_tier_caps_and_team(const F& body) {
-  for (const auto caps : {tensor::CapsKernel::kScalar,
-                          tensor::CapsKernel::kAvx2,
-                          tensor::CapsKernel::kAvx512}) {
-    if (!tensor::caps_force_kernel(caps)) continue;
-    SCOPED_TRACE(std::string("caps ") + tensor::caps_kernel_name());
-    for_each_tier_and_team(body);
-  }
-  tensor::caps_reset_kernel();
-}
-
 struct ConvCapsCase {
   std::int64_t b, c, hw, types, dim, stride;
 };
@@ -496,8 +459,8 @@ const ConvCapsCase kConvCapsCases[] = {
 };
 
 // Every case x epilogue (plain, bias, bias + folded rescale) against the
-// exact int64 conv followed by squash_channels, under every qgemm and caps
-// tier and team size. The pre-squash format is the executor's rule for
+// exact int64 conv followed by squash_channels, at every dispatch level and
+// team size. The pre-squash format is the executor's rule for
 // activation format `act`.
 void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
                      std::int64_t xhi, fixed::FixedFormat wf,
@@ -525,7 +488,7 @@ void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
     const QTensor want_plain = want(QTensor(), nullptr);
     const QTensor want_bias = want(bias, nullptr);
     const QTensor want_fold = want(bias, &fold_fmt);
-    for_each_tier_caps_and_team([&] {
+    for_each_isa_and_team([&] {
       EXPECT_EQ(conv_caps(x, w, QTensor(), cs.stride, 1, cs.dim, mid, act)
                     .raw,
                 want_plain.raw);
@@ -691,63 +654,6 @@ TEST(QEngineRouting, AgreementSelectsSameWinnerAsFloat) {
 
 // ---- qgemm-backed operators --------------------------------------------------
 
-TEST(QEngineMatmul, BitIdenticalToScalarReferenceOnInt8Tier) {
-  // Narrow formats: both operands fit the packed int8 container, so the
-  // qgemm fast path runs — and must equal the rescale_raw reference exactly.
-  common::Rng rng(30);
-  const fixed::FixedFormat fa(2, 6), fb(1, 7), out(4, 8);
-  const QTensor a = random_q(rng, {9, 11}, fa, 1.9f);
-  const QTensor b = random_q(rng, {11, 13}, fb, 0.9f);
-  const QTensor got = matmul(a, b, out);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kRoundToNearest);
-  ASSERT_EQ(got.shape, want.shape);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QEngineMatmul, BitIdenticalOnInt16TierWideFormats) {
-  // Q8.8-style wide formats whose values exceed int8 raw range: the int16
-  // tier carries them, still bit-identical.
-  common::Rng rng(31);
-  const fixed::FixedFormat fa(8, 8), fb(8, 8), out(10, 6);
-  const QTensor a = random_q(rng, {7, 10}, fa, 60.0f);  // raw up to ~15360
-  const QTensor b = random_q(rng, {10, 8}, fb, 0.9f);
-  ASSERT_FALSE(a.fits_i8());  // really exercises the int16 tier
-  ASSERT_TRUE(a.fits_i16());
-  const QTensor got = matmul(a, b, out);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kRoundToNearest);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QEngineMatmul, WideValuesFallBackExactly) {
-  // Values beyond the int16 container (25-bit raws) take the int64 scalar
-  // path; the result is still exact integer arithmetic.
-  common::Rng rng(32);
-  const fixed::FixedFormat wide(18, 7), fb(2, 7), out(20, 4);
-  QTensor a({3, 5}, wide);
-  for (auto& v : a.raw)
-    v = static_cast<std::int64_t>(rng.uniform_index(1 << 25)) - (1 << 24);
-  const QTensor b = random_q(rng, {5, 4}, fb, 1.5f);
-  const QTensor got = matmul(a, b, out);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kRoundToNearest);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QEngineMatmul, RejectsValuesThatWouldWrapInt64) {
-  // The scalar fallback is exact only while k * |a| * |b| fits int64;
-  // oversized raws must throw instead of silently wrapping.
-  const fixed::FixedFormat huge(40, 10);
-  QTensor a({2, 4}, huge), b({4, 3}, huge);
-  for (auto& v : a.raw) v = std::int64_t{1} << 31;
-  for (auto& v : b.raw) v = std::int64_t{1} << 31;
-  EXPECT_THROW(matmul(a, b, fixed::FixedFormat(40, 4)), qcaps::Error);
-}
-
 TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
   // The packed-weight cache QuantizedShallowCaps keeps must be a pure
   // optimization: identical votes with and without it, on both tiers.
@@ -767,18 +673,6 @@ TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
   };
   check(u8, w8t);
   check(u16, w16t);
-}
-
-TEST(QEngineMatmul, TruncationSchemeUsesExactScalarPath) {
-  common::Rng rng(33);
-  const fixed::FixedFormat fa(2, 6), fb(2, 6), out(3, 4);
-  const QTensor a = random_q(rng, {6, 9}, fa, 1.8f);
-  const QTensor b = random_q(rng, {9, 7}, fb, 1.8f);
-  const QTensor got = matmul(a, b, out, fixed::RoundingScheme::kTruncation);
-  const QTensor want =
-      matmul_ref(a, b, out, fixed::RoundingScheme::kTruncation);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
 }
 
 TEST(QEngineVotes, QGemmPathIdenticalToLegacyLoopAtQ88) {

@@ -1,8 +1,8 @@
 // Oracle tests for the packed integer GEMM backend (tensor/qgemm.hpp).
 //
 // Everything here is exact: qgemm must match the naive int64 reference
-// (testutil::qgemm_naive) bit for bit — for every supported microkernel tier
-// (scalar / AVX2 / AVX-512), all four transpose variants, edge shapes that
+// (testutil::qgemm_naive) bit for bit — at every supported dispatch level
+// (scalar, avx2, avx512, vnni), all four transpose variants, edge shapes that
 // exercise partial register tiles and cache-block boundaries, strided
 // batches, saturation-boundary inputs, zero points at the extremes, per-row
 // requantization, and any thread count. Mirrors tests/test_gemm.cpp for the
@@ -72,420 +72,416 @@ std::vector<T> transposed(const std::vector<T>& src, std::int64_t r,
   return out;
 }
 
-// Every microkernel tier available on this machine. All of them must agree
-// with the oracle (and therefore with each other) bit for bit. Tiers the
-// CPU lacks (e.g. avx512vnni on pre-Ice-Lake parts) are skipped with a log
-// line so the gap is visible in CI output.
-std::vector<QGemmKernel> available_kernels() {
-  std::vector<QGemmKernel> out;
-  for (const auto k :
-       {QGemmKernel::kScalar, QGemmKernel::kAvx2, QGemmKernel::kAvx512,
-        QGemmKernel::kAvx512Vnni}) {
-    if (qgemm_force_kernel(k)) {
-      out.push_back(k);
-    } else {
-      std::fprintf(stderr,
-                   "[test_qgemm] tier %d unsupported on this CPU/build; "
-                   "skipping its forced-tier runs\n",
-                   static_cast<int>(k));
+// The QGemmAllKernels tests run at every dispatch level this machine has
+// (testutil::for_each_isa). All of them must agree with the oracle (and
+// therefore with each other) bit for bit.
+
+TEST(QGemmAllKernels, AllTransposeVariantsBitExactI32) {
+  testutil::for_each_isa([](common::Isa) {
+    common::Rng rng(21);
+    for (const Mkn& s : kShapes) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+      const auto a = random_i8(rng, s.m * s.k);
+      const auto b = random_i8(rng, s.k * s.n);
+      const auto at = transposed(a, s.m, s.k);  // [K, M]
+      const auto bt = transposed(b, s.k, s.n);  // [N, K]
+      const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
+                                        a.data(), s.k, b.data(), s.n);
+      std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
+
+      qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
+                s.n, c.data(), s.n, false);
+      for (std::size_t i = 0; i < c.size(); ++i)
+        ASSERT_EQ(c[i], want[i]) << "NN flat " << i;
+
+      qgemm_i32(Trans::kT, Trans::kN, s.m, s.n, s.k, at.data(), s.m, b.data(),
+                s.n, c.data(), s.n, false);
+      for (std::size_t i = 0; i < c.size(); ++i)
+        ASSERT_EQ(c[i], want[i]) << "TN flat " << i;
+
+      qgemm_i32(Trans::kN, Trans::kT, s.m, s.n, s.k, a.data(), s.k, bt.data(),
+                s.k, c.data(), s.n, false);
+      for (std::size_t i = 0; i < c.size(); ++i)
+        ASSERT_EQ(c[i], want[i]) << "NT flat " << i;
+
+      qgemm_i32(Trans::kT, Trans::kT, s.m, s.n, s.k, at.data(), s.m, bt.data(),
+                s.k, c.data(), s.n, false);
+      for (std::size_t i = 0; i < c.size(); ++i)
+        ASSERT_EQ(c[i], want[i]) << "TT flat " << i;
     }
-  }
-  qgemm_reset_kernel();
-  return out;
+  });
 }
 
-class QGemmAllKernels : public ::testing::TestWithParam<QGemmKernel> {
- protected:
-  void SetUp() override { ASSERT_TRUE(qgemm_force_kernel(GetParam())); }
-  void TearDown() override { qgemm_reset_kernel(); }
-};
-
-const char* kernel_tag(QGemmKernel k) {
-  switch (k) {
-    case QGemmKernel::kScalar: return "scalar";
-    case QGemmKernel::kAvx2: return "avx2";
-    case QGemmKernel::kAvx512: return "avx512";
-    case QGemmKernel::kAvx512Vnni: return "avx512vnni";
-  }
-  return "unknown";
-}
-
-TEST_P(QGemmAllKernels, AllTransposeVariantsBitExactI32) {
-  common::Rng rng(21);
-  for (const Mkn& s : kShapes) {
-    SCOPED_TRACE(::testing::Message()
-                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
-    const auto a = random_i8(rng, s.m * s.k);
-    const auto b = random_i8(rng, s.k * s.n);
-    const auto at = transposed(a, s.m, s.k);  // [K, M]
-    const auto bt = transposed(b, s.k, s.n);  // [N, K]
-    const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
-                                      a.data(), s.k, b.data(), s.n);
-    std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
-
-    qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
-              s.n, c.data(), s.n, false);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], want[i]) << "NN flat " << i;
-
-    qgemm_i32(Trans::kT, Trans::kN, s.m, s.n, s.k, at.data(), s.m, b.data(),
-              s.n, c.data(), s.n, false);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], want[i]) << "TN flat " << i;
-
-    qgemm_i32(Trans::kN, Trans::kT, s.m, s.n, s.k, a.data(), s.k, bt.data(),
-              s.k, c.data(), s.n, false);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], want[i]) << "NT flat " << i;
-
-    qgemm_i32(Trans::kT, Trans::kT, s.m, s.n, s.k, at.data(), s.m, bt.data(),
-              s.k, c.data(), s.n, false);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], want[i]) << "TT flat " << i;
-  }
-}
-
-TEST_P(QGemmAllKernels, RequantizedOutputBitExact) {
-  common::Rng rng(22);
-  for (const Mkn& s : {Mkn{1, 1, 1}, Mkn{7, 13, 17}, Mkn{13, 29, 31},
-                       Mkn{97, 33, 65}}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
-    const auto a = random_i8(rng, s.m * s.k);
-    const auto b = random_i8(rng, s.k * s.n);
-    QGemmRequant rq;
-    // Random non-power-of-two multiplier in [2^29, 2^30), random shift.
-    rq.multiplier = static_cast<std::int32_t>(
-        (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-    rq.shift = static_cast<int>(rng.uniform_index(9));
-    rq.c_zero = static_cast<std::int32_t>(rng.uniform_index(17)) - 8;
-    rq.qmin = -128;
-    rq.qmax = 127;
-    const auto want = qgemm_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
-                                  a.data(), s.k, b.data(), s.n, rq);
-    std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
-    qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-          c.data(), s.n, rq);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], want[i]) << "flat " << i;
-  }
-}
-
-TEST_P(QGemmAllKernels, SaturationBoundaryInputs) {
-  // Full-scale operands: every product is (+-127/-128)^2-scale and the
-  // int8-range requantized output must clamp exactly where the oracle does.
-  const std::int64_t m = 9, k = 4096, n = 18;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
-  std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
-  for (std::size_t i = 0; i < a.size(); ++i)
-    a[i] = (i % 3 == 0) ? std::int8_t{-128}
-                        : (i % 3 == 1 ? std::int8_t{127} : std::int8_t{-127});
-  for (std::size_t i = 0; i < b.size(); ++i)
-    b[i] = (i % 2 == 0) ? std::int8_t{127} : std::int8_t{-128};
-  QGemmRequant rq;
-  rq.shift = 8;
-  rq.qmin = -128;
-  rq.qmax = 127;
-  const auto want =
-      qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq);
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-  qgemm(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
-        rq);
-  bool clipped_lo = false, clipped_hi = false;
-  for (std::size_t i = 0; i < c.size(); ++i) {
-    ASSERT_EQ(c[i], want[i]) << "flat " << i;
-    clipped_lo |= c[i] == rq.qmin;
-    clipped_hi |= c[i] == rq.qmax;
-  }
-  EXPECT_TRUE(clipped_lo) << "test vectors never hit qmin";
-  EXPECT_TRUE(clipped_hi) << "test vectors never hit qmax";
-}
-
-TEST_P(QGemmAllKernels, ZeroPointsAtExtremes) {
-  common::Rng rng(23);
-  const std::int64_t m = 11, k = 23, n = 19;
-  const auto a = random_i8(rng, m * k);
-  const auto b = random_i8(rng, k * n);
-  for (const int za : {-128, 0, 127}) {
-    for (const int zb : {-128, 1, 127}) {
-      SCOPED_TRACE(::testing::Message() << "za=" << za << " zb=" << zb);
+TEST(QGemmAllKernels, RequantizedOutputBitExact) {
+  testutil::for_each_isa([](common::Isa) {
+    common::Rng rng(22);
+    for (const Mkn& s : {Mkn{1, 1, 1}, Mkn{7, 13, 17}, Mkn{13, 29, 31},
+                         Mkn{97, 33, 65}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+      const auto a = random_i8(rng, s.m * s.k);
+      const auto b = random_i8(rng, s.k * s.n);
       QGemmRequant rq;
-      rq.a_zero = za;
-      rq.b_zero = zb;
-      rq.shift = 4;
-      rq.c_zero = -3;
-      rq.qmin = -(std::int32_t{1} << 20);
-      rq.qmax = (std::int32_t{1} << 20) - 1;
-      const auto want = qgemm_naive(Trans::kN, Trans::kT, m, n, k, a.data(),
-                                    k, b.data(), k, rq);
-      std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-      qgemm(Trans::kN, Trans::kT, m, n, k, a.data(), k, b.data(), k, c.data(),
-            n, rq);
+      // Random non-power-of-two multiplier in [2^29, 2^30), random shift.
+      rq.multiplier = static_cast<std::int32_t>(
+          (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
+      rq.shift = static_cast<int>(rng.uniform_index(9));
+      rq.c_zero = static_cast<std::int32_t>(rng.uniform_index(17)) - 8;
+      rq.qmin = -128;
+      rq.qmax = 127;
+      const auto want = qgemm_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
+                                    a.data(), s.k, b.data(), s.n, rq);
+      std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
+      qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+            c.data(), s.n, rq);
       for (std::size_t i = 0; i < c.size(); ++i)
         ASSERT_EQ(c[i], want[i]) << "flat " << i;
     }
-  }
+  });
 }
 
-TEST_P(QGemmAllKernels, PerRowRequantAndBias) {
-  common::Rng rng(24);
-  const std::int64_t m = 13, k = 29, n = 31;
-  const auto a = random_i8(rng, m * k);
-  const auto b = random_i8(rng, k * n);
-  std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
-  std::vector<int> shift(static_cast<std::size_t>(m));
-  std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) {
-    mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-        (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-    shift[static_cast<std::size_t>(i)] = static_cast<int>(rng.uniform_index(7));
-    bias[static_cast<std::size_t>(i)] =
-        static_cast<std::int32_t>(rng.uniform_index(4001)) - 2000;
-  }
-  QGemmRequant rq;
-  rq.row_multipliers = mult.data();
-  rq.row_shifts = shift.data();
-  rq.bias = bias.data();
-  rq.qmin = -128;
-  rq.qmax = 127;
-  const auto want =
-      qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq);
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-  qgemm(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
-        rq);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    ASSERT_EQ(c[i], want[i]) << "flat " << i;
+TEST(QGemmAllKernels, SaturationBoundaryInputs) {
+  testutil::for_each_isa([](common::Isa) {
+    // Full-scale operands: every product is (+-127/-128)^2-scale and the
+    // int8-range requantized output must clamp exactly where the oracle does.
+    const std::int64_t m = 9, k = 4096, n = 18;
+    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k));
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n));
+    for (std::size_t i = 0; i < a.size(); ++i)
+      a[i] = (i % 3 == 0) ? std::int8_t{-128}
+                          : (i % 3 == 1 ? std::int8_t{127} : std::int8_t{-127});
+    for (std::size_t i = 0; i < b.size(); ++i)
+      b[i] = (i % 2 == 0) ? std::int8_t{127} : std::int8_t{-128};
+    QGemmRequant rq;
+    rq.shift = 8;
+    rq.qmin = -128;
+    rq.qmax = 127;
+    const auto want =
+        qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
+                    rq);
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+    qgemm(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
+          rq);
+    bool clipped_lo = false, clipped_hi = false;
+    for (std::size_t i = 0; i < c.size(); ++i) {
+      ASSERT_EQ(c[i], want[i]) << "flat " << i;
+      clipped_lo |= c[i] == rq.qmin;
+      clipped_hi |= c[i] == rq.qmax;
+    }
+    EXPECT_TRUE(clipped_lo) << "test vectors never hit qmin";
+    EXPECT_TRUE(clipped_hi) << "test vectors never hit qmax";
+  });
 }
 
-TEST_P(QGemmAllKernels, LargeBiasStaysBitExact) {
-  // A bias at accumulator scale can push |acc + bias| past int32; the
-  // requant pass must still match the int64 oracle exactly (regression for
-  // the vectorized-requant low-32-bit truncation).
-  common::Rng rng(29);
-  const std::int64_t m = 9, k = 4096, n = 24;
-  std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), 127);
-  std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), 127);
-  std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i)
-    bias[static_cast<std::size_t>(i)] =
-        (i % 2 ? 1 : -1) * ((std::int32_t{1} << 30) + static_cast<std::int32_t>(
-                                                          rng.uniform_index(1000)));
-  QGemmRequant rq;
-  rq.bias = bias.data();
-  rq.shift = 12;
-  rq.qmin = -(std::int32_t{1} << 24);
-  rq.qmax = (std::int32_t{1} << 24) - 1;
-  const auto want =
-      qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq);
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-  qgemm(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
-        rq);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    ASSERT_EQ(c[i], want[i]) << "flat " << i;
+TEST(QGemmAllKernels, ZeroPointsAtExtremes) {
+  testutil::for_each_isa([](common::Isa) {
+    common::Rng rng(23);
+    const std::int64_t m = 11, k = 23, n = 19;
+    const auto a = random_i8(rng, m * k);
+    const auto b = random_i8(rng, k * n);
+    for (const int za : {-128, 0, 127}) {
+      for (const int zb : {-128, 1, 127}) {
+        SCOPED_TRACE(::testing::Message() << "za=" << za << " zb=" << zb);
+        QGemmRequant rq;
+        rq.a_zero = za;
+        rq.b_zero = zb;
+        rq.shift = 4;
+        rq.c_zero = -3;
+        rq.qmin = -(std::int32_t{1} << 20);
+        rq.qmax = (std::int32_t{1} << 20) - 1;
+        const auto want = qgemm_naive(Trans::kN, Trans::kT, m, n, k, a.data(),
+                                      k, b.data(), k, rq);
+        std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+        qgemm(Trans::kN, Trans::kT, m, n, k, a.data(), k, b.data(), k, c.data(),
+              n, rq);
+        for (std::size_t i = 0; i < c.size(); ++i)
+          ASSERT_EQ(c[i], want[i]) << "flat " << i;
+      }
+    }
+  });
 }
 
-TEST_P(QGemmAllKernels, Int16OperandsBitExact) {
-  // The int16 entry points carry the wide fixed-point formats (e.g. Q8.8
-  // activations); same kernel, wider packed source.
-  common::Rng rng(25);
-  for (const Mkn& s : {Mkn{1, 1, 1}, Mkn{5, 1, 3}, Mkn{7, 13, 17},
-                       Mkn{97, 33, 65}}) {
-    SCOPED_TRACE(::testing::Message()
-                 << "m=" << s.m << " k=" << s.k << " n=" << s.n);
-    // Bound 2048 keeps k * |a| * |b| below 2^31 for every tested shape.
-    const auto a = random_i16(rng, s.m * s.k, 2048);
-    const auto b = random_i16(rng, s.k * s.n, 2048);
-    const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
-                                      a.data(), s.k, b.data(), s.n);
-    std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
-    qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
-              s.n, c.data(), s.n, false);
+TEST(QGemmAllKernels, PerRowRequantAndBias) {
+  testutil::for_each_isa([](common::Isa) {
+    common::Rng rng(24);
+    const std::int64_t m = 13, k = 29, n = 31;
+    const auto a = random_i8(rng, m * k);
+    const auto b = random_i8(rng, k * n);
+    std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
+    std::vector<int> shift(static_cast<std::size_t>(m));
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
+    for (std::int64_t i = 0; i < m; ++i) {
+      mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
+          (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
+      shift[static_cast<std::size_t>(i)] =
+          static_cast<int>(rng.uniform_index(7));
+      bias[static_cast<std::size_t>(i)] =
+          static_cast<std::int32_t>(rng.uniform_index(4001)) - 2000;
+    }
+    QGemmRequant rq;
+    rq.row_multipliers = mult.data();
+    rq.row_shifts = shift.data();
+    rq.bias = bias.data();
+    rq.qmin = -128;
+    rq.qmax = 127;
+    const auto want =
+        qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
+                    rq);
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+    qgemm(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
+          rq);
     for (std::size_t i = 0; i < c.size(); ++i)
       ASSERT_EQ(c[i], want[i]) << "flat " << i;
+  });
+}
 
+TEST(QGemmAllKernels, LargeBiasStaysBitExact) {
+  testutil::for_each_isa([](common::Isa) {
+    // A bias at accumulator scale can push |acc + bias| past int32; the
+    // requant pass must still match the int64 oracle exactly (regression for
+    // the vectorized-requant low-32-bit truncation).
+    common::Rng rng(29);
+    const std::int64_t m = 9, k = 4096, n = 24;
+    std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), 127);
+    std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), 127);
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
+    for (std::int64_t i = 0; i < m; ++i)
+      bias[static_cast<std::size_t>(i)] =
+          (i % 2 ? 1 : -1) *
+          ((std::int32_t{1} << 30) +
+           static_cast<std::int32_t>(rng.uniform_index(1000)));
     QGemmRequant rq;
-    rq.shift = 6;
-    rq.qmin = -32768;
-    rq.qmax = 32767;
-    const auto wantq = qgemm_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
-                                   a.data(), s.k, b.data(), s.n, rq);
-    qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-          c.data(), s.n, rq);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], wantq[i]) << "requant flat " << i;
-  }
-}
-
-TEST_P(QGemmAllKernels, AccumulateAddsIntoC) {
-  common::Rng rng(26);
-  const std::int64_t m = 7, k = 13, n = 17;
-  const auto a = random_i8(rng, m * k);
-  const auto b = random_i8(rng, k * n);
-  const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, m, n, k, a.data(),
-                                    k, b.data(), n);
-  std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-  for (std::size_t i = 0; i < c.size(); ++i)
-    c[i] = static_cast<std::int32_t>(rng.uniform_index(2001)) - 1000;
-  const std::vector<std::int32_t> base = c;
-  qgemm_i32(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(),
-            n, /*accumulate=*/true);
-  for (std::size_t i = 0; i < c.size(); ++i)
-    ASSERT_EQ(c[i], base[i] + want[i]) << "flat " << i;
-}
-
-TEST_P(QGemmAllKernels, KZeroZeroesOrKeepsC) {
-  std::vector<std::int32_t> c = {1, 2, 3, 4, 5, 6};
-  const std::int8_t dummy = 0;
-  qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
-            /*accumulate=*/true);
-  EXPECT_EQ(c[0], 1);
-  qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
-            /*accumulate=*/false);
-  for (const auto v : c) EXPECT_EQ(v, 0);
-}
-
-TEST_P(QGemmAllKernels, StridedBatchInterleavedLikeCapsuleVotes) {
-  // The capsule vote layout: u [B, Nin, Din], w [Nin, JD, Din], votes
-  // [B, Nin, JD]; the batch runs over Nin with strides smaller than the
-  // matrix extents.
-  common::Rng rng(27);
-  const std::int64_t bsz = 4, nin = 3, din = 7, jd = 10;
-  const auto u = random_i8(rng, bsz * nin * din);
-  const auto w = random_i8(rng, nin * jd * din);
-  QGemmRequant rq;
-  rq.shift = 3;
-  rq.qmin = -512;
-  rq.qmax = 511;
-  std::vector<std::int32_t> votes(static_cast<std::size_t>(bsz * nin * jd));
-  qgemm_batch(Trans::kN, Trans::kT, bsz, jd, din, u.data(), nin * din, din,
-              w.data(), din, jd * din, votes.data(), nin * jd, jd, nin, rq);
-  for (std::int64_t i = 0; i < nin; ++i) {
-    // Gather the i-th slice and run the 2-D oracle on it.
-    std::vector<std::int8_t> ui(static_cast<std::size_t>(bsz * din));
-    std::vector<std::int8_t> wi(static_cast<std::size_t>(jd * din));
-    for (std::int64_t bb = 0; bb < bsz; ++bb)
-      for (std::int64_t d = 0; d < din; ++d)
-        ui[static_cast<std::size_t>(bb * din + d)] =
-            u[static_cast<std::size_t>((bb * nin + i) * din + d)];
-    for (std::int64_t j = 0; j < jd * din; ++j)
-      wi[static_cast<std::size_t>(j)] =
-          w[static_cast<std::size_t>(i * jd * din + j)];
-    const auto want = qgemm_naive(Trans::kN, Trans::kT, bsz, jd, din,
-                                  ui.data(), din, wi.data(), din, rq);
-    for (std::int64_t bb = 0; bb < bsz; ++bb)
-      for (std::int64_t j = 0; j < jd; ++j)
-        ASSERT_EQ(votes[static_cast<std::size_t>((bb * nin + i) * jd + j)],
-                  want[static_cast<std::size_t>(bb * jd + j)])
-            << "i=" << i << " b=" << bb << " j=" << j;
-  }
-}
-
-TEST_P(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
-  // qgemm_scatter = qgemm into a dense C, then widen each element into the
-  // affine-scattered destination. Exercise both axis splits: the vote layout
-  // splits columns (j -> (nout, dout)), the grouped ConvCaps3d layout splits
-  // rows (i -> (nout, dout)).
-  common::Rng rng(31);
-  const std::int64_t m = 12, k = 29, n = 20;
-  const auto a = random_i8(rng, m * k);
-  const auto b = random_i8(rng, k * n);
-  QGemmRequant rq;
-  rq.multiplier = (std::int32_t{1} << 29) + 54321;
-  rq.shift = 5;
-  rq.c_zero = 2;
-  rq.a_zero = -7;
-  rq.b_zero = 3;
-  rq.qmin = -128;
-  rq.qmax = 127;
-  const auto want =
-      qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq);
-
-  // Column split: j = (jo, ji) with ji in [0, 4); element (i, jo, ji) lands
-  // at dst[ji * (n/4 * m) + jo * m + i] — a [4, n/4, m] layout.
-  {
-    std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
-                                  std::int64_t{-999});
-    QGemmScatterDst sd;
-    sd.dst = dst.data();
-    sd.row_inner = 1;
-    sd.row_outer_stride = 1;
-    sd.col_inner = 4;
-    sd.col_outer_stride = m;
-    sd.col_inner_stride = (n / 4) * m;
-    qgemm_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq,
-                  sd);
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < n; ++j)
-        ASSERT_EQ(dst[static_cast<std::size_t>((j % 4) * (n / 4) * m +
-                                               (j / 4) * m + i)],
-                  want[static_cast<std::size_t>(i * n + j)])
-            << "i=" << i << " j=" << j;
-  }
-
-  // Row split: i = (io, ii) with ii in [0, 3); element (io, ii, j) lands at
-  // dst[j * m + ii * (m / 3) + io] — a [n, 3, m/3] layout.
-  {
-    std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
-                                  std::int64_t{-999});
-    QGemmScatterDst sd;
-    sd.dst = dst.data();
-    sd.row_inner = 3;
-    sd.row_outer_stride = 1;
-    sd.row_inner_stride = m / 3;
-    sd.col_inner = 1;
-    sd.col_outer_stride = m;
-    qgemm_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq,
-                  sd);
-    for (std::int64_t i = 0; i < m; ++i)
-      for (std::int64_t j = 0; j < n; ++j)
-        ASSERT_EQ(dst[static_cast<std::size_t>(j * m + (i % 3) * (m / 3) +
-                                               i / 3)],
-                  want[static_cast<std::size_t>(i * n + j)])
-            << "i=" << i << " j=" << j;
-  }
-}
-
-TEST_P(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
-  // The vote-transform fusion target: per input capsule i (the batch axis),
-  // votes [B, JD] scatter into the j-major [B, Nout, Nin, Dout] layout.
-  common::Rng rng(32);
-  const std::int64_t bsz = 3, nin = 5, din = 7, nout = 4, dout = 2;
-  const std::int64_t jd = nout * dout;
-  const auto u = random_i8(rng, bsz * nin * din);
-  const auto w = random_i8(rng, nin * jd * din);
-  QGemmRequant rq;
-  rq.shift = 3;
-  rq.qmin = -512;
-  rq.qmax = 511;
-  std::vector<std::int64_t> votes(
-      static_cast<std::size_t>(bsz * nout * nin * dout), std::int64_t{-999});
-  QGemmScatterDst sd;
-  sd.dst = votes.data();
-  sd.batch_stride = dout;
-  sd.row_inner = 1;
-  sd.row_outer_stride = nout * nin * dout;
-  sd.col_inner = dout;
-  sd.col_outer_stride = nin * dout;
-  sd.col_inner_stride = 1;
-  qgemm_batch_scatter(Trans::kN, Trans::kT, bsz, jd, din, u.data(), nin * din,
-                      din, w.data(), din, jd * din, nin, rq, sd);
-  for (std::int64_t i = 0; i < nin; ++i) {
-    std::vector<std::int8_t> ui(static_cast<std::size_t>(bsz * din));
-    for (std::int64_t bb = 0; bb < bsz; ++bb)
-      for (std::int64_t d = 0; d < din; ++d)
-        ui[static_cast<std::size_t>(bb * din + d)] =
-            u[static_cast<std::size_t>((bb * nin + i) * din + d)];
+    rq.bias = bias.data();
+    rq.shift = 12;
+    rq.qmin = -(std::int32_t{1} << 24);
+    rq.qmax = (std::int32_t{1} << 24) - 1;
     const auto want =
-        qgemm_naive(Trans::kN, Trans::kT, bsz, jd, din, ui.data(), din,
-                    w.data() + i * jd * din, din, rq);
-    for (std::int64_t bb = 0; bb < bsz; ++bb)
-      for (std::int64_t j = 0; j < nout; ++j)
-        for (std::int64_t d = 0; d < dout; ++d)
-          ASSERT_EQ(votes[static_cast<std::size_t>(
-                        ((bb * nout + j) * nin + i) * dout + d)],
-                    want[static_cast<std::size_t>(bb * jd + j * dout + d)])
-              << "i=" << i << " b=" << bb << " j=" << j << " d=" << d;
-  }
+        qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
+                    rq);
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+    qgemm(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
+          rq);
+    for (std::size_t i = 0; i < c.size(); ++i)
+      ASSERT_EQ(c[i], want[i]) << "flat " << i;
+  });
+}
+
+TEST(QGemmAllKernels, Int16OperandsBitExact) {
+  testutil::for_each_isa([](common::Isa) {
+    // The int16 entry points carry the wide fixed-point formats (e.g. Q8.8
+    // activations); same kernel, wider packed source.
+    common::Rng rng(25);
+    for (const Mkn& s : {Mkn{1, 1, 1}, Mkn{5, 1, 3}, Mkn{7, 13, 17},
+                         Mkn{97, 33, 65}}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "m=" << s.m << " k=" << s.k << " n=" << s.n);
+      // Bound 2048 keeps k * |a| * |b| below 2^31 for every tested shape.
+      const auto a = random_i16(rng, s.m * s.k, 2048);
+      const auto b = random_i16(rng, s.k * s.n, 2048);
+      const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
+                                        a.data(), s.k, b.data(), s.n);
+      std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
+      qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
+                s.n, c.data(), s.n, false);
+      for (std::size_t i = 0; i < c.size(); ++i)
+        ASSERT_EQ(c[i], want[i]) << "flat " << i;
+
+      QGemmRequant rq;
+      rq.shift = 6;
+      rq.qmin = -32768;
+      rq.qmax = 32767;
+      const auto wantq = qgemm_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
+                                     a.data(), s.k, b.data(), s.n, rq);
+      qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+            c.data(), s.n, rq);
+      for (std::size_t i = 0; i < c.size(); ++i)
+        ASSERT_EQ(c[i], wantq[i]) << "requant flat " << i;
+    }
+  });
+}
+
+TEST(QGemmAllKernels, AccumulateAddsIntoC) {
+  testutil::for_each_isa([](common::Isa) {
+    common::Rng rng(26);
+    const std::int64_t m = 7, k = 13, n = 17;
+    const auto a = random_i8(rng, m * k);
+    const auto b = random_i8(rng, k * n);
+    const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, m, n, k, a.data(),
+                                      k, b.data(), n);
+    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
+    for (std::size_t i = 0; i < c.size(); ++i)
+      c[i] = static_cast<std::int32_t>(rng.uniform_index(2001)) - 1000;
+    const std::vector<std::int32_t> base = c;
+    qgemm_i32(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(),
+              n, /*accumulate=*/true);
+    for (std::size_t i = 0; i < c.size(); ++i)
+      ASSERT_EQ(c[i], base[i] + want[i]) << "flat " << i;
+  });
+}
+
+TEST(QGemmAllKernels, KZeroZeroesOrKeepsC) {
+  testutil::for_each_isa([](common::Isa) {
+    std::vector<std::int32_t> c = {1, 2, 3, 4, 5, 6};
+    const std::int8_t dummy = 0;
+    qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
+              /*accumulate=*/true);
+    EXPECT_EQ(c[0], 1);
+    qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
+              /*accumulate=*/false);
+    for (const auto v : c) EXPECT_EQ(v, 0);
+  });
+}
+
+TEST(QGemmAllKernels, StridedBatchInterleavedLikeCapsuleVotes) {
+  testutil::for_each_isa([](common::Isa) {
+    // The capsule vote layout: u [B, Nin, Din], w [Nin, JD, Din], votes
+    // [B, Nin, JD]; the batch runs over Nin with strides smaller than the
+    // matrix extents.
+    common::Rng rng(27);
+    const std::int64_t bsz = 4, nin = 3, din = 7, jd = 10;
+    const auto u = random_i8(rng, bsz * nin * din);
+    const auto w = random_i8(rng, nin * jd * din);
+    QGemmRequant rq;
+    rq.shift = 3;
+    rq.qmin = -512;
+    rq.qmax = 511;
+    std::vector<std::int32_t> votes(static_cast<std::size_t>(bsz * nin * jd));
+    qgemm_batch(Trans::kN, Trans::kT, bsz, jd, din, u.data(), nin * din, din,
+                w.data(), din, jd * din, votes.data(), nin * jd, jd, nin, rq);
+    for (std::int64_t i = 0; i < nin; ++i) {
+      // Gather the i-th slice and run the 2-D oracle on it.
+      std::vector<std::int8_t> ui(static_cast<std::size_t>(bsz * din));
+      std::vector<std::int8_t> wi(static_cast<std::size_t>(jd * din));
+      for (std::int64_t bb = 0; bb < bsz; ++bb)
+        for (std::int64_t d = 0; d < din; ++d)
+          ui[static_cast<std::size_t>(bb * din + d)] =
+              u[static_cast<std::size_t>((bb * nin + i) * din + d)];
+      for (std::int64_t j = 0; j < jd * din; ++j)
+        wi[static_cast<std::size_t>(j)] =
+            w[static_cast<std::size_t>(i * jd * din + j)];
+      const auto want = qgemm_naive(Trans::kN, Trans::kT, bsz, jd, din,
+                                    ui.data(), din, wi.data(), din, rq);
+      for (std::int64_t bb = 0; bb < bsz; ++bb)
+        for (std::int64_t j = 0; j < jd; ++j)
+          ASSERT_EQ(votes[static_cast<std::size_t>((bb * nin + i) * jd + j)],
+                    want[static_cast<std::size_t>(bb * jd + j)])
+              << "i=" << i << " b=" << bb << " j=" << j;
+    }
+  });
+}
+
+TEST(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
+  testutil::for_each_isa([](common::Isa) {
+    // qgemm_scatter = qgemm into a dense C, then widen each element into the
+    // affine-scattered destination. Exercise both axis splits: the vote layout
+    // splits columns (j -> (nout, dout)), the grouped ConvCaps3d layout splits
+    // rows (i -> (nout, dout)).
+    common::Rng rng(31);
+    const std::int64_t m = 12, k = 29, n = 20;
+    const auto a = random_i8(rng, m * k);
+    const auto b = random_i8(rng, k * n);
+    QGemmRequant rq;
+    rq.multiplier = (std::int32_t{1} << 29) + 54321;
+    rq.shift = 5;
+    rq.c_zero = 2;
+    rq.a_zero = -7;
+    rq.b_zero = 3;
+    rq.qmin = -128;
+    rq.qmax = 127;
+    const auto want =
+        qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
+                    rq);
+
+    // Column split: j = (jo, ji) with ji in [0, 4); element (i, jo, ji) lands
+    // at dst[ji * (n/4 * m) + jo * m + i] — a [4, n/4, m] layout.
+    {
+      std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
+                                    std::int64_t{-999});
+      QGemmScatterDst sd;
+      sd.dst = dst.data();
+      sd.row_inner = 1;
+      sd.row_outer_stride = 1;
+      sd.col_inner = 4;
+      sd.col_outer_stride = m;
+      sd.col_inner_stride = (n / 4) * m;
+      qgemm_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq,
+                    sd);
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j)
+          ASSERT_EQ(dst[static_cast<std::size_t>((j % 4) * (n / 4) * m +
+                                                 (j / 4) * m + i)],
+                    want[static_cast<std::size_t>(i * n + j)])
+              << "i=" << i << " j=" << j;
+    }
+
+    // Row split: i = (io, ii) with ii in [0, 3); element (io, ii, j) lands at
+    // dst[j * m + ii * (m / 3) + io] — a [n, 3, m/3] layout.
+    {
+      std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
+                                    std::int64_t{-999});
+      QGemmScatterDst sd;
+      sd.dst = dst.data();
+      sd.row_inner = 3;
+      sd.row_outer_stride = 1;
+      sd.row_inner_stride = m / 3;
+      sd.col_inner = 1;
+      sd.col_outer_stride = m;
+      qgemm_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq,
+                    sd);
+      for (std::int64_t i = 0; i < m; ++i)
+        for (std::int64_t j = 0; j < n; ++j)
+          ASSERT_EQ(dst[static_cast<std::size_t>(j * m + (i % 3) * (m / 3) +
+                                                 i / 3)],
+                    want[static_cast<std::size_t>(i * n + j)])
+              << "i=" << i << " j=" << j;
+    }
+  });
+}
+
+TEST(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
+  testutil::for_each_isa([](common::Isa) {
+    // The vote-transform fusion target: per input capsule i (the batch axis),
+    // votes [B, JD] scatter into the j-major [B, Nout, Nin, Dout] layout.
+    common::Rng rng(32);
+    const std::int64_t bsz = 3, nin = 5, din = 7, nout = 4, dout = 2;
+    const std::int64_t jd = nout * dout;
+    const auto u = random_i8(rng, bsz * nin * din);
+    const auto w = random_i8(rng, nin * jd * din);
+    QGemmRequant rq;
+    rq.shift = 3;
+    rq.qmin = -512;
+    rq.qmax = 511;
+    std::vector<std::int64_t> votes(
+        static_cast<std::size_t>(bsz * nout * nin * dout), std::int64_t{-999});
+    QGemmScatterDst sd;
+    sd.dst = votes.data();
+    sd.batch_stride = dout;
+    sd.row_inner = 1;
+    sd.row_outer_stride = nout * nin * dout;
+    sd.col_inner = dout;
+    sd.col_outer_stride = nin * dout;
+    sd.col_inner_stride = 1;
+    qgemm_batch_scatter(Trans::kN, Trans::kT, bsz, jd, din, u.data(), nin * din,
+                        din, w.data(), din, jd * din, nin, rq, sd);
+    for (std::int64_t i = 0; i < nin; ++i) {
+      std::vector<std::int8_t> ui(static_cast<std::size_t>(bsz * din));
+      for (std::int64_t bb = 0; bb < bsz; ++bb)
+        for (std::int64_t d = 0; d < din; ++d)
+          ui[static_cast<std::size_t>(bb * din + d)] =
+              u[static_cast<std::size_t>((bb * nin + i) * din + d)];
+      const auto want =
+          qgemm_naive(Trans::kN, Trans::kT, bsz, jd, din, ui.data(), din,
+                      w.data() + i * jd * din, din, rq);
+      for (std::int64_t bb = 0; bb < bsz; ++bb)
+        for (std::int64_t j = 0; j < nout; ++j)
+          for (std::int64_t d = 0; d < dout; ++d)
+            ASSERT_EQ(votes[static_cast<std::size_t>(
+                          ((bb * nout + j) * nin + i) * dout + d)],
+                      want[static_cast<std::size_t>(bb * jd + j * dout + d)])
+                << "i=" << i << " b=" << bb << " j=" << j << " d=" << d;
+    }
+  });
 }
 
 // QGemmDirect against the naive oracle on the matrix its gather describes:
@@ -545,50 +541,54 @@ void check_direct_gather(const std::vector<T>& a, const std::vector<T>& b,
   }
 }
 
-TEST_P(QGemmAllKernels, DirectGatherMatchesNaive) {
-  common::Rng rng(32);
-  const std::int64_t m = 13, k = 600, n = 70;
-  const auto a = random_i8(rng, m * k);  // the full int8 range, -128 too
-  const auto b = random_i8(rng, k * n);
-  std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
-  std::vector<int> shift(static_cast<std::size_t>(m));
-  std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) {
-    mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-        (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-    shift[static_cast<std::size_t>(i)] =
-        static_cast<int>(rng.uniform_index(9)) - 2;
-    bias[static_cast<std::size_t>(i)] =
-        static_cast<std::int32_t>(rng.uniform_index(40001)) - 20000;
-  }
-  QGemmRequant rq;  // unit multiplier: the vector epilogue on AVX-512
-  rq.row_shifts = shift.data();
-  rq.bias = bias.data();
-  rq.c_zero = 3;
-  rq.qmin = -3000;
-  rq.qmax = 3000;
-  check_direct_gather(a, b, m, k, n, rq);
-  rq.row_multipliers = mult.data();  // general multipliers: requant_one
-  check_direct_gather(a, b, m, k, n, rq);
+TEST(QGemmAllKernels, DirectGatherMatchesNaive) {
+  testutil::for_each_isa([](common::Isa) {
+    common::Rng rng(32);
+    const std::int64_t m = 13, k = 600, n = 70;
+    const auto a = random_i8(rng, m * k);  // the full int8 range, -128 too
+    const auto b = random_i8(rng, k * n);
+    std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
+    std::vector<int> shift(static_cast<std::size_t>(m));
+    std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
+    for (std::int64_t i = 0; i < m; ++i) {
+      mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
+          (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
+      shift[static_cast<std::size_t>(i)] =
+          static_cast<int>(rng.uniform_index(9)) - 2;
+      bias[static_cast<std::size_t>(i)] =
+          static_cast<std::int32_t>(rng.uniform_index(40001)) - 20000;
+    }
+    QGemmRequant rq;  // unit multiplier: the vector epilogue on AVX-512
+    rq.row_shifts = shift.data();
+    rq.bias = bias.data();
+    rq.c_zero = 3;
+    rq.qmin = -3000;
+    rq.qmax = 3000;
+    check_direct_gather(a, b, m, k, n, rq);
+    rq.row_multipliers = mult.data();  // general multipliers: requant_one
+    check_direct_gather(a, b, m, k, n, rq);
 
-  const auto a16 = random_i16(rng, m * k, 300);
-  const auto b16 = random_i16(rng, k * n, 300);
-  QGemmRequant rq16;
-  rq16.shift = 7;
-  rq16.bias = bias.data();
-  check_direct_gather(a16, b16, m, k, n, rq16);
+    const auto a16 = random_i16(rng, m * k, 300);
+    const auto b16 = random_i16(rng, k * n, 300);
+    QGemmRequant rq16;
+    rq16.shift = 7;
+    rq16.bias = bias.data();
+    check_direct_gather(a16, b16, m, k, n, rq16);
+  });
 }
 
-TEST_P(QGemmAllKernels, DirectLongKStaysExact) {
-  // Past K = 65793 the VNNI offset accumulator could wrap, so the direct
-  // path takes the int16 pair panels there. With a = -128 and b = 127 the
-  // offset sum, 70000 * -128 * 255, is past int32 while the exact product,
-  // 70000 * -128 * 127, is not.
-  const std::int64_t m = 2, k = 70000, n = 3;
-  const std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), -128);
-  const std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), 127);
-  QGemmRequant rq;
-  check_direct_gather(a, b, m, k, n, rq);
+TEST(QGemmAllKernels, DirectLongKStaysExact) {
+  testutil::for_each_isa([](common::Isa) {
+    // Past K = 65793 the VNNI offset accumulator could wrap, so the direct
+    // path takes the int16 pair panels there. With a = -128 and b = 127 the
+    // offset sum, 70000 * -128 * 255, is past int32 while the exact product,
+    // 70000 * -128 * 127, is not.
+    const std::int64_t m = 2, k = 70000, n = 3;
+    const std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), -128);
+    const std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), 127);
+    QGemmRequant rq;
+    check_direct_gather(a, b, m, k, n, rq);
+  });
 }
 
 TEST(QGemmGuards, DirectRejectsZeroPoints) {
@@ -597,10 +597,6 @@ TEST(QGemmGuards, DirectRejectsZeroPoints) {
   rq.a_zero = 1;
   EXPECT_THROW(QGemmDirect<std::int8_t>(a.data(), 3, 4, rq), qcaps::Error);
 }
-
-INSTANTIATE_TEST_SUITE_P(Kernels, QGemmAllKernels,
-                         ::testing::ValuesIn(available_kernels()),
-                         [](const auto& info) { return kernel_tag(info.param); });
 
 TEST(QGemmRequantize, MatchesRescaleRawOnExactProducts) {
   // Unit multiplier + shift is the fixed-point rescale: bit-identical to
@@ -638,21 +634,6 @@ TEST(QGemmMaxK, BoundsMatchAccumulatorWidth) {
   // An int8 zero point widens the effective operand to 9 bits.
   EXPECT_EQ(qgemm_max_k(9, 9), 32767);
   EXPECT_GE(qgemm_max_k(2, 2), (std::int64_t{1} << 29) - 1);
-}
-
-TEST(QGemmDispatch, ReportsActiveKernel) {
-  const QGemmKernel k = qgemm_kernel();
-  EXPECT_STREQ(qgemm_kernel_name(),
-               k == QGemmKernel::kScalar
-                   ? "scalar"
-                   : (k == QGemmKernel::kAvx2
-                          ? "avx2"
-                          : (k == QGemmKernel::kAvx512 ? "avx512"
-                                                       : "avx512vnni")));
-  EXPECT_EQ(qgemm_native_active(), k != QGemmKernel::kScalar);
-  // Forcing an unsupported-on-any-build tier value must fail cleanly.
-  EXPECT_TRUE(qgemm_force_kernel(QGemmKernel::kScalar));
-  qgemm_reset_kernel();
 }
 
 TEST(QGemmThreads, DeterministicAcrossThreadCounts) {

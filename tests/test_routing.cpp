@@ -7,7 +7,6 @@
 
 #include "common/rng.hpp"
 #include "nn/routing.hpp"
-#include "tensor/caps_kernels.hpp"
 #include "tensor/ops.hpp"
 #include "test_util.hpp"
 
@@ -132,10 +131,7 @@ TEST(Routing, TransposedNoTapePathLocksToTapePathOnEveryTier) {
   // nin = 37 exercises the avx2/avx512 softmax_rows_t tails; iterations = 3
   // routes every kernel (iteration_fused twice, weighted_sum_squash once).
   const tensor::Tensor votes = tensor::Tensor::randn({3, 5, 37, 8}, rng);
-  for (tensor::CapsKernel k :
-       {tensor::CapsKernel::kScalar, tensor::CapsKernel::kAvx2,
-        tensor::CapsKernel::kAvx512}) {
-    if (!tensor::caps_force_kernel(k)) continue;
+  testutil::for_each_isa([&](common::Isa level) {
     DynamicRouting taped, plain;
     const tensor::Tensor vt = taped.forward(votes, 3, true, RoutingQuantPoints{});
     const tensor::Tensor vn = plain.forward(votes, 3, false, RoutingQuantPoints{});
@@ -143,21 +139,18 @@ TEST(Routing, TransposedNoTapePathLocksToTapePathOnEveryTier) {
     const tensor::Tensor& ct = taped.last_coupling();
     const tensor::Tensor& cn = plain.last_coupling();
     ASSERT_EQ(ct.shape(), cn.shape());
-    if (k == tensor::CapsKernel::kScalar) {
+    if (level == common::Isa::kScalar) {
       for (std::int64_t i = 0; i < vt.numel(); ++i)
         ASSERT_EQ(vt[i], vn[i]) << "v flat " << i;
       for (std::int64_t i = 0; i < ct.numel(); ++i)
         ASSERT_EQ(ct[i], cn[i]) << "c flat " << i;
     } else {
       for (std::int64_t i = 0; i < vt.numel(); ++i)
-        ASSERT_NEAR(vt[i], vn[i], 2e-5f)
-            << tensor::caps_kernel_name() << " v flat " << i;
+        ASSERT_NEAR(vt[i], vn[i], 2e-5f) << "v flat " << i;
       for (std::int64_t i = 0; i < ct.numel(); ++i)
-        ASSERT_NEAR(ct[i], cn[i], 2e-5f)
-            << tensor::caps_kernel_name() << " c flat " << i;
+        ASSERT_NEAR(ct[i], cn[i], 2e-5f) << "c flat " << i;
     }
-    tensor::caps_reset_kernel();
-  }
+  });
 }
 
 class RoutingGrad : public ::testing::TestWithParam<int> {};

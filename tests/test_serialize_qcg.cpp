@@ -37,6 +37,7 @@
 #include "qengine/qgraph.hpp"
 #include "serve/client.hpp"
 #include "serve/server.hpp"
+#include "test_util.hpp"
 
 namespace qcaps::io {
 namespace {
@@ -387,6 +388,38 @@ TEST(QcgGolden, CommittedArtifactStillLoadsBitExact) {
   // And it matches a from-source recompile of the same fixed-seed model —
   // the artifact is regenerable, not an opaque binary.
   expect_bit_identical(tiny_shallow(/*frac=*/6), g, x);
+}
+
+TEST(QcgGolden, Crc32AgreesAtEveryDispatchLevel) {
+  // The scalar level runs the slice-by-8 software CRC-32C, the vector levels
+  // the SSE4.2 instruction; both must give the same values, on the golden
+  // file and on every length around the 8-byte chunk, and the golden file
+  // must load at every level.
+  const std::string path =
+      std::string(QCAPS_GOLDEN_DIR) + "/shallow_caps_v1.qcg";
+  const std::vector<std::uint8_t> golden = slurp(path);
+  ASSERT_GT(golden.size(), 128u);
+  const auto crcs = [&golden] {
+    std::vector<std::uint32_t> out = {crc32(golden.data(), golden.size())};
+    for (std::size_t len = 0; len <= 17; ++len) {
+      out.push_back(crc32(golden.data() + 1, len));  // unaligned too
+      out.push_back(crc32(golden.data() + 64, len, /*seed=*/0x9E3779B9u));
+    }
+    return out;
+  };
+  std::vector<std::uint32_t> scalar;
+  const tensor::Tensor x = probes(8, 1, 16);
+  testutil::for_each_isa([&](common::Isa level) {
+    if (level == common::Isa::kScalar)
+      scalar = crcs();
+    else
+      EXPECT_EQ(crcs(), scalar);
+    EXPECT_EQ(crc32("123456789", 9), 0xE3069283u);  // the CRC-32C check value
+    const QuantizedGraph g = load_graph(path);
+    EXPECT_EQ(fnv1a_digest(g.forward(x)), kGoldenDigest);
+  });
+  ASSERT_EQ(scalar.size(), 37u);
+  EXPECT_EQ(scalar[1], 0u);  // the empty buffer at seed 0
 }
 
 }  // namespace

@@ -6,13 +6,31 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
+#include "common/cpu_dispatch.hpp"
 #include "common/rng.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/tensor.hpp"
 
 namespace qcaps::testutil {
+
+/// Runs fn(level) at every dispatch level this CPU and build support, lowest
+/// first, each forced through common::force_isa and named in a SCOPED_TRACE.
+/// Restores the default level afterwards, also when fn throws.
+template <typename F>
+void for_each_isa(const F& fn) {
+  struct Reset {
+    ~Reset() { common::reset_isa(); }
+  } reset;
+  for (std::size_t i = 0; i < common::kIsaLevels; ++i) {
+    const auto level = static_cast<common::Isa>(i);
+    if (!common::force_isa(level)) break;  // the levels are ordered
+    SCOPED_TRACE(std::string("isa ") + common::isa_name(level));
+    fn(level);
+  }
+}
 
 /// Elementwise comparison with absolute tolerance.
 inline void expect_tensor_near(const tensor::Tensor& a, const tensor::Tensor& b,
