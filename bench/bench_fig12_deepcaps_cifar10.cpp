@@ -12,7 +12,7 @@
 #include "bench_util.hpp"
 #include "core/evaluator.hpp"
 #include "hwmodel/cost_model.hpp"
-#include "qengine/quantized_deep_caps.hpp"
+#include "qengine/qgraph.hpp"
 
 namespace {
 
@@ -24,14 +24,14 @@ float integer_accuracy(qcaps::nn::Network& net,
                        const qcaps::core::NetworkQuantSpec& spec,
                        const qcaps::data::Dataset& test) {
   using namespace qcaps;
-  const qengine::QuantizedDeepCaps deployed(net, spec);
+  const auto deployed = qengine::QuantizedGraph::compile(net, spec);
   constexpr std::int64_t kChunk = 64;
   int correct = 0;
   for (std::int64_t b0 = 0; b0 < test.size(); b0 += kChunk) {
     std::vector<std::int64_t> idx;
     for (std::int64_t i = b0; i < std::min(test.size(), b0 + kChunk); ++i)
       idx.push_back(i);
-    const auto pred = deployed.predict(test.batch(idx));
+    const auto pred = deployed.predict_batch(test.batch(idx));
     for (std::size_t i = 0; i < pred.size(); ++i)
       if (pred[i] == test.labels[idx[i]]) ++correct;
   }

@@ -21,8 +21,6 @@
 #include "models/deep_caps.hpp"
 #include "models/shallow_caps.hpp"
 #include "nn/routing.hpp"
-#include "qengine/quantized_deep_caps.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/ops.hpp"
@@ -209,7 +207,7 @@ void BM_PredictBatchInt8(benchmark::State& state) {
   auto net = models::build_shallow_caps(cfg, rng);
   const core::NetworkQuantSpec spec = core::NetworkQuantSpec::uniform(
       3, 6, fixed::RoundingScheme::kRoundToNearest);
-  const qengine::QuantizedShallowCaps qmodel(*net, spec);
+  const auto qmodel = qengine::QuantizedGraph::compile(*net, spec);
   const tensor::Tensor images =
       tensor::Tensor::uniform({b, 1, 28, 28}, rng, 0.0f, 1.0f);
   for (auto _ : state) {
@@ -245,7 +243,7 @@ void BM_PredictBatchDeepCapsInt8(benchmark::State& state) {
   auto net = models::build_deep_caps(cfg, rng);
   const core::NetworkQuantSpec spec = core::NetworkQuantSpec::uniform(
       6, 6, fixed::RoundingScheme::kRoundToNearest);
-  const qengine::QuantizedDeepCaps qmodel(*net, spec);
+  const auto qmodel = qengine::QuantizedGraph::compile(*net, spec);
   const tensor::Tensor images =
       tensor::Tensor::uniform({b, 1, 28, 28}, rng, 0.0f, 1.0f);
   for (auto _ : state) {

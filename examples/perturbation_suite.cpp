@@ -23,8 +23,7 @@
 #include "data/perturb.hpp"
 #include "data/synth.hpp"
 #include "models/model_cache.hpp"
-#include "qengine/quantized_deep_caps.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
+#include "qengine/qgraph.hpp"
 
 namespace {
 
@@ -121,13 +120,13 @@ int main(int argc, char** argv) {
       3, 12, fixed::RoundingScheme::kRoundToNearest);
   calib.calibrate_spec(s8);
   calib.calibrate_spec(s16);
-  const qengine::QuantizedShallowCaps q8(*shallow.net, s8);
-  const qengine::QuantizedShallowCaps q16(*shallow.net, s16);
+  const auto q8 = qengine::QuantizedGraph::compile(*shallow.net, s8);
+  const auto q16 = qengine::QuantizedGraph::compile(*shallow.net, s16);
   run_family(
       "ShallowCaps", split.test,
       [&](const Tensor& b) { return shallow.net->predict_batch(b); },
-      [&](const Tensor& b) { return q8.predict(b); },
-      [&](const Tensor& b) { return q16.predict(b); });
+      [&](const Tensor& b) { return q8.predict_batch(b); },
+      [&](const Tensor& b) { return q16.predict_batch(b); });
 
   if (args.get_bool("skip-deepcaps", false)) return 0;
 
@@ -141,12 +140,12 @@ int main(int argc, char** argv) {
       6, 12, fixed::RoundingScheme::kRoundToNearest);
   dcalib.calibrate_spec(d8);
   dcalib.calibrate_spec(d16);
-  const qengine::QuantizedDeepCaps dq8(*deep.net, d8);
-  const qengine::QuantizedDeepCaps dq16(*deep.net, d16);
+  const auto dq8 = qengine::QuantizedGraph::compile(*deep.net, d8);
+  const auto dq16 = qengine::QuantizedGraph::compile(*deep.net, d16);
   run_family(
       "DeepCaps", split.test,
       [&](const Tensor& b) { return deep.net->predict_batch(b); },
-      [&](const Tensor& b) { return dq8.predict(b); },
-      [&](const Tensor& b) { return dq16.predict(b); });
+      [&](const Tensor& b) { return dq8.predict_batch(b); },
+      [&](const Tensor& b) { return dq16.predict_batch(b); });
   return 0;
 }

@@ -94,26 +94,15 @@ int cmd_info(const std::string& path) {
               static_cast<unsigned long long>(info.file_size));
   // Fusion is an in-memory property (the artifact itself is always the
   // unfused op list): load the graph the way a server would and report what
-  // the pass found eligible under the current environment.
+  // the pass annotated.
   const qengine::QuantizedGraph g = io::load_graph(path);
-  int relu_folds = 0, rescale_folds = 0, grouped = 0;
+  int relu_folds = 0, grouped = 0;
   for (const auto& op : g.ops()) {
-    if (op.fused_away)
-      ++(op.kind == qengine::QOpKind::kRescale ? rescale_folds : relu_folds);
+    relu_folds += op.fused_away ? 1 : 0;
     grouped += op.grouped ? 1 : 0;
   }
-  std::printf("  fusion         : %s (%d relu folds, %d rescale folds, "
-              "%d grouped vote convs)\n",
-              g.fused() ? "on" : "off", relu_folds, rescale_folds, grouped);
-  // Per-rescale eligibility, from the same decision fuse() runs
-  // (rescale_fold_blocker) — shows WHY a surviving rescale did not fold.
-  for (std::size_t i = 0; i < g.ops().size(); ++i) {
-    const auto& op = g.ops()[i];
-    if (op.kind != qengine::QOpKind::kRescale) continue;
-    const std::string why = qengine::rescale_fold_blocker(g, i);
-    std::printf("  rescale node %-2zu: %s — %s\n", i, op.source.c_str(),
-                why.empty() ? "folds into producer" : why.c_str());
-  }
+  std::printf("  fusion         : %d relu folds, %d grouped vote convs\n",
+              relu_folds, grouped);
   return 0;
 }
 

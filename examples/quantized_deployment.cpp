@@ -35,8 +35,7 @@
 #include "hwmodel/cost_model.hpp"
 #include "io/model_serializer.hpp"
 #include "models/model_cache.hpp"
-#include "qengine/quantized_deep_caps.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
+#include "qengine/qgraph.hpp"
 
 namespace {
 
@@ -221,10 +220,10 @@ int main(int argc, char** argv) {
   core::NetworkQuantSpec spec = chosen->spec;
   core::Evaluator calib(*trained.net, split.test, eval_samples);
   calib.calibrate_spec(spec);
-  const qengine::QuantizedShallowCaps deployed(*trained.net, spec);
+  const auto deployed = qengine::QuantizedGraph::compile(*trained.net, spec);
   std::vector<std::int64_t> idx;
   for (std::int64_t i = 0; i < split.test.size(); ++i) idx.push_back(i);
-  const auto pred = deployed.predict(split.test.batch(idx));
+  const auto pred = deployed.predict_batch(split.test.batch(idx));
   int correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)
     if (pred[i] == split.test.labels[i]) ++correct;
@@ -242,7 +241,7 @@ int main(int argc, char** argv) {
     sopts.in_channels = split.test.channels();
     sopts.in_h = split.test.height();
     sopts.in_w = split.test.width();
-    io::save_graph(deployed.graph(), export_qcg, sopts);
+    io::save_graph(deployed, export_qcg, sopts);
     const io::QcgInfo info = io::inspect(export_qcg);
     std::printf("exported %s: %llu bytes, %u nodes, tier int%u\n",
                 export_qcg.c_str(),
@@ -308,7 +307,7 @@ int main(int argc, char** argv) {
       core::NetworkQuantSpec dspec = core::NetworkQuantSpec::uniform(
           6, bits, fixed::RoundingScheme::kRoundToNearest);
       dcalib.calibrate_spec(dspec);
-      const qengine::QuantizedDeepCaps ddep(*deep.net, dspec);
+      const auto ddep = qengine::QuantizedGraph::compile(*deep.net, dspec);
       // Bounded batches: the int64 activations make a whole-set forward
       // needlessly large, and chunking is bit-exact (order-exact per sample).
       int dcorrect = 0;
@@ -318,7 +317,7 @@ int main(int argc, char** argv) {
         for (std::int64_t i = b0; i < std::min(split.test.size(), b0 + 64);
              ++i)
           didx.push_back(i);
-        const auto dpred = ddep.predict(split.test.batch(didx));
+        const auto dpred = ddep.predict_batch(split.test.batch(didx));
         for (std::size_t i = 0; i < dpred.size(); ++i)
           if (dpred[i] == split.test.labels[didx[i]]) ++dcorrect;
         dtotal += static_cast<std::int64_t>(dpred.size());

@@ -558,6 +558,60 @@ struct TensorReader {
   }
 };
 
+// The node fields and weight shapes forward() divides by or indexes with,
+// checked once the node's tensors are read: nullptr when the node can run,
+// otherwise the defect.
+const char* bad_node(const QuantizedOp& op) {
+  const QOpKind kind = op.kind;
+  const bool weighted = kind == QOpKind::kConv2d ||
+                        kind == QOpKind::kPrimaryCaps ||
+                        kind == QOpKind::kConvCaps ||
+                        kind == QOpKind::kVoteTransform;
+  const bool conv = (weighted && kind != QOpKind::kVoteTransform) ||
+                    kind == QOpKind::kConvCaps3d;
+  if (conv && (op.stride < 1 || op.pad < 0))
+    return "convolution stride < 1 or pad < 0";
+  if ((kind == QOpKind::kPrimaryCaps || kind == QOpKind::kFlatten) &&
+      op.caps_dim < 1)
+    return "capsule dim < 1";
+  if ((kind == QOpKind::kConvCaps || kind == QOpKind::kConvCaps3d) &&
+      op.out_dim < 1)
+    return "output capsule dim < 1";
+  // A pad as wide as the kernel only adds outputs that read no input, and
+  // the bound keeps the executor's padded extents (h + 2 * pad) in range.
+  const char* const wide_pad = "convolution pad as wide as its kernel";
+  if (weighted) {
+    if (op.weight.shape.size() != 4) return "missing or non-4-D weight";
+    if (conv && op.pad >= op.weight.shape[2]) return wide_pad;
+    if (!op.bias.shape.empty() &&
+        op.bias.shape != tensor::Shape{op.weight.shape[0]})
+      return "bias length differs from the filter count";
+  }
+  // filters == types * dim, without multiplying two fields from the file
+  // (dim >= 1 was checked above).
+  const auto splits = [](std::int64_t filters, std::int64_t types,
+                         std::int64_t dim) {
+    return filters % dim == 0 && filters / dim == types;
+  };
+  if (kind == QOpKind::kPrimaryCaps &&
+      !splits(op.weight.shape[0], op.caps_types, op.caps_dim))
+    return "filters do not split into the node's capsules";
+  if (kind == QOpKind::kConvCaps3d) {
+    if (op.in_types < 1 ||
+        op.type_weights.size() != static_cast<std::size_t>(op.in_types))
+      return "per-type weight count differs from the input types";
+    const tensor::Shape& first = op.type_weights.front().shape;
+    for (const QTensor& w : op.type_weights)
+      if (w.shape.size() != 4 || first.size() != 4 ||
+          !splits(w.shape[0], op.out_types, op.out_dim) ||
+          w.shape[1] != op.in_dim || w.shape[2] != first[2] ||
+          w.shape[3] != first[2])
+        return "per-type vote weight shape differs from the node's capsules";
+    if (op.pad >= first[2]) return wide_pad;
+  }
+  return nullptr;
+}
+
 std::string read_name(const MmapFile& file, const QcgHeader& h,
                       std::uint32_t off, const std::string& path) {
   if (off >= h.strtab_size) corrupt(path, "name offset past the string table");
@@ -638,6 +692,8 @@ qengine::QuantizedGraph load_graph(const std::string& path,
         op.type_weights.push_back(std::move(wt));
       }
     }
+    if (const char* why = bad_node(op))
+      corrupt(path, "node " + std::to_string(i) + ": " + why);
     ops.push_back(std::move(op));
   }
 
@@ -647,7 +703,7 @@ qengine::QuantizedGraph load_graph(const std::string& path,
   // The on-disk op list is always the unfused graph (the fusion pass never
   // touches serialization); re-derive the in-memory annotations here, same
   // as compile() does.
-  if (qengine::QuantizedGraph::fuse_enabled()) g.fuse();
+  g.fuse();
   return g;
 }
 

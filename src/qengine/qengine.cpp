@@ -254,14 +254,13 @@ void direct_conv(const QTensor& x, const ConvGeom& g, std::int64_t macs,
 }
 
 // The direct GEMM of a conv with weights w [F, C, K, K]: the weights packed,
-// the bias aligned to the accumulator and folded with the fused ReLU and a
-// folded trailing rescale into one requantization onto out_fmt.
+// the bias aligned to the accumulator and folded with the fused ReLU into
+// one requantization onto out_fmt.
 template <typename T>
 tensor::QGemmDirect<T> conv_gemm(const QTensor& w, const QTensor& bias,
                                  const QGemmOperandCache* w_cache, int acc_qf,
                                  fixed::FixedFormat out_fmt, bool fuse_relu,
-                                 const RescaleFold* fold, std::int64_t f,
-                                 std::int64_t kk) {
+                                 std::int64_t f, std::int64_t kk) {
   std::vector<T> w_local;
   const T* wp;
   if (w_cache) {
@@ -283,22 +282,6 @@ tensor::QGemmDirect<T> conv_gemm(const QTensor& w, const QTensor& bias,
   tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
   // Fused ReLU: clamp-lo at the (zero) output zero point inside the requant.
   if (fuse_relu) rq.qmin = std::max(rq.qmin, std::int32_t{0});
-  if (fold != nullptr) {
-    // Folded trailing rescale: one requant with the composed shift, rails,
-    // and the inner rounding constant carried in the accumulator-scale bias
-    // (the caller verified the composition and the widened bias range).
-    rq.shift = fold->shift;
-    rq.qmin = static_cast<std::int32_t>(fold->lo);
-    rq.qmax = static_cast<std::int32_t>(fold->hi);
-    if (fold->bias_add != 0) {
-      if (bias32.empty())
-        bias32.assign(static_cast<std::size_t>(f),
-                      static_cast<std::int32_t>(fold->bias_add));
-      else
-        for (auto& bv : bias32)
-          bv += static_cast<std::int32_t>(fold->bias_add);
-    }
-  }
   if (!bias32.empty()) rq.bias = bias32.data();
   return tensor::QGemmDirect<T>(wp, f, kk, rq);
 }
@@ -307,14 +290,13 @@ template <typename T>
 QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
                       fixed::FixedFormat out_fmt, int acc_qf,
                       const QGemmOperandCache* w_cache, bool fuse_relu,
-                      const RescaleFold* fold, fixed::FixedFormat result_fmt,
                       const ConvGeom& g, std::int64_t f) {
   const std::int64_t kk = g.fan_in();
   const std::int64_t plane = g.plane();
-  const tensor::QGemmDirect<T> gemm = conv_gemm<T>(
-      w, bias, w_cache, acc_qf, out_fmt, fuse_relu, fold, f, kk);
+  const tensor::QGemmDirect<T> gemm =
+      conv_gemm<T>(w, bias, w_cache, acc_qf, out_fmt, fuse_relu, f, kk);
   const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
-  QTensor out({g.b, f, g.oh, g.ow}, result_fmt);
+  QTensor out({g.b, f, g.oh, g.ow}, out_fmt);
   // GEMM element (fi, j) of image-local column j lands at
   // out[b0 + j / plane, fi, j % plane].
   tensor::QGemmScatterDst sd;
@@ -336,21 +318,19 @@ QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
 // ---- squash ----------------------------------------------------------------
 
 // The SquashUnit raw seam's per-element arithmetic (SquashUnit::apply
-// without the FixedNum marshaling), with an optional composed trailing
-// rescale. A capsule's squared norm accumulates s*s << shift_up (>> when
-// negative) at the unit's internal_qf fractional bits; each element then
-// finishes as clamp((s * gain + half) >> shift, lo, hi) in `fmt`.
+// without the FixedNum marshaling). A capsule's squared norm accumulates
+// s*s << shift_up (>> when negative) at the unit's internal_qf fractional
+// bits; each element then finishes as clamp((s * gain + half) >> shift, lo,
+// hi) in the output format.
 struct SquashScale {
   int shift_up = 0;
   int shift = 0;
   std::int64_t half = 0, lo = 0, hi = 0;
-  fixed::FixedFormat fmt;
 };
 
 SquashScale squash_scale(const hwmodel::SquashUnit& unit,
                          fixed::FixedFormat in_fmt,
-                         fixed::FixedFormat out_fmt,
-                         const fixed::FixedFormat* fold_fmt) {
+                         fixed::FixedFormat out_fmt) {
   SquashScale s;
   s.shift_up = unit.internal_qf() - 2 * in_fmt.qf;
   // The output rescale always shifts DOWN (internal_qf >= out qf), so the
@@ -361,20 +341,6 @@ SquashScale squash_scale(const hwmodel::SquashUnit& unit,
   s.half = std::int64_t{1} << (s.shift - 1);
   s.lo = out_fmt.raw_min();
   s.hi = out_fmt.raw_max();
-  s.fmt = out_fmt;
-  if (fold_fmt != nullptr) {
-    // Compose the trailing rescale out_fmt -> *fold_fmt into the finishing
-    // pass: same bits as squash-then-rescale, one traversal (the fusion pass
-    // validated exactness before annotating).
-    const RescaleFold fold =
-        compose_rescale(s.shift, s.lo, s.hi, out_fmt, *fold_fmt);
-    QCAPS_CHECK_MSG(fold.ok, "squash: inexact rescale fold");
-    s.shift = fold.shift;
-    s.half = fold.add;
-    s.lo = fold.lo;
-    s.hi = fold.hi;
-    s.fmt = *fold_fmt;
-  }
   return s;
 }
 
@@ -527,6 +493,7 @@ template <typename T>
 QTensor conv_caps_direct(const QTensor& x, const QTensor& w,
                          const QTensor& bias, const QGemmOperandCache* w_cache,
                          std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
+                         fixed::FixedFormat out_fmt,
                          const hwmodel::SquashUnit& unit,
                          const SquashScale& scale, const ConvGeom& g,
                          std::int64_t f) {
@@ -534,11 +501,11 @@ QTensor conv_caps_direct(const QTensor& x, const QTensor& w,
   const std::int64_t plane = g.plane();
   const tensor::QGemmDirect<T> gemm =
       conv_gemm<T>(w, bias, w_cache, x.fmt.qf + w.fmt.qf, mid_fmt,
-                   /*fuse_relu=*/false, /*fold=*/nullptr, f, kk);
+                   /*fuse_relu=*/false, f, kk);
   const CapsStrip cs{f / caps_dim, caps_dim, plane, &unit, scale,
                      common::isa() >= common::Isa::kAvx512};
   const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
-  QTensor out({g.b, f, g.oh, g.ow}, scale.fmt);
+  QTensor out({g.b, f, g.oh, g.ow}, out_fmt);
   direct_conv<T>(x, g, g.b * plane * f * kk,
                  [&](const T* data, const std::int64_t* col, std::int64_t b0,
                      std::int64_t j0, std::int64_t j1) {
@@ -557,8 +524,7 @@ QTensor conv_caps_direct(const QTensor& x, const QTensor& w,
 
 PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
                        std::int64_t w_max_abs, std::int64_t k,
-                       fixed::FixedFormat out_fmt, const QTensor& bias,
-                       std::int64_t bias_add) {
+                       fixed::FixedFormat out_fmt, const QTensor& bias) {
   const int wl = x_fmt.wordlength();
   if (w_max_abs < 0 || w_max_abs > 32767 || wl > 16) return PackedTier::kNone;
   const int acc_qf = x_fmt.qf + w_fmt.qf;
@@ -571,7 +537,7 @@ PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
   if (!bias.raw.empty()) {
     const int bshift = acc_qf - bias.fmt.qf;
     if (bshift < 0 || bshift >= 31 ||
-        bias.max_abs_raw() > ((INT32_MAX - bias_add) >> bshift))
+        bias.max_abs_raw() > (INT32_MAX >> bshift))
       return PackedTier::kNone;
   }
   return wl <= 8 && w_max_abs <= 127 ? PackedTier::kInt8 : PackedTier::kInt16;
@@ -580,8 +546,7 @@ PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
 QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
                std::int64_t stride, std::int64_t pad,
                fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme,
-               const QGemmOperandCache* w_cache, bool fuse_relu,
-               const fixed::FixedFormat* fold_fmt) {
+               const QGemmOperandCache* w_cache, bool fuse_relu) {
   const ConvGeom g = conv_geom(x, w, stride, pad);
   const std::int64_t b = g.b, c = g.c, h = g.h, wd = g.wd, k = g.k;
   const std::int64_t oh = g.oh, ow = g.ow, f = w.dim(0);
@@ -597,38 +562,22 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
                   "conv2d weight cache was not built");
   QCAPS_CHECK_MSG(!has_bias || bias.fmt.qf <= acc_qf,
                   "conv2d bias fractional width exceeds the accumulator's");
-  const fixed::FixedFormat result_fmt = fold_fmt ? *fold_fmt : out_fmt;
-  if (b == 0) return QTensor({b, f, oh, ow}, result_fmt);
+  if (b == 0) return QTensor({b, f, oh, ow}, out_fmt);
 
-  // Packed-GEMM fast path (bit-identical; see header). With a folded
-  // trailing rescale the requant must express the COMPOSED shift/rails, so
-  // the gate runs against the final format; any reject (formats, bias
-  // widening) falls back to the scalar path, which applies the two
-  // rounding steps inline — still one pass, still bit-identical.
-  RescaleFold fold;
-  if (fold_fmt != nullptr) {
-    const std::int64_t lo1 = fuse_relu
-                                 ? std::max<std::int64_t>(out_fmt.raw_min(), 0)
-                                 : out_fmt.raw_min();
-    fold = compose_rescale(acc_qf - out_fmt.qf, lo1, out_fmt.raw_max(),
-                           out_fmt, *fold_fmt);
-  }
-  if (scheme == fixed::RoundingScheme::kRoundToNearest &&
-      (fold_fmt == nullptr || fold.ok)) {
+  // Packed-GEMM fast path (bit-identical; see header).
+  if (scheme == fixed::RoundingScheme::kRoundToNearest) {
     const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const PackedTier tier = packed_tier(x.fmt, w.fmt, wmax, g.fan_in(),
-                                        result_fmt, bias, fold.bias_add);
-    const RescaleFold* fp = fold_fmt ? &fold : nullptr;
+    const PackedTier tier =
+        packed_tier(x.fmt, w.fmt, wmax, g.fan_in(), out_fmt, bias);
     if (tier == PackedTier::kInt8)
       return conv2d_direct<std::int8_t>(x, w, bias, out_fmt, acc_qf, w_cache,
-                                        fuse_relu, fp, result_fmt, g, f);
+                                        fuse_relu, g, f);
     if (tier == PackedTier::kInt16)
       return conv2d_direct<std::int16_t>(x, w, bias, out_fmt, acc_qf,
-                                         w_cache, fuse_relu, fp, result_fmt,
-                                         g, f);
+                                         w_cache, fuse_relu, g, f);
   }
 
-  QTensor out({b, f, oh, ow}, result_fmt);
+  QTensor out({b, f, oh, ow}, out_fmt);
 #pragma omp parallel for collapse(2) schedule(static)
   for (std::int64_t bi = 0; bi < b; ++bi) {
     for (std::int64_t fi = 0; fi < f; ++fi) {
@@ -653,10 +602,6 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
           }
           std::int64_t v = hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
           if (fuse_relu && v < 0) v = 0;
-          // Folded trailing rescale: the second rounding step runs inline
-          // (always round-to-nearest — the kRescale node's scheme).
-          if (fold_fmt != nullptr)
-            v = hwmodel::rescale_raw(v, out_fmt.qf, *fold_fmt);
           out.raw[static_cast<std::size_t>(((bi * f + fi) * oh + y) * ow + xx)] =
               v;
         }
@@ -670,8 +615,7 @@ QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
                   std::int64_t stride, std::int64_t pad,
                   std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
                   fixed::FixedFormat out_fmt,
-                  const QGemmOperandCache* w_cache,
-                  const fixed::FixedFormat* fold_fmt) {
+                  const QGemmOperandCache* w_cache) {
   const ConvGeom g = conv_geom(x, w, stride, pad);
   const std::int64_t f = w.dim(0);
   QCAPS_CHECK_MSG(caps_dim > 0 && f % caps_dim == 0,
@@ -680,26 +624,26 @@ QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
   QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
                   "conv_caps weight cache was not built");
   const hwmodel::SquashUnit unit(mid_fmt);
-  const SquashScale scale = squash_scale(unit, mid_fmt, out_fmt, fold_fmt);
+  const SquashScale scale = squash_scale(unit, mid_fmt, out_fmt);
   const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
   const PackedTier tier =
       g.b == 0 ? PackedTier::kNone
                : packed_tier(x.fmt, w.fmt, wmax, g.fan_in(), mid_fmt, bias);
   if (tier == PackedTier::kInt8)
     return conv_caps_direct<std::int8_t>(x, w, bias, w_cache, caps_dim,
-                                         mid_fmt, unit, scale, g, f);
+                                         mid_fmt, out_fmt, unit, scale, g, f);
   if (tier == PackedTier::kInt16)
     return conv_caps_direct<std::int16_t>(x, w, bias, w_cache, caps_dim,
-                                          mid_fmt, unit, scale, g, f);
+                                          mid_fmt, out_fmt, unit, scale, g,
+                                          f);
   return squash_channels(conv2d(x, w, bias, stride, pad, mid_fmt,
                                 fixed::RoundingScheme::kRoundToNearest,
                                 w_cache),
-                         caps_dim, out_fmt, fold_fmt);
+                         caps_dim, out_fmt);
 }
 
 QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
-                        fixed::FixedFormat out_fmt,
-                        const fixed::FixedFormat* fold_fmt) {
+                        fixed::FixedFormat out_fmt) {
   QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
                   "squash_channels expects [B, T*D, H, W] with D = "
                       << caps_dim);
@@ -712,8 +656,8 @@ QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
   // SquashUnit::apply: integer addition is order-free and the per-term
   // shift, the gain, and the final rescale are element-local.
   const hwmodel::SquashUnit unit(s.fmt);
-  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt, fold_fmt);
-  QTensor out(s.shape, sc.fmt);
+  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt);
+  QTensor out(s.shape, out_fmt);
   const std::int64_t slabs = b * types;
   constexpr std::int64_t kBlock = 512;
 #pragma omp parallel for schedule(static) if (slabs > 1)
@@ -747,16 +691,15 @@ QTensor rescale(const QTensor& x, fixed::FixedFormat out_fmt,
   return out;
 }
 
-QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
-                    const fixed::FixedFormat* fold_fmt) {
+QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt) {
   QCAPS_CHECK(!s.shape.empty());
   const std::int64_t d = s.dim(-1);
   const std::int64_t rows = s.numel() / d;
   const hwmodel::SquashUnit unit(s.fmt);
   // Raw-seam bulk path: same arithmetic as unit.apply() per row without the
   // per-row FixedNum vector allocations.
-  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt, fold_fmt);
-  QTensor out(s.shape, sc.fmt);
+  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt);
+  QTensor out(s.shape, out_fmt);
   // Blocked rows: one norms pass, one batched gain (vector NR over lanes of
   // rows), one scale pass — same bits as the per-row loop in any order.
   constexpr std::int64_t kBlock = 64;
@@ -944,43 +887,6 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
               v_out.raw.begin() + r * nout * d);
   }
   return v_out;
-}
-
-RescaleFold compose_rescale(int shift1, std::int64_t lo1, std::int64_t hi1,
-                            fixed::FixedFormat from, fixed::FixedFormat to) {
-  RescaleFold f;
-  const int t = from.qf - to.qf;
-  // An upshifting rescale multiplies the already-rounded value by 2^-t —
-  // not expressible as one round-to-nearest pass over the accumulator.
-  if (t < 0) return f;
-  // Push the producer's rails through the (monotone, nondecreasing) rescale
-  // and intersect with the target's: clamp commutes with a monotone map.
-  const auto step = [t](std::int64_t y) {
-    return t == 0 ? y : (y + (std::int64_t{1} << (t - 1))) >> t;
-  };
-  f.lo = std::max(step(lo1), to.raw_min());
-  f.hi = std::min(step(hi1), to.raw_max());
-  if (f.lo > f.hi) return f;  // empty composed range
-  f.shift = shift1 + t;
-  if (t == 0) {
-    // Format change on the same grid: only the rails tighten.
-    f.add = shift1 >= 1 ? std::int64_t{1} << (shift1 - 1) : 0;
-  } else if (shift1 >= 1) {
-    // Nested round-to-nearest telescopes with the inner rounding constant
-    // widened into the numerator:
-    //   floor((floor((x + 2^(s1-1)) / 2^s1) + 2^(t-1)) / 2^t)
-    //     == floor((x + 2^(s1-1) + 2^(s1+t-1)) / 2^(s1+t))   for every x.
-    f.add = (std::int64_t{1} << (shift1 - 1)) +
-            (std::int64_t{1} << (f.shift - 1));
-    f.bias_add = std::int64_t{1} << (shift1 - 1);
-  } else if (f.shift >= 1) {
-    // Exact upshift by -s1 then RTN by t collapses to plain RTN by s1+t:
-    // the shifted-in zeros sit strictly below the rounding constant.
-    f.add = std::int64_t{1} << (f.shift - 1);
-  }
-  // else: both stages net to an exact left shift by -(s1+t); no constant.
-  f.ok = true;
-  return f;
 }
 
 QGemmOperandCache make_operand_cache(const QTensor& t) {

@@ -60,41 +60,12 @@ enum class PackedTier { kNone, kInt8, kInt16 };
 /// `k` terms must be exact: wl + bit_width(w_max_abs) + ceil_log2(k) <= 30.
 /// The accumulator -> `out_fmt` rescale must be a qgemm requant (wordlength
 /// <= 31, shift in [-30, 31]; the executor always rounds to nearest). A
-/// non-empty `bias` (a weight) must fit int32 at accumulator scale with
-/// `bias_add`, a folded rescale's rounding constant, on top. kNone: the op
-/// runs its exact int64 fallback.
+/// non-empty `bias` (a weight) must fit int32 at accumulator scale. kNone:
+/// the op runs its exact int64 fallback.
 PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
                        std::int64_t w_max_abs, std::int64_t k,
                        fixed::FixedFormat out_fmt,
-                       const QTensor& bias = QTensor(),
-                       std::int64_t bias_add = 0);
-
-// ---- rescale-epilogue composition ------------------------------------------
-
-/// Exactness analysis for composing a trailing rescale (RTN, `from` ->
-/// `to`) into a producing requant epilogue of the form
-///     y = clamp((num + add1) >> shift1, lo1, hi1)        (shift1 >= 1,
-///                                                         add1 = 2^(shift1-1))
-/// or, for shift1 <= 0, the exact left shift y = clamp(num << -shift1, ...).
-/// When ok, the two steps equal the ONE pass
-///     clamp((num + add) >> shift, lo, hi)                (shift >= 1)
-/// or  clamp(num << -shift, lo, hi)                       (shift <= 0)
-/// on every int64 `num` — same bits, one traversal. `bias_add` is the part
-/// of `add` beyond the standard RTN constant 2^(shift-1): epilogues built on
-/// qgemm's requant_one (which bakes that constant in) fold `bias_add` into
-/// their accumulator-scale bias instead of using `add` directly.
-/// Rejects (ok = false): upshifting rescales (to.qf > from.qf — a left
-/// shift after rounding is not expressible as one RTN pass) and crossed
-/// composed rails (empty output range).
-struct RescaleFold {
-  bool ok = false;
-  int shift = 0;             ///< composed total shift
-  std::int64_t add = 0;      ///< composed numerator constant (shift >= 1)
-  std::int64_t bias_add = 0; ///< add - 2^(shift-1), at accumulator scale
-  std::int64_t lo = 0, hi = 0;  ///< composed clamp rails
-};
-RescaleFold compose_rescale(int shift1, std::int64_t lo1, std::int64_t hi1,
-                            fixed::FixedFormat from, fixed::FixedFormat to);
+                       const QTensor& bias = QTensor());
 
 /// Integer conv2d: x [B, C, H, W] (act fmt) * w [F, C, K, K] (weight fmt)
 /// + bias [F] (weight fmt) -> [B, F, H', W'] in out_fmt.
@@ -113,27 +84,18 @@ RescaleFold compose_rescale(int shift1, std::int64_t lo1, std::int64_t hi1,
 /// clamp's lower bound is raised to the zero point (0 on the symmetric
 /// grid), so relu(clamp(v, qmin, qmax)) == clamp(v, 0, qmax) element-exact
 /// on every path — the graph fusion pass uses this to elide kRelu nodes.
-///
-/// `fold_fmt` composes a trailing rescale out_fmt -> *fold_fmt into the
-/// epilogue (result carries *fold_fmt): the fast path widens its requant
-/// constants per qengine::compose_rescale, the scalar path applies the two
-/// rounding steps inline — both bit-identical to conv2d-then-rescale. Only
-/// valid for downshifting rescales under round-to-nearest (the graph fusion
-/// pass validates exactness before annotating).
 QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
                std::int64_t stride, std::int64_t pad,
                fixed::FixedFormat out_fmt,
                fixed::RoundingScheme scheme =
                    fixed::RoundingScheme::kRoundToNearest,
                const QGemmOperandCache* w_cache = nullptr,
-               bool fuse_relu = false,
-               const fixed::FixedFormat* fold_fmt = nullptr);
+               bool fuse_relu = false);
 
 /// The capsule convolution of a kConvCaps node, in one pass: conv2d of x
 /// with w/bias into the wide pre-squash format `mid_fmt`, then the
 /// per-capsule squash of squash_channels (capsules of `caps_dim` consecutive
-/// channels) into out_fmt, or into *fold_fmt through a composed trailing
-/// rescale (validated here). On the packed path (packed_tier at mid_fmt)
+/// channels) into out_fmt. On the packed path (packed_tier at mid_fmt)
 /// each requantized strip of the direct GEMM is squashed while it is in
 /// cache and written straight into [B, T*D, H', W']: no pre-squash tensor
 /// exists. Other formats run conv2d then squash_channels, the exact int64
@@ -142,17 +104,12 @@ QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
                   std::int64_t stride, std::int64_t pad,
                   std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
                   fixed::FixedFormat out_fmt,
-                  const QGemmOperandCache* w_cache = nullptr,
-                  const fixed::FixedFormat* fold_fmt = nullptr);
+                  const QGemmOperandCache* w_cache = nullptr);
 
 /// Per-capsule squash of a channel-grouped feature map [B, T*D, H, W] (each
 /// (b, t, y, x) vector of length D squashed via the SquashUnit datapath).
-/// `fold_fmt`, when given, composes an exact trailing rescale
-/// out_fmt -> *fold_fmt into the output pass (the result carries *fold_fmt);
-/// the caller must have validated exactness via compose_rescale.
 QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
-                        fixed::FixedFormat out_fmt,
-                        const fixed::FixedFormat* fold_fmt = nullptr);
+                        fixed::FixedFormat out_fmt);
 
 /// In-place ReLU on raw values.
 void relu(QTensor& x);
@@ -163,11 +120,8 @@ QTensor rescale(const QTensor& x, fixed::FixedFormat out_fmt,
                     fixed::RoundingScheme::kRoundToNearest);
 
 /// squash over the last axis of [..., D] via the SquashUnit datapath;
-/// output has out_fmt. `fold_fmt` composes an exact trailing rescale
-/// out_fmt -> *fold_fmt into the output pass (see qengine::compose_rescale;
-/// the caller validates exactness), so the result carries *fold_fmt.
-QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt,
-                    const fixed::FixedFormat* fold_fmt = nullptr);
+/// output has out_fmt.
+QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt);
 
 /// Integer dynamic routing. votes: j-major [R, Nout, Nin, D] in act fmt
 /// (the layout vote_transform emits — per (r, j) slab the weighted sum and

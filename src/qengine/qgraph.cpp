@@ -11,7 +11,6 @@
 #include <optional>
 
 #include "common/error.hpp"
-#include "hwmodel/units.hpp"
 #include "nn/activation_layers.hpp"
 #include "nn/conv2d_layer.hpp"
 #include "nn/conv_caps.hpp"
@@ -254,26 +253,13 @@ QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
                                     op.dr_fmt);
 
   // Gather v[(b, y, x), j, dd] back into the feature map [B, Tout*Dout, ...].
-  // A folded trailing kRescale rides this pass for free: the per-element
-  // rescale_raw IS the rescale node's arithmetic, applied while the value
-  // is being copied anyway (exact for any format pair).
-  const fixed::FixedFormat ofmt =
-      op.fused_rescale ? op.fused_out_fmt : op.out_fmt;
-  QTensor out({b, jd, oh, ow}, ofmt);
+  QTensor out({b, jd, oh, ow}, op.out_fmt);
   const std::int64_t* pvv = v.raw.data();
   std::int64_t* po = out.raw.data();
-  if (op.fused_rescale) {
-    for (std::int64_t bi = 0; bi < b; ++bi)
-      for (std::int64_t c = 0; c < jd; ++c)
-        for (std::int64_t p = 0; p < oplane; ++p)
-          po[(bi * jd + c) * oplane + p] = hwmodel::rescale_raw(
-              pvv[(bi * oplane + p) * jd + c], op.out_fmt.qf, ofmt);
-  } else {
-    for (std::int64_t bi = 0; bi < b; ++bi)
-      for (std::int64_t c = 0; c < jd; ++c)
-        for (std::int64_t p = 0; p < oplane; ++p)
-          po[(bi * jd + c) * oplane + p] = pvv[(bi * oplane + p) * jd + c];
-  }
+  for (std::int64_t bi = 0; bi < b; ++bi)
+    for (std::int64_t c = 0; c < jd; ++c)
+      for (std::int64_t p = 0; p < oplane; ++p)
+        po[(bi * jd + c) * oplane + p] = pvv[(bi * oplane + p) * jd + c];
   return out;
 }
 
@@ -286,8 +272,7 @@ QTensor exec_primary_caps(const QuantizedOp& op, const QTensor& x) {
   QTensor caps({b, op.caps_types * plane, op.caps_dim}, op.mid_fmt);
   gather_caps_rows(s.raw.data(), b, op.caps_types, op.caps_dim, plane,
                    caps.raw.data());
-  return squash_last(caps, op.out_fmt,
-                     op.fused_rescale ? &op.fused_out_fmt : nullptr);
+  return squash_last(caps, op.out_fmt);
 }
 
 QTensor exec_flatten(const QuantizedOp& op, const QTensor& x) {
@@ -494,18 +479,9 @@ QuantizedGraph QuantizedGraph::compile(nn::Network& net,
                         layer.name() << ": skip is not a ConvCaps layer");
         push(compile_conv_caps(*skip, ls, scheme, x1, weights));
       }
-      // Both branches carry the block's activation format today; should a
-      // future per-conv spec diverge them, align the skip with an explicit
-      // width-change node (residual_add requires one shared grid).
-      if (!(g.ops_[static_cast<std::size_t>(last)].out_fmt ==
-            g.ops_[static_cast<std::size_t>(x3)].out_fmt)) {
-        QuantizedOp fix;
-        fix.kind = QOpKind::kRescale;
-        fix.input = last;
-        fix.source = layer.name() + "/skip-rescale";
-        fix.out_fmt = g.ops_[static_cast<std::size_t>(x3)].out_fmt;
-        push(std::move(fix));
-      }
+      // Both branches carry the block's activation format (one spec entry
+      // governs the whole block); residual_add rejects operands on
+      // different grids.
       QuantizedOp add;
       add.kind = QOpKind::kResidualAdd;
       add.input = x3;
@@ -531,7 +507,7 @@ QuantizedGraph QuantizedGraph::compile(nn::Network& net,
   QCAPS_CHECK_MSG(!g.ops_.empty(), "cannot compile an empty network");
   if (track_saturation) g.sat_ = std::make_shared<SatCounters>(g.ops_.size());
   g.init_profile();
-  if (fuse_enabled()) g.fuse();
+  g.fuse();
   return g;
 }
 
@@ -554,105 +530,18 @@ QuantizedGraph QuantizedGraph::from_ops(std::vector<QuantizedOp> ops,
   g.ops_ = std::move(ops);
   // Fusion annotations never survive a round trip through an op list: any
   // graph rebuilt from ops() (or from disk — the serializer always writes
-  // the unfused form) starts as the unfused twin. The .qcg loader re-runs
-  // fuse() explicitly after this when fusion is enabled.
+  // the unfused form) starts as the unfused twin. The .qcg loader runs
+  // fuse() explicitly after this.
   for (QuantizedOp& op : g.ops_) {
     op.fused_relu = false;
     op.fused_away = false;
     op.grouped = false;
     op.grouped_cache.reset();
-    op.fused_rescale = false;
-    op.fused_out_fmt = fixed::FixedFormat{1, 15};
   }
   g.input_fmt_ = input_fmt;
   if (track_saturation) g.sat_ = std::make_shared<SatCounters>(g.ops_.size());
   g.init_profile();
   return g;
-}
-
-bool QuantizedGraph::fuse_enabled() {
-  const char* e = std::getenv("QCAPS_QGRAPH_FUSE");
-  return e == nullptr || std::strcmp(e, "0") != 0;
-}
-
-namespace {
-
-// The ONE rescale-fold eligibility decision, shared by fuse() and the
-// qcg_tool report so they cannot diverge. Returns "" when node `i` (a
-// kRescale) folds into its producer; otherwise a short reason. On success
-// `fold` carries the composed constants (unused for kConvCaps3d, whose
-// fold is a per-element rescale riding the output gather).
-std::string rescale_fold_decision(const std::vector<QuantizedOp>& ops,
-                                  fixed::FixedFormat input_fmt,
-                                  const std::vector<int>& consumers,
-                                  std::size_t i, RescaleFold* fold) {
-  const QuantizedOp& op = ops[i];
-  if (op.kind != QOpKind::kRescale) return "not a rescale";
-  if (op.fused_away) return "";  // already folded (fused graph)
-  if (op.input < 0) return "no producer (network input)";
-  const std::size_t p = static_cast<std::size_t>(op.input);
-  const QuantizedOp& prod = ops[p];
-  if (consumers[p] != 1) return "producer shared";
-  if (prod.fused_away) return "producer fused away";
-  if (prod.fused_rescale) return "producer already folded";
-  const fixed::FixedFormat from = prod.out_fmt;
-  const fixed::FixedFormat to = op.out_fmt;
-  const auto verdict = [&](const RescaleFold& f) -> std::string {
-    if (f.ok) {
-      *fold = f;
-      return "";
-    }
-    return to.qf > from.qf ? "inexact: upshift" : "inexact: empty range";
-  };
-  switch (prod.kind) {
-    case QOpKind::kConvCaps3d:
-      // The fold is rescale_raw applied during the routed output's gather
-      // pass — the rescale node's own arithmetic, exact for any pair.
-      fold->ok = true;
-      return "";
-    case QOpKind::kConvCaps:
-    case QOpKind::kPrimaryCaps: {
-      // conv_caps / squash_last squash epilogue: one RTN shift from the
-      // squash product grid down to the activation format.
-      const hwmodel::SquashUnit unit(prod.mid_fmt);
-      const int s1 = prod.mid_fmt.qf + unit.internal_qf() - from.qf;
-      return verdict(
-          compose_rescale(s1, from.raw_min(), from.raw_max(), from, to));
-    }
-    case QOpKind::kConv2d: {
-      // conv requant epilogue: shift from the accumulator grid. The scalar
-      // fallback applies the two rounding steps inline, so only the
-      // composition itself gates the fold (bias widening is re-checked by
-      // the fast path's own gate, which falls back bit-identically).
-      const fixed::FixedFormat in_fmt =
-          prod.input < 0
-              ? input_fmt
-              : (ops[static_cast<std::size_t>(prod.input)].fused_rescale
-                     ? ops[static_cast<std::size_t>(prod.input)].fused_out_fmt
-                     : ops[static_cast<std::size_t>(prod.input)].out_fmt);
-      const int s1 = in_fmt.qf + prod.weight.fmt.qf - from.qf;
-      const std::int64_t lo1 =
-          prod.fused_relu ? std::max<std::int64_t>(from.raw_min(), 0)
-                          : from.raw_min();
-      return verdict(compose_rescale(s1, lo1, from.raw_max(), from, to));
-    }
-    default:
-      return "producer kind";
-  }
-}
-
-}  // namespace
-
-std::string rescale_fold_blocker(const QuantizedGraph& g, std::size_t i) {
-  const auto& ops = g.ops();
-  QCAPS_CHECK(i < ops.size());
-  std::vector<int> consumers(ops.size(), 0);
-  for (const QuantizedOp& op : ops) {
-    if (op.input >= 0) ++consumers[static_cast<std::size_t>(op.input)];
-    if (op.input2 >= 0) ++consumers[static_cast<std::size_t>(op.input2)];
-  }
-  RescaleFold fold;
-  return rescale_fold_decision(ops, g.input_format(), consumers, i, &fold);
 }
 
 void QuantizedGraph::fuse() {
@@ -676,24 +565,8 @@ void QuantizedGraph::fuse() {
       // formats must match: a relu that also changes format would need a
       // second rescale the fused clamp cannot express.
       if (prod.kind == QOpKind::kConv2d && !prod.fused_relu &&
-          !prod.fused_rescale && consumers[p] == 1 &&
-          prod.out_fmt == op.out_fmt) {
+          consumers[p] == 1 && prod.out_fmt == op.out_fmt) {
         prod.fused_relu = true;
-        op.fused_away = true;
-        if (prof_) prof_->fused_from[p] = op.source;
-      }
-    } else if (op.kind == QOpKind::kRescale) {
-      // Fold the format change into the producer's requant epilogue when
-      // the two-step round-to-nearest composition is exact on the RTN grid
-      // (compose_rescale); reject-and-skip otherwise. Ops are scanned in
-      // SSA order, so an upstream conv's own fold is already visible when
-      // its accumulator grid is derived here.
-      RescaleFold fold;
-      if (rescale_fold_decision(ops_, input_fmt_, consumers, i, &fold)
-              .empty()) {
-        const std::size_t p = static_cast<std::size_t>(op.input);
-        ops_[p].fused_rescale = true;
-        ops_[p].fused_out_fmt = op.out_fmt;
         op.fused_away = true;
         if (prof_) prof_->fused_from[p] = op.source;
       }
@@ -787,7 +660,7 @@ QuantizedGraph::NodeProfile::~NodeProfile() {
   }
   // Per-op-kind aggregate, heaviest kind first: where the graph's time goes
   // at a glance (a fused-away node keeps its kind but accumulates ~0 ns, so
-  // folded rescale/relu rows visibly drain out of this table).
+  // folded relu rows visibly drain out of this table).
   struct KindRow {
     std::string name;
     std::int64_t nodes = 0;
@@ -865,8 +738,7 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
     switch (op.kind) {
       case QOpKind::kConv2d:
         vals[i] = conv2d(x, op.weight, op.bias, op.stride, op.pad, op.out_fmt,
-                         kRtn, &op.wcache, op.fused_relu,
-                         op.fused_rescale ? &op.fused_out_fmt : nullptr);
+                         kRtn, &op.wcache, op.fused_relu);
         break;
       case QOpKind::kRelu:
         // Steal the input when this is its last use (the common case: relu
@@ -882,18 +754,7 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
         if (!op.fused_away) relu(vals[i]);
         break;
       case QOpKind::kRescale:
-        // Folded into the producer's requant epilogue: the value already
-        // carries out_fmt, so forward it (stealing at last use, like relu).
-        if (op.fused_away) {
-          if (op.input >= 0 &&
-              last_use[static_cast<std::size_t>(op.input)] ==
-                  static_cast<int>(i))
-            vals[i] = std::move(vals[static_cast<std::size_t>(op.input)]);
-          else
-            vals[i] = x;
-        } else {
-          vals[i] = rescale(x, op.out_fmt);
-        }
+        vals[i] = rescale(x, op.out_fmt);
         break;
       case QOpKind::kPrimaryCaps:
         vals[i] = exec_primary_caps(op, x);
@@ -908,8 +769,7 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
         break;
       case QOpKind::kConvCaps:
         vals[i] = conv_caps(x, op.weight, op.bias, op.stride, op.pad,
-                            op.out_dim, op.mid_fmt, op.out_fmt, &op.wcache,
-                            op.fused_rescale ? &op.fused_out_fmt : nullptr);
+                            op.out_dim, op.mid_fmt, op.out_fmt, &op.wcache);
         break;
       case QOpKind::kConvCaps3d:
         vals[i] = exec_conv_caps3d(op, x);
@@ -943,10 +803,7 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
     // multi-threaded convs, so large values are counted under the team; it
     // touches only relaxed atomics, so replica pools can run it
     // concurrently.
-    // A fused-away rescale forwards a value its producer already counted at
-    // the same composed rails — scanning it again would double-count.
-    if (sat_ && op.kind != QOpKind::kRelu && op.kind != QOpKind::kFlatten &&
-        !op.fused_away) {
+    if (sat_ && op.kind != QOpKind::kRelu && op.kind != QOpKind::kFlatten) {
       const QTensor& y = vals[i];
       const std::int64_t lo = y.fmt.raw_min(), hi = y.fmt.raw_max();
       const std::int64_t n = y.numel();

@@ -2,12 +2,12 @@
 // calibrated core::NetworkQuantSpec into a flat list of integer ops, then run
 // batched [B, ...] forwards end-to-end in fixed-point arithmetic.
 //
-// This is the reusable layer underneath the per-family deployment classes
-// (QuantizedShallowCaps, QuantizedDeepCaps): instead of a hand-rolled layer
-// sequence per architecture, the compiler walks the trained network once,
-// quantizes every weight into a QTensor (folding eval-mode batch-norm into
-// the preceding convolution), builds the persistent packed-operand caches the
-// qgemm backend consumes, and emits QuantizedOp nodes that the interpreter
+// Both model families of the paper deploy through QuantizedGraph::compile:
+// instead of a hand-rolled layer sequence per architecture, the compiler
+// walks the trained network once, quantizes every weight into a QTensor
+// (folding eval-mode batch-norm into the preceding convolution), builds the
+// persistent packed-operand caches the qgemm backend consumes, and emits
+// QuantizedOp nodes that the interpreter
 // executes with the operators of src/qengine. A compiled graph is a value
 // type: copies carry their own packed weight caches, which is exactly what
 // the serving worker-pool replication wants. The one deliberately shared
@@ -41,7 +41,8 @@ namespace qcaps::qengine {
 enum class QOpKind {
   kConv2d,         ///< integer conv + fused bias (+ packed-weight cache)
   kRelu,           ///< max(0, x) on raw values
-  kRescale,        ///< format change (inter-layer width adjustment)
+  kRescale,        ///< format change; compile() emits none, a .qcg node
+                   ///< runs standalone as qengine::rescale
   kPrimaryCaps,    ///< conv -> channel-grouped capsule list -> squash
   kVoteTransform,  ///< u [B,Nin,Din] * W -> j-major votes [B,Nout,Nin,Dout]
   kDynamicRouting, ///< votes -> routed capsules [B,Nout,Dout]
@@ -83,15 +84,10 @@ struct QuantizedOp {
   // yields the unfused twin by construction.
   bool fused_relu = false;  ///< kConv2d: apply the following ReLU as the
                             ///< requant's clamp-lo (element-exact)
-  bool fused_away = false;  ///< node was folded into its producer; at run
-                            ///< time it aliases its input unchanged
+  bool fused_away = false;  ///< kRelu folded into its producing conv; at
+                            ///< run time it aliases its input unchanged
   bool grouped = false;     ///< kConvCaps3d: per-type vote convs run as one
                             ///< grouped direct conv over a shared input
-  /// The following kRescale composed into this node's requant epilogue:
-  /// the node produces fused_out_fmt directly (one pass, exact on the RTN
-  /// grid) and the rescale node runs as an alias of its input.
-  bool fused_rescale = false;
-  fixed::FixedFormat fused_out_fmt{1, 15};
   /// kConvCaps3d: the per-type packed vote weights concatenated into one
   /// image (A operand of the grouped GEMM batch). Shared, not copied: the
   /// serving pool's N replicas of one graph all point at the same panels.
@@ -195,20 +191,13 @@ class QuantizedGraph {
   ///   - kConvCaps3d nodes whose per-type packed weights share a storage
   ///     tier get a concatenated operand cache and run as ONE grouped
   ///     direct conv over a shared narrowed input instead of Tin separate
-  ///     convs;
-  ///   - kRescale whose producer is a kConv2d / kConvCaps / kPrimaryCaps /
-  ///     kConvCaps3d with no other consumer folds into the producer's
-  ///     requant epilogue when the two-step round-to-nearest composition is
-  ///     exact (compose_rescale below; upshifts and crossed composed rails
-  ///     reject-and-skip), so inter-layer width changes cost zero extra
-  ///     passes over the activation tensor.
+  ///     convs.
   /// Fused execution is bit-identical to unfused (golden-locked). compile()
-  /// and the .qcg loader call this when fuse_enabled(); idempotent.
+  /// and the .qcg loader always call this; a graph from from_ops() alone is
+  /// the unfused reference. Idempotent.
   void fuse();
   /// True once fuse() has run on this graph.
   bool fused() const { return fused_; }
-  /// Fusion kill switch: false when QCAPS_QGRAPH_FUSE=0 in the environment.
-  static bool fuse_enabled();
 
   /// Integer forward: images [B, C, H, W] in [0, 1] -> class capsules
   /// [B, Ncls, D] in the final activation format.
@@ -272,13 +261,6 @@ class QuantizedGraph {
   std::shared_ptr<SatCounters> sat_;
   std::shared_ptr<NodeProfile> prof_;
 };
-
-/// Rescale-fold eligibility of node `i`, for tooling (qcg_tool info): ""
-/// when fuse() folds it into its producer (or already has), otherwise a
-/// short reason ("not a rescale", "producer kind", "producer shared",
-/// "inexact: upshift", ...). Mirrors fuse()'s decision exactly (shared
-/// helper). See qengine::compose_rescale for the exactness conditions.
-std::string rescale_fold_blocker(const QuantizedGraph& g, std::size_t i);
 
 // ---- standalone op implementations ----------------------------------------
 // Exposed so tests can exercise the new integer capabilities directly.

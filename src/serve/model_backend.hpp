@@ -79,7 +79,8 @@ class QuantizedBackend final : public ModelBackend {
   QuantizedBackend(std::string name, nn::Network& net,
                    const core::NetworkQuantSpec& spec);
 
-  /// Wrap an already-compiled executor (e.g. QuantizedDeepCaps::graph()).
+  /// Wrap an already-compiled executor (QuantizedGraph::compile, or a .qcg
+  /// from io::load_graph).
   QuantizedBackend(std::string name, qengine::QuantizedGraph model);
 
   const std::string& name() const override { return name_; }

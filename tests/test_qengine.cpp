@@ -22,7 +22,7 @@
 #include "nn/trainer.hpp"
 #include "hwmodel/units.hpp"
 #include "qengine/qengine.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
+#include "qengine/qgraph.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/qgemm.hpp"
@@ -40,7 +40,7 @@ QTensor random_q(common::Rng& rng, tensor::Shape shape, fixed::FixedFormat fmt,
       fmt);
 }
 
-// The legacy vote product exactly as QuantizedShallowCaps::forward computed
+// The legacy vote product exactly as the ShallowCaps deployment computed
 // it before the qgemm rewire (PR 2): scalar int64 loops + rescale_raw. Kept
 // verbatim as the regression oracle for the new qgemm_batch path.
 QTensor legacy_vote_transform(const QTensor& u, const QTensor& w,
@@ -200,18 +200,16 @@ TEST(QEngineConv, NarrowOutputFormatSaturates) {
 
 // The exact int64 scalar convolution, the same loop as qengine::conv2d's
 // fallback for formats the packed path cannot express: wide accumulate, bias
-// aligned to the accumulator, RTN rescale, then the fused ReLU and the
-// folded trailing rescale.
+// aligned to the accumulator, RTN rescale, then the fused ReLU.
 QTensor conv2d_ref(const QTensor& x, const QTensor& w, const QTensor& bias,
                    std::int64_t stride, std::int64_t pad,
-                   fixed::FixedFormat out_fmt, bool relu,
-                   const fixed::FixedFormat* fold_fmt) {
+                   fixed::FixedFormat out_fmt, bool relu) {
   const std::int64_t b = x.dim(0), c = x.dim(1), h = x.dim(2), wd = x.dim(3);
   const std::int64_t f = w.dim(0), k = w.dim(2);
   const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
   const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
   const int acc_qf = x.fmt.qf + w.fmt.qf;
-  QTensor out({b, f, oh, ow}, fold_fmt ? *fold_fmt : out_fmt);
+  QTensor out({b, f, oh, ow}, out_fmt);
   std::size_t o = 0;
   for (std::int64_t bi = 0; bi < b; ++bi)
     for (std::int64_t fi = 0; fi < f; ++fi)
@@ -234,7 +232,6 @@ QTensor conv2d_ref(const QTensor& x, const QTensor& w, const QTensor& bias,
                    << (acc_qf - bias.fmt.qf);
           std::int64_t v = hwmodel::rescale_raw(acc, acc_qf, out_fmt);
           if (relu && v < 0) v = 0;
-          if (fold_fmt) v = hwmodel::rescale_raw(v, out_fmt.qf, *fold_fmt);
           out.raw[o++] = v;
         }
   return out;
@@ -291,12 +288,11 @@ const DirectConvCase kDirectConvCases[] = {
     {3, 64, 6, 8, 3, 1, 1},    // 576 K rows span two K blocks
 };
 
-// Every case x epilogue (plain, bias + fused ReLU, bias + folded rescale)
+// Every case x epilogue (plain, bias without ReLU, bias + fused ReLU)
 // against conv2d_ref, under every tier and team size.
 void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
                        std::int64_t xhi, fixed::FixedFormat wf,
-                       std::int64_t wmax, fixed::FixedFormat out_fmt,
-                       fixed::FixedFormat fold_fmt) {
+                       std::int64_t wmax, fixed::FixedFormat out_fmt) {
   common::Rng rng(41);
   for (const auto& cs : kDirectConvCases) {
     SCOPED_TRACE("b=" + std::to_string(cs.b) + " c=" + std::to_string(cs.c) +
@@ -310,25 +306,23 @@ void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
     const QTensor bias = random_rails(rng, {cs.f}, wf, -wmax, wmax);
     const QGemmOperandCache cache = make_operand_cache(w);
     const QTensor want_plain =
-        conv2d_ref(x, w, QTensor(), cs.stride, cs.pad, out_fmt, false, nullptr);
+        conv2d_ref(x, w, QTensor(), cs.stride, cs.pad, out_fmt, false);
+    const QTensor want_bias =
+        conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, false);
     const QTensor want_relu =
-        conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, true, nullptr);
-    const QTensor want_fold =
-        conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, false, &fold_fmt);
+        conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, true);
     for_each_isa_and_team([&] {
       EXPECT_EQ(conv2d(x, w, QTensor(), cs.stride, cs.pad, out_fmt).raw,
                 want_plain.raw);
+      EXPECT_EQ(conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
+                       fixed::RoundingScheme::kRoundToNearest, &cache)
+                    .raw,
+                want_bias.raw);
       EXPECT_EQ(conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
                        fixed::RoundingScheme::kRoundToNearest, &cache,
                        /*fuse_relu=*/true)
                     .raw,
                 want_relu.raw);
-      const QTensor folded =
-          conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
-                 fixed::RoundingScheme::kRoundToNearest, &cache,
-                 /*fuse_relu=*/false, &fold_fmt);
-      EXPECT_EQ(folded.fmt, fold_fmt);
-      EXPECT_EQ(folded.raw, want_fold.raw);
     });
   }
 }
@@ -336,8 +330,7 @@ void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
 TEST(QEngineDirectConv, Int8MatchesInt64OracleOnEveryTier) {
   // Operands at +-127: the int8 container (the VNNI quads on that tier).
   check_direct_conv(fixed::FixedFormat(1, 7), -127, 127,
-                    fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11),
-                    fixed::FixedFormat(6, 6));
+                    fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11));
 }
 
 TEST(QEngineDirectConv, Int8RailsMatchInt64OracleOnEveryTier) {
@@ -345,15 +338,13 @@ TEST(QEngineDirectConv, Int8RailsMatchInt64OracleOnEveryTier) {
   // reads the 8-bit format, so |x| = 128 takes the int8 container (the VNNI
   // quads on that tier), on every tier.
   check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
-                    fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11),
-                    fixed::FixedFormat(6, 6));
+                    fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11));
 }
 
 TEST(QEngineDirectConv, Int16TierMatchesInt64OracleOnEveryTier) {
   // Raw ranges past int8 (the int16 container), still exact in int32.
   check_direct_conv(fixed::FixedFormat(3, 9), -500, 499,
-                    fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(8, 12),
-                    fixed::FixedFormat(8, 7));
+                    fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(8, 12));
 }
 
 TEST(QEngineDirectConv, NarrowOutputSaturatesOnEveryTier) {
@@ -362,7 +353,7 @@ TEST(QEngineDirectConv, NarrowOutputSaturatesOnEveryTier) {
   const fixed::FixedFormat f8(1, 7), out(2, 2);
   const QTensor x = random_rails(rng, {3, 32, 8, 8}, f8, -128, 127);
   const QTensor w = random_rails(rng, {16, 32, 3, 3}, f8, -128, 127);
-  const QTensor want = conv2d_ref(x, w, QTensor(), 1, 1, out, false, nullptr);
+  const QTensor want = conv2d_ref(x, w, QTensor(), 1, 1, out, false);
   for_each_isa_and_team(
       [&] { EXPECT_EQ(conv2d(x, w, QTensor(), 1, 1, out).raw, want.raw); });
 }
@@ -412,7 +403,7 @@ void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
                     xs.raw.begin() + bi * slab);
       const QTensor vmap =
           conv2d_ref(xs, wt[static_cast<std::size_t>(t)], QTensor(),
-                     vc.stride, vc.pad, out_fmt, false, nullptr);
+                     vc.stride, vc.pad, out_fmt, false);
       for (std::int64_t bi = 0; bi < vc.b; ++bi)
         for (std::int64_t r = 0; r < jd; ++r)
           for (std::int64_t p = 0; p < plane; ++p)
@@ -458,14 +449,12 @@ const ConvCapsCase kConvCapsCases[] = {
     {1, 64, 4, 8, 8, 2},   // B5 entry, batch 1: one 4-column strip
 };
 
-// Every case x epilogue (plain, bias, bias + folded rescale) against the
-// exact int64 conv followed by squash_channels, at every dispatch level and
-// team size. The pre-squash format is the executor's rule for
-// activation format `act`.
+// Every case x epilogue (plain, bias) against the exact int64 conv followed
+// by squash_channels, at every dispatch level and team size. The pre-squash
+// format is the executor's rule for activation format `act`.
 void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
                      std::int64_t xhi, fixed::FixedFormat wf,
                      std::int64_t wmax, fixed::FixedFormat act,
-                     fixed::FixedFormat fold_fmt,
                      std::vector<ConvCapsCase> cases) {
   const fixed::FixedFormat mid(8, std::min(20, act.qf + 8));
   common::Rng rng(53);
@@ -480,14 +469,12 @@ void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
     const QTensor w = random_rails(rng, {f, cs.c, 3, 3}, wf, -wmax, wmax);
     const QTensor bias = random_rails(rng, {f}, wf, -wmax, wmax);
     const QGemmOperandCache cache = make_operand_cache(w);
-    const auto want = [&](const QTensor& bs, const fixed::FixedFormat* fold) {
-      return squash_channels(
-          conv2d_ref(x, w, bs, cs.stride, 1, mid, false, nullptr), cs.dim,
-          act, fold);
+    const auto want = [&](const QTensor& bs) {
+      return squash_channels(conv2d_ref(x, w, bs, cs.stride, 1, mid, false),
+                             cs.dim, act);
     };
-    const QTensor want_plain = want(QTensor(), nullptr);
-    const QTensor want_bias = want(bias, nullptr);
-    const QTensor want_fold = want(bias, &fold_fmt);
+    const QTensor want_plain = want(QTensor());
+    const QTensor want_bias = want(bias);
     for_each_isa_and_team([&] {
       EXPECT_EQ(conv_caps(x, w, QTensor(), cs.stride, 1, cs.dim, mid, act)
                     .raw,
@@ -495,10 +482,6 @@ void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
       EXPECT_EQ(
           conv_caps(x, w, bias, cs.stride, 1, cs.dim, mid, act, &cache).raw,
           want_bias.raw);
-      const QTensor folded = conv_caps(x, w, bias, cs.stride, 1, cs.dim, mid,
-                                       act, &cache, &fold_fmt);
-      EXPECT_EQ(folded.fmt, fold_fmt);
-      EXPECT_EQ(folded.raw, want_fold.raw);
     });
   }
 }
@@ -513,11 +496,9 @@ TEST(QEngineConvCaps, Int8RailsMatchConvThenSquashOnEveryTier) {
   // Full-range weights push most pre-squash values onto the wide format's
   // rails; small ones, like BN-folded DeepCaps weights, keep them inside.
   check_conv_caps(fixed::FixedFormat(1, 7), -128, 127,
-                  fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(1, 7),
-                  fixed::FixedFormat(1, 5), all);
+                  fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(1, 7), all);
   check_conv_caps(fixed::FixedFormat(1, 7), -128, 127,
-                  fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(1, 7),
-                  fixed::FixedFormat(1, 6), all);
+                  fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(1, 7), all);
 }
 
 TEST(QEngineConvCaps, Int16TierMatchesConvThenSquashOnEveryTier) {
@@ -526,7 +507,6 @@ TEST(QEngineConvCaps, Int16TierMatchesConvThenSquashOnEveryTier) {
             PackedTier::kInt16);
   check_conv_caps(fixed::FixedFormat(3, 9), -500, 499,
                   fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(2, 10),
-                  fixed::FixedFormat(2, 8),
                   {kConvCapsCases[0], kConvCapsCases[3], kConvCapsCases[4]});
 }
 
@@ -538,7 +518,6 @@ TEST(QEngineConvCaps, WideFormatTakesTheInt64Fallback) {
             PackedTier::kNone);
   check_conv_caps(fixed::FixedFormat(6, 12), -131072, 131071,
                   fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(2, 10),
-                  fixed::FixedFormat(2, 8),
                   {kConvCapsCases[4], kConvCapsCases[5]});
 }
 
@@ -573,12 +552,13 @@ TEST(QEnginePackedTier, Int32AccumulationRequantAndBiasBounds) {
   EXPECT_EQ(packed_tier(F(1, 7), F(1, 30), 127, 9, F(8, 5)),
             PackedTier::kNone);
   // The bias, shifted to the accumulator's 14 fractional bits, must fit
-  // int32 together with a folded rescale's rounding constant.
+  // int32.
   QTensor bias({2}, F(25, 7));
-  bias.raw = {(INT32_MAX >> 7) - 1, 0};
-  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(8, 15), bias, 127),
+  bias.raw = {INT32_MAX >> 7, 0};
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(8, 15), bias),
             PackedTier::kInt8);
-  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(8, 15), bias, 256),
+  bias.raw[0] += 1;
+  EXPECT_EQ(packed_tier(F(1, 7), F(1, 7), 127, 9, F(8, 15), bias),
             PackedTier::kNone);
   QTensor fine_bias({1}, F(1, 15));  // more fractional bits than the acc
   fine_bias.raw = {1};
@@ -655,7 +635,7 @@ TEST(QEngineRouting, AgreementSelectsSameWinnerAsFloat) {
 // ---- qgemm-backed operators --------------------------------------------------
 
 TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
-  // The packed-weight cache QuantizedShallowCaps keeps must be a pure
+  // The packed-weight cache a compiled graph keeps must be a pure
   // optimization: identical votes with and without it, on both tiers.
   common::Rng rng(37);
   const fixed::FixedFormat act8(1, 7), w8(1, 7), act16(4, 10), out(2, 8);
@@ -831,10 +811,10 @@ TEST_F(QuantizedNetTest, IntegerEngineMatchesFakeQuantAccuracy) {
   eval.calibrate_spec(spec);
   const float acc_fake = eval.evaluate(spec);
 
-  const QuantizedShallowCaps deployed(*net_, spec);
+  const QuantizedGraph deployed = QuantizedGraph::compile(*net_, spec);
   std::vector<std::int64_t> idx;
   for (std::int64_t i = 0; i < split_->test.size(); ++i) idx.push_back(i);
-  const auto pred = deployed.predict(split_->test.batch(idx));
+  const auto pred = deployed.predict_batch(split_->test.batch(idx));
   int correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)
     if (pred[i] == split_->test.labels[i]) ++correct;
@@ -862,7 +842,7 @@ TEST_F(QuantizedNetTest, QuantizedForwardTracksFp32OnCachedInputs) {
   spec.layers[2].qdr_frac = 5;
   core::Evaluator eval(*net_, split_->test, 128);
   eval.calibrate_spec(spec);
-  const QuantizedShallowCaps deployed(*net_, spec);
+  const QuantizedGraph deployed = QuantizedGraph::compile(*net_, spec);
   const QTensor v = deployed.forward(batch);
   const tensor::Tensor len_q = lengths(v);
   ASSERT_TRUE(len_q.same_shape(len_fp));
@@ -890,14 +870,14 @@ TEST_F(QuantizedNetTest, WeightBitsMatchMemoryModel) {
   auto spec = core::NetworkQuantSpec::uniform(
       3, 6, fixed::RoundingScheme::kRoundToNearest);
   eval.calibrate_spec(spec);
-  const QuantizedShallowCaps deployed(*net_, spec);
+  const QuantizedGraph deployed = QuantizedGraph::compile(*net_, spec);
   EXPECT_EQ(deployed.weight_bits(), eval.memory().weight_bits(spec));
 }
 
 TEST_F(QuantizedNetTest, RejectsWrongNetworkLayout) {
   auto spec = core::NetworkQuantSpec::uniform(
       2, 6, fixed::RoundingScheme::kRoundToNearest);
-  EXPECT_THROW(QuantizedShallowCaps(*net_, spec), qcaps::Error);
+  EXPECT_THROW(QuantizedGraph::compile(*net_, spec), qcaps::Error);
 }
 
 }  // namespace

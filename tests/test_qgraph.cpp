@@ -1,6 +1,6 @@
 // Tests for the generic quantized-graph executor (qengine/qgraph):
 //
-//  * golden lock — the rewired QuantizedShallowCaps must reproduce the
+//  * golden lock — the compiled ShallowCaps graph must reproduce the
 //    pre-refactor hand-rolled implementation raw-for-raw (the legacy forward
 //    is kept verbatim below as the oracle), across specs and qgemm tiers;
 //  * batch-norm folding — folded conv weights/bias must match the unfused
@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -28,28 +27,26 @@
 #include "nn/fc_caps.hpp"
 #include "nn/primary_caps.hpp"
 #include "nn/trainer.hpp"
+#include "io/model_serializer.hpp"
 #include "qengine/qgraph.hpp"
-#include "qengine/quantized_deep_caps.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
 
 namespace qcaps::qengine {
 namespace {
 
-// ---- the pre-refactor QuantizedShallowCaps, verbatim ------------------------
+// ---- the pre-refactor ShallowCaps deployment, verbatim ----------------------
 //
 // The hand-rolled three-layer deployment exactly as it existed before the
 // quantized-graph refactor (PR 5). Kept as the raw-for-raw oracle: the graph
 // executor must reproduce every rescale point and traversal order of this
 // code.
-class LegacyQuantizedShallowCaps {
+class LegacyShallowCaps {
  public:
-  LegacyQuantizedShallowCaps(nn::Network& net,
-                             const core::NetworkQuantSpec& spec) {
+  LegacyShallowCaps(nn::Network& net, const core::NetworkQuantSpec& spec) {
     const auto widx = net.weighted_layers();
     QCAPS_CHECK_MSG(widx.size() == 3 && spec.layers.size() == 3,
-                    "QuantizedShallowCaps expects the 3-layer ShallowCaps");
+                    "the legacy deployment expects the 3-layer ShallowCaps");
     auto* conv = dynamic_cast<nn::Conv2dLayer*>(&net.layer(widx[0]));
     auto* primary = dynamic_cast<nn::PrimaryCapsLayer*>(&net.layer(widx[1]));
     auto* digit = dynamic_cast<nn::FCCapsLayer*>(&net.layer(widx[2]));
@@ -175,8 +172,8 @@ TEST(QGraphGoldenLock, ShallowCapsBitIdenticalToPreRefactorForward) {
   qdr.layers[2].qdr_frac = 4;
   qdr.layers[2].qdr_int = 3;
   for (const auto& spec : {narrow, wide, qdr}) {
-    const LegacyQuantizedShallowCaps legacy(*net, spec);
-    const QuantizedShallowCaps rewired(*net, spec);
+    const LegacyShallowCaps legacy(*net, spec);
+    const QuantizedGraph rewired = QuantizedGraph::compile(*net, spec);
     const QTensor want = legacy.forward(images);
     const QTensor got = rewired.forward(images);
     ASSERT_EQ(got.shape, want.shape);
@@ -322,7 +319,6 @@ TEST(QGraphDeepCaps, RejectsSpecNotCoveringEveryUnit) {
   const auto spec = core::NetworkQuantSpec::uniform(
       3, 8, fixed::RoundingScheme::kRoundToNearest);
   EXPECT_THROW(QuantizedGraph::compile(*net, spec), qcaps::Error);
-  EXPECT_THROW(QuantizedDeepCaps(*net, spec), qcaps::Error);
 }
 
 TEST(QGraphDeepCaps, BatchedForwardMatchesSequentialBitExact) {
@@ -331,7 +327,7 @@ TEST(QGraphDeepCaps, BatchedForwardMatchesSequentialBitExact) {
   auto net = models::build_deep_caps(cfg, rng);
   const auto spec = core::NetworkQuantSpec::uniform(
       6, 8, fixed::RoundingScheme::kRoundToNearest);
-  const QuantizedDeepCaps qmodel(*net, spec);
+  const QuantizedGraph qmodel = QuantizedGraph::compile(*net, spec);
   const std::int64_t b = 3;
   const tensor::Tensor images =
       tensor::Tensor::uniform({b, 1, 28, 28}, rng, 0.0f, 1.0f);
@@ -351,7 +347,7 @@ TEST(QGraphDeepCaps, BatchedForwardMatchesSequentialBitExact) {
 
 // ---- network-scale validation on a trained DeepCaps -------------------------
 
-class QuantizedDeepCapsTest : public ::testing::Test {
+class TrainedDeepCapsGraphTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     data::SynthConfig dcfg;
@@ -377,10 +373,10 @@ class QuantizedDeepCapsTest : public ::testing::Test {
   static models::TrainedModel* trained_;
 };
 
-data::DataSplit* QuantizedDeepCapsTest::split_ = nullptr;
-models::TrainedModel* QuantizedDeepCapsTest::trained_ = nullptr;
+data::DataSplit* TrainedDeepCapsGraphTest::split_ = nullptr;
+models::TrainedModel* TrainedDeepCapsGraphTest::trained_ = nullptr;
 
-TEST_F(QuantizedDeepCapsTest, IntegerEngineMatchesFakeQuantAccuracy) {
+TEST_F(TrainedDeepCapsGraphTest, IntegerEngineMatchesFakeQuantAccuracy) {
   nn::Network& net = *trained_->net;
   core::Evaluator eval(net, split_->test, 128);
   const float acc_fp32 = eval.evaluate_fp32();
@@ -391,10 +387,10 @@ TEST_F(QuantizedDeepCapsTest, IntegerEngineMatchesFakeQuantAccuracy) {
   eval.calibrate_spec(spec);
   const float acc_fake = eval.evaluate(spec);
 
-  const QuantizedDeepCaps deployed(net, spec);
+  const QuantizedGraph deployed = QuantizedGraph::compile(net, spec);
   std::vector<std::int64_t> idx;
   for (std::int64_t i = 0; i < split_->test.size(); ++i) idx.push_back(i);
-  const auto pred = deployed.predict(split_->test.batch(idx));
+  const auto pred = deployed.predict_batch(split_->test.batch(idx));
   int correct = 0;
   for (std::size_t i = 0; i < pred.size(); ++i)
     if (pred[i] == split_->test.labels[i]) ++correct;
@@ -407,7 +403,7 @@ TEST_F(QuantizedDeepCapsTest, IntegerEngineMatchesFakeQuantAccuracy) {
   EXPECT_GT(acc_int, acc_fp32 - 0.15f);
 }
 
-TEST_F(QuantizedDeepCapsTest, ForwardTracksFp32CapsuleLengths) {
+TEST_F(TrainedDeepCapsGraphTest, ForwardTracksFp32CapsuleLengths) {
   nn::Network& net = *trained_->net;
   std::vector<std::int64_t> idx;
   for (std::int64_t i = 0; i < 16; ++i) idx.push_back(i);
@@ -420,7 +416,7 @@ TEST_F(QuantizedDeepCapsTest, ForwardTracksFp32CapsuleLengths) {
       6, 8, fixed::RoundingScheme::kRoundToNearest);
   core::Evaluator eval(net, split_->test, 128);
   eval.calibrate_spec(spec);
-  const QuantizedDeepCaps deployed(net, spec);
+  const QuantizedGraph deployed = QuantizedGraph::compile(net, spec);
   const tensor::Tensor len_q = lengths(deployed.forward(batch));
   ASSERT_TRUE(len_q.same_shape(len_fp));
 
@@ -448,9 +444,6 @@ QuantizedGraph unfused_twin(const QuantizedGraph& g) {
 }
 
 TEST(QGraphFusion, CompileFoldsReluAndGroupsVoteConvs) {
-  // This test asserts the pass RAN; neutralize an inherited kill switch
-  // (CI's fusion-off lane runs the whole suite with QCAPS_QGRAPH_FUSE=0).
-  unsetenv("QCAPS_QGRAPH_FUSE");
   const auto cfg = models::ShallowCapsConfig::experiment();
   common::Rng rng(62);
   auto net = models::build_shallow_caps(cfg, rng);
@@ -471,33 +464,7 @@ TEST(QGraphFusion, CompileFoldsReluAndGroupsVoteConvs) {
     EXPECT_FALSE(op.fused_away);
     EXPECT_FALSE(op.grouped);
     EXPECT_EQ(op.grouped_cache, nullptr);
-    EXPECT_FALSE(op.fused_rescale);
   }
-}
-
-TEST(QGraphFusion, KillSwitchDisablesThePass) {
-  const auto cfg = models::ShallowCapsConfig::experiment();
-  common::Rng rng(63);
-  auto net = models::build_shallow_caps(cfg, rng);
-  const auto spec = core::NetworkQuantSpec::uniform(
-      3, 6, fixed::RoundingScheme::kRoundToNearest);
-  ASSERT_EQ(setenv("QCAPS_QGRAPH_FUSE", "0", 1), 0);
-  EXPECT_FALSE(QuantizedGraph::fuse_enabled());
-  const QuantizedGraph off = QuantizedGraph::compile(*net, spec);
-  unsetenv("QCAPS_QGRAPH_FUSE");
-  EXPECT_TRUE(QuantizedGraph::fuse_enabled());
-  EXPECT_FALSE(off.fused());
-  EXPECT_FALSE(off.ops()[0].fused_relu);
-
-  // Off graph == on graph, raw for raw.
-  const QuantizedGraph on = QuantizedGraph::compile(*net, spec);
-  const tensor::Tensor images =
-      tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
-  const QTensor a = off.forward(images);
-  const QTensor b = on.forward(images);
-  ASSERT_EQ(a.shape, b.shape);
-  for (std::size_t i = 0; i < a.raw.size(); ++i)
-    ASSERT_EQ(a.raw[i], b.raw[i]) << "flat " << i;
 }
 
 TEST(QGraphFusion, ShallowCapsFusedBitIdenticalToUnfusedAcrossTiers) {
@@ -587,13 +554,13 @@ TEST(QGraphFusion, SaturationCountersStayCoherentUnderFusion) {
   EXPECT_EQ(nf[1].saturated, 0u);
 }
 
-// ---- rescale-epilogue folding ----------------------------------------------
+// ---- standalone kRescale nodes ---------------------------------------------
 
 // Widen the out_fmt of op `idx` to `wide` and insert a kRescale node right
 // after it converting back to the original format, rewiring every downstream
-// consumer onto the rescale. This reproduces the compiler's skip-rescale
-// shape (the only kRescale source today) on any producer kind, so the fold
-// pass can be exercised without a per-conv diverged quantization spec.
+// consumer onto the rescale. compile() never emits a kRescale (one spec entry
+// gives a whole unit one activation format), but the .qcg format keeps the
+// kind, so a loaded artifact may carry one.
 std::vector<QuantizedOp> with_rescale_after(std::vector<QuantizedOp> ops,
                                             int idx,
                                             fixed::FixedFormat wide) {
@@ -618,100 +585,7 @@ std::vector<QuantizedOp> with_rescale_after(std::vector<QuantizedOp> ops,
   return ops;
 }
 
-int find_op(const std::vector<QuantizedOp>& ops, QOpKind kind) {
-  for (std::size_t i = 0; i < ops.size(); ++i)
-    if (ops[i].kind == kind) return static_cast<int>(i);
-  return -1;
-}
-
-// Lock the fold bit-exactly against the unfused twin on every producer kind
-// that supports it, and assert the annotation actually landed. fuse() is
-// called directly (not via the env gate), so the lock also runs — and must
-// hold — on the CI tiers: AVX2-capped, forced-scalar, and fusion-off lanes.
-void expect_fold_bit_exact(std::vector<QuantizedOp> ops,
-                           fixed::FixedFormat input_fmt, int producer,
-                           const tensor::Tensor& images) {
-  QuantizedGraph fused = QuantizedGraph::from_ops(ops, input_fmt);
-  fused.fuse();
-  ASSERT_EQ(rescale_fold_blocker(fused, static_cast<std::size_t>(producer) + 1),
-            "");
-  EXPECT_TRUE(fused.ops()[static_cast<std::size_t>(producer)].fused_rescale);
-  EXPECT_TRUE(fused.ops()[static_cast<std::size_t>(producer) + 1].fused_away);
-  const QuantizedGraph plain =
-      QuantizedGraph::from_ops(std::move(ops), input_fmt);
-  const QTensor want = plain.forward(images);
-  const QTensor got = fused.forward(images);
-  ASSERT_EQ(got.shape, want.shape);
-  ASSERT_TRUE(got.fmt == want.fmt);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QGraphRescaleFold, FoldsIntoConv2dEpilogue) {
-  const auto cfg = models::ShallowCapsConfig::experiment();
-  common::Rng rng(70);
-  auto net = models::build_shallow_caps(cfg, rng);
-  const auto spec = core::NetworkQuantSpec::uniform(
-      3, 6, fixed::RoundingScheme::kRoundToNearest);
-  const QuantizedGraph g = QuantizedGraph::compile(*net, spec);
-  const tensor::Tensor images =
-      tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
-  std::vector<QuantizedOp> ops = g.ops();
-  const int conv = find_op(ops, QOpKind::kConv2d);
-  ASSERT_EQ(conv, 0);
-  // Widened conv target {3,8}; the restore rescale is a downshift by 2 —
-  // exactly composable into the conv requant.
-  expect_fold_bit_exact(
-      with_rescale_after(std::move(ops), conv, fixed::FixedFormat{3, 8}),
-      g.input_format(), conv, images);
-}
-
-TEST(QGraphRescaleFold, FoldsIntoPrimaryCapsSquash) {
-  const auto cfg = models::ShallowCapsConfig::experiment();
-  common::Rng rng(71);
-  auto net = models::build_shallow_caps(cfg, rng);
-  const auto spec = core::NetworkQuantSpec::uniform(
-      3, 6, fixed::RoundingScheme::kRoundToNearest);
-  const QuantizedGraph g = QuantizedGraph::compile(*net, spec);
-  const tensor::Tensor images =
-      tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
-  std::vector<QuantizedOp> ops = g.ops();
-  const int prim = find_op(ops, QOpKind::kPrimaryCaps);
-  ASSERT_GE(prim, 0);
-  expect_fold_bit_exact(
-      with_rescale_after(std::move(ops), prim, fixed::FixedFormat{3, 8}),
-      g.input_format(), prim, images);
-}
-
-TEST(QGraphRescaleFold, FoldsIntoConvCapsAndConvCaps3d) {
-  const auto cfg = models::DeepCapsConfig::experiment(28, 1);
-  common::Rng rng(72);
-  auto net = models::build_deep_caps(cfg, rng);
-  const tensor::Tensor images =
-      tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
-  for (const int frac : {6, 10}) {
-    const auto spec = core::NetworkQuantSpec::uniform(
-        6, frac, fixed::RoundingScheme::kRoundToNearest);
-    const QuantizedGraph g = QuantizedGraph::compile(*net, spec);
-    const fixed::FixedFormat wide{6, frac + 2};
-    {
-      std::vector<QuantizedOp> ops = g.ops();
-      const int cc = find_op(ops, QOpKind::kConvCaps);
-      ASSERT_GE(cc, 0) << "frac " << frac;
-      expect_fold_bit_exact(with_rescale_after(std::move(ops), cc, wide),
-                            g.input_format(), cc, images);
-    }
-    {
-      std::vector<QuantizedOp> ops = g.ops();
-      const int c3 = find_op(ops, QOpKind::kConvCaps3d);
-      ASSERT_GE(c3, 0) << "frac " << frac;
-      expect_fold_bit_exact(with_rescale_after(std::move(ops), c3, wide),
-                            g.input_format(), c3, images);
-    }
-  }
-}
-
-TEST(QGraphRescaleFold, UpshiftDeclinesAndStaysBitExact) {
+TEST(QGraphRescale, NodeRunsStandaloneAndRoundTripsThroughQcg) {
   const auto cfg = models::ShallowCapsConfig::experiment();
   common::Rng rng(73);
   auto net = models::build_shallow_caps(cfg, rng);
@@ -720,71 +594,46 @@ TEST(QGraphRescaleFold, UpshiftDeclinesAndStaysBitExact) {
   const QuantizedGraph g = QuantizedGraph::compile(*net, spec);
   const tensor::Tensor images =
       tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
-  // Narrowed conv target {3,4}: the restore rescale is an UPshift back to
-  // {3,6} — a left shift after rounding is not one RTN pass, so the pass
-  // must decline and leave the rescale node executing.
-  std::vector<QuantizedOp> ops =
-      with_rescale_after(g.ops(), 0, fixed::FixedFormat{3, 4});
-  QuantizedGraph fused = QuantizedGraph::from_ops(ops, g.input_format());
-  fused.fuse();
-  EXPECT_EQ(rescale_fold_blocker(fused, 1), "inexact: upshift");
-  EXPECT_FALSE(fused.ops()[0].fused_rescale);
-  EXPECT_FALSE(fused.ops()[1].fused_away);
-  const QuantizedGraph plain =
-      QuantizedGraph::from_ops(std::move(ops), g.input_format());
-  const QTensor want = plain.forward(images);
-  const QTensor got = fused.forward(images);
-  for (std::size_t i = 0; i < got.raw.size(); ++i)
-    ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
-}
-
-TEST(QGraphRescaleFold, SharedProducerDeclines) {
-  const auto cfg = models::ShallowCapsConfig::experiment();
-  common::Rng rng(74);
-  auto net = models::build_shallow_caps(cfg, rng);
-  const auto spec = core::NetworkQuantSpec::uniform(
-      3, 6, fixed::RoundingScheme::kRoundToNearest);
-  const QuantizedGraph g = QuantizedGraph::compile(*net, spec);
-  std::vector<QuantizedOp> ops =
-      with_rescale_after(g.ops(), 0, fixed::FixedFormat{3, 8});
-  // A second reader of the conv value (pre-rescale grid) blocks the fold.
-  QuantizedOp extra;
-  extra.kind = QOpKind::kRelu;
-  extra.input = 0;
-  extra.source = "second-reader";
-  extra.out_fmt = fixed::FixedFormat{3, 8};
-  ops.push_back(std::move(extra));
-  QuantizedGraph fused = QuantizedGraph::from_ops(ops, g.input_format());
-  fused.fuse();
-  EXPECT_EQ(rescale_fold_blocker(fused, 1), "producer shared");
-  EXPECT_FALSE(fused.ops()[0].fused_rescale);
-  EXPECT_EQ(rescale_fold_blocker(fused, 0), "not a rescale");
-}
-
-TEST(QGraphRescaleFold, FoldedNodeSkipsSaturationCounters) {
-  const auto cfg = models::ShallowCapsConfig::experiment();
-  common::Rng rng(75);
-  auto net = models::build_shallow_caps(cfg, rng);
-  const auto spec = core::NetworkQuantSpec::uniform(
-      3, 6, fixed::RoundingScheme::kRoundToNearest);
-  const QuantizedGraph g = QuantizedGraph::compile(*net, spec);
-  const tensor::Tensor images =
-      tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
+  // The conv narrowed to {3,4}, then restored to {3,6} by an upshifting
+  // rescale node that the relu, no longer the conv's consumer, reads.
+  const fixed::FixedFormat narrow{3, 4};
   const std::vector<QuantizedOp> ops =
-      with_rescale_after(g.ops(), 0, fixed::FixedFormat{3, 8});
-  QuantizedGraph fused =
-      QuantizedGraph::from_ops(ops, g.input_format(), /*track_saturation=*/true);
-  fused.fuse();
-  ASSERT_TRUE(fused.ops()[1].fused_away);
-  fused.forward(images);
-  const auto sat = fused.saturation();
-  // The folded rescale's value is an alias of the conv output (which the
-  // conv node already scanned on the composed grid) — counting it again
-  // would double-book every element.
+      with_rescale_after(g.ops(), 0, narrow);
+  ASSERT_EQ(ops[1].kind, QOpKind::kRescale);
+
+  // The node's output is rescale() of its producer's.
+  const QuantizedGraph conv_only =
+      QuantizedGraph::from_ops({ops[0]}, g.input_format());
+  const QuantizedGraph conv_rescale =
+      QuantizedGraph::from_ops({ops[0], ops[1]}, g.input_format());
+  const QTensor produced = conv_only.forward(images);
+  ASSERT_EQ(produced.fmt, narrow);
+  const QTensor want = rescale(produced, ops[1].out_fmt);
+  const QTensor got = conv_rescale.forward(images);
+  EXPECT_EQ(got.fmt, ops[1].out_fmt);
+  EXPECT_EQ(got.shape, want.shape);
+  EXPECT_EQ(got.raw, want.raw);
+  // It counts saturation over every value it produces.
+  const auto sat = conv_rescale.saturation();
   ASSERT_EQ(sat[1].kind, QOpKind::kRescale);
-  EXPECT_EQ(sat[1].total, 0u);
-  EXPECT_EQ(sat[1].saturated, 0u);
-  EXPECT_GT(sat[0].total, 0u);
+  EXPECT_EQ(sat[1].total, static_cast<std::uint64_t>(got.numel()));
+
+  // The whole graph survives a .qcg round trip bit-exact; fusion leaves the
+  // rescale alone on both sides.
+  QuantizedGraph full = QuantizedGraph::from_ops(ops, g.input_format());
+  full.fuse();
+  EXPECT_FALSE(full.ops()[0].fused_relu);
+  EXPECT_FALSE(full.ops()[1].fused_away);
+  const std::string path = ::testing::TempDir() + "qgraph_rescale.qcg";
+  io::save_graph(full, path);
+  const QuantizedGraph loaded = io::load_graph(path);
+  ASSERT_EQ(loaded.ops().size(), ops.size());
+  EXPECT_EQ(loaded.ops()[1].kind, QOpKind::kRescale);
+  EXPECT_EQ(loaded.ops()[1].out_fmt, ops[1].out_fmt);
+  const QTensor a = full.forward(images);
+  const QTensor b = loaded.forward(images);
+  EXPECT_EQ(a.fmt, b.fmt);
+  EXPECT_EQ(a.raw, b.raw);
 }
 
 // ---- requant-saturation counters -------------------------------------------

@@ -139,6 +139,25 @@ void patch_header_u32(std::vector<std::uint8_t>& img, std::size_t offset,
               sizeof(crc));
 }
 
+// Set one field of node `node` (at byte `field` of its record) and re-seal
+// the payload and header CRCs, so validation reaches the field under test.
+template <typename T>
+std::vector<std::uint8_t> patch_node(std::vector<std::uint8_t> img,
+                                     std::size_t node, std::size_t field,
+                                     T value) {
+  QcgHeader h;
+  std::memcpy(&h, img.data(), sizeof h);
+  std::memcpy(img.data() + h.nodes_offset + node * sizeof(QcgNodeRecord) +
+                  field,
+              &value, sizeof value);
+  const std::size_t nodes = static_cast<std::size_t>(h.nodes_offset);
+  h.payload_crc32 = crc32(img.data() + nodes, img.size() - nodes);
+  std::memcpy(img.data(), &h, sizeof h);
+  h.header_crc32 = crc32(img.data(), offsetof(QcgHeader, header_crc32));
+  std::memcpy(img.data(), &h, sizeof h);
+  return img;
+}
+
 // ---- round-trip bit-exactness ----------------------------------------------
 
 TEST(QcgRoundTrip, ShallowCapsInt8Tier) {
@@ -319,6 +338,112 @@ TEST(QcgReject, FailpointsOnReadPath) {
   common::failpoint_arm("io.qcg.validate", boom);
   EXPECT_THROW(load_graph(path), common::FailpointError);
   EXPECT_NO_THROW(load_graph(path));  // both sites exhausted
+}
+
+TEST(QcgReject, NodeGeometryForwardCannotRun) {
+  // Node fields and weight shapes forward() divides by or indexes with: each
+  // patched artifact must fail to load with CorruptError instead of
+  // crashing a forward.
+  using R = QcgNodeRecord;
+  using T = QcgTensorRef;
+  const std::size_t present = offsetof(R, weight) + offsetof(T, present);
+  const std::string path = tmp_path("rj_geometry.qcg");
+  const auto expect_corrupt = [&path](const std::vector<std::uint8_t>& img,
+                                      const char* what) {
+    spit(path, img);
+    EXPECT_THROW(load_graph(path), CorruptError) << what;
+  };
+
+  const std::string golden_path =
+      std::string(QCAPS_GOLDEN_DIR) + "/shallow_caps_v1.qcg";
+  const std::vector<std::uint8_t> golden = slurp(golden_path);
+  const QuantizedGraph shallow = load_graph(golden_path);
+  ASSERT_EQ(shallow.ops().size(), 5u);
+  ASSERT_EQ(shallow.ops()[0].kind, QOpKind::kConv2d);
+  ASSERT_EQ(shallow.ops()[2].kind, QOpKind::kPrimaryCaps);
+  ASSERT_EQ(shallow.ops()[3].kind, QOpKind::kVoteTransform);
+  // Re-sealing an unchanged value loads: the CRCs are not what rejects.
+  spit(path, patch_node(golden, 0, offsetof(R, stride),
+                        shallow.ops()[0].stride));
+  EXPECT_NO_THROW(load_graph(path));
+  expect_corrupt(patch_node(golden, 0, offsetof(R, stride), std::int64_t{0}),
+                 "conv2d stride 0");
+  expect_corrupt(patch_node(golden, 0, offsetof(R, pad), std::int64_t{-1}),
+                 "conv2d pad -1");
+  expect_corrupt(
+      patch_node(golden, 0, offsetof(R, pad), std::int64_t{1} << 61),
+      "conv2d pad past any padded extent");
+  expect_corrupt(patch_node(golden, 2, offsetof(R, stride), std::int64_t{0}),
+                 "primary caps stride 0");
+  expect_corrupt(patch_node(golden, 2, offsetof(R, caps_dim), std::int64_t{0}),
+                 "primary caps dim 0");
+  for (const std::size_t node : {0, 2, 3})
+    expect_corrupt(patch_node(golden, node, present, std::uint32_t{0}),
+                   "weighted node without its weight");
+  expect_corrupt(patch_node(golden, 2, offsetof(R, caps_types),
+                            shallow.ops()[2].caps_types + 1),
+                 "primary caps with more capsules than filters");
+  const std::int64_t short_bias = shallow.ops()[2].weight.shape[0] - 1;
+  expect_corrupt(
+      patch_node(patch_node(golden, 2, offsetof(R, bias) + offsetof(T, dims),
+                            short_bias),
+                 2, offsetof(R, bias) + offsetof(T, numel), short_bias),
+      "bias shorter than the filter count");
+
+  // The DeepCaps kinds: capsule convolutions, the routed skip, the flatten.
+  const auto cfg = models::DeepCapsConfig::experiment(28, 1);
+  common::Rng rng(77);
+  auto net = models::build_deep_caps(cfg, rng);
+  const std::string deep_path = tmp_path("rj_geometry_deep.qcg");
+  save_graph(QuantizedGraph::compile(
+                 *net, core::NetworkQuantSpec::uniform(
+                           6, 8, fixed::RoundingScheme::kRoundToNearest)),
+             deep_path);
+  const std::vector<std::uint8_t> deep = slurp(deep_path);
+  const QuantizedGraph deep_graph = load_graph(deep_path);
+  const auto first = [&deep_graph](QOpKind kind) {
+    const auto& ops = deep_graph.ops();
+    for (std::size_t i = 0; i < ops.size(); ++i)
+      if (ops[i].kind == kind) return i;
+    ADD_FAILURE() << "no node of kind " << static_cast<int>(kind);
+    return std::size_t{0};
+  };
+  const std::size_t caps = first(QOpKind::kConvCaps);
+  const std::size_t caps3d = first(QOpKind::kConvCaps3d);
+  const std::size_t flat = first(QOpKind::kFlatten);
+  expect_corrupt(patch_node(deep, caps, offsetof(R, pad), std::int64_t{-1}),
+                 "convcaps pad -1");
+  expect_corrupt(patch_node(deep, caps, offsetof(R, out_dim), std::int64_t{0}),
+                 "convcaps out dim 0");
+  expect_corrupt(patch_node(deep, caps, present, std::uint32_t{0}),
+                 "convcaps without its weight");
+  expect_corrupt(
+      patch_node(deep, caps3d, offsetof(R, stride), std::int64_t{0}),
+      "convcaps3d stride 0");
+  expect_corrupt(
+      patch_node(deep, caps3d, offsetof(R, pad),
+                 deep_graph.ops()[caps3d].type_weights.front().shape[2]),
+      "convcaps3d pad as wide as its kernel");
+  expect_corrupt(
+      patch_node(deep, caps3d, offsetof(R, out_dim), std::int64_t{0}),
+      "convcaps3d out dim 0");
+  expect_corrupt(
+      patch_node(deep, caps3d, offsetof(R, type_count), std::uint32_t{0}),
+      "convcaps3d without per-type weights");
+  expect_corrupt(
+      patch_node(deep, caps3d, offsetof(R, in_types), std::int64_t{0}),
+      "convcaps3d with no input types");
+  expect_corrupt(patch_node(deep, caps3d, offsetof(R, in_types),
+                            deep_graph.ops()[caps3d].in_types + 1),
+                 "convcaps3d with more input types than weights");
+  expect_corrupt(patch_node(deep, caps3d, offsetof(R, out_types),
+                            deep_graph.ops()[caps3d].out_types + 1),
+                 "convcaps3d with more output capsules than vote filters");
+  expect_corrupt(patch_node(deep, caps3d, offsetof(R, in_dim),
+                            deep_graph.ops()[caps3d].in_dim + 1),
+                 "convcaps3d input dim past its vote weights");
+  expect_corrupt(patch_node(deep, flat, offsetof(R, caps_dim), std::int64_t{0}),
+                 "flatten caps dim 0");
 }
 
 // ---- serving from an artifact ----------------------------------------------

@@ -19,8 +19,7 @@
 #include "models/deep_caps.hpp"
 #include "models/shallow_caps.hpp"
 #include "nn/serialize.hpp"
-#include "qengine/quantized_deep_caps.hpp"
-#include "qengine/quantized_shallow_caps.hpp"
+#include "qengine/qgraph.hpp"
 #include "serve/batcher.hpp"
 #include "serve/client.hpp"
 #include "serve/model_backend.hpp"
@@ -267,7 +266,7 @@ TEST(BatchDeterminism, QuantizedBatchedMatchesSequentialBitExact) {
   auto net = models::build_shallow_caps(cfg, rng);
   const core::NetworkQuantSpec spec = core::NetworkQuantSpec::uniform(
       3, 6, fixed::RoundingScheme::kRoundToNearest);
-  const qengine::QuantizedShallowCaps qmodel(*net, spec);
+  const auto qmodel = qengine::QuantizedGraph::compile(*net, spec);
 
   const std::int64_t b = 6;
   const tensor::Tensor images =
@@ -304,7 +303,7 @@ TEST(BatchDeterminism, QuantizedWideFormatsMatchSequential) {
   auto net = models::build_shallow_caps(cfg, rng);
   const core::NetworkQuantSpec spec = core::NetworkQuantSpec::uniform(
       3, 10, fixed::RoundingScheme::kRoundToNearest);  // Q1.10: int16 tier
-  const qengine::QuantizedShallowCaps qmodel(*net, spec);
+  const auto qmodel = qengine::QuantizedGraph::compile(*net, spec);
 
   const tensor::Tensor images =
       tensor::Tensor::uniform({4, 1, 28, 28}, rng, 0.0f, 1.0f);
@@ -323,13 +322,13 @@ TEST(BatchDeterminism, QuantizedWideFormatsMatchSequential) {
 // The second model family: quantized DeepCaps on the graph executor must be
 // batch-invariant too — BN folding, the ConvCaps3D vote path and the
 // residual adds all run per sample in order-exact integer arithmetic.
-TEST(BatchDeterminism, QuantizedDeepCapsBatchedMatchesSequentialBitExact) {
+TEST(BatchDeterminism, DeepCapsQuantizedBatchedMatchesSequentialBitExact) {
   const auto cfg = models::DeepCapsConfig::experiment(28, 1);
   common::Rng rng(41);
   auto net = models::build_deep_caps(cfg, rng);
   const core::NetworkQuantSpec spec = core::NetworkQuantSpec::uniform(
       6, 8, fixed::RoundingScheme::kRoundToNearest);
-  const qengine::QuantizedDeepCaps qmodel(*net, spec);
+  const auto qmodel = qengine::QuantizedGraph::compile(*net, spec);
 
   const std::int64_t b = 4;
   const tensor::Tensor images =
@@ -555,7 +554,7 @@ struct DeepCapsServeFixture {
                                     rng)),
         spec(core::NetworkQuantSpec::uniform(
             6, 8, fixed::RoundingScheme::kRoundToNearest)),
-        direct(*net, spec) {}
+        direct(qengine::QuantizedGraph::compile(*net, spec)) {}
 
   tensor::Tensor image(float seed_value) const {
     tensor::Tensor t({1, 28, 28});
@@ -567,7 +566,7 @@ struct DeepCapsServeFixture {
   common::Rng rng;
   std::unique_ptr<nn::Network> net;
   core::NetworkQuantSpec spec;
-  qengine::QuantizedDeepCaps direct;
+  qengine::QuantizedGraph direct;
 };
 
 TEST(InferenceServerDeepCaps, ServedQuantizedPredictionsMatchDirectModel) {
