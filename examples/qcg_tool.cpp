@@ -8,7 +8,9 @@
 // Subcommands:
 //   export OUT [--fast] [--frac=6]   train-or-load the ShallowCaps fixture,
 //                                    calibrate a uniform spec, compile, save
-//   info FILE                        print the validated header
+//   info FILE                        print the validated header, the
+//                                    fusion annotations and the activation
+//                                    storage plan of the loaded graph
 //   verify FILE [--serve]            load (full checksum), forward a
 //                                    deterministic probe batch, print the
 //                                    raw-output digest + predictions;
@@ -103,6 +105,24 @@ int cmd_info(const std::string& path) {
   }
   std::printf("  fusion         : %d relu folds, %d grouped vote convs\n",
               relu_folds, grouped);
+  // The activation storage plan: the container each node's value is held
+  // in, picked from its format's wordlength.
+  const std::vector<qengine::Storage> plan = g.value_storage();
+  int count[3] = {0, 0, 0};
+  std::string wide;
+  for (std::size_t i = 0; i < plan.size(); ++i) {
+    ++count[static_cast<int>(plan[i])];
+    if (plan[i] == qengine::Storage::kInt8) continue;
+    wide += "\n    node " + std::to_string(i) + " " + g.ops()[i].source + " " +
+            g.ops()[i].out_fmt.to_string() + " " +
+            qengine::storage_name(plan[i]);
+  }
+  std::printf("  activations    : %d int8, %d int16, %d int64 nodes "
+              "(input %s)\n",
+              count[0], count[1], count[2],
+              qengine::storage_name(qengine::storage_for(g.input_format())));
+  if (!wide.empty())
+    std::printf("  wider than 8 bits:%s\n", wide.c_str());
   return 0;
 }
 

@@ -107,14 +107,38 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
 // must be statically unreachable. The executor decides its packed paths
 // from the consuming op's formats and the weights' packed range alone
 // (qengine::packed_tier), so that same predicate, evaluated on the unfused
-// op, is the hollow rule.
+// op, is the hollow rule. save_graph applies it to decide which weights to
+// store hollow, and load_graph re-applies it to every hollow weight it reads.
 
-bool fast_path_guaranteed(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
-                          std::int64_t w_max_abs, std::int64_t fan_in,
-                          fixed::FixedFormat conv_out_fmt,
+std::int64_t conv_fan_in(const QTensor& w) {
+  return w.dim(1) * w.dim(2) * w.dim(3);
+}
+
+// True when `w` (op.weight, or one of a kConvCaps3d node's type_weights)
+// with packed range `w_max_abs` is guaranteed the packed path of `op`, whose
+// input value has format `x_fmt`.
+bool hollow_ok(const QuantizedOp& op, const QTensor& w, std::int64_t w_max_abs,
+               fixed::FixedFormat x_fmt) {
+  const auto packed = [&](std::int64_t k, fixed::FixedFormat out,
                           const QTensor& bias) {
-  return qengine::packed_tier(x_fmt, w_fmt, w_max_abs, fan_in, conv_out_fmt,
-                              bias) != qengine::PackedTier::kNone;
+    return qengine::packed_tier(x_fmt, w.fmt, w_max_abs, k, out, bias) !=
+           qengine::PackedTier::kNone;
+  };
+  switch (op.kind) {
+    case QOpKind::kConv2d:
+      return packed(conv_fan_in(w), op.out_fmt, op.bias);
+    case QOpKind::kPrimaryCaps:
+    case QOpKind::kConvCaps:
+      // These convolve into the wide pre-squash format.
+      return packed(conv_fan_in(w), op.mid_fmt, op.bias);
+    case QOpKind::kVoteTransform:
+      return packed(w.dim(3), op.out_fmt, QTensor());
+    case QOpKind::kConvCaps3d:
+      // Per-type vote convolutions run bias-free into out_fmt.
+      return packed(conv_fan_in(w), op.out_fmt, QTensor());
+    default:
+      return false;  // unexpected weight carrier: keep the raw values
+  }
 }
 
 // ---- save ------------------------------------------------------------------
@@ -199,10 +223,6 @@ QcgTensorRef ref_of(const TensorPlan& p) {
   return r;
 }
 
-std::int64_t conv_fan_in(const QTensor& w) {
-  return w.dim(1) * w.dim(2) * w.dim(3);
-}
-
 QcgFamily detect_family(const std::vector<QuantizedOp>& ops) {
   bool deep = false, shallow = false;
   for (const QuantizedOp& op : ops) {
@@ -268,29 +288,8 @@ void save_graph(const qengine::QuantizedGraph& g, const std::string& path,
       np.has_weight = true;
       const std::int64_t wmax =
           cached_or_scanned_max_abs(op.weight, &op.wcache);
-      bool hollow = false;
-      switch (op.kind) {
-        case QOpKind::kConv2d:
-          hollow = fast_path_guaranteed(x_fmt, op.weight.fmt, wmax,
-                                        conv_fan_in(op.weight), op.out_fmt,
-                                        op.bias);
-          break;
-        case QOpKind::kPrimaryCaps:
-        case QOpKind::kConvCaps:
-          // These convolve into the wide pre-squash format.
-          hollow = fast_path_guaranteed(x_fmt, op.weight.fmt, wmax,
-                                        conv_fan_in(op.weight), op.mid_fmt,
-                                        op.bias);
-          break;
-        case QOpKind::kVoteTransform:
-          hollow = fast_path_guaranteed(x_fmt, op.weight.fmt, wmax, op.in_dim,
-                                        op.out_fmt, QTensor());
-          break;
-        default:
-          hollow = false;  // unexpected weight carrier: keep the raw values
-          break;
-      }
-      np.weight = plan_tensor(op.weight, &op.wcache, hollow);
+      np.weight = plan_tensor(op.weight, &op.wcache,
+                              hollow_ok(op, op.weight, wmax, x_fmt));
     }
     if (!op.bias.shape.empty()) {
       np.has_bias = true;
@@ -306,10 +305,8 @@ void save_graph(const qengine::QuantizedGraph& g, const std::string& path,
       const QTensor& wt = op.type_weights[t];
       const QGemmOperandCache& ct = op.type_caches[t];
       const std::int64_t wmax = cached_or_scanned_max_abs(wt, &ct);
-      // Per-type vote convolutions run bias-free into out_fmt.
-      const bool hollow = fast_path_guaranteed(
-          x_fmt, wt.fmt, wmax, conv_fan_in(wt), op.out_fmt, QTensor());
-      np.types.push_back(plan_tensor(wt, &ct, hollow));
+      np.types.push_back(
+          plan_tensor(wt, &ct, hollow_ok(op, wt, wmax, x_fmt)));
     }
     total_typerefs += np.types.size();
 
@@ -638,6 +635,8 @@ qengine::QuantizedGraph load_graph(const std::string& path,
   }
 
   TensorReader reader{file.get(), &h, &path, file};
+  const fixed::FixedFormat input_fmt(h.input_qi, h.input_qf);
+  if (!input_fmt.valid()) corrupt(path, "invalid input format");
   std::vector<QuantizedOp> ops;
   ops.reserve(h.node_count);
   for (std::uint32_t i = 0; i < h.node_count; ++i) {
@@ -694,12 +693,33 @@ qengine::QuantizedGraph load_graph(const std::string& path,
     }
     if (const char* why = bad_node(op))
       corrupt(path, "node " + std::to_string(i) + ": " + why);
+    // The executor keeps a layout node's value in its input's format, so
+    // every value's format (the hollow rule's input) is its producer's
+    // out_fmt.
+    const fixed::FixedFormat x_fmt =
+        op.input < 0 ? input_fmt
+                     : ops[static_cast<std::size_t>(op.input)].out_fmt;
+    if ((op.kind == QOpKind::kRelu || op.kind == QOpKind::kFlatten) &&
+        !(op.out_fmt == x_fmt))
+      corrupt(path, "node " + std::to_string(i) +
+                        ": layout node changes its value's format");
+    const auto check_hollow = [&](const QTensor& w,
+                                  const QGemmOperandCache& cache) {
+      const bool hollow = w.raw.empty() && !w.shape.empty();
+      if (hollow && (w.shape.size() != 4 ||
+                     !hollow_ok(op, w, cache.max_abs, x_fmt)))
+        corrupt(path, "node " + std::to_string(i) +
+                          ": hollow weight whose formats leave the packed "
+                          "path");
+    };
+    check_hollow(op.weight, op.wcache);
+    for (std::size_t t = 0; t < op.type_weights.size(); ++t)
+      check_hollow(op.type_weights[t], op.type_caches[t]);
     ops.push_back(std::move(op));
   }
 
   qengine::QuantizedGraph g = qengine::QuantizedGraph::from_ops(
-      std::move(ops), fixed::FixedFormat(h.input_qi, h.input_qf),
-      opts.track_saturation);
+      std::move(ops), input_fmt, opts.track_saturation);
   // The on-disk op list is always the unfused graph (the fusion pass never
   // touches serialization); re-derive the in-memory annotations here, same
   // as compile() does.

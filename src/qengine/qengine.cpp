@@ -73,23 +73,42 @@ const T* cached_data(const QGemmOperandCache& cache) {
     return cache.i16_data();
 }
 
+// The element type behind a pointer QActivation::visit hands out.
+template <typename P>
+using elem_t = std::remove_const_t<std::remove_pointer_t<P>>;
+
+// The activation's values in the packed tier's container T: its own
+// container when that is T, else one widening copy into `local` (int8
+// values feeding the int16 tier).
+template <typename T>
+const T* tier_values(const QActivation& x, std::vector<T>& local) {
+  if (storage_bytes(x.storage()) == static_cast<std::int64_t>(sizeof(T)))
+    return x.data<T>();
+  local.resize(static_cast<std::size_t>(x.numel()));
+  x.visit([&](const auto* src) {
+    std::transform(src, src + x.numel(), local.begin(),
+                   [](auto v) { return static_cast<T>(v); });
+  });
+  return local.data();
+}
+
 // One strided GEMM per input type i (the shape qgemm amortizes best):
 //   c[:, i, :] [B x JD] = u[:, i, :] [B x Din] * w[i]^T [Din x JD]
 // The i-major result is permuted into the j-major votes layout by the
 // requant epilogue's affine scatter (QGemmScatterDst) — element (bi, j*Dout
 // + dd) of batch item i lands at votes[((bi*Nout + j)*Nin + i)*Dout + dd]
-// straight out of the microkernel, so the routing layout costs no separate
-// widening-copy pass. (Emitting j-major via GEMM shapes instead would need
-// one batch per output capsule: n = Dout-wide calls too small to amortize
-// packing, measured 3x slower on the ShallowCaps head.)
-template <typename T>
-void run_qgemm_votes(const QTensor& u, const QTensor& w,
+// straight out of the microkernel, in the votes' own container. (Emitting
+// j-major via GEMM shapes instead would need one batch per output capsule:
+// n = Dout-wide calls too small to amortize packing, measured 3x slower on
+// the ShallowCaps head.)
+template <typename T, typename O>
+void run_qgemm_votes(const QActivation& u, const QTensor& w,
                      const QGemmOperandCache* w_cache, std::int64_t b,
                      std::int64_t nin, std::int64_t din, std::int64_t nout,
                      std::int64_t dout, const tensor::QGemmRequant& rq,
-                     std::int64_t* votes) {
-  const auto up = packed_of<T>(u);
-  std::vector<T> wp_local;
+                     O* votes) {
+  std::vector<T> u_local, wp_local;
+  const T* up = tier_values<T>(u, u_local);
   const T* wp;
   if (w_cache) {
     wp = cached_data<T>(*w_cache);
@@ -98,7 +117,7 @@ void run_qgemm_votes(const QTensor& u, const QTensor& w,
     wp = wp_local.data();
   }
   const std::int64_t jd = nout * dout;
-  tensor::QGemmScatterDst sd;
+  tensor::QGemmScatterDst<O> sd;
   sd.dst = votes;
   sd.row_outer_stride = nout * nin * dout;  // per image row bi (row_inner = 1)
   sd.col_inner = dout;
@@ -106,41 +125,43 @@ void run_qgemm_votes(const QTensor& u, const QTensor& w,
   sd.col_inner_stride = 1;                  // per vote component dd
   sd.batch_stride = dout;                   // per input type i
   tensor::qgemm_batch_scatter(tensor::Trans::kN, tensor::Trans::kT, b, jd,
-                              din, up.data(), nin * din, din, wp, din,
-                              jd * din, nin, rq, sd);
+                              din, up, nin * din, din, wp, din, jd * din, nin,
+                              rq, sd);
 }
 
 // ---- direct convolution ----------------------------------------------------
 //
-// The packed conv paths never build an im2col matrix. Each image is narrowed
-// once from int64 into a zero-padded int8/int16 copy [C, H + 2p, W + 2p],
-// and qgemm reads its B operand through offsets into that copy
-// (tensor::QGemmGatherB): tap[p] per K row p = (ci, ky, kx) and col[j] per
-// output column j = (image, oy, ox). Padding is stored zeros, which are exact
-// zeros on the symmetric grid.
+// The packed conv paths never build an im2col matrix. Each image is copied
+// once from its activation container into a zero-padded int8/int16 buffer
+// [C, H + 2p, W + 2p] of the tier's type, and qgemm reads its B operand
+// through offsets into that copy (tensor::QGemmGatherB): tap[p] per K row
+// p = (ci, ky, kx) and col[j] per output column j = (image, oy, ox). Padding
+// is stored zeros, which are exact zeros on the symmetric grid. Each
+// requantized strip of output columns (QGemmDirect::run_tiles) is then
+// stored into the output's own container.
 
 struct ConvGeom {
   std::int64_t b, c, h, wd, k, stride, pad, oh, ow;
   std::int64_t hp() const { return h + 2 * pad; }
   std::int64_t wp() const { return wd + 2 * pad; }
-  std::int64_t img() const { return c * hp() * wp(); }  // narrowed image
+  std::int64_t img() const { return c * hp() * wp(); }  // padded image
   std::int64_t plane() const { return oh * ow; }
   std::int64_t fan_in() const { return c * k * k; }
 };
 
 // Shape checks and output geometry of x [B, C, H, W] convolved with
 // w [F, C, K, K].
-ConvGeom conv_geom(const QTensor& x, const QTensor& w, std::int64_t stride,
-                   std::int64_t pad) {
-  QCAPS_CHECK_MSG(x.shape.size() == 4 && w.shape.size() == 4,
+ConvGeom conv_geom(const tensor::Shape& xs, const QTensor& w,
+                   std::int64_t stride, std::int64_t pad) {
+  QCAPS_CHECK_MSG(xs.size() == 4 && w.shape.size() == 4,
                   "qengine conv2d expects [B,C,H,W] x [F,C,K,K]");
-  const std::int64_t c = x.dim(1), k = w.dim(2);
+  const std::int64_t c = xs[1], k = w.dim(2);
   QCAPS_CHECK(w.dim(1) == c && w.dim(3) == k);
-  const std::int64_t h = x.dim(2), wd = x.dim(3);
+  const std::int64_t h = xs[2], wd = xs[3];
   const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
   const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
   QCAPS_CHECK(oh > 0 && ow > 0);
-  return {x.dim(0), c, h, wd, k, stride, pad, oh, ow};
+  return {xs[0], c, h, wd, k, stride, pad, oh, ow};
 }
 
 // Offsets of the K rows of a conv over `channels` consecutive channels.
@@ -155,7 +176,7 @@ std::vector<std::int64_t> tap_offsets(const ConvGeom& g,
   return tap;
 }
 
-// Offsets of the output columns of `images` consecutive narrowed images.
+// Offsets of the output columns of `images` consecutive padded images.
 std::vector<std::int64_t> col_offsets(const ConvGeom& g, std::int64_t images) {
   std::vector<std::int64_t> col(static_cast<std::size_t>(images * g.plane()));
   std::size_t j = 0;
@@ -166,30 +187,56 @@ std::vector<std::int64_t> col_offsets(const ConvGeom& g, std::int64_t images) {
   return col;
 }
 
-// Narrow channel ci of image bi into the interior of its padded plane at
-// dst. Only the interior is written, so the borders of a zero-initialized
-// buffer stay zero however often it is refilled.
+// Copy channel ci of image bi into the interior of its padded plane at dst:
+// a row copy when the activation's container is the tier's T, an exact
+// widening when int8 values feed the int16 tier. Only the interior is
+// written, so the borders of a zero-initialized buffer stay zero however
+// often it is refilled.
 template <typename T>
-void narrow_channel(const QTensor& x, const ConvGeom& g, std::int64_t bi,
-                    std::int64_t ci, T* dst) {
-  const std::int64_t* src = x.raw.data() + (bi * g.c + ci) * g.h * g.wd;
-  for (std::int64_t y = 0; y < g.h; ++y) {
-    T* row = dst + (y + g.pad) * g.wp() + g.pad;
-    for (std::int64_t xx = 0; xx < g.wd; ++xx)
-      row[xx] = static_cast<T>(src[y * g.wd + xx]);
+void copy_channel(const QActivation& x, const ConvGeom& g, std::int64_t bi,
+                  std::int64_t ci, T* dst) {
+  x.visit([&](const auto* base) {
+    const auto* src = base + (bi * g.c + ci) * g.h * g.wd;
+    for (std::int64_t y = 0; y < g.h; ++y) {
+      T* row = dst + (y + g.pad) * g.wp() + g.pad;
+      const auto* in = src + y * g.wd;
+      for (std::int64_t xx = 0; xx < g.wd; ++xx)
+        row[xx] = static_cast<T>(in[xx]);
+    }
+  });
+}
+
+// Store a requantized strip (rows i < `rows`, image-local columns
+// [j0, j0 + nr)) into the [rows, plane] planes of the images at out. Column
+// runs inside one image land on consecutive output pixels. Strip values are
+// on the output format's rails, so the store into O is exact.
+template <typename O>
+void store_strip(const std::int32_t* tile, std::int64_t ld, std::int64_t rows,
+                 std::int64_t j0, std::int64_t nr, std::int64_t plane,
+                 O* out) {
+  for (std::int64_t jj = 0; jj < nr;) {
+    const std::int64_t p = (j0 + jj) % plane;
+    const std::int64_t len = std::min(nr - jj, plane - p);
+    O* dst = out + (j0 + jj) / plane * rows * plane + p;
+    for (std::int64_t i = 0; i < rows; ++i) {
+      const std::int32_t* src = tile + i * ld + jj;
+      O* d = dst + i * plane;
+      for (std::int64_t t = 0; t < len; ++t) d[t] = static_cast<O>(src[t]);
+    }
+    jj += len;
   }
 }
 
 // Drive a direct convolution over the batch: `run(data, col, b0, j0, j1)`
-// computes output columns [j0, j1) of the images from b0 on, narrowed at
+// computes output columns [j0, j1) of the images from b0 on, copied at
 // `data` with column offsets `col`. One OpenMP region per conv, and none when
 // the work is too small to share. With at least one image per thread each
-// thread narrows and convolves its own contiguous images, a few at a time
+// thread copies and convolves its own contiguous images, a few at a time
 // when planes are small so that strips stay full. With fewer images than
-// threads the batch is narrowed once into a shared copy and the threads
+// threads the batch is copied once into a shared buffer and the threads
 // split its output columns.
 template <typename T, typename Run>
-void direct_conv(const QTensor& x, const ConvGeom& g, std::int64_t macs,
+void direct_conv(const QActivation& x, const ConvGeom& g, std::int64_t macs,
                  const Run& run) {
   constexpr std::int64_t kGroupCols = 64;  // two VNNI strips
   int team = 1;
@@ -212,8 +259,8 @@ void direct_conv(const QTensor& x, const ConvGeom& g, std::int64_t macs,
         const std::int64_t n = std::min(group, hi - b0);
         for (std::int64_t i = 0; i < n; ++i)
           for (std::int64_t ci = 0; ci < g.c; ++ci)
-            narrow_channel(x, g, b0 + i, ci,
-                           buf.data() + i * g.img() + ci * g.hp() * g.wp());
+            copy_channel(x, g, b0 + i, ci,
+                         buf.data() + i * g.img() + ci * g.hp() * g.wp());
         run(buf.data(), col.data(), b0, std::int64_t{0}, n * plane);
       }
     };
@@ -242,8 +289,8 @@ void direct_conv(const QTensor& x, const ConvGeom& g, std::int64_t macs,
   {
 #pragma omp for schedule(static)
     for (std::int64_t bc = 0; bc < g.b * g.c; ++bc)
-      narrow_channel(x, g, bc / g.c, bc % g.c,
-                     buf.data() + bc * g.hp() * g.wp());
+      copy_channel(x, g, bc / g.c, bc % g.c,
+                   buf.data() + bc * g.hp() * g.wp());
     const std::int64_t strips = (ncol + kStripCols - 1) / kStripCols;
 #pragma omp for schedule(static)
     for (std::int64_t s = 0; s < strips; ++s)
@@ -287,31 +334,30 @@ tensor::QGemmDirect<T> conv_gemm(const QTensor& w, const QTensor& bias,
 }
 
 template <typename T>
-QTensor conv2d_direct(const QTensor& x, const QTensor& w, const QTensor& bias,
-                      fixed::FixedFormat out_fmt, int acc_qf,
-                      const QGemmOperandCache* w_cache, bool fuse_relu,
-                      const ConvGeom& g, std::int64_t f) {
+QActivation conv2d_direct(const QActivation& x, const QTensor& w,
+                          const QTensor& bias, fixed::FixedFormat out_fmt,
+                          int acc_qf, const QGemmOperandCache* w_cache,
+                          bool fuse_relu, const ConvGeom& g, std::int64_t f) {
   const std::int64_t kk = g.fan_in();
   const std::int64_t plane = g.plane();
   const tensor::QGemmDirect<T> gemm =
       conv_gemm<T>(w, bias, w_cache, acc_qf, out_fmt, fuse_relu, f, kk);
   const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
-  QTensor out({g.b, f, g.oh, g.ow}, out_fmt);
-  // GEMM element (fi, j) of image-local column j lands at
-  // out[b0 + j / plane, fi, j % plane].
-  tensor::QGemmScatterDst sd;
-  sd.row_inner = f;
-  sd.row_inner_stride = plane;
-  sd.col_inner = plane;
-  sd.col_outer_stride = f * plane;
-  sd.col_inner_stride = 1;
-  direct_conv<T>(x, g, g.b * plane * f * kk,
-                 [&](const T* data, const std::int64_t* col, std::int64_t b0,
-                     std::int64_t j0, std::int64_t j1) {
-                   tensor::QGemmScatterDst at = sd;
-                   at.dst = out.raw.data() + b0 * f * plane;
-                   gemm.run({data, tap.data(), col}, j0, j1, at);
-                 });
+  QActivation out({g.b, f, g.oh, g.ow}, out_fmt);
+  out.visit([&](auto* y) {
+    direct_conv<T>(x, g, g.b * plane * f * kk,
+                   [&](const T* data, const std::int64_t* col,
+                       std::int64_t b0, std::int64_t j0, std::int64_t j1) {
+                     auto* dst = y + b0 * f * plane;
+                     gemm.run_tiles({data, tap.data(), col}, j0, j1,
+                                    [&](std::int64_t s0, std::int64_t nr,
+                                        const std::int32_t* tile,
+                                        std::int64_t ld) {
+                                      store_strip(tile, ld, f, s0, nr, plane,
+                                                  dst);
+                                    });
+                   });
+  });
   return out;
 }
 
@@ -376,13 +422,14 @@ void strip_norms(const S* tile, std::int64_t ld, std::int64_t types,
   }
 }
 
-// dst[i] = clamp((src[i] * gain[i] + half) >> shift, lo, hi), i < n.
-template <typename S>
+// dst[i] = clamp((src[i] * gain[i] + half) >> shift, lo, hi), i < n, stored
+// into the output's container O (exact: lo and hi are its format's rails).
+template <typename S, typename O>
 void squash_run(const S* src, const std::int64_t* gain, std::int64_t n,
-                const SquashScale& s, std::int64_t* dst) {
+                const SquashScale& s, O* dst) {
   for (std::int64_t i = 0; i < n; ++i)
-    dst[i] = std::clamp((std::int64_t{src[i]} * gain[i] + s.half) >> s.shift,
-                        s.lo, s.hi);
+    dst[i] = static_cast<O>(std::clamp(
+        (std::int64_t{src[i]} * gain[i] + s.half) >> s.shift, s.lo, s.hi));
 }
 
 #ifdef QCAPS_X86_NATIVE
@@ -426,9 +473,10 @@ __attribute__((target("avx512f"))) void strip_norms_avx512(
   }
 }
 
+template <typename O>
 __attribute__((target("avx512f"))) void squash_run_avx512(
     const std::int32_t* src, const std::int64_t* gain, std::int64_t n,
-    const SquashScale& s, std::int64_t* dst) {
+    const SquashScale& s, O* dst) {
   const __m512i vhalf = _mm512_set1_epi64(s.half);
   const __m128i vshift = _mm_cvtsi32_si128(s.shift);
   const __m512i vlo = _mm512_set1_epi64(s.lo);
@@ -439,7 +487,12 @@ __attribute__((target("avx512f"))) void squash_run_avx512(
                                  _mm512_maskz_loadu_epi64(k, gain + i));
     v = _mm512_sra_epi64(_mm512_add_epi64(v, vhalf), vshift);
     v = _mm512_min_epi64(_mm512_max_epi64(v, vlo), vhi);
-    _mm512_mask_storeu_epi64(dst + i, k, v);
+    if constexpr (std::is_same_v<O, std::int8_t>)
+      _mm512_mask_cvtepi64_storeu_epi8(dst + i, k, v);
+    else if constexpr (std::is_same_v<O, std::int16_t>)
+      _mm512_mask_cvtepi64_storeu_epi16(dst + i, k, v);
+    else
+      _mm512_mask_storeu_epi64(dst + i, k, v);
   }
 }
 #pragma GCC diagnostic pop
@@ -454,9 +507,9 @@ struct CapsStrip {
 
 // Squash one requantized strip (columns [j0, j0 + nr), image-local to the
 // images whose output starts at `out`) into [T*D, H', W'] planes.
+template <typename O>
 void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
-                  std::int64_t ld, std::int64_t j0, std::int64_t nr,
-                  std::int64_t* out) {
+                  std::int64_t ld, std::int64_t j0, std::int64_t nr, O* out) {
   thread_local std::vector<std::int64_t> nsq, gain;
   const std::size_t n = static_cast<std::size_t>(cs.types * nr);
   if (nsq.size() < n) {
@@ -465,10 +518,11 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
   }
 #ifdef QCAPS_X86_NATIVE
   const auto norms = cs.vec ? strip_norms_avx512 : strip_norms<std::int32_t>;
-  const auto finish = cs.vec ? squash_run_avx512 : squash_run<std::int32_t>;
+  const auto finish =
+      cs.vec ? squash_run_avx512<O> : squash_run<std::int32_t, O>;
 #else
   const auto norms = strip_norms<std::int32_t>;
-  const auto finish = squash_run<std::int32_t>;
+  const auto finish = squash_run<std::int32_t, O>;
 #endif
   norms(tile, ld, cs.types, cs.dim, nr, cs.scale.shift_up, nsq.data());
   cs.unit->gain_raw_n(nsq.data(), gain.data(), cs.types * nr);
@@ -478,7 +532,7 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
     const std::int64_t img = (j0 + jj) / cs.plane;
     const std::int64_t p = (j0 + jj) % cs.plane;
     const std::int64_t len = std::min(nr - jj, cs.plane - p);
-    std::int64_t* dst = out + img * channels * cs.plane + p;
+    O* dst = out + img * channels * cs.plane + p;
     for (std::int64_t t = 0; t < cs.types; ++t)
       for (std::int64_t d = 0; d < cs.dim; ++d) {
         const std::int64_t row = t * cs.dim + d;
@@ -490,33 +544,36 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
 }
 
 template <typename T>
-QTensor conv_caps_direct(const QTensor& x, const QTensor& w,
-                         const QTensor& bias, const QGemmOperandCache* w_cache,
-                         std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
-                         fixed::FixedFormat out_fmt,
-                         const hwmodel::SquashUnit& unit,
-                         const SquashScale& scale, const ConvGeom& g,
-                         std::int64_t f) {
+QActivation conv_caps_direct(const QActivation& x, const QTensor& w,
+                             const QTensor& bias,
+                             const QGemmOperandCache* w_cache,
+                             std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
+                             fixed::FixedFormat out_fmt,
+                             const hwmodel::SquashUnit& unit,
+                             const SquashScale& scale, const ConvGeom& g,
+                             std::int64_t f) {
   const std::int64_t kk = g.fan_in();
   const std::int64_t plane = g.plane();
   const tensor::QGemmDirect<T> gemm =
-      conv_gemm<T>(w, bias, w_cache, x.fmt.qf + w.fmt.qf, mid_fmt,
+      conv_gemm<T>(w, bias, w_cache, x.fmt().qf + w.fmt.qf, mid_fmt,
                    /*fuse_relu=*/false, f, kk);
   const CapsStrip cs{f / caps_dim, caps_dim, plane, &unit, scale,
                      common::isa() >= common::Isa::kAvx512};
   const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
-  QTensor out({g.b, f, g.oh, g.ow}, out_fmt);
-  direct_conv<T>(x, g, g.b * plane * f * kk,
-                 [&](const T* data, const std::int64_t* col, std::int64_t b0,
-                     std::int64_t j0, std::int64_t j1) {
-                   std::int64_t* dst = out.raw.data() + b0 * f * plane;
-                   gemm.run_tiles({data, tap.data(), col}, j0, j1,
-                                  [&](std::int64_t s0, std::int64_t nr,
-                                      const std::int32_t* tile,
-                                      std::int64_t ld) {
-                                    squash_strip(cs, tile, ld, s0, nr, dst);
-                                  });
-                 });
+  QActivation out({g.b, f, g.oh, g.ow}, out_fmt);
+  out.visit([&](auto* y) {
+    direct_conv<T>(x, g, g.b * plane * f * kk,
+                   [&](const T* data, const std::int64_t* col,
+                       std::int64_t b0, std::int64_t j0, std::int64_t j1) {
+                     auto* dst = y + b0 * f * plane;
+                     gemm.run_tiles({data, tap.data(), col}, j0, j1,
+                                    [&](std::int64_t s0, std::int64_t nr,
+                                        const std::int32_t* tile,
+                                        std::int64_t ld) {
+                                      squash_strip(cs, tile, ld, s0, nr, dst);
+                                    });
+                   });
+  });
   return out;
 }
 
@@ -543,32 +600,32 @@ PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
   return wl <= 8 && w_max_abs <= 127 ? PackedTier::kInt8 : PackedTier::kInt16;
 }
 
-QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
-               std::int64_t stride, std::int64_t pad,
-               fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme,
-               const QGemmOperandCache* w_cache, bool fuse_relu) {
-  const ConvGeom g = conv_geom(x, w, stride, pad);
+QActivation conv2d(const QActivation& x, const QTensor& w, const QTensor& bias,
+                   std::int64_t stride, std::int64_t pad,
+                   fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme,
+                   const QGemmOperandCache* w_cache, bool fuse_relu) {
+  const ConvGeom g = conv_geom(x.shape(), w, stride, pad);
   const std::int64_t b = g.b, c = g.c, h = g.h, wd = g.wd, k = g.k;
   const std::int64_t oh = g.oh, ow = g.ow, f = w.dim(0);
   // Accumulator guard: fan-in * 2^(wl_x + wl_w) must fit in int64.
-  QCAPS_CHECK_MSG(x.fmt.wordlength() + w.fmt.wordlength() +
+  QCAPS_CHECK_MSG(x.fmt().wordlength() + w.fmt.wordlength() +
                           static_cast<int>(std::ceil(std::log2(
                               static_cast<double>(c * k * k + 1)))) <=
                       62,
                   "conv accumulator would overflow for these formats");
-  const int acc_qf = x.fmt.qf + w.fmt.qf;
+  const int acc_qf = x.fmt().qf + w.fmt.qf;
   const bool has_bias = !bias.raw.empty();
   QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
                   "conv2d weight cache was not built");
   QCAPS_CHECK_MSG(!has_bias || bias.fmt.qf <= acc_qf,
                   "conv2d bias fractional width exceeds the accumulator's");
-  if (b == 0) return QTensor({b, f, oh, ow}, out_fmt);
+  if (b == 0) return QActivation({b, f, oh, ow}, out_fmt);
 
   // Packed-GEMM fast path (bit-identical; see header).
   if (scheme == fixed::RoundingScheme::kRoundToNearest) {
     const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
     const PackedTier tier =
-        packed_tier(x.fmt, w.fmt, wmax, g.fan_in(), out_fmt, bias);
+        packed_tier(x.fmt(), w.fmt, wmax, g.fan_in(), out_fmt, bias);
     if (tier == PackedTier::kInt8)
       return conv2d_direct<std::int8_t>(x, w, bias, out_fmt, acc_qf, w_cache,
                                         fuse_relu, g, f);
@@ -577,46 +634,54 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
                                          w_cache, fuse_relu, g, f);
   }
 
-  QTensor out({b, f, oh, ow}, out_fmt);
+  // Exact int64 fallback: the input widened once, each result stored into
+  // the output's container.
+  const QTensor xw = x.widen();
+  QActivation out({b, f, oh, ow}, out_fmt);
+  out.visit([&](auto* y) {
 #pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    for (std::int64_t fi = 0; fi < f; ++fi) {
-      for (std::int64_t y = 0; y < oh; ++y) {
-        for (std::int64_t xx = 0; xx < ow; ++xx) {
-          std::int64_t acc = 0;
-          for (std::int64_t ci = 0; ci < c; ++ci) {
-            for (std::int64_t ky = 0; ky < k; ++ky) {
-              const std::int64_t iy = y * stride + ky - pad;
-              if (iy < 0 || iy >= h) continue;
-              for (std::int64_t kx = 0; kx < k; ++kx) {
-                const std::int64_t ix = xx * stride + kx - pad;
-                if (ix < 0 || ix >= wd) continue;
-                acc += x.raw[static_cast<std::size_t>(((bi * c + ci) * h + iy) * wd + ix)] *
-                       w.raw[static_cast<std::size_t>(((fi * c + ci) * k + ky) * k + kx)];
+    for (std::int64_t bi = 0; bi < b; ++bi) {
+      for (std::int64_t fi = 0; fi < f; ++fi) {
+        for (std::int64_t yy = 0; yy < oh; ++yy) {
+          for (std::int64_t xx = 0; xx < ow; ++xx) {
+            std::int64_t acc = 0;
+            for (std::int64_t ci = 0; ci < c; ++ci) {
+              for (std::int64_t ky = 0; ky < k; ++ky) {
+                const std::int64_t iy = yy * stride + ky - pad;
+                if (iy < 0 || iy >= h) continue;
+                for (std::int64_t kx = 0; kx < k; ++kx) {
+                  const std::int64_t ix = xx * stride + kx - pad;
+                  if (ix < 0 || ix >= wd) continue;
+                  acc += xw.raw[static_cast<std::size_t>(
+                             ((bi * c + ci) * h + iy) * wd + ix)] *
+                         w.raw[static_cast<std::size_t>(
+                             ((fi * c + ci) * k + ky) * k + kx)];
+                }
               }
             }
+            if (has_bias) {
+              // Align the bias (weight fmt) to the accumulator's frac width.
+              acc += bias.raw[static_cast<std::size_t>(fi)]
+                     << (acc_qf - bias.fmt.qf);
+            }
+            std::int64_t v = hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
+            if (fuse_relu && v < 0) v = 0;
+            y[((bi * f + fi) * oh + yy) * ow + xx] =
+                static_cast<elem_t<decltype(y)>>(v);
           }
-          if (has_bias) {
-            // Align the bias (weight fmt) to the accumulator's frac width.
-            acc += bias.raw[static_cast<std::size_t>(fi)] << (acc_qf - bias.fmt.qf);
-          }
-          std::int64_t v = hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
-          if (fuse_relu && v < 0) v = 0;
-          out.raw[static_cast<std::size_t>(((bi * f + fi) * oh + y) * ow + xx)] =
-              v;
         }
       }
     }
-  }
+  });
   return out;
 }
 
-QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
-                  std::int64_t stride, std::int64_t pad,
-                  std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
-                  fixed::FixedFormat out_fmt,
-                  const QGemmOperandCache* w_cache) {
-  const ConvGeom g = conv_geom(x, w, stride, pad);
+QActivation conv_caps(const QActivation& x, const QTensor& w,
+                      const QTensor& bias, std::int64_t stride,
+                      std::int64_t pad, std::int64_t caps_dim,
+                      fixed::FixedFormat mid_fmt, fixed::FixedFormat out_fmt,
+                      const QGemmOperandCache* w_cache) {
+  const ConvGeom g = conv_geom(x.shape(), w, stride, pad);
   const std::int64_t f = w.dim(0);
   QCAPS_CHECK_MSG(caps_dim > 0 && f % caps_dim == 0,
                   "conv_caps: " << f << " channels do not split into "
@@ -628,7 +693,7 @@ QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
   const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
   const PackedTier tier =
       g.b == 0 ? PackedTier::kNone
-               : packed_tier(x.fmt, w.fmt, wmax, g.fan_in(), mid_fmt, bias);
+               : packed_tier(x.fmt(), w.fmt, wmax, g.fan_in(), mid_fmt, bias);
   if (tier == PackedTier::kInt8)
     return conv_caps_direct<std::int8_t>(x, w, bias, w_cache, caps_dim,
                                          mid_fmt, out_fmt, unit, scale, g, f);
@@ -642,9 +707,9 @@ QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
                          caps_dim, out_fmt);
 }
 
-QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
-                        fixed::FixedFormat out_fmt) {
-  QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
+QActivation squash_channels(const QActivation& s, std::int64_t caps_dim,
+                            fixed::FixedFormat out_fmt) {
+  QCAPS_CHECK_MSG(s.shape().size() == 4 && s.dim(1) % caps_dim == 0,
                   "squash_channels expects [B, T*D, H, W] with D = "
                       << caps_dim);
   const std::int64_t b = s.dim(0), c = s.dim(1), plane = s.dim(2) * s.dim(3);
@@ -655,112 +720,132 @@ QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
   // by pixel-block, in one streaming pass. Bit-identical to
   // SquashUnit::apply: integer addition is order-free and the per-term
   // shift, the gain, and the final rescale are element-local.
-  const hwmodel::SquashUnit unit(s.fmt);
-  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt);
-  QTensor out(s.shape, out_fmt);
+  const hwmodel::SquashUnit unit(s.fmt());
+  const SquashScale sc = squash_scale(unit, s.fmt(), out_fmt);
+  QActivation out(s.shape(), out_fmt);
   const std::int64_t slabs = b * types;
   constexpr std::int64_t kBlock = 512;
+  s.visit([&](const auto* in) {
+    out.visit([&](auto* y) {
 #pragma omp parallel for schedule(static) if (slabs > 1)
-  for (std::int64_t sl = 0; sl < slabs; ++sl) {
-    const std::int64_t* src = s.raw.data() + sl * caps_dim * plane;
-    std::int64_t* dst = out.raw.data() + sl * caps_dim * plane;
-    std::int64_t nsq[kBlock];
-    std::int64_t gain[kBlock];
-    for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
-      const std::int64_t pc = std::min(kBlock, plane - p0);
-      strip_norms(src + p0, plane, 1, caps_dim, pc, sc.shift_up, nsq);
-      unit.gain_raw_n(nsq, gain, pc);
-      for (std::int64_t j = 0; j < caps_dim; ++j)
-        squash_run(src + j * plane + p0, gain, pc, sc,
-                   dst + j * plane + p0);
-    }
-  }
+      for (std::int64_t sl = 0; sl < slabs; ++sl) {
+        const auto* src = in + sl * caps_dim * plane;
+        auto* dst = y + sl * caps_dim * plane;
+        std::int64_t nsq[kBlock];
+        std::int64_t gain[kBlock];
+        for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
+          const std::int64_t pc = std::min(kBlock, plane - p0);
+          strip_norms(src + p0, plane, 1, caps_dim, pc, sc.shift_up, nsq);
+          unit.gain_raw_n(nsq, gain, pc);
+          for (std::int64_t j = 0; j < caps_dim; ++j)
+            squash_run(src + j * plane + p0, gain, pc, sc,
+                       dst + j * plane + p0);
+        }
+      }
+    });
+  });
   return out;
 }
 
-void relu(QTensor& x) {
-  for (auto& v : x.raw)
-    if (v < 0) v = 0;
+void relu(QActivation& x) {
+  x.visit([&](auto* p) {
+    for (std::int64_t i = 0; i < x.numel(); ++i)
+      if (p[i] < 0) p[i] = 0;
+  });
 }
 
-QTensor rescale(const QTensor& x, fixed::FixedFormat out_fmt,
-                fixed::RoundingScheme scheme) {
-  QTensor out(x.shape, out_fmt);
-  for (std::size_t i = 0; i < x.raw.size(); ++i)
-    out.raw[i] = hwmodel::rescale_raw(x.raw[i], x.fmt.qf, out_fmt, scheme);
+QActivation rescale(const QActivation& x, fixed::FixedFormat out_fmt,
+                    fixed::RoundingScheme scheme) {
+  QActivation out(x.shape(), out_fmt);
+  x.visit([&](const auto* src) {
+    out.visit([&](auto* dst) {
+      for (std::int64_t i = 0; i < x.numel(); ++i)
+        dst[i] = static_cast<elem_t<decltype(dst)>>(
+            hwmodel::rescale_raw(src[i], x.fmt().qf, out_fmt, scheme));
+    });
+  });
   return out;
 }
 
-QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt) {
-  QCAPS_CHECK(!s.shape.empty());
+QActivation squash_last(const QActivation& s, fixed::FixedFormat out_fmt) {
+  QCAPS_CHECK(!s.shape().empty());
   const std::int64_t d = s.dim(-1);
   const std::int64_t rows = s.numel() / d;
-  const hwmodel::SquashUnit unit(s.fmt);
+  const hwmodel::SquashUnit unit(s.fmt());
   // Raw-seam bulk path: same arithmetic as unit.apply() per row without the
   // per-row FixedNum vector allocations.
-  const SquashScale sc = squash_scale(unit, s.fmt, out_fmt);
-  QTensor out(s.shape, out_fmt);
+  const SquashScale sc = squash_scale(unit, s.fmt(), out_fmt);
+  QActivation out(s.shape(), out_fmt);
   // Blocked rows: one norms pass, one batched gain (vector NR over lanes of
   // rows), one scale pass — same bits as the per-row loop in any order.
   constexpr std::int64_t kBlock = 64;
   const std::int64_t nblocks = (rows + kBlock - 1) / kBlock;
+  s.visit([&](const auto* in) {
+    out.visit([&](auto* y) {
 #pragma omp parallel for schedule(static) if (rows > 64)
-  for (std::int64_t blk = 0; blk < nblocks; ++blk) {
-    const std::int64_t r0 = blk * kBlock;
-    const std::int64_t rc = std::min(kBlock, rows - r0);
-    std::int64_t nsq[kBlock];
-    std::int64_t gain[kBlock];
-    for (std::int64_t rr = 0; rr < rc; ++rr) {
-      const std::int64_t* src = s.raw.data() + (r0 + rr) * d;
-      std::int64_t acc = 0;
-      for (std::int64_t j = 0; j < d; ++j) {
-        const std::int64_t wide = src[j] * src[j];
-        acc += sc.shift_up >= 0 ? (wide << sc.shift_up)
-                                : (wide >> -sc.shift_up);
+      for (std::int64_t blk = 0; blk < nblocks; ++blk) {
+        const std::int64_t r0 = blk * kBlock;
+        const std::int64_t rc = std::min(kBlock, rows - r0);
+        std::int64_t nsq[kBlock];
+        std::int64_t gain[kBlock];
+        for (std::int64_t rr = 0; rr < rc; ++rr) {
+          const auto* src = in + (r0 + rr) * d;
+          std::int64_t acc = 0;
+          for (std::int64_t j = 0; j < d; ++j) {
+            const std::int64_t wide = std::int64_t{src[j]} * src[j];
+            acc += sc.shift_up >= 0 ? (wide << sc.shift_up)
+                                    : (wide >> -sc.shift_up);
+          }
+          nsq[rr] = acc;
+        }
+        unit.gain_raw_n(nsq, gain, rc);
+        for (std::int64_t rr = 0; rr < rc; ++rr) {
+          const auto* src = in + (r0 + rr) * d;
+          auto* dst = y + (r0 + rr) * d;
+          for (std::int64_t j = 0; j < d; ++j)
+            dst[j] = static_cast<elem_t<decltype(y)>>(
+                std::clamp((std::int64_t{src[j]} * gain[rr] + sc.half) >>
+                               sc.shift,
+                           sc.lo, sc.hi));
+        }
       }
-      nsq[rr] = acc;
-    }
-    unit.gain_raw_n(nsq, gain, rc);
-    for (std::int64_t rr = 0; rr < rc; ++rr) {
-      const std::int64_t* src = s.raw.data() + (r0 + rr) * d;
-      std::int64_t* dst = out.raw.data() + (r0 + rr) * d;
-      for (std::int64_t j = 0; j < d; ++j)
-        dst[j] = std::clamp((src[j] * gain[rr] + sc.half) >> sc.shift, sc.lo,
-                            sc.hi);
-    }
-  }
+    });
+  });
   return out;
 }
 
-QTensor dynamic_routing(const QTensor& votes, int iterations,
-                        fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt) {
-  QCAPS_CHECK_MSG(votes.shape.size() == 4, "votes must be [R, Nout, Nin, D]");
-  QCAPS_CHECK(iterations >= 1);
-  const std::int64_t r_count = votes.dim(0), nout = votes.dim(1),
-                     nin = votes.dim(2), d = votes.dim(3);
-  QCAPS_CHECK(votes.fmt == act_fmt);
+namespace {
 
+// The routing of dynamic_routing over votes and outputs in container S (the
+// activation format's: votes, couplings and outputs share it).
+template <typename S>
+void route(const S* votes, std::int64_t r_count, std::int64_t nout,
+           std::int64_t nin, std::int64_t d, int iterations,
+           fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt, S* v_out) {
   const hwmodel::SoftmaxUnit softmax(dr_fmt);
   const hwmodel::SquashUnit squash(dr_fmt);
-  QTensor v_out({r_count, nout, d}, act_fmt);
-  if (v_out.numel() == 0) return v_out;
-
   // Integer fast path: with the j-major layout both contractions walk
-  // unit-stride int32 slabs, and exact int32 accumulation is admissible as
-  // long as Σ |c||u| (resp. Σ |v||u|) cannot wrap. Votes, couplings and
-  // squashed outputs all carry the activation format, whose rails bound
-  // every raw magnitude by 2^(wl-1) (bit width wl), so the format decides.
-  // Integer addition is associative, so the int32 and int64 paths are
-  // bit-identical — the requant points (rescale into QDR before squash, per
-  // Fig. 9) are untouched.
+  // unit-stride slabs, read straight from the votes' container, and exact
+  // int32 accumulation is admissible as long as Σ |c||u| (resp. Σ |v||u|)
+  // cannot wrap. Votes, couplings and squashed outputs all carry the
+  // activation format, whose rails bound every raw magnitude by 2^(wl-1)
+  // (bit width wl), so the format decides. Integer addition is associative,
+  // so the int32 and int64 paths are bit-identical — the requant points
+  // (rescale into QDR before squash, per Fig. 9) are untouched.
   const int bact = act_fmt.wordlength();
   const bool i32_ok =
       2 * bact + ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <= 30;
-  std::vector<std::int32_t> u32;
-  if (i32_ok) {
-    u32.resize(votes.raw.size());
-    for (std::size_t i = 0; i < votes.raw.size(); ++i)
-      u32[i] = static_cast<std::int32_t>(votes.raw[i]);
+  // The exact int64 path reads int64 votes: widened once when the container
+  // is narrower.
+  std::vector<std::int64_t> wide;
+  const std::int64_t* u64 = nullptr;
+  if (!i32_ok) {
+    if constexpr (std::is_same_v<S, std::int64_t>) {
+      u64 = votes;
+    } else {
+      wide.assign(votes, votes + r_count * nout * nin * d);
+      u64 = wide.data();
+    }
   }
 
 #pragma omp parallel for schedule(static) if (r_count > 4)
@@ -779,9 +864,8 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
     std::vector<std::int64_t> c_raw(static_cast<std::size_t>(nout * nin), 0);
     std::vector<std::int64_t> nsq_scratch(static_cast<std::size_t>(nout));
     std::vector<std::int64_t> gain_scratch(static_cast<std::size_t>(nout));
-    const std::int64_t* u = votes.raw.data() + r * nout * nin * d;
-    const std::int32_t* ur32 = i32_ok ? u32.data() + r * nout * nin * d
-                                      : nullptr;
+    const S* ur = votes + r * nout * nin * d;
+    const std::int64_t* u = i32_ok ? nullptr : u64 + r * nout * nin * d;
 
     for (int it = 0; it < iterations; ++it) {
       // c_i* = softmax over Nout of b_i* — logits carry the QDR format but
@@ -799,14 +883,15 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
       const int acc_qf = act_fmt.qf + act_fmt.qf;
       for (std::int64_t j = 0; j < nout; ++j) {
         if (i32_ok) {
-          const std::int32_t* uj = ur32 + j * nin * d;
+          const S* uj = ur + j * nin * d;
           const std::int32_t* cj = c32.data() + j * nin;
           std::fill(acc32.begin(), acc32.end(), 0);
           for (std::int64_t i = 0; i < nin; ++i) {
             const std::int32_t cij = cj[i];
-            const std::int32_t* uv = uj + i * d;
+            const S* uv = uj + i * d;
             for (std::int64_t k = 0; k < d; ++k)
-              acc32[static_cast<std::size_t>(k)] += cij * uv[k];
+              acc32[static_cast<std::size_t>(k)] +=
+                  cij * static_cast<std::int32_t>(uv[k]);
           }
           for (std::int64_t k = 0; k < d; ++k)
             s_raw[static_cast<std::size_t>(j * d + k)] = hwmodel::rescale_raw(
@@ -859,12 +944,13 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
       for (std::int64_t j = 0; j < nout; ++j) {
         std::int64_t* bj = b_raw.data() + j * nin;
         if (i32_ok) {
-          const std::int32_t* uj = ur32 + j * nin * d;
+          const S* uj = ur + j * nin * d;
           const std::int32_t* vj = v32.data() + j * d;
           for (std::int64_t i = 0; i < nin; ++i) {
-            const std::int32_t* uv = uj + i * d;
+            const S* uv = uj + i * d;
             std::int32_t acc = 0;
-            for (std::int64_t k = 0; k < d; ++k) acc += uv[k] * vj[k];
+            for (std::int64_t k = 0; k < d; ++k)
+              acc += static_cast<std::int32_t>(uv[k]) * vj[k];
             const std::int64_t a =
                 hwmodel::rescale_raw(acc, 2 * act_fmt.qf, dr_fmt);
             bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
@@ -883,9 +969,29 @@ QTensor dynamic_routing(const QTensor& votes, int iterations,
         }
       }
     }
-    std::copy(v_raw.begin(), v_raw.end(),
-              v_out.raw.begin() + r * nout * d);
+    std::transform(v_raw.begin(), v_raw.end(), v_out + r * nout * d,
+                   [](std::int64_t v) { return static_cast<S>(v); });
   }
+}
+
+}  // namespace
+
+QActivation dynamic_routing(const QActivation& votes, int iterations,
+                            fixed::FixedFormat act_fmt,
+                            fixed::FixedFormat dr_fmt) {
+  QCAPS_CHECK_MSG(votes.shape().size() == 4,
+                  "votes must be [R, Nout, Nin, D]");
+  QCAPS_CHECK(iterations >= 1);
+  const std::int64_t r_count = votes.dim(0), nout = votes.dim(1),
+                     nin = votes.dim(2), d = votes.dim(3);
+  QCAPS_CHECK(votes.fmt() == act_fmt);
+  QActivation v_out({r_count, nout, d}, act_fmt);
+  if (v_out.numel() == 0) return v_out;
+  // Votes and outputs share act_fmt, hence one container type.
+  votes.visit([&](const auto* u) {
+    route(u, r_count, nout, nin, d, iterations, act_fmt, dr_fmt,
+          v_out.data<elem_t<decltype(u)>>());
+  });
   return v_out;
 }
 
@@ -897,11 +1003,11 @@ QGemmOperandCache make_operand_cache(const QTensor& t) {
   return cache;
 }
 
-QTensor vote_transform(const QTensor& u, const QTensor& w,
-                       fixed::FixedFormat out_fmt,
-                       fixed::RoundingScheme scheme,
-                       const QGemmOperandCache* w_cache) {
-  QCAPS_CHECK_MSG(u.shape.size() == 3 && w.shape.size() == 4,
+QActivation vote_transform(const QActivation& u, const QTensor& w,
+                           fixed::FixedFormat out_fmt,
+                           fixed::RoundingScheme scheme,
+                           const QGemmOperandCache* w_cache) {
+  QCAPS_CHECK_MSG(u.shape().size() == 3 && w.shape.size() == 4,
                   "vote_transform expects u [B,Nin,Din], w [Nin,Nout,Dout,Din]");
   const std::int64_t b = u.dim(0), nin = u.dim(1), din = u.dim(2);
   const std::int64_t nout = w.dim(1), dout = w.dim(2);
@@ -909,57 +1015,65 @@ QTensor vote_transform(const QTensor& u, const QTensor& w,
   QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
                   "vote_transform weight cache was not built");
   const std::int64_t jd = nout * dout;
-  const int acc_qf = u.fmt.qf + w.fmt.qf;
-  QTensor votes({b, nout, nin, dout}, out_fmt);
-  if (din == 0 || votes.numel() == 0) return votes;
+  const int acc_qf = u.fmt().qf + w.fmt.qf;
+  QActivation votes({b, nout, nin, dout}, out_fmt);
+  if (votes.numel() == 0) return votes;
 
-  if (scheme == fixed::RoundingScheme::kRoundToNearest) {
+  if (din > 0 && scheme == fixed::RoundingScheme::kRoundToNearest) {
     const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const PackedTier tier = packed_tier(u.fmt, w.fmt, wmax, din, out_fmt);
+    const PackedTier tier = packed_tier(u.fmt(), w.fmt, wmax, din, out_fmt);
     if (tier != PackedTier::kNone) {
       const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-      if (tier == PackedTier::kInt8)
-        run_qgemm_votes<std::int8_t>(u, w, w_cache, b, nin, din, nout, dout,
-                                     rq, votes.raw.data());
-      else
-        run_qgemm_votes<std::int16_t>(u, w, w_cache, b, nin, din, nout, dout,
-                                      rq, votes.raw.data());
+      votes.visit([&](auto* v) {
+        if (tier == PackedTier::kInt8)
+          run_qgemm_votes<std::int8_t>(u, w, w_cache, b, nin, din, nout, dout,
+                                       rq, v);
+        else
+          run_qgemm_votes<std::int16_t>(u, w, w_cache, b, nin, din, nout,
+                                        dout, rq, v);
+      });
       return votes;
     }
   }
 
-  // Exact int64 scalar path, writing the j-major layout directly.
-  check_i64_acc(u, w, din, "qengine vote_transform");
+  // Exact int64 fallback, writing the j-major layout directly: the input
+  // widened once, each result stored into the votes' container.
+  const QTensor uw = u.widen();
+  check_i64_acc(uw, w, din, "qengine vote_transform");
+  votes.visit([&](auto* v) {
 #pragma omp parallel for collapse(2) schedule(static)
-  for (std::int64_t bi = 0; bi < b; ++bi) {
-    for (std::int64_t i = 0; i < nin; ++i) {
-      const std::int64_t* uv = u.raw.data() + (bi * nin + i) * din;
-      const std::int64_t* wrow = w.raw.data() + i * jd * din;
-      for (std::int64_t x = 0; x < jd; ++x) {
-        std::int64_t acc = 0;
-        for (std::int64_t p = 0; p < din; ++p)
-          acc += wrow[x * din + p] * uv[p];
-        votes.raw[static_cast<std::size_t>(
-            ((bi * nout + x / dout) * nin + i) * dout + x % dout)] =
-            hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
+    for (std::int64_t bi = 0; bi < b; ++bi) {
+      for (std::int64_t i = 0; i < nin; ++i) {
+        const std::int64_t* uv = uw.raw.data() + (bi * nin + i) * din;
+        const std::int64_t* wrow = w.raw.data() + i * jd * din;
+        for (std::int64_t x = 0; x < jd; ++x) {
+          std::int64_t acc = 0;
+          for (std::int64_t p = 0; p < din; ++p)
+            acc += wrow[x * din + p] * uv[p];
+          v[((bi * nout + x / dout) * nin + i) * dout + x % dout] =
+              static_cast<elem_t<decltype(v)>>(
+                  hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme));
+        }
       }
     }
-  }
+  });
   return votes;
 }
 
 namespace {
 
 // Grouped ConvCaps3d vote convolutions (see the header): each image is
-// narrowed once over the full channel set, and input type t's vote GEMM
-// reads its Din channels at offset t * Din * Hp * Wp of that copy, against
-// the t-th slice of the concatenated packed weights.
-template <typename T>
-void conv_caps3d_votes_impl(const QTensor& x, const T* wp,
+// copied once over the full channel set, and input type t's vote GEMM reads
+// its Din channels at offset t * Din * Hp * Wp of that copy, against the
+// t-th slice of the concatenated packed weights. Each requantized strip of
+// type t (rows j*Dout + dd, image-local columns (bi, p)) lands at
+// votes[((b0 + bi) * plane + p) * Tout*Tin*Dout + j*Tin*Dout + t*Dout + dd].
+template <typename T, typename O>
+void conv_caps3d_votes_impl(const QActivation& x, const T* wp,
                             const tensor::QGemmRequant& rq, const ConvGeom& g,
                             std::int64_t in_types, std::int64_t din,
                             std::int64_t out_types, std::int64_t dout,
-                            std::int64_t* votes) {
+                            O* votes) {
   const std::int64_t kk = din * g.k * g.k;  // fan-in of ONE type's vote conv
   const std::int64_t jd = out_types * dout;
   const std::int64_t jd_all = out_types * in_types * dout;
@@ -970,59 +1084,64 @@ void conv_caps3d_votes_impl(const QTensor& x, const T* wp,
   for (std::int64_t t = 0; t < in_types; ++t)
     gemms.emplace_back(wp + t * jd * kk, jd, kk, rq);
   const std::vector<std::int64_t> tap = tap_offsets(g, din);
-  // Type t's GEMM element (j*Dout + dd, column (bi, p)) lands at
-  // votes[((b0 + bi) * plane + p) * Tout*Tin*Dout + j*Tin*Dout + t*Dout + dd].
-  tensor::QGemmScatterDst sd;
-  sd.row_inner = dout;  // row splits as (j, dd)
-  sd.row_outer_stride = in_types * dout;
-  sd.row_inner_stride = 1;
-  sd.col_outer_stride = jd_all;  // column index is linear (inner = 1)
-  direct_conv<T>(x, g, g.b * plane * in_types * jd * kk,
-                 [&](const T* data, const std::int64_t* col, std::int64_t b0,
-                     std::int64_t j0, std::int64_t j1) {
-                   tensor::QGemmScatterDst at = sd;
-                   for (std::int64_t t = 0; t < in_types; ++t) {
-                     at.dst = votes + b0 * plane * jd_all + t * dout;
-                     gemms[static_cast<std::size_t>(t)].run(
-                         {data + t * din * g.hp() * g.wp(), tap.data(), col},
-                         j0, j1, at);
-                   }
-                 });
+  direct_conv<T>(
+      x, g, g.b * plane * in_types * jd * kk,
+      [&](const T* data, const std::int64_t* col, std::int64_t b0,
+          std::int64_t j0, std::int64_t j1) {
+        for (std::int64_t t = 0; t < in_types; ++t) {
+          O* at = votes + b0 * plane * jd_all + t * dout;
+          gemms[static_cast<std::size_t>(t)].run_tiles(
+              {data + t * din * g.hp() * g.wp(), tap.data(), col}, j0, j1,
+              [&](std::int64_t s0, std::int64_t nr, const std::int32_t* tile,
+                  std::int64_t ld) {
+                for (std::int64_t jj = 0; jj < nr; ++jj) {
+                  O* d = at + (s0 + jj) * jd_all;
+                  for (std::int64_t j = 0; j < out_types; ++j)
+                    for (std::int64_t dd = 0; dd < dout; ++dd)
+                      d[j * in_types * dout + dd] = static_cast<O>(
+                          tile[(j * dout + dd) * ld + jj]);
+                }
+              });
+        }
+      });
 }
 
 }  // namespace
 
-bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
+bool conv_caps3d_votes(const QActivation& x, const QGemmOperandCache& grouped,
                        fixed::FixedFormat w_fmt, std::int64_t in_types,
                        std::int64_t in_dim, std::int64_t out_types,
                        std::int64_t out_dim, std::int64_t ksize,
                        std::int64_t stride, std::int64_t pad,
-                       fixed::FixedFormat out_fmt, QTensor& votes) {
-  QCAPS_CHECK_MSG(x.shape.size() == 4 && x.dim(1) == in_types * in_dim,
+                       fixed::FixedFormat out_fmt, QActivation& votes) {
+  QCAPS_CHECK_MSG(x.shape().size() == 4 && x.dim(1) == in_types * in_dim,
                   "conv_caps3d_votes expects [B, Tin*Din, H, W] input");
-  const PackedTier tier = packed_tier(x.fmt, w_fmt, grouped.max_abs,
+  const PackedTier tier = packed_tier(x.fmt(), w_fmt, grouped.max_abs,
                                       in_dim * ksize * ksize, out_fmt);
   if (tier == PackedTier::kNone) return false;
   if (tier == PackedTier::kInt8 && !grouped.has_i8()) return false;
   if (tier == PackedTier::kInt16 && !grouped.has_i16()) return false;
-  const int acc_qf = x.fmt.qf + w_fmt.qf;
+  const int acc_qf = x.fmt().qf + w_fmt.qf;
 
   const std::int64_t b = x.dim(0), h = x.dim(2), wd = x.dim(3);
   const std::int64_t oh = (h + 2 * pad - ksize) / stride + 1;
   const std::int64_t ow = (wd + 2 * pad - ksize) / stride + 1;
-  QCAPS_CHECK_MSG(votes.numel() == b * oh * ow * out_types * in_types * out_dim,
-                  "conv_caps3d_votes: votes tensor has the wrong size");
+  QCAPS_CHECK_MSG(votes.fmt() == out_fmt &&
+                      votes.numel() ==
+                          b * oh * ow * out_types * in_types * out_dim,
+                  "conv_caps3d_votes: votes tensor has the wrong size or "
+                  "format");
   if (votes.numel() == 0) return true;
   const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
   const ConvGeom g{b, in_types * in_dim, h, wd, ksize, stride, pad, oh, ow};
-  if (tier == PackedTier::kInt8)
-    conv_caps3d_votes_impl<std::int8_t>(x, grouped.i8_data(), rq, g, in_types,
-                                        in_dim, out_types, out_dim,
-                                        votes.raw.data());
-  else
-    conv_caps3d_votes_impl<std::int16_t>(x, grouped.i16_data(), rq, g,
-                                         in_types, in_dim, out_types, out_dim,
-                                         votes.raw.data());
+  votes.visit([&](auto* v) {
+    if (tier == PackedTier::kInt8)
+      conv_caps3d_votes_impl(x, grouped.i8_data(), rq, g, in_types, in_dim,
+                             out_types, out_dim, v);
+    else
+      conv_caps3d_votes_impl(x, grouped.i16_data(), rq, g, in_types, in_dim,
+                             out_types, out_dim, v);
+  });
   return true;
 }
 

@@ -5,6 +5,12 @@
 // widths), one rescale-with-rounding into the destination format, saturation
 // at the destination range. The squash and softmax use the bit-accurate unit
 // datapaths from src/hwmodel (Newton-Raphson inverse sqrt, exp LUT).
+//
+// Activations in and out are QActivations, held in the container their
+// format picks (int8 up to 8 bits, int16 up to 16, int64 otherwise); weights
+// and biases are QTensors. The packed paths read and write those containers
+// directly. Each exact int64 fallback widens its input once, runs its
+// arithmetic unchanged, and stores every result into the output's container.
 #pragma once
 
 #include <memory>
@@ -72,10 +78,10 @@ PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
 ///
 /// Fast path: when packed_tier admits the formats and the scheme is
 /// round-to-nearest, the convolution runs as a direct packed integer GEMM
-/// (tensor::QGemmDirect): each image is narrowed once into a zero-padded
-/// int8/int16 copy, the qgemm panels are packed straight from it (no im2col
-/// matrix), and the bias is folded into the requantization, which writes
-/// [B, F, H', W'] directly. Results are bit-identical
+/// (tensor::QGemmDirect): each image's rows are copied once into a
+/// zero-padded int8/int16 buffer, the qgemm panels are packed straight from
+/// it (no im2col matrix), and the bias is folded into the requantization,
+/// whose strips are stored into [B, F, H', W']. Results are bit-identical
 /// to the scalar path (integer accumulation is order-exact and the requant
 /// is the same round-half-up rescale). Pass `w_cache` (built from `w`) to
 /// skip re-packing constant weights on every call.
@@ -84,13 +90,13 @@ PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
 /// clamp's lower bound is raised to the zero point (0 on the symmetric
 /// grid), so relu(clamp(v, qmin, qmax)) == clamp(v, 0, qmax) element-exact
 /// on every path — the graph fusion pass uses this to elide kRelu nodes.
-QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
-               std::int64_t stride, std::int64_t pad,
-               fixed::FixedFormat out_fmt,
-               fixed::RoundingScheme scheme =
-                   fixed::RoundingScheme::kRoundToNearest,
-               const QGemmOperandCache* w_cache = nullptr,
-               bool fuse_relu = false);
+QActivation conv2d(const QActivation& x, const QTensor& w, const QTensor& bias,
+                   std::int64_t stride, std::int64_t pad,
+                   fixed::FixedFormat out_fmt,
+                   fixed::RoundingScheme scheme =
+                       fixed::RoundingScheme::kRoundToNearest,
+                   const QGemmOperandCache* w_cache = nullptr,
+                   bool fuse_relu = false);
 
 /// The capsule convolution of a kConvCaps node, in one pass: conv2d of x
 /// with w/bias into the wide pre-squash format `mid_fmt`, then the
@@ -100,72 +106,73 @@ QTensor conv2d(const QTensor& x, const QTensor& w, const QTensor& bias,
 /// cache and written straight into [B, T*D, H', W']: no pre-squash tensor
 /// exists. Other formats run conv2d then squash_channels, the exact int64
 /// path. Bit-identical to conv2d followed by squash_channels on every tier.
-QTensor conv_caps(const QTensor& x, const QTensor& w, const QTensor& bias,
-                  std::int64_t stride, std::int64_t pad,
-                  std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
-                  fixed::FixedFormat out_fmt,
-                  const QGemmOperandCache* w_cache = nullptr);
+QActivation conv_caps(const QActivation& x, const QTensor& w,
+                      const QTensor& bias, std::int64_t stride,
+                      std::int64_t pad, std::int64_t caps_dim,
+                      fixed::FixedFormat mid_fmt, fixed::FixedFormat out_fmt,
+                      const QGemmOperandCache* w_cache = nullptr);
 
 /// Per-capsule squash of a channel-grouped feature map [B, T*D, H, W] (each
 /// (b, t, y, x) vector of length D squashed via the SquashUnit datapath).
-QTensor squash_channels(const QTensor& s, std::int64_t caps_dim,
-                        fixed::FixedFormat out_fmt);
+QActivation squash_channels(const QActivation& s, std::int64_t caps_dim,
+                            fixed::FixedFormat out_fmt);
 
 /// In-place ReLU on raw values.
-void relu(QTensor& x);
+void relu(QActivation& x);
 
 /// Rescale every element into a new format (the inter-layer width change).
-QTensor rescale(const QTensor& x, fixed::FixedFormat out_fmt,
-                fixed::RoundingScheme scheme =
-                    fixed::RoundingScheme::kRoundToNearest);
+QActivation rescale(const QActivation& x, fixed::FixedFormat out_fmt,
+                    fixed::RoundingScheme scheme =
+                        fixed::RoundingScheme::kRoundToNearest);
 
 /// squash over the last axis of [..., D] via the SquashUnit datapath;
 /// output has out_fmt.
-QTensor squash_last(const QTensor& s, fixed::FixedFormat out_fmt);
+QActivation squash_last(const QActivation& s, fixed::FixedFormat out_fmt);
 
 /// Integer dynamic routing. votes: j-major [R, Nout, Nin, D] in act fmt
 /// (the layout vote_transform emits — per (r, j) slab the weighted sum and
 /// agreement walk unit-stride rows). Logits/pre-activations use dr_fmt (the
 /// QDR width, paper Fig. 9); couplings and outputs use act_fmt. Returns
 /// v [R, Nout, D] in act fmt. When act_fmt's wordlength admits it, both
-/// contractions accumulate in vectorizable int32 — bit-identical to the
-/// exact int64 path (integer addition is associative; every rescale point is
-/// unchanged).
-QTensor dynamic_routing(const QTensor& votes, int iterations,
-                        fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt);
+/// contractions read the votes' container and accumulate in vectorizable
+/// int32 — bit-identical to the exact int64 path (integer addition is
+/// associative; every rescale point is unchanged).
+QActivation dynamic_routing(const QActivation& votes, int iterations,
+                            fixed::FixedFormat act_fmt,
+                            fixed::FixedFormat dr_fmt);
 
 /// Batched capsule vote product: u [B, Nin, Din] (activations) *
 /// w [Nin, Nout, Dout, Din] (weights) -> j-major votes [B, Nout, Nin, Dout]
 /// in out_fmt — the layout dynamic_routing consumes. One strided batch of
-/// scattered GEMMs over the Nin input types on the fast path: the j-major
-/// permutation is an affine scatter fused into the qgemm requant epilogue
-/// (tensor::QGemmScatterDst), so votes land in routing order straight out of
-/// the microkernel with no intermediate dense result or widening-copy pass.
+/// scattered GEMMs over the Nin input types on the fast path, reading u's
+/// container: the j-major permutation is an affine scatter fused into the
+/// qgemm requant epilogue (tensor::QGemmScatterDst), so votes land in
+/// routing order, in their own container, straight out of the microkernel.
 /// Exact int64 scalar fallback otherwise (bit-identical values). Pass
 /// `w_cache` (built from `w`) to skip re-packing constant weights.
-QTensor vote_transform(const QTensor& u, const QTensor& w,
-                       fixed::FixedFormat out_fmt,
-                       fixed::RoundingScheme scheme =
-                           fixed::RoundingScheme::kRoundToNearest,
-                       const QGemmOperandCache* w_cache = nullptr);
+QActivation vote_transform(const QActivation& u, const QTensor& w,
+                           fixed::FixedFormat out_fmt,
+                           fixed::RoundingScheme scheme =
+                               fixed::RoundingScheme::kRoundToNearest,
+                           const QGemmOperandCache* w_cache = nullptr);
 
-/// Fused, grouped ConvCaps3d vote convolutions: one narrowed copy of each
+/// Fused, grouped ConvCaps3d vote convolutions: one padded copy of each
 /// image of the [B, Tin*Din, H, W] input feeds Tin direct GEMMs against the
 /// concatenated per-type vote weights in `grouped` (see the fusion pass in
-/// qgraph), landing votes j-major [B*OH*OW, Tout, Tin, Dout] straight out of
-/// the requant epilogue — no per-type channel-slice copies, conv dispatches,
-/// or permutation passes. `w_fmt` is the (shared) vote-weight format,
+/// qgraph), whose requantized strips land j-major in
+/// [B*OH*OW, Tout, Tin, Dout] — no per-type channel-slice copies, conv
+/// dispatches, or permutation passes. `w_fmt` is the (shared) vote-weight format,
 /// `ksize` the square kernel size; `votes` must be preallocated with that
 /// shape and out_fmt. Returns false with `votes` untouched when packed_tier
 /// rejects the formats or `grouped` lacks the tier's container — the caller
 /// falls back to the per-type conv2d + scatter loop, which is bit-identical
 /// when both run.
-bool conv_caps3d_votes(const QTensor& x, const QGemmOperandCache& grouped,
+bool conv_caps3d_votes(const QActivation& x, const QGemmOperandCache& grouped,
                        fixed::FixedFormat w_fmt, std::int64_t in_types,
                        std::int64_t in_dim, std::int64_t out_types,
                        std::int64_t out_dim, std::int64_t ksize,
                        std::int64_t stride, std::int64_t pad,
-                       fixed::FixedFormat out_fmt, QTensor& votes);
+                       fixed::FixedFormat out_fmt, QActivation& votes);
 
 /// Capsule lengths (classification head): [B, N, D] -> [B, N]. The sum of
 /// squares accumulates exactly in int64 raw space; only the final square

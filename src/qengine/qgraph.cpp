@@ -9,6 +9,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <type_traits>
 
 #include "common/error.hpp"
 #include "nn/activation_layers.hpp"
@@ -175,13 +176,23 @@ QuantizedOp compile_conv_caps3d(const nn::RoutedConvCapsLayer& l,
 
 // ---- op execution ----------------------------------------------------------
 
+// The element type behind a pointer QActivation::visit hands out.
+template <typename P>
+using elem_t = std::remove_const_t<std::remove_pointer_t<P>>;
+
+// f(dst, src) with the typed pointers of two values held in one container
+// type (values of one format always are).
+template <typename F>
+void visit_pair(QActivation& dst, const QActivation& src, F&& f) {
+  QCAPS_CHECK(dst.storage() == src.storage());
+  dst.visit([&](auto* d) { f(d, src.data<elem_t<decltype(d)>>()); });
+}
+
 // The one capsule-layout transpose the routing-bound ops share: gather
-// [B, T*D, H, W] feature-map raws into [B, T*HW, D] capsule rows.
-// (squash_channels used to pair this with a scatter back; it now squashes
-// in the channel-grouped layout directly.)
-void gather_caps_rows(const std::int64_t* src, std::int64_t b,
-                      std::int64_t types, std::int64_t d, std::int64_t plane,
-                      std::int64_t* dst) {
+// [B, T*D, H, W] feature-map values into [B, T*HW, D] capsule rows.
+template <typename T>
+void gather_caps_rows(const T* src, std::int64_t b, std::int64_t types,
+                      std::int64_t d, std::int64_t plane, T* dst) {
   for (std::int64_t bi = 0; bi < b; ++bi)
     for (std::int64_t t = 0; t < types; ++t)
       for (std::int64_t dd = 0; dd < d; ++dd)
@@ -190,7 +201,7 @@ void gather_caps_rows(const std::int64_t* src, std::int64_t b,
               src[((bi * types * d) + t * d + dd) * plane + p];
 }
 
-QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
+QActivation exec_conv_caps3d(const QuantizedOp& op, const QActivation& x) {
   const std::int64_t b = x.dim(0), h = x.dim(2), w = x.dim(3);
   QCAPS_CHECK_MSG(x.dim(1) == op.in_types * op.in_dim,
                   op.source << ": expected " << op.in_types * op.in_dim
@@ -202,12 +213,12 @@ QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
   const std::int64_t oplane = oh * ow;
   const std::int64_t jd = op.out_types * op.out_dim;
 
-  QTensor votes({b * oplane, op.out_types, op.in_types, op.out_dim},
-                op.out_fmt);
+  QActivation votes({b * oplane, op.out_types, op.in_types, op.out_dim},
+                    op.out_fmt);
 
-  // Fused path (fusion pass set op.grouped): ONE narrowed copy of the full
+  // Fused path (fusion pass set op.grouped): ONE padded copy of the full
   // channel set feeds Tin direct GEMMs against the concatenated packed vote
-  // weights; votes land j-major straight out of the requant epilogue.
+  // weights; votes land j-major straight out of the requantized strips.
   // Bit-identical to the per-type loop below.
   const bool done =
       op.grouped && op.grouped_cache &&
@@ -221,70 +232,87 @@ QTensor exec_conv_caps3d(const QuantizedOp& op, const QTensor& x) {
   // layout [R, Nout, Nin, Dout] (R = B * OH * OW) the routing engine
   // consumes — the per-position analogue of the fc_caps vote product.
   if (!done) {
-    QTensor xs({b, op.in_dim, h, w}, x.fmt);
+    QActivation xs({b, op.in_dim, h, w}, x.fmt());
     for (std::int64_t t = 0; t < op.in_types; ++t) {
-      for (std::int64_t bi = 0; bi < b; ++bi)
-        std::memcpy(xs.raw.data() + bi * op.in_dim * plane,
-                    x.raw.data() +
-                        (bi * op.in_types * op.in_dim + t * op.in_dim) * plane,
-                    static_cast<std::size_t>(op.in_dim * plane) *
-                        sizeof(std::int64_t));
-      const QTensor vmap =
+      visit_pair(xs, x, [&](auto* dst, const auto* src) {
+        for (std::int64_t bi = 0; bi < b; ++bi)
+          std::copy_n(
+              src + (bi * op.in_types * op.in_dim + t * op.in_dim) * plane,
+              op.in_dim * plane, dst + bi * op.in_dim * plane);
+      });
+      const QActivation vmap =
           conv2d(xs, op.type_weights[static_cast<std::size_t>(t)], QTensor(),
                  op.stride, op.pad, op.out_fmt, kRtn,
                  &op.type_caches[static_cast<std::size_t>(t)]);
-      const std::int64_t* pv = vmap.raw.data();
-      std::int64_t* pvotes = votes.raw.data();
-      for (std::int64_t bi = 0; bi < b; ++bi)
-        for (std::int64_t j = 0; j < op.out_types; ++j)
-          for (std::int64_t dd = 0; dd < op.out_dim; ++dd) {
-            const std::int64_t* src =
-                pv + (bi * jd + j * op.out_dim + dd) * oplane;
-            for (std::int64_t p = 0; p < oplane; ++p)
-              pvotes[(((bi * oplane + p) * op.out_types + j) * op.in_types +
-                      t) *
-                         op.out_dim +
-                     dd] = src[p];
-          }
+      visit_pair(votes, vmap, [&](auto* pvotes, const auto* pv) {
+        for (std::int64_t bi = 0; bi < b; ++bi)
+          for (std::int64_t j = 0; j < op.out_types; ++j)
+            for (std::int64_t dd = 0; dd < op.out_dim; ++dd) {
+              const auto* src = pv + (bi * jd + j * op.out_dim + dd) * oplane;
+              for (std::int64_t p = 0; p < oplane; ++p)
+                pvotes[(((bi * oplane + p) * op.out_types + j) * op.in_types +
+                        t) *
+                           op.out_dim +
+                       dd] = src[p];
+            }
+      });
     }
   }
 
-  const QTensor v = dynamic_routing(votes, op.iterations, op.out_fmt,
-                                    op.dr_fmt);
+  const QActivation v = dynamic_routing(votes, op.iterations, op.out_fmt,
+                                        op.dr_fmt);
 
   // Gather v[(b, y, x), j, dd] back into the feature map [B, Tout*Dout, ...].
-  QTensor out({b, jd, oh, ow}, op.out_fmt);
-  const std::int64_t* pvv = v.raw.data();
-  std::int64_t* po = out.raw.data();
-  for (std::int64_t bi = 0; bi < b; ++bi)
-    for (std::int64_t c = 0; c < jd; ++c)
-      for (std::int64_t p = 0; p < oplane; ++p)
-        po[(bi * jd + c) * oplane + p] = pvv[(bi * oplane + p) * jd + c];
+  QActivation out({b, jd, oh, ow}, op.out_fmt);
+  visit_pair(out, v, [&](auto* po, const auto* pvv) {
+    for (std::int64_t bi = 0; bi < b; ++bi)
+      for (std::int64_t c = 0; c < jd; ++c)
+        for (std::int64_t p = 0; p < oplane; ++p)
+          po[(bi * jd + c) * oplane + p] = pvv[(bi * oplane + p) * jd + c];
+  });
   return out;
 }
 
-QTensor exec_primary_caps(const QuantizedOp& op, const QTensor& x) {
-  QTensor s = conv2d(x, op.weight, op.bias, op.stride, op.pad, op.mid_fmt,
-                     kRtn, &op.wcache);
+QActivation exec_primary_caps(const QuantizedOp& op, const QActivation& x) {
+  const QActivation s = conv2d(x, op.weight, op.bias, op.stride, op.pad,
+                               op.mid_fmt, kRtn, &op.wcache);
   // [B, T*D, H', W'] -> capsule list [B, T*H'*W', D] (same traversal the
   // hand-rolled deployment used — locked by the golden test).
   const std::int64_t b = s.dim(0), plane = s.dim(2) * s.dim(3);
-  QTensor caps({b, op.caps_types * plane, op.caps_dim}, op.mid_fmt);
-  gather_caps_rows(s.raw.data(), b, op.caps_types, op.caps_dim, plane,
-                   caps.raw.data());
+  QActivation caps({b, op.caps_types * plane, op.caps_dim}, op.mid_fmt);
+  visit_pair(caps, s, [&](auto* dst, const auto* src) {
+    gather_caps_rows(src, b, op.caps_types, op.caps_dim, plane, dst);
+  });
   return squash_last(caps, op.out_fmt);
 }
 
-QTensor exec_flatten(const QuantizedOp& op, const QTensor& x) {
-  QCAPS_CHECK_MSG(x.shape.size() == 4 && x.dim(1) % op.caps_dim == 0,
+QActivation exec_flatten(const QuantizedOp& op, const QActivation& x) {
+  QCAPS_CHECK_MSG(x.shape().size() == 4 && x.dim(1) % op.caps_dim == 0,
                   op.source << ": expected [B, T*D, H, W] with D = "
                             << op.caps_dim);
   const std::int64_t b = x.dim(0), c = x.dim(1), plane = x.dim(2) * x.dim(3);
   const std::int64_t types = c / op.caps_dim;
-  QTensor out({b, types * plane, op.caps_dim}, x.fmt);
-  gather_caps_rows(x.raw.data(), b, types, op.caps_dim, plane,
-                   out.raw.data());
+  QActivation out({b, types * plane, op.caps_dim}, x.fmt());
+  visit_pair(out, x, [&](auto* dst, const auto* src) {
+    gather_caps_rows(src, b, types, op.caps_dim, plane, dst);
+  });
   return out;
+}
+
+// Values of a graph value sitting exactly on its format's rails.
+std::uint64_t count_at_rails(const QActivation& y) {
+  std::uint64_t at_rail = 0;
+  y.visit([&](const auto* r) {
+    using T = elem_t<decltype(r)>;
+    const T lo = static_cast<T>(y.fmt().raw_min());
+    const T hi = static_cast<T>(y.fmt().raw_max());
+    const std::int64_t n = y.numel();
+#pragma omp parallel for schedule(static) reduction(+ : at_rail) \
+    if (n >= kParallelMinElems)
+    for (std::int64_t j = 0; j < n; ++j)
+      at_rail += static_cast<std::uint64_t>((r[j] <= lo) | (r[j] >= hi));
+  });
+  return at_rail;
 }
 
 }  // namespace
@@ -313,18 +341,24 @@ std::int64_t QuantizedOp::weight_bits() const {
   return bits;
 }
 
-QTensor residual_add(const QTensor& a, const QTensor& b) {
-  QCAPS_CHECK_MSG(a.shape == b.shape && a.fmt == b.fmt,
+QActivation residual_add(const QActivation& a, const QActivation& b) {
+  QCAPS_CHECK_MSG(a.shape() == b.shape() && a.fmt() == b.fmt(),
                   "residual_add expects same-shape, same-format operands");
-  QTensor out(a.shape, a.fmt);
+  QActivation out(a.shape(), a.fmt());
   const std::int64_t n = a.numel();
-  const std::int64_t lo = a.fmt.raw_min(), hi = a.fmt.raw_max();
-  const std::int64_t* pa = a.raw.data();
-  const std::int64_t* pb = b.raw.data();
-  std::int64_t* po = out.raw.data();
+  visit_pair(out, a, [&](auto* po, const auto* pa) {
+    using T = elem_t<decltype(po)>;
+    const T* pb = b.data<T>();
+    // Both operands sit on one format's rails, so their sum fits int64 (and
+    // int32 for the narrow containers) before the clamp.
+    using Wide = std::conditional_t<sizeof(T) < 4, std::int32_t, std::int64_t>;
+    const Wide lo = static_cast<Wide>(a.fmt().raw_min());
+    const Wide hi = static_cast<Wide>(a.fmt().raw_max());
 #pragma omp parallel for schedule(static) if (n >= kParallelMinElems)
-  for (std::int64_t i = 0; i < n; ++i)
-    po[i] = std::clamp(pa[i] + pb[i], lo, hi);
+    for (std::int64_t i = 0; i < n; ++i)
+      po[i] = static_cast<T>(
+          std::clamp(static_cast<Wide>(Wide{pa[i]} + pb[i]), lo, hi));
+  });
   return out;
 }
 
@@ -715,9 +749,10 @@ void QuantizedGraph::init_profile() {
 QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
   QCAPS_CHECK_MSG(!ops_.empty(), "forward on an empty graph");
   QCAPS_CHECK_MSG(images.ndim() == 4, "expected [B, C, H, W] images");
-  const QTensor x0 = QTensor::from_float(images, input_fmt_);
-  std::vector<QTensor> vals(ops_.size());
-  const auto val = [&](int idx) -> const QTensor& {
+  const QActivation x0 = QActivation::from_float(images, input_fmt_);
+  const std::vector<Storage> plan = value_storage();
+  std::vector<QActivation> vals(ops_.size());
+  const auto val = [&](int idx) -> const QActivation& {
     return idx < 0 ? x0 : vals[static_cast<std::size_t>(idx)];
   };
   // Last consumer of each value: intermediates are freed as soon as no
@@ -732,7 +767,7 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
   }
   for (std::size_t i = 0; i < ops_.size(); ++i) {
     const QuantizedOp& op = ops_[i];
-    const QTensor& x = val(op.input);
+    const QActivation& x = val(op.input);
     const auto t0 = prof_ ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
     switch (op.kind) {
@@ -781,14 +816,16 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
         vals[i] = exec_flatten(op, x);
         break;
     }
+    QCAPS_CHECK_MSG(vals[i].storage() == plan[i],
+                    op.source << ": value held in "
+                              << storage_name(vals[i].storage())
+                              << ", planned " << storage_name(plan[i]));
     if (prof_) {
       const auto dt = std::chrono::steady_clock::now() - t0;
       prof_->ns[i].fetch_add(
           std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count(),
           std::memory_order_relaxed);
-      prof_->bytes[i].fetch_add(
-          static_cast<std::int64_t>(vals[i].raw.size() * sizeof(std::int64_t)),
-          std::memory_order_relaxed);
+      prof_->bytes[i].fetch_add(vals[i].bytes(), std::memory_order_relaxed);
     }
     // Requant-saturation accounting: count produced raws sitting exactly on
     // the output format's rails. Anything requantized (conv, rescale,
@@ -798,31 +835,37 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
     // (relu also steals its input, which may already be freed). A conv with
     // a fused relu counts only the high rail: its raised lower clamp makes
     // legitimate relu zeros, which sit above the (negative) low rail, so
-    // the same two-sided compare never counts them. The scan re-reads every
-    // value the op wrote, which is no small share of a forward beside
-    // multi-threaded convs, so large values are counted under the team; it
-    // touches only relaxed atomics, so replica pools can run it
-    // concurrently.
+    // the same two-sided compare never counts them. The count reads the
+    // value's own container, under the team for large values; it touches
+    // only relaxed atomics, so replica pools can run it concurrently.
     if (sat_ && op.kind != QOpKind::kRelu && op.kind != QOpKind::kFlatten) {
-      const QTensor& y = vals[i];
-      const std::int64_t lo = y.fmt.raw_min(), hi = y.fmt.raw_max();
-      const std::int64_t n = y.numel();
-      const std::int64_t* r = y.raw.data();
-      std::uint64_t at_rail = 0;
-#pragma omp parallel for schedule(static) reduction(+ : at_rail) \
-    if (n >= kParallelMinElems)
-      for (std::int64_t j = 0; j < n; ++j)
-        at_rail += static_cast<std::uint64_t>((r[j] <= lo) | (r[j] >= hi));
-      sat_->saturated[i].fetch_add(at_rail, std::memory_order_relaxed);
-      sat_->total[i].fetch_add(static_cast<std::uint64_t>(y.numel()),
+      sat_->saturated[i].fetch_add(count_at_rails(vals[i]),
+                                   std::memory_order_relaxed);
+      sat_->total[i].fetch_add(static_cast<std::uint64_t>(vals[i].numel()),
                                std::memory_order_relaxed);
     }
     for (const int in : {op.input, op.input2})
       if (in >= 0 && last_use[static_cast<std::size_t>(in)] ==
                          static_cast<int>(i))
-        vals[static_cast<std::size_t>(in)] = QTensor();
+        vals[static_cast<std::size_t>(in)] = QActivation();
   }
-  return std::move(vals.back());
+  // Only the class capsules leave as int64 (lengths, the classifiers and the
+  // artifact digests read QTensor::raw).
+  return vals.back().widen();
+}
+
+std::vector<Storage> QuantizedGraph::value_storage() const {
+  std::vector<fixed::FixedFormat> fmt(ops_.size());
+  std::vector<Storage> out(ops_.size());
+  for (std::size_t i = 0; i < ops_.size(); ++i) {
+    const QuantizedOp& op = ops_[i];
+    const bool layout = op.kind == QOpKind::kRelu || op.kind == QOpKind::kFlatten;
+    fmt[i] = !layout        ? op.out_fmt
+             : op.input < 0 ? input_fmt_
+                            : fmt[static_cast<std::size_t>(op.input)];
+    out[i] = storage_for(fmt[i]);
+  }
+  return out;
 }
 
 std::vector<NodeSaturation> QuantizedGraph::saturation() const {

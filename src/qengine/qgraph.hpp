@@ -214,6 +214,12 @@ class QuantizedGraph {
 
   const std::vector<QuantizedOp>& ops() const { return ops_; }
   fixed::FixedFormat input_format() const { return input_fmt_; }
+
+  /// The activation storage plan: the container of each node's value (one
+  /// entry per op, in op order), read from the value formats alone. kRelu
+  /// and kFlatten keep their input's format; every other node produces its
+  /// out_fmt. forward() holds each value in exactly this container.
+  std::vector<Storage> value_storage() const;
   bool empty() const { return ops_.empty(); }
 
   /// Per-node saturation snapshot (one entry per op, in op order). Layout
@@ -236,7 +242,8 @@ class QuantizedGraph {
   };
 
   /// Opt-in per-node profile (QCAPS_QGRAPH_PROFILE): wall time and produced
-  /// bytes per node, shared across copies like the saturation block. The
+  /// bytes per node (the container bytes of its value: storage_for of its
+  /// format), shared across copies like the saturation block. The
   /// last copy's destructor dumps machine-readable JSON — one record per
   /// node with index/source/kind/ns/bytes/fused_from — to stderr
   /// (QCAPS_QGRAPH_PROFILE=1) or to the file the variable names.
@@ -265,10 +272,11 @@ class QuantizedGraph {
 // ---- standalone op implementations ----------------------------------------
 // Exposed so tests can exercise the new integer capabilities directly.
 
-/// Saturating raw addition of two same-shape, same-format tensors — the
-/// CapsBlock residual connection in fixed point. (Both operands sit on the
-/// same grid, so the sum is on-grid; only the range clip can act.)
-QTensor residual_add(const QTensor& a, const QTensor& b);
+/// Saturating raw addition of two same-shape, same-format values — the
+/// CapsBlock residual connection in fixed point, over their shared
+/// container. (Both operands sit on the same grid, so the sum is on-grid;
+/// only the range clip can act.)
+QActivation residual_add(const QActivation& a, const QActivation& b);
 
 /// Fold eval-mode batch-norm into conv weights/bias:
 ///   w'[f,..] = w[f,..] * gamma_f / sqrt(var_f + eps)

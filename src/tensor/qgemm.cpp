@@ -1045,19 +1045,22 @@ void qgemm_batch_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 
 // ---- fused requantize + scatter epilogue -----------------------------------
 
-void check_scatter(const QGemmScatterDst& sd) {
+template <typename Out>
+void check_scatter(const QGemmScatterDst<Out>& sd) {
   QCAPS_CHECK_MSG(sd.dst != nullptr, "qgemm scatter destination is null");
   QCAPS_CHECK_MSG(sd.row_inner >= 1 && sd.col_inner >= 1,
                   "qgemm scatter inner split sizes must be >= 1");
 }
 
-// requant_pass, except each requantized element is widened to int64 and
-// written to the affine-scattered destination instead of back into C.
+// requant_pass, except each requantized element is stored into the
+// affine-scattered destination's container instead of back into C. The
+// clamp onto [qmin, qmax] makes that store exact.
+template <typename Out>
 void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
                           std::int64_t m, std::int64_t n, std::int64_t k,
                           const QGemmRequant& rq, const std::int64_t* rowsum,
                           const std::int64_t* colsum,
-                          const QGemmScatterDst& sd, std::int64_t* dst) {
+                          const QGemmScatterDst<Out>& sd, Out* dst) {
   const std::int64_t zz =
       static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
 #ifdef _OPENMP
@@ -1071,27 +1074,27 @@ void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
     if (rq.bias) base += rq.bias[i];
     if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
     const std::int32_t* row = c + i * ldc;
-    std::int64_t* drow = dst + (i / sd.row_inner) * sd.row_outer_stride +
-                         (i % sd.row_inner) * sd.row_inner_stride;
+    Out* drow = dst + (i / sd.row_inner) * sd.row_outer_stride +
+                (i % sd.row_inner) * sd.row_inner_stride;
     std::int64_t j = 0;
     for (std::int64_t jo = 0; j < n; ++jo) {
-      std::int64_t* dcol = drow + jo * sd.col_outer_stride;
+      Out* dcol = drow + jo * sd.col_outer_stride;
       const std::int64_t ji_end = std::min(sd.col_inner, n - j);
       for (std::int64_t ji = 0; ji < ji_end; ++ji, ++j) {
         std::int64_t acc = row[j] + base;
         if (colsum) acc -= static_cast<std::int64_t>(rq.a_zero) * colsum[j];
-        dcol[ji * sd.col_inner_stride] =
-            requant_one(acc, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
+        dcol[ji * sd.col_inner_stride] = static_cast<Out>(
+            requant_one(acc, mult, shift, rq.c_zero, rq.qmin, rq.qmax));
       }
     }
   }
 }
 
-template <typename SrcT>
+template <typename SrcT, typename Out>
 void qgemm_scatter_one(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                        std::int64_t k, const SrcT* a, std::int64_t lda,
                        const SrcT* b, std::int64_t ldb, const QGemmRequant& rq,
-                       const QGemmScatterDst& sd, std::int64_t* dst) {
+                       const QGemmScatterDst<Out>& sd, Out* dst) {
   if (m <= 0 || n <= 0) return;
   // The accumulators bounce through a per-thread dense buffer; only the
   // epilogue is scattered, so the microkernels are untouched.
@@ -1108,14 +1111,14 @@ void qgemm_scatter_one(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                        colsum.empty() ? nullptr : colsum.data(), sd, dst);
 }
 
-template <typename SrcT>
+template <typename SrcT, typename Out>
 void qgemm_batch_scatter_impl(Trans ta, Trans tb, std::int64_t m,
                               std::int64_t n, std::int64_t k, const SrcT* a,
                               std::int64_t lda, std::int64_t stride_a,
                               const SrcT* b, std::int64_t ldb,
                               std::int64_t stride_b, std::int64_t batch,
                               const QGemmRequant& rq,
-                              const QGemmScatterDst& sd) {
+                              const QGemmScatterDst<Out>& sd) {
   if (batch <= 0) return;
   check_requant(rq);
   check_requant_rows(rq, m);
@@ -1149,10 +1152,9 @@ void check_k_bound_s8(std::int64_t k, const QGemmRequant* rq) {
 // (VNR on the VNNI int8 path, NR elsewhere). Per strip and K block it packs
 // one B panel straight from the caller's narrowed image, runs every A panel
 // against it into a small per-thread int32 tile, and after the last K block
-// hands that tile to the entry's epilogue: run() requantizes it into the
-// scatter destination, run_tiles() requantizes it in place for its
-// consumer. The panels are the ones pack_b_vnni / pack_b_block build, so
-// the microkernels are unchanged.
+// requantizes that tile in place and hands it to the caller's consumer,
+// which stores it into its own layout and container. The panels are the
+// ones pack_b_vnni / pack_b_block build, so the microkernels are unchanged.
 //
 // K tails and edge columns: a quad or pair past K reads a valid tap again,
 // which is harmless because the packed A is zero there; panel columns past
@@ -1313,7 +1315,7 @@ void pack_b_vnni_gather(const std::int8_t* data, const std::int64_t* tap,
 }
 
 // Requantize a run of n int32 accumulators with the unit multiplier into
-// contiguous int64 (or, in place, int32) outputs, 8 lanes per step. With
+// contiguous int32 outputs (in place when out == acc), 8 lanes per step. With
 // M = 2^30 requant_one's (acc * M + 2^(29 + s)) >> (30 + s) is exactly
 // (acc + 2^(s-1)) >> s for s >= 1 and acc << -s for s <= 0, so the whole
 // rescale stays in int64 lanes (vpsraq / vpsllq) for any base; the clamp
@@ -1323,10 +1325,10 @@ void pack_b_vnni_gather(const std::int8_t* data, const std::int64_t* tap,
 // intrinsic headers here (PR105593).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-template <typename Out>
 __attribute__((target("avx512f"))) void requant_run_unit_avx512(
     const std::int32_t* acc, std::int64_t n, std::int64_t base, int shift,
-    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax, Out* out) {
+    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax,
+    std::int32_t* out) {
   const __m512i vadd = _mm512_set1_epi64(
       base + (shift > 0 ? std::int64_t{1} << (shift - 1) : 0));
   const __m128i vshr = _mm_cvtsi32_si128(shift > 0 ? shift : 0);
@@ -1344,10 +1346,7 @@ __attribute__((target("avx512f"))) void requant_run_unit_avx512(
     v = _mm512_sll_epi64(_mm512_sra_epi64(v, vshr), vshl);
     v = _mm512_add_epi64(v, vzero);
     v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
-    if constexpr (std::is_same_v<Out, std::int64_t>)
-      _mm512_mask_storeu_epi64(out + j, k, v);
-    else
-      _mm512_mask_cvtepi64_storeu_epi32(out + j, k, v);
+    _mm512_mask_cvtepi64_storeu_epi32(out + j, k, v);
   }
 }
 #pragma GCC diagnostic pop
@@ -1377,55 +1376,6 @@ void requant_tile(std::int32_t* c, std::int64_t ldc, std::int64_t m,
     for (std::int64_t j = 0; j < nr; ++j)
       row[j] = requant_one(row[j] + b, mult, shift, rq.c_zero, rq.qmin,
                            rq.qmax);
-  }
-}
-
-// Requantize the m x nr int32 tile of output columns [j0, j0 + nr) (row
-// stride ldc) through `sd`. Column runs that land contiguously take the
-// vector path when `vec`; everything else is requant_one per element.
-void direct_epilogue(const std::int32_t* c, std::int64_t ldc, std::int64_t m,
-                     std::int64_t j0, std::int64_t nr, const QGemmRequant& rq,
-                     const std::int64_t* base, bool vec,
-                     const QGemmScatterDst& sd) {
-#ifndef QCAPS_X86_NATIVE
-  (void)vec;
-#endif
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    const std::int64_t b = base ? base[i] : 0;
-    const std::int32_t* crow = c + i * ldc;
-    std::int64_t* drow = sd.dst + (i / sd.row_inner) * sd.row_outer_stride +
-                         (i % sd.row_inner) * sd.row_inner_stride;
-    for (std::int64_t j = j0, end = j0 + nr; j < end;) {
-      // A run of columns with one destination stride: the whole rest of the
-      // strip when columns are linear, else up to the next col_inner block.
-      std::int64_t len, stride;
-      std::int64_t* d;
-      if (sd.col_inner == 1) {
-        len = end - j;
-        stride = sd.col_outer_stride;
-        d = drow + j * stride;
-      } else {
-        const std::int64_t ji = j % sd.col_inner;
-        len = std::min(sd.col_inner - ji, end - j);
-        stride = sd.col_inner_stride;
-        d = drow + (j / sd.col_inner) * sd.col_outer_stride + ji * stride;
-      }
-      const std::int32_t* src = crow + (j - j0);
-      j += len;
-#ifdef QCAPS_X86_NATIVE
-      if (vec && stride == 1 && mult == kQGemmUnitMultiplier) {
-        requant_run_unit_avx512(src, len, b, shift, rq.c_zero, rq.qmin,
-                                rq.qmax, d);
-        continue;
-      }
-#endif
-      for (std::int64_t t = 0; t < len; ++t)
-        d[t * stride] =
-            requant_one(src[t] + b, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
-    }
   }
 }
 
@@ -1494,41 +1444,42 @@ void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                    ldc, stride_c, batch, rq);
 }
 
+template <typename T, typename Out>
 void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                   const std::int8_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  check_k_bound_s8(k, &rq);
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
+                   std::int64_t k, const T* a, std::int64_t lda, const T* b,
+                   std::int64_t ldb, const QGemmRequant& rq,
+                   const QGemmScatterDst<Out>& sd) {
+  qgemm_batch_scatter(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
 }
 
-void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int16_t* a, std::int64_t lda,
-                   const std::int16_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
-}
-
+template <typename T, typename Out>
 void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int8_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int8_t* b, std::int64_t ldb,
+                         std::int64_t k, const T* a, std::int64_t lda,
+                         std::int64_t stride_a, const T* b, std::int64_t ldb,
                          std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  check_k_bound_s8(k, &rq);
+                         const QGemmRequant& rq,
+                         const QGemmScatterDst<Out>& sd) {
+  if constexpr (std::is_same_v<T, std::int8_t>) check_k_bound_s8(k, &rq);
   qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb,
                            stride_b, batch, rq, sd);
 }
 
-void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int16_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int16_t* b, std::int64_t ldb,
-                         std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd) {
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb,
-                           stride_b, batch, rq, sd);
-}
+#define QCAPS_QGEMM_SCATTER(T, Out)                                           \
+  template void qgemm_scatter<T, Out>(                                        \
+      Trans, Trans, std::int64_t, std::int64_t, std::int64_t, const T*,      \
+      std::int64_t, const T*, std::int64_t, const QGemmRequant&,             \
+      const QGemmScatterDst<Out>&);                                          \
+  template void qgemm_batch_scatter<T, Out>(                                  \
+      Trans, Trans, std::int64_t, std::int64_t, std::int64_t, const T*,      \
+      std::int64_t, std::int64_t, const T*, std::int64_t, std::int64_t,      \
+      std::int64_t, const QGemmRequant&, const QGemmScatterDst<Out>&);
+QCAPS_QGEMM_SCATTER(std::int8_t, std::int8_t)
+QCAPS_QGEMM_SCATTER(std::int8_t, std::int16_t)
+QCAPS_QGEMM_SCATTER(std::int8_t, std::int64_t)
+QCAPS_QGEMM_SCATTER(std::int16_t, std::int8_t)
+QCAPS_QGEMM_SCATTER(std::int16_t, std::int16_t)
+QCAPS_QGEMM_SCATTER(std::int16_t, std::int64_t)
+#undef QCAPS_QGEMM_SCATTER
 
 const char* qgemm_kernel_name() { return common::at_isa(kKernelNames); }
 
@@ -1579,9 +1530,10 @@ QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
 }
 
 template <typename T>
-template <typename Epilogue>
-void QGemmDirect<T>::strips(const QGemmGatherB<T>& b, std::int64_t j0,
-                            std::int64_t j1, const Epilogue& epilogue) const {
+void QGemmDirect<T>::run_tiles(const QGemmGatherB<T>& b, std::int64_t j0,
+                               std::int64_t j1,
+                               const QGemmTileFn& consume) const {
+  if (j0 >= j1) return;
   DirectScratch& s = direct_scratch();
   const std::int64_t w = vnni8_ ? VNR : NR;  // strip width
   const std::int64_t mp = ceil_div(m_, MR) * MR;
@@ -1589,6 +1541,7 @@ void QGemmDirect<T>::strips(const QGemmGatherB<T>& b, std::int64_t j0,
     s.c.resize(static_cast<std::size_t>(m_ * w));
   const KernelFn kernel = kKernels[static_cast<std::size_t>(isa_)];
   const bool vec = isa_ != common::Isa::kScalar;
+  const std::int64_t* base = base_.empty() ? nullptr : base_.data();
   for (std::int64_t s0 = j0; s0 < j1; s0 += w) {
     const std::int64_t nr = std::min(w, j1 - s0);
     const std::int64_t* col = b.col + s0;
@@ -1619,37 +1572,10 @@ void QGemmDirect<T>::strips(const QGemmGatherB<T>& b, std::int64_t j0,
         kernel(kc2, a16_.data() + at + ir * kc2 * 2, s.b16.data(),
                s.c.data() + ir * w, w, std::min(MR, m_ - ir), nr, acc);
     }
-    epilogue(s.c.data(), w, s0, nr);
+    requant_tile(s.c.data(), w, m_, nr, rq_, base,
+                 isa_ >= common::Isa::kAvx512);
+    consume(s0, nr, s.c.data(), w);
   }
-}
-
-template <typename T>
-void QGemmDirect<T>::run(const QGemmGatherB<T>& b, std::int64_t j0,
-                         std::int64_t j1, const QGemmScatterDst& sd) const {
-  if (j0 >= j1) return;
-  check_scatter(sd);
-  const std::int64_t* base = base_.empty() ? nullptr : base_.data();
-  const bool vec = isa_ >= common::Isa::kAvx512;
-  strips(b, j0, j1,
-         [&](const std::int32_t* c, std::int64_t ld, std::int64_t s0,
-             std::int64_t nr) {
-           direct_epilogue(c, ld, m_, s0, nr, rq_, base, vec, sd);
-         });
-}
-
-template <typename T>
-void QGemmDirect<T>::run_tiles(const QGemmGatherB<T>& b, std::int64_t j0,
-                               std::int64_t j1,
-                               const QGemmTileFn& consume) const {
-  if (j0 >= j1) return;
-  const std::int64_t* base = base_.empty() ? nullptr : base_.data();
-  const bool vec = isa_ >= common::Isa::kAvx512;
-  strips(b, j0, j1,
-         [&](std::int32_t* c, std::int64_t ld, std::int64_t s0,
-             std::int64_t nr) {
-           requant_tile(c, ld, m_, nr, rq_, base, vec);
-           consume(s0, nr, c, ld);
-         });
 }
 
 template class QGemmDirect<std::int8_t>;

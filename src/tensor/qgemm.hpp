@@ -135,7 +135,8 @@ void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 
 /// Affine scatter destination for the fused requantize+scatter epilogue
 /// (qgemm_scatter / qgemm_batch_scatter): output element (i, j) of the
-/// logical m x n result is requantized and written, widened to int64, at
+/// logical m x n result is requantized and stored, in the destination's
+/// container Out (int8, int16 or int64), at
 ///
 ///   dst[(i / row_inner) * row_outer_stride
 ///       + (i % row_inner) * row_inner_stride
@@ -144,9 +145,11 @@ void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 ///
 /// Splitting each output axis into two strided sub-axes expresses the
 /// capsule permutations (the j-major [R, Nout, Nin, D] votes layout) without
-/// a separate widening-copy pass over a dense result.
+/// a separate copy pass over a dense result. The requant's [qmin, qmax] must
+/// fit Out; the store is then exact.
+template <typename Out>
 struct QGemmScatterDst {
-  std::int64_t* dst = nullptr;
+  Out* dst = nullptr;
   std::int64_t row_inner = 1;  ///< i splits as (i / row_inner, i % row_inner)
   std::int64_t row_outer_stride = 0;
   std::int64_t row_inner_stride = 0;
@@ -158,30 +161,23 @@ struct QGemmScatterDst {
 
 /// Scattered variant of qgemm: requant(op(A)[m,k] * op(B)[k,n]) per `rq`,
 /// each element written straight to `sd` (see QGemmScatterDst) instead of a
-/// dense int32 C. Bit-identical to qgemm followed by a widening scatter.
+/// dense int32 C. Bit-identical to qgemm followed by a scatter. T is int8_t
+/// or int16_t; Out is int8_t, int16_t or int64_t.
+template <typename T, typename Out>
 void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                   const std::int8_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd);
-void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const std::int16_t* a, std::int64_t lda,
-                   const std::int16_t* b, std::int64_t ldb,
-                   const QGemmRequant& rq, const QGemmScatterDst& sd);
+                   std::int64_t k, const T* a, std::int64_t lda, const T* b,
+                   std::int64_t ldb, const QGemmRequant& rq,
+                   const QGemmScatterDst<Out>& sd);
 
 /// Strided batch of scattered requantizing GEMMs: item i reads
 /// a + i*stride_a / b + i*stride_b and writes to sd.dst + i*sd.batch_stride.
+template <typename T, typename Out>
 void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int8_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int8_t* b, std::int64_t ldb,
+                         std::int64_t k, const T* a, std::int64_t lda,
+                         std::int64_t stride_a, const T* b, std::int64_t ldb,
                          std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd);
-void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                         std::int64_t k, const std::int16_t* a,
-                         std::int64_t lda, std::int64_t stride_a,
-                         const std::int16_t* b, std::int64_t ldb,
-                         std::int64_t stride_b, std::int64_t batch,
-                         const QGemmRequant& rq, const QGemmScatterDst& sd);
+                         const QGemmRequant& rq,
+                         const QGemmScatterDst<Out>& sd);
 
 /// Name of the microkernel the active dispatch level runs ("scalar",
 /// "avx2", "avx512", "avx512vnni").
@@ -213,36 +209,26 @@ using QGemmTileFn = std::function<void(std::int64_t j0, std::int64_t nr,
 /// dimension k) is packed into the active level's panels once at
 /// construction, and the per-row requant base (bias, plus on the VNNI int8
 /// tier the -128 * rowsum(A) term that undoes its +128 B offset) is folded
-/// then too. Both entries walk one strip loop over the output columns and
-/// differ only in the strip's epilogue: run() writes each element through a
-/// QGemmScatterDst, run_tiles() hands each requantized strip to a consumer
-/// (the capsule convolution squashes it there). They compute a column range
-/// on the calling thread with no OpenMP region of their own, so callers
-/// split images or columns across their own team. Zero points must be 0;
-/// the exactness contract is qgemm's (sum_k |a||b| < 2^31). `rq`'s per-row
-/// arrays, if any, must outlive the object. Bit-identical to qgemm_scatter
-/// on the materialized im2col matrix, on every tier.
+/// then too. run_tiles() walks the output columns in strips, requantizes
+/// each finished strip in place and hands it to a consumer, which stores it
+/// into its own layout and container (the convolutions write their planes,
+/// the capsule convolution squashes there). It computes a column range on
+/// the calling thread with no OpenMP region of its own, so callers split
+/// images or columns across their own team. Zero points must be 0; the
+/// exactness contract is qgemm's (sum_k |a||b| < 2^31). `rq`'s per-row
+/// arrays, if any, must outlive the object. Bit-identical to qgemm on the
+/// materialized im2col matrix, on every tier.
 template <typename T>
 class QGemmDirect {
  public:
   QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
               const QGemmRequant& rq);
-  /// Output columns [j0, j1) of the logical m x n result.
-  void run(const QGemmGatherB<T>& b, std::int64_t j0, std::int64_t j1,
-           const QGemmScatterDst& sd) const;
   /// Output columns [j0, j1), one requantized strip of at most 32 columns
   /// per `consume` call, in column order.
   void run_tiles(const QGemmGatherB<T>& b, std::int64_t j0, std::int64_t j1,
                  const QGemmTileFn& consume) const;
 
  private:
-  // The strip loop both entries share: `epilogue(c, ld, s0, nr)` receives
-  // the raw int32 accumulators of columns [s0, s0 + nr) after the last K
-  // block.
-  template <typename Epilogue>
-  void strips(const QGemmGatherB<T>& b, std::int64_t j0, std::int64_t j1,
-              const Epilogue& epilogue) const;
-
   std::int64_t m_, k_;
   common::Isa isa_;   // the dispatch level the panels were packed for
   bool vnni8_;        // narrow quad panels (VNNI tier, int8 operands)

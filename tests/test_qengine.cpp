@@ -179,8 +179,10 @@ TEST(QEngineConv, MatchesFloatConvOnGridInputs) {
   const tensor::Tensor w = qw.quantized(tensor::Tensor::randn({4, 3, 3, 3}, rng, 0.0f, 0.3f));
   const tensor::Tensor b = qw.quantized(tensor::Tensor::randn({4}, rng, 0.0f, 0.3f));
   const tensor::Tensor ref = tensor::conv2d_forward(x, w, b, 1, 1);
-  const QTensor got = conv2d(QTensor::from_float(x, xf), QTensor::from_float(w, wf),
-                             QTensor::from_float(b, wf), 1, 1, of);
+  const QTensor got =
+      conv2d(QActivation(QTensor::from_float(x, xf)),
+             QTensor::from_float(w, wf), QTensor::from_float(b, wf), 1, 1, of)
+          .widen();
   const tensor::Tensor gotf = got.to_float();
   for (std::int64_t i = 0; i < ref.numel(); ++i)
     ASSERT_NEAR(gotf[i], ref[i], 2.0f * static_cast<float>(of.precision()));
@@ -191,8 +193,9 @@ TEST(QEngineConv, NarrowOutputFormatSaturates) {
   tensor::Tensor x({1, 1, 2, 2}, 0.9f);
   tensor::Tensor w({1, 1, 2, 2}, 0.9f);
   const fixed::FixedFormat f(1, 6);
-  const QTensor out = conv2d(QTensor::from_float(x, f), QTensor::from_float(w, f),
-                             QTensor(), 1, 0, f);
+  const QTensor out = conv2d(QActivation(QTensor::from_float(x, f)),
+                             QTensor::from_float(w, f), QTensor(), 1, 0, f)
+                          .widen();
   EXPECT_EQ(out.raw[0], f.raw_max());
 }
 
@@ -289,18 +292,23 @@ const DirectConvCase kDirectConvCases[] = {
 };
 
 // Every case x epilogue (plain, bias without ReLU, bias + fused ReLU)
-// against conv2d_ref, under every tier and team size.
+// against conv2d_ref, under every tier and team size. `cases` defaults to
+// all of kDirectConvCases.
 void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
                        std::int64_t xhi, fixed::FixedFormat wf,
-                       std::int64_t wmax, fixed::FixedFormat out_fmt) {
+                       std::int64_t wmax, fixed::FixedFormat out_fmt,
+                       std::vector<DirectConvCase> cases = {}) {
+  if (cases.empty())
+    cases.assign(std::begin(kDirectConvCases), std::end(kDirectConvCases));
   common::Rng rng(41);
-  for (const auto& cs : kDirectConvCases) {
+  for (const auto& cs : cases) {
     SCOPED_TRACE("b=" + std::to_string(cs.b) + " c=" + std::to_string(cs.c) +
                  " hw=" + std::to_string(cs.hw) + " k=" +
                  std::to_string(cs.k) + " stride=" +
                  std::to_string(cs.stride) + " pad=" + std::to_string(cs.pad));
     const QTensor x =
         random_rails(rng, {cs.b, cs.c, cs.hw, cs.hw}, xf, xlo, xhi);
+    const QActivation xa(x);
     const QTensor w =
         random_rails(rng, {cs.f, cs.c, cs.k, cs.k}, wf, -wmax, wmax);
     const QTensor bias = random_rails(rng, {cs.f}, wf, -wmax, wmax);
@@ -312,15 +320,19 @@ void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
     const QTensor want_relu =
         conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, true);
     for_each_isa_and_team([&] {
-      EXPECT_EQ(conv2d(x, w, QTensor(), cs.stride, cs.pad, out_fmt).raw,
-                want_plain.raw);
-      EXPECT_EQ(conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
+      const QActivation plain =
+          conv2d(xa, w, QTensor(), cs.stride, cs.pad, out_fmt);
+      ASSERT_EQ(plain.storage(), storage_for(out_fmt));
+      EXPECT_EQ(plain.widen().raw, want_plain.raw);
+      EXPECT_EQ(conv2d(xa, w, bias, cs.stride, cs.pad, out_fmt,
                        fixed::RoundingScheme::kRoundToNearest, &cache)
+                    .widen()
                     .raw,
                 want_bias.raw);
-      EXPECT_EQ(conv2d(x, w, bias, cs.stride, cs.pad, out_fmt,
+      EXPECT_EQ(conv2d(xa, w, bias, cs.stride, cs.pad, out_fmt,
                        fixed::RoundingScheme::kRoundToNearest, &cache,
                        /*fuse_relu=*/true)
+                    .widen()
                     .raw,
                 want_relu.raw);
     });
@@ -334,17 +346,62 @@ TEST(QEngineDirectConv, Int8MatchesInt64OracleOnEveryTier) {
 }
 
 TEST(QEngineDirectConv, Int8RailsMatchInt64OracleOnEveryTier) {
-  // Inputs at both rails of the Q1.7 grid, -128 and 127. The tier gate
-  // reads the 8-bit format, so |x| = 128 takes the int8 container (the VNNI
-  // quads on that tier), on every tier.
-  check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
-                    fixed::FixedFormat(1, 7), 127, fixed::FixedFormat(6, 11));
+  // Inputs at both rails of the Q1.7 grid, -128 and 127, held in int8. The
+  // tier gate reads the 8-bit format, so |x| = 128 takes the int8 container
+  // (the VNNI quads on that tier), on every tier. Outputs land in the int64
+  // container (17 bits), the int16 one and the int8 one.
+  ASSERT_EQ(storage_for(fixed::FixedFormat(1, 7)), Storage::kInt8);
+  for (const fixed::FixedFormat out :
+       {fixed::FixedFormat(6, 11), fixed::FixedFormat(6, 10),
+        fixed::FixedFormat(3, 5)})
+    check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
+                      fixed::FixedFormat(1, 7), 127, out);
 }
 
 TEST(QEngineDirectConv, Int16TierMatchesInt64OracleOnEveryTier) {
   // Raw ranges past int8 (the int16 container), still exact in int32.
   check_direct_conv(fixed::FixedFormat(3, 9), -500, 499,
                     fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(8, 12));
+}
+
+TEST(QEngineDirectConv, Int16RailsMatchInt64OracleOnEveryTier) {
+  // A 16-bit format's rails, -32768 and 32767, held in int16; small weights
+  // keep the int32 accumulation exact. int16 and int8 outputs.
+  ASSERT_EQ(storage_for(fixed::FixedFormat(1, 15)), Storage::kInt16);
+  for (const fixed::FixedFormat out :
+       {fixed::FixedFormat(4, 12), fixed::FixedFormat(2, 6)})
+    check_direct_conv(fixed::FixedFormat(1, 15), -32768, 32767,
+                      fixed::FixedFormat(1, 7), 3, out);
+}
+
+TEST(QEngineDirectConv, Int8InputWithInt16WeightsWidensIntoTheInt16Tier) {
+  // An int8-held input whose weights pass 127: the int16 tier, fed by an
+  // exact widening copy of the int8 rows.
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(1, 7), fixed::FixedFormat(2, 8),
+                        300, 64 * 9, fixed::FixedFormat(8, 8)),
+            PackedTier::kInt16);
+  check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
+                    fixed::FixedFormat(2, 8), 300, fixed::FixedFormat(8, 8));
+}
+
+TEST(QEngineDirectConv, Int8InputWithWideWeightsTakesTheInt64Fallback) {
+  // Weights past the int16 range leave the packed path: the int8-held input
+  // is widened once and the exact int64 loop stores into the int16 output.
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(1, 7), fixed::FixedFormat(17, 8),
+                        40000, 64 * 9, fixed::FixedFormat(8, 7)),
+            PackedTier::kNone);
+  check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
+                    fixed::FixedFormat(17, 8), 40000, fixed::FixedFormat(8, 7),
+                    {kDirectConvCases[0], kDirectConvCases[2],
+                     kDirectConvCases[7]});
+}
+
+TEST(QEngineDirectConv, WideFormatHeldInInt64TakesTheInt64Fallback) {
+  // An 18-bit activation format is held in int64 and runs the exact loop.
+  ASSERT_EQ(storage_for(fixed::FixedFormat(6, 12)), Storage::kInt64);
+  check_direct_conv(fixed::FixedFormat(6, 12), -131072, 131071,
+                    fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(8, 12),
+                    {kDirectConvCases[0], kDirectConvCases[2]});
 }
 
 TEST(QEngineDirectConv, NarrowOutputSaturatesOnEveryTier) {
@@ -354,8 +411,10 @@ TEST(QEngineDirectConv, NarrowOutputSaturatesOnEveryTier) {
   const QTensor x = random_rails(rng, {3, 32, 8, 8}, f8, -128, 127);
   const QTensor w = random_rails(rng, {16, 32, 3, 3}, f8, -128, 127);
   const QTensor want = conv2d_ref(x, w, QTensor(), 1, 1, out, false);
-  for_each_isa_and_team(
-      [&] { EXPECT_EQ(conv2d(x, w, QTensor(), 1, 1, out).raw, want.raw); });
+  for_each_isa_and_team([&] {
+    EXPECT_EQ(conv2d(QActivation(x), w, QTensor(), 1, 1, out).widen().raw,
+              want.raw);
+  });
 }
 
 struct VotesCase {
@@ -363,16 +422,19 @@ struct VotesCase {
 };
 
 // The grouped ConvCaps3d votes against the per-type path: each type's
-// channel slice convolved by the oracle and scattered j-major.
+// channel slice convolved by the oracle and scattered j-major. Inputs in
+// [lo, hi] of format f, weights in [-wmax, wmax] of format wf.
 void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
-                         std::int64_t hi) {
+                         std::int64_t hi, fixed::FixedFormat wf,
+                         std::int64_t wmax,
+                         fixed::FixedFormat out_fmt = fixed::FixedFormat(6,
+                                                                         10)) {
   const VotesCase cases[] = {
       {3, 4, 4, 3, 4, 6, 3, 1, 1},
       {16, 8, 8, 8, 8, 4, 3, 2, 1},  // B5: a 2x2 plane
       {1, 2, 3, 2, 5, 5, 1, 1, 0},
   };
   common::Rng rng(47);
-  const fixed::FixedFormat out_fmt(6, 10);
   for (const auto& vc : cases) {
     SCOPED_TRACE("b=" + std::to_string(vc.b) + " hw=" + std::to_string(vc.hw));
     const std::int64_t jd = vc.tout * vc.dout;
@@ -382,10 +444,11 @@ void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
     QGemmOperandCache grouped;
     grouped.max_abs = 0;
     for (std::int64_t t = 0; t < vc.tin; ++t) {
-      wt.push_back(random_rails(rng, {jd, vc.din, vc.k, vc.k}, f, -hi, hi));
+      wt.push_back(random_rails(rng, {jd, vc.din, vc.k, vc.k}, wf, -wmax,
+                                wmax));
       grouped.max_abs = std::max(grouped.max_abs, wt.back().max_abs_raw());
       // Both containers when they fit, as the graph's fusion pass builds.
-      if (hi <= 127) {
+      if (wmax <= 127) {
         const auto p8 = wt.back().packed_i8();
         grouped.i8.insert(grouped.i8.end(), p8.begin(), p8.end());
       }
@@ -413,23 +476,34 @@ void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
                 r % vc.dout)] =
                 vmap.raw[static_cast<std::size_t>((bi * jd + r) * plane + p)];
     }
+    const QActivation xa(x);
     for_each_isa_and_team([&] {
-      QTensor votes({vc.b * plane, vc.tout, vc.tin, vc.dout}, out_fmt);
-      ASSERT_TRUE(conv_caps3d_votes(x, grouped, f, vc.tin, vc.din, vc.tout,
+      QActivation votes({vc.b * plane, vc.tout, vc.tin, vc.dout}, out_fmt);
+      ASSERT_TRUE(conv_caps3d_votes(xa, grouped, wf, vc.tin, vc.din, vc.tout,
                                     vc.dout, vc.k, vc.stride, vc.pad, out_fmt,
                                     votes));
-      EXPECT_EQ(votes.raw, want.raw);
+      EXPECT_EQ(votes.widen().raw, want.raw);
     });
   }
 }
 
 TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt8) {
-  check_grouped_votes(fixed::FixedFormat(1, 7), -127, 127);
-  check_grouped_votes(fixed::FixedFormat(1, 7), -128, 127);  // both rails
+  const fixed::FixedFormat f(1, 7);
+  check_grouped_votes(f, -127, 127, f, 127);
+  check_grouped_votes(f, -128, 127, f, 127);  // both rails
+  // Votes held in int8.
+  check_grouped_votes(f, -128, 127, f, 127, fixed::FixedFormat(3, 5));
 }
 
 TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt16) {
-  check_grouped_votes(fixed::FixedFormat(3, 9), -500, 499);
+  const fixed::FixedFormat f(3, 9);
+  check_grouped_votes(f, -500, 499, f, 499);
+  // A 16-bit input's rails, -32768 and 32767, with small weights; votes
+  // held in int16 and in int64.
+  check_grouped_votes(fixed::FixedFormat(1, 15), -32768, 32767,
+                      fixed::FixedFormat(1, 7), 3);
+  check_grouped_votes(fixed::FixedFormat(1, 15), -32768, 32767,
+                      fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(8, 12));
 }
 
 // ---- one-pass capsule convolution against conv2d -> squash_channels --------
@@ -466,22 +540,27 @@ void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
     const std::int64_t f = cs.types * cs.dim;
     const QTensor x =
         random_rails(rng, {cs.b, cs.c, cs.hw, cs.hw}, xf, xlo, xhi);
+    const QActivation xa(x);
     const QTensor w = random_rails(rng, {f, cs.c, 3, 3}, wf, -wmax, wmax);
     const QTensor bias = random_rails(rng, {f}, wf, -wmax, wmax);
     const QGemmOperandCache cache = make_operand_cache(w);
     const auto want = [&](const QTensor& bs) {
-      return squash_channels(conv2d_ref(x, w, bs, cs.stride, 1, mid, false),
-                             cs.dim, act);
+      return squash_channels(
+                 QActivation(conv2d_ref(x, w, bs, cs.stride, 1, mid, false)),
+                 cs.dim, act)
+          .widen();
     };
     const QTensor want_plain = want(QTensor());
     const QTensor want_bias = want(bias);
     for_each_isa_and_team([&] {
-      EXPECT_EQ(conv_caps(x, w, QTensor(), cs.stride, 1, cs.dim, mid, act)
+      const QActivation plain =
+          conv_caps(xa, w, QTensor(), cs.stride, 1, cs.dim, mid, act);
+      ASSERT_EQ(plain.storage(), storage_for(act));
+      EXPECT_EQ(plain.widen().raw, want_plain.raw);
+      EXPECT_EQ(conv_caps(xa, w, bias, cs.stride, 1, cs.dim, mid, act, &cache)
+                    .widen()
                     .raw,
-                want_plain.raw);
-      EXPECT_EQ(
-          conv_caps(x, w, bias, cs.stride, 1, cs.dim, mid, act, &cache).raw,
-          want_bias.raw);
+                want_bias.raw);
     });
   }
 }
@@ -510,6 +589,20 @@ TEST(QEngineConvCaps, Int16TierMatchesConvThenSquashOnEveryTier) {
                   {kConvCapsCases[0], kConvCapsCases[3], kConvCapsCases[4]});
 }
 
+TEST(QEngineConvCaps, Int16RailsMatchConvThenSquashOnEveryTier) {
+  // A 16-bit input's rails, -32768 and 32767, held in int16; capsules out
+  // in int16 (Q1.15) and int8 (Q1.7).
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(1, 15), fixed::FixedFormat(1, 7),
+                        3, 64 * 9, fixed::FixedFormat(8, 20)),
+            PackedTier::kInt16);
+  const std::vector<ConvCapsCase> some = {kConvCapsCases[0], kConvCapsCases[3],
+                                          kConvCapsCases[4]};
+  check_conv_caps(fixed::FixedFormat(1, 15), -32768, 32767,
+                  fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(1, 15), some);
+  check_conv_caps(fixed::FixedFormat(1, 15), -32768, 32767,
+                  fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(1, 7), some);
+}
+
 TEST(QEngineConvCaps, WideFormatTakesTheInt64Fallback) {
   // An 18-bit activation format is past the int16 container: conv2d's exact
   // int64 loop then squash_channels, with the same results.
@@ -519,6 +612,144 @@ TEST(QEngineConvCaps, WideFormatTakesTheInt64Fallback) {
   check_conv_caps(fixed::FixedFormat(6, 12), -131072, 131071,
                   fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(2, 10),
                   {kConvCapsCases[4], kConvCapsCases[5]});
+}
+
+TEST(QEngineConvCaps, Int8InputWithWideWeightsTakesTheInt64Fallback) {
+  // Weights past the int16 range: the int8-held input widened once, then
+  // conv2d's exact loop and squash_channels.
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(1, 7), fixed::FixedFormat(17, 8),
+                        40000, 64 * 9, fixed::FixedFormat(8, 15)),
+            PackedTier::kNone);
+  check_conv_caps(fixed::FixedFormat(1, 7), -128, 127,
+                  fixed::FixedFormat(17, 8), 40000, fixed::FixedFormat(1, 7),
+                  {kConvCapsCases[4], kConvCapsCases[5]});
+}
+
+// ---- the other ops on int8 / int16 containers at their rails --------------
+
+TEST(QEngineDirectConv, VoteTransformRailsMatchInt64Oracle) {
+  // u at a format's rails in its container, votes in int8, int16 and int64
+  // containers, against the scalar int64 product at every level and team.
+  const struct {
+    fixed::FixedFormat uf;
+    std::int64_t lo, hi;
+    fixed::FixedFormat wf;
+    std::int64_t wmax;
+    fixed::FixedFormat out;
+  } cases[] = {
+      {{1, 7}, -128, 127, {1, 7}, 127, {2, 6}},       // int8 -> int8
+      {{1, 7}, -128, 127, {1, 7}, 127, {6, 10}},      // int8 -> int16
+      {{1, 7}, -128, 127, {2, 8}, 300, {10, 10}},     // int8 widened, int64
+      {{1, 15}, -32768, 32767, {1, 7}, 3, {4, 12}},   // int16 -> int16
+      {{1, 7}, -128, 127, {17, 8}, 40000, {8, 7}},    // the int64 fallback
+  };
+  common::Rng rng(71);
+  for (const auto& cs : cases) {
+    SCOPED_TRACE("u " + cs.uf.to_string() + " w max " +
+                 std::to_string(cs.wmax) + " out " + cs.out.to_string());
+    const QTensor u = random_rails(rng, {5, 12, 8}, cs.uf, cs.lo, cs.hi);
+    const QTensor w =
+        random_rails(rng, {12, 5, 4, 8}, cs.wf, -cs.wmax, cs.wmax);
+    const QGemmOperandCache cache = make_operand_cache(w);
+    const QTensor want = to_jmajor(legacy_vote_transform(u, w, cs.out));
+    const QActivation ua(u);
+    for_each_isa_and_team([&] {
+      const QActivation got = vote_transform(
+          ua, w, cs.out, fixed::RoundingScheme::kRoundToNearest, &cache);
+      ASSERT_EQ(got.storage(), storage_for(cs.out));
+      EXPECT_EQ(got.widen().raw, want.raw);
+    });
+  }
+}
+
+TEST(QEngineDirectConv, RoutingRailsMatchInt64Oracle) {
+  // Votes at their format's rails: int8 (int32 accumulation from the int8
+  // container), int16 on the int32 path (Q2.10) and int16 past it (Q1.15,
+  // the int64 path over one widened copy). R = 6 rows run under the team.
+  const struct {
+    fixed::FixedFormat act, dr;
+  } cases[] = {
+      {{1, 7}, {3, 6}},
+      {{2, 10}, {3, 8}},
+      {{1, 15}, {4, 12}},
+  };
+  common::Rng rng(72);
+  for (const auto& cs : cases) {
+    SCOPED_TRACE("act " + cs.act.to_string());
+    const QTensor votes_i = random_rails(rng, {6, 12, 5, 8}, cs.act,
+                                         cs.act.raw_min(), cs.act.raw_max());
+    const QActivation votes_j(to_jmajor(votes_i));
+    for (const int iters : {1, 3}) {
+      const QTensor want =
+          legacy_dynamic_routing(votes_i, iters, cs.act, cs.dr);
+      for_each_isa_and_team([&] {
+        const QActivation got = dynamic_routing(votes_j, iters, cs.act, cs.dr);
+        ASSERT_EQ(got.storage(), storage_for(cs.act));
+        EXPECT_EQ(got.widen().raw, want.raw) << "iters " << iters;
+      });
+    }
+  }
+}
+
+TEST(QEngineDirectConv, ResidualAddRailsMatchInt64Oracle) {
+  // Sums of rail values clamp back onto the rails in the shared container.
+  common::Rng rng(73);
+  for (const fixed::FixedFormat f :
+       {fixed::FixedFormat(1, 7), fixed::FixedFormat(1, 15),
+        fixed::FixedFormat(6, 12)}) {
+    SCOPED_TRACE(f.to_string());
+    const std::int64_t n = std::int64_t{1} << 16;  // past the parallel cut
+    const QTensor a = random_rails(rng, {n}, f, f.raw_min(), f.raw_max());
+    const QTensor b = random_rails(rng, {n}, f, f.raw_min(), f.raw_max());
+    QTensor want({n}, f);
+    for (std::size_t i = 0; i < want.raw.size(); ++i)
+      want.raw[i] = std::clamp(a.raw[i] + b.raw[i], f.raw_min(), f.raw_max());
+    const QActivation aa(a), ba(b);
+    for_each_isa_and_team([&] {
+      const QActivation got = residual_add(aa, ba);
+      ASSERT_EQ(got.storage(), storage_for(f));
+      EXPECT_EQ(got.widen().raw, want.raw);
+    });
+  }
+}
+
+TEST(QEngineActivation, ContainerFollowsTheFormatAndRoundTrips) {
+  using F = fixed::FixedFormat;
+  EXPECT_EQ(storage_for(F(1, 7)), Storage::kInt8);
+  EXPECT_EQ(storage_for(F(8, 0)), Storage::kInt8);
+  EXPECT_EQ(storage_for(F(1, 8)), Storage::kInt16);
+  EXPECT_EQ(storage_for(F(6, 10)), Storage::kInt16);
+  EXPECT_EQ(storage_for(F(1, 16)), Storage::kInt64);
+  const F f(1, 7);
+  QTensor t({4}, f);
+  t.raw = {-128, -1, 0, 127};
+  const QActivation a(t);
+  EXPECT_EQ(a.storage(), Storage::kInt8);
+  EXPECT_EQ(a.bytes(), 4);
+  EXPECT_EQ(a.widen().raw, t.raw);
+  const QActivation copy = a;  // deep copy
+  EXPECT_EQ(copy.widen().raw, t.raw);
+  t.raw[0] = -129;  // off the rails of Q1.7
+  EXPECT_THROW(QActivation{t}, qcaps::Error);
+}
+
+TEST(QEngineActivation, FromFloatMatchesTheRoundToNearestQuantizer) {
+  // One-pass input quantization against QTensor::from_float (fixed::to_raw)
+  // on every container, including ties, negatives and out-of-range values.
+  common::Rng rng(74);
+  tensor::Tensor t = tensor::Tensor::uniform({4, 3, 7, 9}, rng, -3.0f, 3.0f);
+  t[0] = 0.5f / 128.0f;    // a tie at Q1.7: rounds half up
+  t[1] = -0.5f / 128.0f;   // a negative tie
+  t[2] = 1.0f;             // the top rail of Q1.7
+  t[3] = -1.0f;
+  t[4] = -2.75f / 128.0f;  // negative non-integer
+  for (const fixed::FixedFormat f :
+       {fixed::FixedFormat(1, 7), fixed::FixedFormat(2, 10),
+        fixed::FixedFormat(3, 20)}) {
+    const QActivation a = QActivation::from_float(t, f);
+    EXPECT_EQ(a.storage(), storage_for(f));
+    EXPECT_EQ(a.widen().raw, QTensor::from_float(t, f).raw) << f.to_string();
+  }
 }
 
 TEST(QEnginePackedTier, ContainerFollowsTheFormatsWordlength) {
@@ -568,8 +799,9 @@ TEST(QEnginePackedTier, Int32AccumulationRequantAndBiasBounds) {
 
 TEST(QEngineRelu, ZeroesNegativeRaw) {
   tensor::Tensor t({3}, {-0.5f, 0.25f, -0.125f});
-  QTensor q = QTensor::from_float(t, fixed::FixedFormat(1, 4));
-  relu(q);
+  QActivation a(QTensor::from_float(t, fixed::FixedFormat(1, 4)));
+  relu(a);
+  const QTensor q = a.widen();
   EXPECT_EQ(q.raw[0], 0);
   EXPECT_GT(q.raw[1], 0);
   EXPECT_EQ(q.raw[2], 0);
@@ -578,7 +810,8 @@ TEST(QEngineRelu, ZeroesNegativeRaw) {
 TEST(QEngineRescale, WidthReductionRoundsCorrectly) {
   tensor::Tensor t({1}, {0.34375f});  // 0.01011 in binary
   const QTensor fine = QTensor::from_float(t, fixed::FixedFormat(1, 5));
-  const QTensor coarse = rescale(fine, fixed::FixedFormat(1, 2));
+  const QTensor coarse =
+      rescale(QActivation(fine), fixed::FixedFormat(1, 2)).widen();
   // 0.34375 -> nearest multiple of 0.25 (half-up) = 0.25.
   EXPECT_FLOAT_EQ(coarse.to_float()[0], 0.25f);
 }
@@ -588,7 +821,8 @@ TEST(QEngineSquash, TracksFloatSquashWithinPrecision) {
   const fixed::FixedFormat fmt(2, 10);
   const fixed::Quantizer q(fmt, fixed::RoundingScheme::kRoundToNearest);
   const tensor::Tensor s = q.quantized(tensor::Tensor::randn({6, 8}, rng, 0.0f, 0.6f));
-  const QTensor got = squash_last(QTensor::from_float(s, fmt), fmt);
+  const QTensor got =
+      squash_last(QActivation(QTensor::from_float(s, fmt)), fmt).widen();
   const tensor::Tensor ref = nn::squash_last(s);
   const tensor::Tensor gotf = got.to_float();
   for (std::int64_t i = 0; i < ref.numel(); ++i)
@@ -601,7 +835,9 @@ TEST(QEngineRouting, ShapesAndCapsuleNormBound) {
   const fixed::Quantizer q(act, fixed::RoundingScheme::kRoundToNearest);
   const tensor::Tensor votes = q.quantized(
       tensor::Tensor::randn({3, 4, 6, 4}, rng, 0.0f, 0.4f));  // [R,Nout,Nin,D]
-  const QTensor v = dynamic_routing(QTensor::from_float(votes, act), 3, act, dr);
+  const QTensor v =
+      dynamic_routing(QActivation(QTensor::from_float(votes, act)), 3, act, dr)
+          .widen();
   EXPECT_EQ(v.shape, (tensor::Shape{3, 4, 4}));
   const tensor::Tensor len = lengths(v);
   for (std::int64_t i = 0; i < len.numel(); ++i) EXPECT_LT(len[i], 1.1f);
@@ -623,8 +859,10 @@ TEST(QEngineRouting, AgreementSelectsSameWinnerAsFloat) {
   nn::DynamicRouting ref;
   const tensor::Tensor v_ref =
       ref.forward(votes_q, 3, false, nn::RoutingQuantPoints{});
-  const QTensor v_int = dynamic_routing(QTensor::from_float(votes_q, act), 3,
-                                        act, dr);
+  const QTensor v_int =
+      dynamic_routing(QActivation(QTensor::from_float(votes_q, act)), 3, act,
+                      dr)
+          .widen();
   const auto arg_ref =
       tensor::argmax_rows(tensor::l2_norm_last(v_ref, 0.0f).reshaped({1, nout}));
   const auto arg_int = tensor::argmax_rows(lengths(v_int).reshaped({1, nout}));
@@ -645,9 +883,11 @@ TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
   const QTensor w16t = random_q(rng, {12, 5, 4, 8}, act16, 7.5f);
   const auto check = [&out](const QTensor& u, const QTensor& w) {
     const QGemmOperandCache cache = make_operand_cache(w);
-    const QTensor got = vote_transform(
-        u, w, out, fixed::RoundingScheme::kRoundToNearest, &cache);
-    const QTensor want = vote_transform(u, w, out);
+    const QTensor got =
+        vote_transform(QActivation(u), w, out,
+                       fixed::RoundingScheme::kRoundToNearest, &cache)
+            .widen();
+    const QTensor want = vote_transform(QActivation(u), w, out).widen();
     for (std::size_t i = 0; i < got.raw.size(); ++i)
       ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;
   };
@@ -664,7 +904,8 @@ TEST(QEngineVotes, QGemmPathIdenticalToLegacyLoopAtQ88) {
   const std::int64_t b = 3, nin = 24, din = 8, nout = 4, dout = 6;
   const QTensor u = random_q(rng, {b, nin, din}, act, 0.95f);
   const QTensor w = random_q(rng, {nin, nout, dout, din}, wf, 0.45f);
-  const QTensor votes = vote_transform(u, w, act3);
+  const QActivation votes_a = vote_transform(QActivation(u), w, act3);
+  const QTensor votes = votes_a.widen();
   const QTensor want = legacy_vote_transform(u, w, act3);
   ASSERT_EQ(votes.shape, (tensor::Shape{b, nout, nin, dout}));
   const QTensor want_j = to_jmajor(want);
@@ -673,7 +914,7 @@ TEST(QEngineVotes, QGemmPathIdenticalToLegacyLoopAtQ88) {
 
   // And therefore identical logits after routing + classification head —
   // with the routing itself locked against the pre-refactor i-major loop.
-  const QTensor v_new = dynamic_routing(votes, 3, act3, dr);
+  const QTensor v_new = dynamic_routing(votes_a, 3, act3, dr).widen();
   const QTensor v_old = legacy_dynamic_routing(want, 3, act3, dr);
   const tensor::Tensor len_new = lengths(v_new);
   const tensor::Tensor len_old = lengths(v_old);
@@ -688,7 +929,7 @@ TEST(QEngineVotes, Int8TierIdenticalToLegacyLoop) {
   const QTensor w = random_q(rng, {12, 5, 4, 8}, wf, 0.95f);
   ASSERT_TRUE(u.fits_i8());
   ASSERT_TRUE(w.fits_i8());
-  const QTensor votes = vote_transform(u, w, act3);
+  const QTensor votes = vote_transform(QActivation(u), w, act3).widen();
   const QTensor want = to_jmajor(legacy_vote_transform(u, w, act3));
   for (std::size_t i = 0; i < votes.raw.size(); ++i)
     ASSERT_EQ(votes.raw[i], want.raw[i]) << "flat " << i;
@@ -712,7 +953,8 @@ TEST(QEngineRouting, JMajorPathBitIdenticalToLegacy) {
     const QTensor votes_i = random_q(rng, {3, 12, 5, 8}, cs.act, cs.amp);
     const QTensor votes_j = to_jmajor(votes_i);
     for (int iters : {1, 3}) {
-      const QTensor got = dynamic_routing(votes_j, iters, cs.act, cs.dr);
+      const QTensor got =
+          dynamic_routing(QActivation(votes_j), iters, cs.act, cs.dr).widen();
       const QTensor want = legacy_dynamic_routing(votes_i, iters, cs.act, cs.dr);
       ASSERT_EQ(got.shape, want.shape);
       for (std::size_t i = 0; i < got.raw.size(); ++i)

@@ -373,8 +373,8 @@ TEST(QGemmAllKernels, StridedBatchInterleavedLikeCapsuleVotes) {
 
 TEST(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
   testutil::for_each_isa([](common::Isa) {
-    // qgemm_scatter = qgemm into a dense C, then widen each element into the
-    // affine-scattered destination. Exercise both axis splits: the vote layout
+    // qgemm_scatter = qgemm into a dense C, then store each element into the
+    // affine-scattered destination's container. Exercise both axis splits: the vote layout
     // splits columns (j -> (nout, dout)), the grouped ConvCaps3d layout splits
     // rows (i -> (nout, dout)).
     common::Rng rng(31);
@@ -394,11 +394,12 @@ TEST(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
                     rq);
 
     // Column split: j = (jo, ji) with ji in [0, 4); element (i, jo, ji) lands
-    // at dst[ji * (n/4 * m) + jo * m + i] — a [4, n/4, m] layout.
-    {
-      std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
-                                    std::int64_t{-999});
-      QGemmScatterDst sd;
+    // at dst[ji * (n/4 * m) + jo * m + i] — a [4, n/4, m] layout. The
+    // [-128, 127] requant grid fits every destination container.
+    const auto column_split = [&](auto fill) {
+      using Out = decltype(fill);
+      std::vector<Out> dst(static_cast<std::size_t>(m * n), fill);
+      QGemmScatterDst<Out> sd;
       sd.dst = dst.data();
       sd.row_inner = 1;
       sd.row_outer_stride = 1;
@@ -413,14 +414,17 @@ TEST(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
                                                  (j / 4) * m + i)],
                     want[static_cast<std::size_t>(i * n + j)])
               << "i=" << i << " j=" << j;
-    }
+    };
+    column_split(std::int64_t{-999});
+    column_split(std::int16_t{-999});
+    column_split(std::int8_t{99});
 
     // Row split: i = (io, ii) with ii in [0, 3); element (io, ii, j) lands at
     // dst[j * m + ii * (m / 3) + io] — a [n, 3, m/3] layout.
     {
       std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
                                     std::int64_t{-999});
-      QGemmScatterDst sd;
+      QGemmScatterDst<std::int64_t> sd;
       sd.dst = dst.data();
       sd.row_inner = 3;
       sd.row_outer_stride = 1;
@@ -454,7 +458,7 @@ TEST(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
     rq.qmax = 511;
     std::vector<std::int64_t> votes(
         static_cast<std::size_t>(bsz * nout * nin * dout), std::int64_t{-999});
-    QGemmScatterDst sd;
+    QGemmScatterDst<std::int64_t> sd;
     sd.dst = votes.data();
     sd.batch_stride = dout;
     sd.row_inner = 1;
@@ -508,20 +512,10 @@ void check_direct_gather(const std::vector<T>& a, const std::vector<T>& b,
             p * n + col[static_cast<std::size_t>(j)])];
     const auto want = qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k,
                                   bp.data(), n, rq);
-    std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n), -999);
-    QGemmScatterDst sd;
-    sd.dst = dst.data();
-    sd.row_outer_stride = n;
-    sd.col_outer_stride = 1;
     const QGemmGatherB<T> gb{b.data(), tap.data(), col.data()};
     const std::int64_t mid = std::min<std::int64_t>(37, n);
-    gemm.run(gb, 0, mid, sd);
-    gemm.run(gb, mid, n, sd);
-    for (std::size_t i = 0; i < dst.size(); ++i)
-      ASSERT_EQ(dst[i], want[i]) << "flat " << i;
 
-    // The tile-consumer entry: the same values, one requantized strip of
-    // at most 32 columns per call, in column order.
+    // One requantized strip of at most 32 columns per call, in column order.
     std::vector<std::int64_t> tiles(static_cast<std::size_t>(m * n), -999);
     std::int64_t next = 0;
     const auto consume = [&](std::int64_t j0, std::int64_t nr,

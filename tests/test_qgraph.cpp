@@ -31,6 +31,7 @@
 #include "qengine/qgraph.hpp"
 #include "tensor/conv.hpp"
 #include "tensor/ops.hpp"
+#include "test_util.hpp"
 
 namespace qcaps::qengine {
 namespace {
@@ -97,14 +98,16 @@ class LegacyShallowCaps {
     QCAPS_CHECK_MSG(images.ndim() == 4, "expected [B, C, H, W] images");
     const std::int64_t b = images.dim(0);
 
-    const QTensor x0 = QTensor::from_float(images, input_fmt_);
-    QTensor x1 = conv2d(x0, w1_, b1_, stride1_, pad1_, act1_,
-                        fixed::RoundingScheme::kRoundToNearest, &w1_cache_);
+    const QActivation x0(QTensor::from_float(images, input_fmt_));
+    QActivation x1 = conv2d(x0, w1_, b1_, stride1_, pad1_, act1_,
+                            fixed::RoundingScheme::kRoundToNearest, &w1_cache_);
     relu(x1);
 
     const fixed::FixedFormat pre_squash(8, std::min(20, act2_.qf + 8));
-    QTensor s2 = conv2d(x1, w2_, b2_, stride2_, 0, pre_squash,
-                        fixed::RoundingScheme::kRoundToNearest, &w2_cache_);
+    const QTensor s2 =
+        conv2d(x1, w2_, b2_, stride2_, 0, pre_squash,
+               fixed::RoundingScheme::kRoundToNearest, &w2_cache_)
+            .widen();
     const std::int64_t oh = s2.dim(2), ow = s2.dim(3);
     const std::int64_t plane = oh * ow;
     QTensor caps({b, caps_types_ * plane, caps_dim_}, pre_squash);
@@ -118,12 +121,12 @@ class LegacyShallowCaps {
                     ((bi * caps_types_ * caps_dim_) + t * caps_dim_ + dd) *
                         plane +
                     p)];
-    QTensor u = squash_last(caps, act2_);
+    const QActivation u = squash_last(QActivation(caps), act2_);
 
     QCAPS_CHECK(u.dim(1) == num_in_ && u.dim(2) == dim_in_);
-    const QTensor votes = vote_transform(
+    const QActivation votes = vote_transform(
         u, w3_, act3_, fixed::RoundingScheme::kRoundToNearest, &w3_cache_);
-    return dynamic_routing(votes, iterations_, act3_, dr3_);
+    return dynamic_routing(votes, iterations_, act3_, dr3_).widen();
   }
 
   std::int64_t weight_bits() const {
@@ -254,7 +257,9 @@ TEST(QGraphOps, SquashChannelsMatchesFloatReferenceWithinPrecision) {
   const fixed::Quantizer q(fmt, fixed::RoundingScheme::kRoundToNearest);
   const tensor::Tensor s =
       q.quantized(tensor::Tensor::randn({2, 3 * 4, 5, 5}, rng, 0.0f, 0.6f));
-  const QTensor got = squash_channels(QTensor::from_float(s, fmt), 4, fmt);
+  const QTensor got =
+      squash_channels(QActivation(QTensor::from_float(s, fmt)), 4, fmt)
+          .widen();
   const tensor::Tensor ref = nn::squash_channels(s, 4);
   const tensor::Tensor gotf = got.to_float();
   ASSERT_TRUE(ref.same_shape(gotf));
@@ -268,14 +273,14 @@ TEST(QGraphOps, ResidualAddIsExactOnGridAndSaturates) {
   QTensor a({4}, fmt), b({4}, fmt);
   a.raw = {10, -20, fmt.raw_max(), fmt.raw_min()};
   b.raw = {5, -7, 50, -50};
-  const QTensor out = residual_add(a, b);
+  const QTensor out = residual_add(QActivation(a), QActivation(b)).widen();
   EXPECT_EQ(out.raw[0], 15);
   EXPECT_EQ(out.raw[1], -27);
   EXPECT_EQ(out.raw[2], fmt.raw_max());  // clipped at the top of the range
   EXPECT_EQ(out.raw[3], fmt.raw_min());  // clipped at the bottom
 
   QTensor c({4}, fixed::FixedFormat(3, 6));
-  EXPECT_THROW(residual_add(a, c), qcaps::Error);
+  EXPECT_THROW(residual_add(QActivation(a), QActivation(c)), qcaps::Error);
 }
 
 // ---- DeepCaps compilation and execution -------------------------------------
@@ -554,6 +559,65 @@ TEST(QGraphFusion, SaturationCountersStayCoherentUnderFusion) {
   EXPECT_EQ(nf[1].saturated, 0u);
 }
 
+// ---- activation containers ---------------------------------------------------
+
+TEST(QGraphStorage, EightBitGraphsHoldEveryValueInOneByte) {
+  // At 8-bit activations (Q1.7) the input and every node's value sit in a
+  // 1-byte container (forward() holds each value in value_storage()'s
+  // container, and checks it), while the outputs stay bit-identical to the
+  // unfused from_ops twin at every dispatch level. The BN-folded DeepCaps
+  // weights outgrow int8, so its convs also feed int8 rows to the int16
+  // tier.
+  const auto check = [](const QuantizedGraph& g,
+                        const tensor::Tensor& images) {
+    EXPECT_EQ(storage_for(g.input_format()), Storage::kInt8);
+    for (const Storage st : g.value_storage()) EXPECT_EQ(st, Storage::kInt8);
+    const QuantizedGraph plain = unfused_twin(g);
+    QTensor want;
+    testutil::for_each_isa([&](common::Isa) {
+      const QTensor ref = plain.forward(images);
+      if (want.raw.empty()) want = ref;  // the scalar level runs first
+      EXPECT_EQ(ref.raw, want.raw);
+      const QTensor got = g.forward(images);
+      EXPECT_EQ(got.fmt, want.fmt);
+      EXPECT_EQ(got.shape, want.shape);
+      EXPECT_EQ(got.raw, want.raw);
+    });
+  };
+  common::Rng rng(75);
+  const auto shallow = models::build_shallow_caps(
+      models::ShallowCapsConfig::experiment(), rng);
+  check(QuantizedGraph::compile(
+            *shallow, core::NetworkQuantSpec::uniform(
+                          3, 7, fixed::RoundingScheme::kRoundToNearest)),
+        tensor::Tensor::uniform({3, 1, 28, 28}, rng, 0.0f, 1.0f));
+  const auto deep =
+      models::build_deep_caps(models::DeepCapsConfig::experiment(28, 1), rng);
+  check(QuantizedGraph::compile(
+            *deep, core::NetworkQuantSpec::uniform(
+                       6, 7, fixed::RoundingScheme::kRoundToNearest)),
+        tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f));
+}
+
+TEST(QGraphStorage, WideActivationsTakeInt16AndInt64Containers) {
+  // Q1.11 activations hold int16 values and Q6.12 ones int64 (the exact
+  // int64 fallbacks); both match the unfused twin.
+  common::Rng rng(76);
+  const auto net = models::build_shallow_caps(
+      models::ShallowCapsConfig::experiment(), rng);
+  const tensor::Tensor images =
+      tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
+  for (const auto& [qi, qf, want_storage] :
+       {std::tuple{1, 11, Storage::kInt16}, std::tuple{6, 12, Storage::kInt64}}) {
+    auto spec = core::NetworkQuantSpec::uniform(
+        3, qf, fixed::RoundingScheme::kRoundToNearest);
+    for (auto& l : spec.layers) l.qa_int = qi;
+    const QuantizedGraph g = QuantizedGraph::compile(*net, spec);
+    for (const Storage st : g.value_storage()) EXPECT_EQ(st, want_storage);
+    EXPECT_EQ(g.forward(images).raw, unfused_twin(g).forward(images).raw);
+  }
+}
+
 // ---- standalone kRescale nodes ---------------------------------------------
 
 // Widen the out_fmt of op `idx` to `wide` and insert a kRescale node right
@@ -608,7 +672,7 @@ TEST(QGraphRescale, NodeRunsStandaloneAndRoundTripsThroughQcg) {
       QuantizedGraph::from_ops({ops[0], ops[1]}, g.input_format());
   const QTensor produced = conv_only.forward(images);
   ASSERT_EQ(produced.fmt, narrow);
-  const QTensor want = rescale(produced, ops[1].out_fmt);
+  const QTensor want = rescale(QActivation(produced), ops[1].out_fmt).widen();
   const QTensor got = conv_rescale.forward(images);
   EXPECT_EQ(got.fmt, ops[1].out_fmt);
   EXPECT_EQ(got.shape, want.shape);

@@ -446,6 +446,33 @@ TEST(QcgReject, NodeGeometryForwardCannotRun) {
                  "flatten caps dim 0");
 }
 
+TEST(QcgReject, HollowWeightWhoseFormatsLeaveThePackedPath) {
+  // The golden conv (node 0) and vote (node 3) weights are stored hollow.
+  // A 36-bit output format (out_qi 30) is past the qgemm requant, so either
+  // node would take its int64 fallback and read the raw values the file
+  // does not carry: the load re-applies the hollow rule and rejects it.
+  using R = QcgNodeRecord;
+  const std::string golden_path =
+      std::string(QCAPS_GOLDEN_DIR) + "/shallow_caps_v1.qcg";
+  const std::vector<std::uint8_t> golden = slurp(golden_path);
+  const QuantizedGraph shallow = load_graph(golden_path);
+  ASSERT_EQ(shallow.ops()[0].kind, QOpKind::kConv2d);
+  ASSERT_EQ(shallow.ops()[3].kind, QOpKind::kVoteTransform);
+  const std::string path = tmp_path("rj_hollow.qcg");
+  for (const std::size_t node : {0, 3}) {
+    SCOPED_TRACE("node " + std::to_string(node));
+    ASSERT_TRUE(shallow.ops()[node].weight.raw.empty());  // hollow
+    spit(path, patch_node(golden, node, offsetof(R, out_qi), std::int32_t{30}));
+    try {
+      load_graph(path);
+      ADD_FAILURE() << "a hollow weight off the packed path loaded";
+    } catch (const CorruptError& e) {
+      EXPECT_NE(std::string(e.what()).find("hollow"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // ---- serving from an artifact ----------------------------------------------
 
 TEST(QcgServe, PoolFromArtifactMatchesDirectUnderLoad) {
