@@ -608,7 +608,7 @@ void QuantizedGraph::fuse() {
       // Concatenate the per-type packed vote weights into one operand image
       // so the executor can run the Tin vote convolutions as ONE grouped
       // direct conv. Grouping demands one shared storage tier across all
-      // types (one narrowed input feeds every type); when the types
+      // types (one padded input copy feeds every type); when the types
       // straddle the int8 boundary, stay on the per-type path rather than
       // demote anyone to the wider tier unnecessarily — the executor's
       // packed_tier gate picks the tier from the formats at run time and

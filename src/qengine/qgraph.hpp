@@ -190,7 +190,7 @@ class QuantizedGraph {
   ///     node stays but becomes an alias of its input at run time);
   ///   - kConvCaps3d nodes whose per-type packed weights share a storage
   ///     tier get a concatenated operand cache and run as ONE grouped
-  ///     direct conv over a shared narrowed input instead of Tin separate
+  ///     direct conv over a shared padded input copy instead of Tin separate
   ///     convs.
   /// Fused execution is bit-identical to unfused (golden-locked). compile()
   /// and the .qcg loader always call this; a graph from from_ops() alone is

@@ -184,8 +184,8 @@ void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 const char* qgemm_kernel_name();
 
 /// Gathered B operand of a direct (implicit-GEMM) convolution: element
-/// (p, j) of the logical k x n B is data[tap[p] + col[j]]. The caller narrows
-/// its input once into a zero-padded copy and describes the im2col matrix by
+/// (p, j) of the logical k x n B is data[tap[p] + col[j]]. The caller copies
+/// its input once into a zero-padded buffer and describes the im2col matrix by
 /// one offset per K row (channel, kernel row, kernel column) and one per
 /// output column (image, output pixel), so the packers build their panels
 /// straight from the copy and no column matrix is ever materialized.
