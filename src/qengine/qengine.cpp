@@ -73,10 +73,6 @@ const T* cached_data(const QGemmOperandCache& cache) {
     return cache.i16_data();
 }
 
-// The element type behind a pointer QActivation::visit hands out.
-template <typename P>
-using elem_t = std::remove_const_t<std::remove_pointer_t<P>>;
-
 // The activation's values in the packed tier's container T: its own
 // container when that is T, else one widening copy into `local` (int8
 // values feeding the int16 tier).
@@ -988,9 +984,8 @@ QActivation dynamic_routing(const QActivation& votes, int iterations,
   QActivation v_out({r_count, nout, d}, act_fmt);
   if (v_out.numel() == 0) return v_out;
   // Votes and outputs share act_fmt, hence one container type.
-  votes.visit([&](const auto* u) {
-    route(u, r_count, nout, nin, d, iterations, act_fmt, dr_fmt,
-          v_out.data<elem_t<decltype(u)>>());
+  visit_pair(v_out, votes, [&](auto* v, const auto* u) {
+    route(u, r_count, nout, nin, d, iterations, act_fmt, dr_fmt, v);
   });
   return v_out;
 }

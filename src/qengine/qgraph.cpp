@@ -12,6 +12,7 @@
 #include <type_traits>
 
 #include "common/error.hpp"
+#include "common/heap.hpp"
 #include "nn/activation_layers.hpp"
 #include "nn/conv2d_layer.hpp"
 #include "nn/conv_caps.hpp"
@@ -176,18 +177,6 @@ QuantizedOp compile_conv_caps3d(const nn::RoutedConvCapsLayer& l,
 
 // ---- op execution ----------------------------------------------------------
 
-// The element type behind a pointer QActivation::visit hands out.
-template <typename P>
-using elem_t = std::remove_const_t<std::remove_pointer_t<P>>;
-
-// f(dst, src) with the typed pointers of two values held in one container
-// type (values of one format always are).
-template <typename F>
-void visit_pair(QActivation& dst, const QActivation& src, F&& f) {
-  QCAPS_CHECK(dst.storage() == src.storage());
-  dst.visit([&](auto* d) { f(d, src.data<elem_t<decltype(d)>>()); });
-}
-
 // The one capsule-layout transpose the routing-bound ops share: gather
 // [B, T*D, H, W] feature-map values into [B, T*HW, D] capsule rows.
 template <typename T>
@@ -301,18 +290,18 @@ QActivation exec_flatten(const QuantizedOp& op, const QActivation& x) {
 
 // Values of a graph value sitting exactly on its format's rails.
 std::uint64_t count_at_rails(const QActivation& y) {
-  std::uint64_t at_rail = 0;
-  y.visit([&](const auto* r) {
+  return y.visit([&](const auto* r) {
     using T = elem_t<decltype(r)>;
     const T lo = static_cast<T>(y.fmt().raw_min());
     const T hi = static_cast<T>(y.fmt().raw_max());
     const std::int64_t n = y.numel();
+    std::uint64_t at_rail = 0;
 #pragma omp parallel for schedule(static) reduction(+ : at_rail) \
     if (n >= kParallelMinElems)
     for (std::int64_t j = 0; j < n; ++j)
       at_rail += static_cast<std::uint64_t>((r[j] <= lo) | (r[j] >= hi));
+    return at_rail;
   });
-  return at_rail;
 }
 
 }  // namespace
@@ -393,6 +382,7 @@ QuantizedGraph QuantizedGraph::compile(nn::Network& net,
                                        QGraphWeightCache* weights,
                                        bool track_saturation) {
   core::check_spec_covers(net, spec);
+  common::retain_heap();
   const auto scheme = spec.scheme;
   QuantizedGraph g;
   std::size_t w = 0;  // weighted-layer cursor = spec index
@@ -551,6 +541,7 @@ QuantizedGraph QuantizedGraph::from_ops(std::vector<QuantizedOp> ops,
   QCAPS_CHECK_MSG(!ops.empty(), "cannot build an empty graph");
   QCAPS_CHECK_MSG(input_fmt.valid(),
                   "invalid input format " << input_fmt.to_string());
+  common::retain_heap();
   for (std::size_t i = 0; i < ops.size(); ++i) {
     const QuantizedOp& op = ops[i];
     QCAPS_CHECK_MSG(op.input >= -1 && op.input < static_cast<int>(i),

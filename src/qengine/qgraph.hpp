@@ -14,7 +14,11 @@
 // piece of state is the saturation-counter block: copies of one compiled
 // graph aggregate their requant-saturation counts into a single set of
 // atomics, so a pool of per-worker replicas reports one coherent per-node
-// saturation picture (see saturation() below).
+// saturation picture (see saturation() below). Building a graph (compile or
+// from_ops, and so the .qcg loader) pins the process's heap thresholds once
+// (common::retain_heap): forwards allocate and free their activations, and
+// with glibc's dynamic thresholds the heap was handed back to the OS after
+// each one.
 //
 // Supported layers: Conv2dLayer, ReluLayer, PrimaryCapsLayer, FCCapsLayer,
 // FlattenCapsLayer, ConvCapsLayer, RoutedConvCapsLayer, and CapsBlockLayer

@@ -110,7 +110,7 @@ QActivation::QActivation(const QTensor& t) : QActivation(t.shape, t.fmt) {
       QCAPS_CHECK_MSG(v >= lo && v <= hi,
                       "raw value " << v << " is off the rails of "
                                    << fmt_.to_string());
-      dst[i] = static_cast<std::remove_pointer_t<decltype(dst)>>(v);
+      dst[i] = static_cast<elem_t<decltype(dst)>>(v);
     }
   });
 }
@@ -144,7 +144,7 @@ QActivation QActivation::from_float(const tensor::Tensor& t,
   const double hi = static_cast<double>(fmt.raw_max());
   const float* src = t.data();
   q.visit([&](auto* dst) {
-    using T = std::remove_pointer_t<decltype(dst)>;
+    using T = elem_t<decltype(dst)>;
     // clamp(floor(v), lo, hi) == floor(clamp(v, lo, hi)) for integral rails,
     // and on that range floor is the truncation, one less for negative
     // non-integers: a branch-free loop the compiler vectorizes.

@@ -159,4 +159,16 @@ class QActivation {
   std::unique_ptr<std::byte[]> buf_;
 };
 
+/// The element type behind a pointer QActivation::visit hands out.
+template <typename P>
+using elem_t = std::remove_const_t<std::remove_pointer_t<P>>;
+
+/// f(d, s) with the typed pointers of two values held in one container type
+/// (values of one format always are).
+template <typename F>
+void visit_pair(QActivation& dst, const QActivation& src, F&& f) {
+  QCAPS_CHECK(dst.storage() == src.storage());
+  dst.visit([&](auto* d) { f(d, src.data<elem_t<decltype(d)>>()); });
+}
+
 }  // namespace qcaps::qengine

@@ -716,9 +716,16 @@ TEST(QGraphSaturation, NarrowFormatsCountRailHitsAndCopiesShareCounters) {
       3, 3, fixed::RoundingScheme::kRoundToNearest);
   const QuantizedGraph g = QuantizedGraph::compile(*net, narrow);
   EXPECT_EQ(g.saturation_rate(), 0.0);  // nothing observed yet
-  g.forward(images);
+  const QTensor y = g.forward(images);
   const auto nodes = g.saturation();
   ASSERT_EQ(nodes.size(), g.ops().size());
+  // The counts are exact: the last node's are the returned value's rail
+  // hits, counted here over its int64 widening.
+  std::uint64_t rail_hits = 0;
+  for (const std::int64_t v : y.raw)
+    rail_hits += v <= y.fmt.raw_min() || v >= y.fmt.raw_max() ? 1 : 0;
+  EXPECT_EQ(nodes.back().saturated, rail_hits);
+  EXPECT_EQ(nodes.back().total, y.raw.size());
   std::uint64_t saturated = 0;
   for (const auto& n : nodes) saturated += n.saturated;
   EXPECT_GT(saturated, 0u);
