@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <type_traits>
 #include <vector>
 
@@ -30,9 +31,11 @@ int ceil_log2(std::int64_t v) {
 
 // The int64 scalar fallbacks are exact only while k * |a| * |b| cannot wrap
 // int64; FixedFormat allows wordlengths up to 62, so this must be checked.
-void check_i64_acc(const QTensor& a, const QTensor& b, std::int64_t k,
-                   const char* what) {
-  const int ba = std::bit_width(static_cast<std::uint64_t>(a.max_abs_raw()));
+void check_i64_acc(const std::int64_t* a, std::int64_t n, const QTensor& b,
+                   std::int64_t k, const char* what) {
+  std::int64_t a_max = 0;
+  for (std::int64_t i = 0; i < n; ++i) a_max = std::max(a_max, std::abs(a[i]));
+  const int ba = std::bit_width(static_cast<std::uint64_t>(a_max));
   const int bb = std::bit_width(static_cast<std::uint64_t>(b.max_abs_raw()));
   QCAPS_CHECK_MSG(ba + bb + ceil_log2(std::max<std::int64_t>(k, 1)) <= 62,
                   what << " accumulator would overflow for these values");
@@ -73,11 +76,11 @@ const T* cached_data(const QGemmOperandCache& cache) {
     return cache.i16_data();
 }
 
-// The activation's values in the packed tier's container T: its own
-// container when that is T, else one widening copy into `local` (int8
-// values feeding the int16 tier).
+// The activation's values as T: its own container when that is T, else one
+// widening copy into `local` (int8 values feeding the int16 tier, or an
+// int64 fallback reading a narrower container).
 template <typename T>
-const T* tier_values(const QActivation& x, std::vector<T>& local) {
+const T* values_as(const QActivation& x, std::vector<T>& local) {
   if (storage_bytes(x.storage()) == static_cast<std::int64_t>(sizeof(T)))
     return x.data<T>();
   local.resize(static_cast<std::size_t>(x.numel()));
@@ -104,7 +107,7 @@ void run_qgemm_votes(const QActivation& u, const QTensor& w,
                      std::int64_t dout, const tensor::QGemmRequant& rq,
                      O* votes) {
   std::vector<T> u_local, wp_local;
-  const T* up = tier_values<T>(u, u_local);
+  const T* up = values_as<T>(u, u_local);
   const T* wp;
   if (w_cache) {
     wp = cached_data<T>(*w_cache);
@@ -630,9 +633,10 @@ QActivation conv2d(const QActivation& x, const QTensor& w, const QTensor& bias,
                                          w_cache, fuse_relu, g, f);
   }
 
-  // Exact int64 fallback: the input widened once, each result stored into
-  // the output's container.
-  const QTensor xw = x.widen();
+  // Exact int64 fallback: the input widened once (read in place when it is
+  // held in int64), each result stored into the output's container.
+  std::vector<std::int64_t> x_local;
+  const std::int64_t* xv = values_as<std::int64_t>(x, x_local);
   QActivation out({b, f, oh, ow}, out_fmt);
   out.visit([&](auto* y) {
 #pragma omp parallel for collapse(2) schedule(static)
@@ -648,8 +652,7 @@ QActivation conv2d(const QActivation& x, const QTensor& w, const QTensor& bias,
                 for (std::int64_t kx = 0; kx < k; ++kx) {
                   const std::int64_t ix = xx * stride + kx - pad;
                   if (ix < 0 || ix >= wd) continue;
-                  acc += xw.raw[static_cast<std::size_t>(
-                             ((bi * c + ci) * h + iy) * wd + ix)] *
+                  acc += xv[((bi * c + ci) * h + iy) * wd + ix] *
                          w.raw[static_cast<std::size_t>(
                              ((fi * c + ci) * k + ky) * k + kx)];
                 }
@@ -820,8 +823,8 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
            fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt, S* v_out) {
   const hwmodel::SoftmaxUnit softmax(dr_fmt);
   const hwmodel::SquashUnit squash(dr_fmt);
-  // Integer fast path: with the j-major layout both contractions walk
-  // unit-stride slabs, read straight from the votes' container, and exact
+  // Both paths read the votes' container in place. Integer fast path: with
+  // the j-major layout both contractions walk unit-stride slabs, and exact
   // int32 accumulation is admissible as long as Σ |c||u| (resp. Σ |v||u|)
   // cannot wrap. Votes, couplings and squashed outputs all carry the
   // activation format, whose rails bound every raw magnitude by 2^(wl-1)
@@ -831,18 +834,6 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
   const int bact = act_fmt.wordlength();
   const bool i32_ok =
       2 * bact + ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <= 30;
-  // The exact int64 path reads int64 votes: widened once when the container
-  // is narrower.
-  std::vector<std::int64_t> wide;
-  const std::int64_t* u64 = nullptr;
-  if (!i32_ok) {
-    if constexpr (std::is_same_v<S, std::int64_t>) {
-      u64 = votes;
-    } else {
-      wide.assign(votes, votes + r_count * nout * nin * d);
-      u64 = wide.data();
-    }
-  }
 
 #pragma omp parallel for schedule(static) if (r_count > 4)
   for (std::int64_t r = 0; r < r_count; ++r) {
@@ -860,8 +851,7 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
     std::vector<std::int64_t> c_raw(static_cast<std::size_t>(nout * nin), 0);
     std::vector<std::int64_t> nsq_scratch(static_cast<std::size_t>(nout));
     std::vector<std::int64_t> gain_scratch(static_cast<std::size_t>(nout));
-    const S* ur = votes + r * nout * nin * d;
-    const std::int64_t* u = i32_ok ? nullptr : u64 + r * nout * nin * d;
+    const S* u = votes + r * nout * nin * d;
 
     for (int it = 0; it < iterations; ++it) {
       // c_i* = softmax over Nout of b_i* — logits carry the QDR format but
@@ -878,8 +868,8 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
       // votes rows are contiguous in k, so the int32 loop vectorizes.
       const int acc_qf = act_fmt.qf + act_fmt.qf;
       for (std::int64_t j = 0; j < nout; ++j) {
+        const S* uj = u + j * nin * d;
         if (i32_ok) {
-          const S* uj = ur + j * nin * d;
           const std::int32_t* cj = c32.data() + j * nin;
           std::fill(acc32.begin(), acc32.end(), 0);
           for (std::int64_t i = 0; i < nin; ++i) {
@@ -893,12 +883,11 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
             s_raw[static_cast<std::size_t>(j * d + k)] = hwmodel::rescale_raw(
                 acc32[static_cast<std::size_t>(k)], acc_qf, dr_fmt);
         } else {
-          const std::int64_t* uj = u + j * nin * d;
           const std::int64_t* cj = c_raw.data() + j * nin;
           for (std::int64_t k = 0; k < d; ++k) {
             std::int64_t acc = 0;
             for (std::int64_t i = 0; i < nin; ++i)
-              acc += cj[i] * uj[i * d + k];
+              acc += cj[i] * std::int64_t{uj[i * d + k]};
             s_raw[static_cast<std::size_t>(j * d + k)] =
                 hwmodel::rescale_raw(acc, acc_qf, dr_fmt);
           }
@@ -939,8 +928,8 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
       // j-major logits make this a unit-stride walk per j-slab.
       for (std::int64_t j = 0; j < nout; ++j) {
         std::int64_t* bj = b_raw.data() + j * nin;
+        const S* uj = u + j * nin * d;
         if (i32_ok) {
-          const S* uj = ur + j * nin * d;
           const std::int32_t* vj = v32.data() + j * d;
           for (std::int64_t i = 0; i < nin; ++i) {
             const S* uv = uj + i * d;
@@ -952,12 +941,12 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
             bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
           }
         } else {
-          const std::int64_t* uj = u + j * nin * d;
           const std::int64_t* vj = v_raw.data() + j * d;
           for (std::int64_t i = 0; i < nin; ++i) {
-            const std::int64_t* uv = uj + i * d;
+            const S* uv = uj + i * d;
             std::int64_t acc = 0;
-            for (std::int64_t k = 0; k < d; ++k) acc += uv[k] * vj[k];
+            for (std::int64_t k = 0; k < d; ++k)
+              acc += std::int64_t{uv[k]} * vj[k];
             const std::int64_t a =
                 hwmodel::rescale_raw(acc, 2 * act_fmt.qf, dr_fmt);
             bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
@@ -1032,14 +1021,16 @@ QActivation vote_transform(const QActivation& u, const QTensor& w,
   }
 
   // Exact int64 fallback, writing the j-major layout directly: the input
-  // widened once, each result stored into the votes' container.
-  const QTensor uw = u.widen();
-  check_i64_acc(uw, w, din, "qengine vote_transform");
+  // widened once (read in place when it is held in int64), each result
+  // stored into the votes' container.
+  std::vector<std::int64_t> u_local;
+  const std::int64_t* uv64 = values_as<std::int64_t>(u, u_local);
+  check_i64_acc(uv64, u.numel(), w, din, "qengine vote_transform");
   votes.visit([&](auto* v) {
 #pragma omp parallel for collapse(2) schedule(static)
     for (std::int64_t bi = 0; bi < b; ++bi) {
       for (std::int64_t i = 0; i < nin; ++i) {
-        const std::int64_t* uv = uw.raw.data() + (bi * nin + i) * din;
+        const std::int64_t* uv = uv64 + (bi * nin + i) * din;
         const std::int64_t* wrow = w.raw.data() + i * jd * din;
         for (std::int64_t x = 0; x < jd; ++x) {
           std::int64_t acc = 0;

@@ -9,8 +9,9 @@
 // Activations in and out are QActivations, held in the container their
 // format picks (int8 up to 8 bits, int16 up to 16, int64 otherwise); weights
 // and biases are QTensors. The packed paths read and write those containers
-// directly. Each exact int64 fallback widens its input once, runs its
-// arithmetic unchanged, and stores every result into the output's container.
+// directly. Each exact int64 fallback reads its input as int64 (in place
+// when it is held in int64, else widened once), runs its arithmetic
+// unchanged, and stores every result into the output's container.
 #pragma once
 
 #include <memory>
