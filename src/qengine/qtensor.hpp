@@ -155,7 +155,7 @@ class QActivation {
   fixed::FixedFormat fmt_{1, 15};
   tensor::Shape shape_;
   std::int64_t numel_ = 0;
-  Storage storage_ = Storage::kInt64;
+  Storage storage_ = Storage::kInt16;  // storage_for(fmt_)
   std::unique_ptr<std::byte[]> buf_;
 };
 
