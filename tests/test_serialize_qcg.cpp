@@ -383,6 +383,12 @@ TEST(QcgReject, NodeGeometryForwardCannotRun) {
   expect_corrupt(patch_node(golden, 2, offsetof(R, caps_types),
                             shallow.ops()[2].caps_types + 1),
                  "primary caps with more capsules than filters");
+  // A layout node keeps its input's format; one that claims another would
+  // misstate the format (and so the container) its consumers read.
+  ASSERT_EQ(shallow.ops()[1].kind, QOpKind::kRelu);
+  expect_corrupt(patch_node(golden, 1, offsetof(R, out_qi),
+                            shallow.ops()[1].out_fmt.qi + 1),
+                 "relu that changes its value's format");
   const std::int64_t short_bias = shallow.ops()[2].weight.shape[0] - 1;
   expect_corrupt(
       patch_node(patch_node(golden, 2, offsetof(R, bias) + offsetof(T, dims),
