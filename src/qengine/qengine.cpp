@@ -205,25 +205,37 @@ void copy_channel(const QActivation& x, const ConvGeom& g, std::int64_t bi,
   });
 }
 
+// Split the strip columns [j0, j0 + nr) (image-local, `plane` per image)
+// into runs that land on consecutive output pixels of one image:
+// run(jj, len, img, p) covers strip columns jj .. jj + len - 1, which are
+// pixels p .. p + len - 1 of image img.
+template <typename Run>
+void for_each_image_run(std::int64_t j0, std::int64_t nr, std::int64_t plane,
+                        const Run& run) {
+  for (std::int64_t jj = 0; jj < nr;) {
+    const std::int64_t p = (j0 + jj) % plane;
+    const std::int64_t len = std::min(nr - jj, plane - p);
+    run(jj, len, (j0 + jj) / plane, p);
+    jj += len;
+  }
+}
+
 // Store a requantized strip (rows i < `rows`, image-local columns
-// [j0, j0 + nr)) into the [rows, plane] planes of the images at out. Column
-// runs inside one image land on consecutive output pixels. Strip values are
-// on the output format's rails, so the store into O is exact.
+// [j0, j0 + nr)) into the [rows, plane] planes of the images at out. Strip
+// values are on the output format's rails, so the store into O is exact.
 template <typename O>
 void store_strip(const std::int32_t* tile, std::int64_t ld, std::int64_t rows,
                  std::int64_t j0, std::int64_t nr, std::int64_t plane,
                  O* out) {
-  for (std::int64_t jj = 0; jj < nr;) {
-    const std::int64_t p = (j0 + jj) % plane;
-    const std::int64_t len = std::min(nr - jj, plane - p);
-    O* dst = out + (j0 + jj) / plane * rows * plane + p;
+  for_each_image_run(j0, nr, plane, [&](std::int64_t jj, std::int64_t len,
+                                        std::int64_t img, std::int64_t p) {
+    O* dst = out + (img * rows) * plane + p;
     for (std::int64_t i = 0; i < rows; ++i) {
       const std::int32_t* src = tile + i * ld + jj;
       O* d = dst + i * plane;
       for (std::int64_t t = 0; t < len; ++t) d[t] = static_cast<O>(src[t]);
     }
-    jj += len;
-  }
+  });
 }
 
 // Drive a direct convolution over the batch: `run(data, col, b0, j0, j1)`
@@ -526,11 +538,8 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
   norms(tile, ld, cs.types, cs.dim, nr, cs.scale.shift_up, nsq.data());
   cs.unit->gain_raw_n(nsq.data(), gain.data(), cs.types * nr);
   const std::int64_t channels = cs.types * cs.dim;
-  // Column runs inside one image land on consecutive output pixels.
-  for (std::int64_t jj = 0; jj < nr;) {
-    const std::int64_t img = (j0 + jj) / cs.plane;
-    const std::int64_t p = (j0 + jj) % cs.plane;
-    const std::int64_t len = std::min(nr - jj, cs.plane - p);
+  for_each_image_run(j0, nr, cs.plane, [&](std::int64_t jj, std::int64_t len,
+                                           std::int64_t img, std::int64_t p) {
     O* dst = out + img * channels * cs.plane + p;
     for (std::int64_t t = 0; t < cs.types; ++t)
       for (std::int64_t d = 0; d < cs.dim; ++d) {
@@ -538,8 +547,7 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
         finish(tile + row * ld + jj, gain.data() + t * nr + jj, len,
                cs.scale, dst + row * cs.plane);
       }
-    jj += len;
-  }
+  });
 }
 
 template <typename T>
