@@ -133,6 +133,64 @@ void BM_QGemm16(benchmark::State& state) {
 }
 BENCHMARK(BM_QGemm16)->Arg(256);
 
+// The int8 direct convolution (QGemmDirect::run_tiles, B gathered from a
+// padded copy) on DeepCaps' 3x3, pad-1 capsule-block geometries: plane and
+// stride, channels in and out, and enough images for 256 output columns
+// where planes are small. The VNNI tier packs the 16-column halves of the
+// stride-1 32x32 and 16x16 convs from one image row and the others from a
+// window of a few rows. Items are MACs.
+struct DirectConvGeom {
+  const char* name;
+  std::int64_t c, hw, f, stride, images;
+};
+constexpr DirectConvGeom kDirectConvGeoms[] = {
+    {"32x32/s1", 32, 32, 32, 1, 1}, {"32x32/s2", 32, 32, 32, 2, 1},
+    {"16x16/s1", 32, 16, 32, 1, 1}, {"16x16/s2", 32, 16, 64, 2, 1},
+    {"8x8/s1", 64, 8, 64, 1, 4},    {"4x4/s1", 64, 4, 64, 1, 16}};
+
+void BM_QGemmDirect(benchmark::State& state) {
+  const DirectConvGeom& g = kDirectConvGeoms[state.range(0)];
+  constexpr std::int64_t kk = 3, pad = 1;
+  const std::int64_t wp = g.hw + 2 * pad, img = g.c * wp * wp;
+  const std::int64_t out = (wp - kk) / g.stride + 1;
+  std::vector<std::int64_t> tap, col;
+  for (std::int64_t ci = 0; ci < g.c; ++ci)
+    for (std::int64_t ky = 0; ky < kk; ++ky)
+      for (std::int64_t kx = 0; kx < kk; ++kx)
+        tap.push_back((ci * wp + ky) * wp + kx);
+  for (std::int64_t i = 0; i < g.images; ++i)
+    for (std::int64_t y = 0; y < out; ++y)
+      for (std::int64_t x = 0; x < out; ++x)
+        col.push_back(i * img + (y * wp + x) * g.stride);
+  const auto k = static_cast<std::int64_t>(tap.size());
+  const auto n = static_cast<std::int64_t>(col.size());
+  common::Rng rng(10);
+  std::vector<std::int8_t> data(static_cast<std::size_t>(img * g.images));
+  std::vector<std::int8_t> a(static_cast<std::size_t>(g.f * k));
+  for (auto& v : data)
+    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) - 128);
+  for (auto& v : a)
+    v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) - 128);
+  tensor::QGemmRequant rq;
+  rq.shift = 10;
+  rq.qmin = -128;
+  rq.qmax = 127;
+  const tensor::QGemmDirect<std::int8_t> gemm(a.data(), g.f, k, rq);
+  const tensor::QGemmGatherB<std::int8_t> b{data.data(), tap.data(),
+                                            col.data()};
+  std::int64_t sink = 0;
+  const tensor::QGemmTileFn consume =
+      [&](std::int64_t, std::int64_t nr, const std::int32_t* tile,
+          std::int64_t) { sink += tile[0] + nr; };
+  for (auto _ : state) {
+    gemm.run_tiles(b, 0, n, consume);
+    benchmark::DoNotOptimize(sink);
+  }
+  state.SetLabel(std::string(g.name) + " " + tensor::qgemm_kernel_name());
+  state.SetItemsProcessed(state.iterations() * g.f * k * n);
+}
+BENCHMARK(BM_QGemmDirect)->DenseRange(0, 5);
+
 // ShallowCaps L3 vote product as the quantized engine runs it: one strided
 // int8 qgemm_batch over the input types (the i-major result is permuted to
 // the j-major routing layout inside the engine's int32 -> int64 widening
@@ -394,6 +452,30 @@ void BM_SquashUnitSim(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SquashUnitSim);
+
+// The batched integer squash gain the int8 capsule convs run: 2048 squared
+// norms, one B2 node's capsules per image (8 types on a 16x16 plane), drawn
+// from the DeepCaps band (bit widths 15-31) at 24 fractional bits. An item is
+// one capsule, so 1e9 / items_per_second is ns per capsule.
+void BM_SquashGainRaw(benchmark::State& state) {
+  constexpr std::int64_t kCapsules = 2048;
+  const hwmodel::SquashUnit unit(fixed::FixedFormat(2, 10), 24);
+  common::Rng rng(9);
+  std::vector<std::int64_t> nsq(kCapsules), gain(kCapsules);
+  for (auto& v : nsq) {
+    const std::uint64_t top = std::uint64_t{1}
+                              << (14 + rng.uniform_index(17));
+    v = static_cast<std::int64_t>(top | (rng.next_u64() & (top - 1)));
+  }
+  for (auto _ : state) {
+    unit.gain_raw_n(nsq.data(), gain.data(), kCapsules);
+    benchmark::DoNotOptimize(gain.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kCapsules);
+  state.SetLabel(tensor::caps_kernel_name());
+}
+BENCHMARK(BM_SquashGainRaw);
 
 void BM_SoftmaxUnitSim(benchmark::State& state) {
   const fixed::FixedFormat io(3, 10);

@@ -18,7 +18,10 @@ Isa detect() {
   if (!__builtin_cpu_supports("avx2") || !__builtin_cpu_supports("fma"))
     return Isa::kScalar;
   if (!__builtin_cpu_supports("avx512f") ||
-      !__builtin_cpu_supports("avx512bw"))
+      !__builtin_cpu_supports("avx512bw") ||
+      !__builtin_cpu_supports("avx512cd") ||
+      !__builtin_cpu_supports("avx512dq") ||
+      !__builtin_cpu_supports("avx512vl"))
     return Isa::kAvx2;
   if (!__builtin_cpu_supports("avx512vnni")) return Isa::kAvx512;
   return Isa::kAvx512Vnni;

@@ -3,11 +3,13 @@
 // The fp32 GEMM, the integer GEMM (qgemm), the routing/squash caps kernels,
 // qengine's AVX-512 squash passes and CRC-32C all pick their code path from
 // the single level isa() returns. The levels are ordered, each implying the
-// ones below it:
+// ones below it. A level is granted only when the CPU has every feature
+// listed for it, which covers every feature its kernels are compiled for:
 //
 //   scalar  portable C++ (the fallback every non-x86 build runs)
 //   avx2    AVX2 + FMA (SSE4.2 comes with it)
-//   avx512  AVX-512 F + BW
+//   avx512  avx2 + AVX-512 F, BW, CD, DQ and VL (every AVX-512BW part has
+//           all five)
 //   vnni    avx512 + AVX-512 VNNI
 //
 // The level is detected once from CPUID and then capped three ways:

@@ -99,9 +99,10 @@ class SquashUnit {
 
   /// Batched gain_raw over n squared norms (gain[i] = gain_raw(norm_sq[i])
   /// bit-for-bit): delegates to the runtime-dispatched vector kernel
-  /// (tensor::squash_gain_raw_n), which runs the Newton-Raphson rounds over
-  /// 4/8 lanes of norms. This scalar unit remains the oracle the kernel's
-  /// tiers are locked against.
+  /// (tensor::squash_gain_raw_n), which runs the whole datapath over 8 lanes
+  /// of norms at the AVX-512 level and the Newton-Raphson rounds over 4 at
+  /// AVX2. This scalar unit remains the oracle the kernel's tiers are locked
+  /// against.
   void gain_raw_n(const std::int64_t* norm_sq, std::int64_t* gain,
                   std::int64_t n) const;
 

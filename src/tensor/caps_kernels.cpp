@@ -1495,40 +1495,51 @@ __attribute__((target("avx512f"))) void squash_bwd(const float* s,
   }
 }
 
-// Integer squash gain, 8 int64 norms per iteration (same organization as
-// the AVX2 kernel — vectorized NR body, scalar normalization/finish, block
-// falls back to the scalar element when the conservative mask trips).
-__attribute__((target("avx512f"))) void gain_n(const std::int64_t* nsq,
-                                               std::int64_t* gain,
-                                               std::int64_t n, int qf) {
+// Integer squash gain, 8 int64 norms per block, every step in registers:
+//   - normalization: bit_width(s) = 64 - vplzcntq(s); m = s >> e or
+//     s << -e as the OR of two variable shifts (a count past 63 gives 0, so
+//     the other direction drops out). Zero lanes run on the dummy m = 1.0;
+//     their quotient below is exactly 1.0, so their ratio and gain are 0;
+//   - the Newton-Raphson rounds of the AVX2 kernel;
+//   - the exponent undo, again as two variable shifts (e / 2 >= -14 for
+//     s > 0 at qf <= 28, so the unit's saturation for tiny norms never
+//     applies);
+//   - the quotient (1 << 2qf) / (1 + s), which is below 2^qf: its double
+//     estimate is at most one above it and never below, so one correction
+//     on the exact remainder (vpmullq) makes it exact. (Below 2^53 both
+//     operands are exact, and rounding cannot take their ratio under the
+//     integer quotient. Past 2^53, qf >= 27 and the quotient is below 8;
+//     the norms whose rounding could push it under are in the test.)
+//   - the final ratio * inv_sqrt with vpmullq (the product is below
+//     2^(2qf)).
+// The tail is one masked block. A block whose conservative NR mask trips
+// falls back to the scalar element, as on the AVX2 tier.
+__attribute__((target("avx512f,avx512cd,avx512dq"))) void gain_n(
+    const std::int64_t* nsq, std::int64_t* gain, std::int64_t n, int qf) {
   const std::int64_t one = std::int64_t{1} << qf;
   const __m512i vone = _mm512_set1_epi64(one);
   const __m512i vtwo_one = _mm512_set1_epi64(2 * one);
   const __m512i vthree = _mm512_set1_epi64(3 * one);
   const __m512i vseed_hi = _mm512_set1_epi64(3 * one >> 2);
   const __m512i vzero = _mm512_setzero_si512();
+  const __m512i vunit = _mm512_set1_epi64(1);
   const __m512i vy_cap = _mm512_set1_epi64(std::int64_t{1} << 31);
+  const __m512i vwidth = _mm512_set1_epi64(64 - qf - 2);  // e0 = this - lzcnt
+  const __m512i vnum = _mm512_set1_epi64(one << qf);
+  const __m512d vnum_d = _mm512_set1_pd(static_cast<double>(one << qf));
   const __m128i cqf = _mm_cvtsi32_si128(qf);
   const __m128i cqf1 = _mm_cvtsi32_si128(qf + 1);
-  alignas(64) std::int64_t mbuf[8], ybuf[8];
-  int half_e[8];
-  std::int64_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    for (int l = 0; l < 8; ++l) {
-      const std::int64_t s = nsq[i + l];
-      if (s <= 0) {
-        mbuf[l] = one;
-        half_e[l] = 0;
-        continue;
-      }
-      const int e0 = static_cast<int>(
-                         std::bit_width(static_cast<std::uint64_t>(s))) -
-                     qf - 2;
-      const int e = e0 + (e0 & 1);
-      mbuf[l] = e >= 0 ? s >> e : s << -e;
-      half_e[l] = e / 2;
-    }
-    const __m512i m = _mm512_load_si512(mbuf);
+  for (std::int64_t i = 0; i < n; i += 8) {
+    const std::int64_t lanes = std::min<std::int64_t>(8, n - i);
+    const auto live = static_cast<__mmask8>((1u << lanes) - 1);
+    const __m512i s = _mm512_maskz_loadu_epi64(live, nsq + i);
+    const __mmask8 nz = _mm512_cmpgt_epi64_mask(s, vzero);
+    const __m512i e0 = _mm512_sub_epi64(vwidth, _mm512_lzcnt_epi64(s));
+    const __m512i e = _mm512_add_epi64(e0, _mm512_and_si512(e0, vunit));
+    const __m512i m = _mm512_mask_blend_epi64(
+        nz, vone,
+        _mm512_or_si512(_mm512_srlv_epi64(s, e),
+                        _mm512_sllv_epi64(s, _mm512_sub_epi64(vzero, e))));
     const __m512i ya = _mm512_sub_epi64(
         vone, _mm512_srli_epi64(_mm512_sub_epi64(m, vone), 2));
     const __m512i yb = _mm512_sub_epi64(
@@ -1545,18 +1556,23 @@ __attribute__((target("avx512f"))) void gain_n(const std::int64_t* nsq,
       bad |= _mm512_cmpgt_epi64_mask(y, vy_cap);
     }
     if (bad != 0) {
-      for (int l = 0; l < 8; ++l)
+      for (std::int64_t l = 0; l < lanes; ++l)
         gain[i + l] = squash_gain_one(nsq[i + l], qf);
       continue;
     }
-    _mm512_store_si512(ybuf, y);
-    for (int l = 0; l < 8; ++l)
-      gain[i + l] =
-          nsq[i + l] <= 0
-              ? 0
-              : squash_gain_finish(nsq[i + l], ybuf[l], half_e[l], qf);
+    const __m512i half_e = _mm512_srai_epi64(e, 1);
+    const __m512i inv_sqrt =
+        _mm512_or_si512(_mm512_srlv_epi64(y, half_e),
+                        _mm512_sllv_epi64(y, _mm512_sub_epi64(vzero, half_e)));
+    const __m512i denom = _mm512_add_epi64(vone, s);
+    __m512i q = _mm512_cvttpd_epi64(
+        _mm512_div_pd(vnum_d, _mm512_cvtepi64_pd(denom)));
+    const __m512i r = _mm512_sub_epi64(vnum, _mm512_mullo_epi64(q, denom));
+    q = _mm512_mask_sub_epi64(q, _mm512_cmplt_epi64_mask(r, vzero), q, vunit);
+    const __m512i g = _mm512_srl_epi64(
+        _mm512_mullo_epi64(_mm512_sub_epi64(vone, q), inv_sqrt), cqf);
+    _mm512_mask_storeu_epi64(gain + i, live, g);
   }
-  for (; i < n; ++i) gain[i] = squash_gain_one(nsq[i], qf);
 }
 
 // The push above covers gain_n too: its 64-bit shifts and vpmuludq inline

@@ -137,8 +137,11 @@ void squash_rows_backward(const float* s, const float* g, float* gs,
 /// scalar `SquashUnit::gain_raw` datapath (that unit stays the oracle the
 /// tiers are locked against). The vector tiers run the Newton-Raphson
 /// inverse-sqrt iterations over 4/8 lanes of int64 norms (every NR operand
-/// fits 32 bits by construction: m, y < 4 << qf and qf <= 28); the
-/// per-element ratio division and the final wide product stay scalar. A
+/// fits 32 bits by construction: m, y < 4 << qf and qf <= 28). On the
+/// AVX-512 tier every other step runs in the same 8 lanes too: the
+/// normalization (vplzcntq), the ratio's division (a double estimate and one
+/// exact integer correction) and the final wide product, with the tail as
+/// one masked block; the AVX2 tier keeps those steps scalar per lane. A
 /// conservative range mask falls any block whose intermediates leave the
 /// proven envelope back to the scalar element — same bits on every tier,
 /// only the throughput changes. nsq values must be >= 0; qf in [1, 28].

@@ -1158,8 +1158,9 @@ void check_k_bound_s8(std::int64_t k, const QGemmRequant* rq) {
 //
 // K tails and edge columns: a quad or pair past K reads a valid tap again,
 // which is harmless because the packed A is zero there; panel columns past
-// the strip's edge keep stale (initialized) bytes, whose lanes the kernels'
-// merges never store.
+// the strip's edge keep stale (initialized) bytes or, in a windowed VNNI
+// half, a copy of its first column; the kernels' merges never store their
+// lanes.
 
 // K block of the direct path: a 32-column VNNI panel (or a 16-column pair
 // panel) of this depth is 16 KB, an L1-resident B strip.
@@ -1219,30 +1220,6 @@ __attribute__((target("avx2"))) void pair_row16(const std::int16_t* lo,
   pair_row16(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(lo)),
              _mm256_loadu_si256(reinterpret_cast<const __m256i*>(hi)), out);
 }
-
-// One K quad of 16 VNNI panel columns from four contiguous source rows:
-// out[4j + q] = uint8(s_q[j] + 128). (The PR105593 false positive again,
-// reported as -Wuninitialized for the zero-extension intrinsics.)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wuninitialized"
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f,avx512bw"))) void vnni_quad16(
-    const std::int8_t* s0, const std::int8_t* s1, const std::int8_t* s2,
-    const std::int8_t* s3, std::uint8_t* out) {
-#define QCAPS_WIDEN_U8(p) \
-  _mm256_cvtepu8_epi16(_mm_loadu_si128(reinterpret_cast<const __m128i*>(p)))
-  const __m256i w01 = _mm256_or_si256(
-      QCAPS_WIDEN_U8(s0), _mm256_slli_epi16(QCAPS_WIDEN_U8(s1), 8));
-  const __m256i w23 = _mm256_or_si256(
-      QCAPS_WIDEN_U8(s2), _mm256_slli_epi16(QCAPS_WIDEN_U8(s3), 8));
-#undef QCAPS_WIDEN_U8
-  const __m512i d = _mm512_or_si512(
-      _mm512_cvtepu16_epi32(w01),
-      _mm512_slli_epi32(_mm512_cvtepu16_epi32(w23), 16));
-  const __m512i offset = _mm512_set1_epi32(static_cast<int>(0x80808080u));
-  _mm512_storeu_si512(out, _mm512_xor_si512(d, offset));
-}
-#pragma GCC diagnostic pop
 #endif  // QCAPS_X86_NATIVE
 
 // Pair panel (pack_b_block's layout) of one strip of nr <= NR columns for K
@@ -1277,34 +1254,94 @@ void pack_b_pairs_gather(const SrcT* data, const std::int64_t* tap,
 }
 
 #ifdef QCAPS_X86_NATIVE
+// Window plan of one half (at most 16 columns) of a VNNI strip. When every
+// source offset col[j] - col[0] lies in [0, 64), each K row of the half is
+// one masked load of the window bytes [0, span] at col[0], where span is the
+// largest offset, so no byte past the last source column is read.
+// vpunpck{l,h}bw interleave the two rows of a K pair into words (row 2t + 1
+// in the high byte) in 128-bit-lane order; the permute index folds that
+// order in, and one vpermt2w per pair picks each column's word. Halves that
+// reach 64 bytes or more (they cross images) gather per element.
+struct VnniWindow {
+  std::int64_t base;   // col[0]
+  std::uint64_t load;  // window bytes 0..span
+  alignas(64) std::uint16_t idx[32];  // words 2j and 2j + 1: column j
+};
+
+bool vnni_window(const std::int64_t* col, std::int64_t cols, VnniWindow& w) {
+  std::int64_t span = 0;
+  for (std::int64_t j = 0; j < cols; ++j) {
+    const std::int64_t off = col[j] - col[0];
+    if (off < 0 || off >= 64) return false;
+    span = std::max(span, off);
+  }
+  w.base = col[0];
+  w.load = ~std::uint64_t{0} >> (63 - span);
+  // Byte `off` of the window sits in lane off / 16 of the low unpack for
+  // off % 16 < 8 and of the high one (index + 32) otherwise. Panel columns
+  // past the half's edge read offset 0; their lanes are never stored.
+  for (std::int64_t j = 0; j < 16; ++j) {
+    const std::int64_t off = j < cols ? col[j] - col[0] : 0;
+    const auto word = static_cast<std::uint16_t>((off & 8) << 2 |
+                                                 (off >> 4) << 3 | (off & 7));
+    w.idx[2 * j] = word;
+    w.idx[2 * j + 1] = word;
+  }
+  return true;
+}
+
+// The quads of one windowed half for K rows tap[0..kc): quad p4's 64 bytes
+// land at out + p4 * VNR * 4.
+__attribute__((target("avx512f,avx512bw"))) void vnni_window_half(
+    const std::int8_t* data, const std::int64_t* tap, std::int64_t kc,
+    const VnniWindow& w, std::uint8_t* out) {
+  const __mmask64 load = w.load;
+  const __m512i idx = _mm512_load_si512(w.idx);
+  const __m512i offset = _mm512_set1_epi8(static_cast<char>(0x80));
+  const std::int8_t* base = data + w.base;
+  const std::int64_t kc4 = ceil_div(kc, 4);
+  for (std::int64_t p4 = 0; p4 < kc4; ++p4) {
+    __m512i r[4];
+    for (std::int64_t q = 0; q < 4; ++q)
+      r[q] = _mm512_maskz_loadu_epi8(
+          load, base + tap[4 * p4 + q < kc ? 4 * p4 + q : 4 * p4]);
+    const __m512i w01 =
+        _mm512_permutex2var_epi16(_mm512_unpacklo_epi8(r[0], r[1]), idx,
+                                  _mm512_unpackhi_epi8(r[0], r[1]));
+    const __m512i w23 =
+        _mm512_permutex2var_epi16(_mm512_unpacklo_epi8(r[2], r[3]), idx,
+                                  _mm512_unpackhi_epi8(r[2], r[3]));
+    _mm512_storeu_si512(
+        out + p4 * VNR * 4,
+        _mm512_xor_si512(_mm512_mask_blend_epi16(0xAAAAAAAAu, w01, w23),
+                         offset));
+  }
+}
+
 // Quad panel (pack_b_vnni's layout, +128 offset bytes) of one strip of
-// nr <= VNR columns. Each 16-column half whose sources are contiguous takes
-// the vector path; the rest gathers four bytes per column into one word.
+// nr <= VNR columns, one 16-column half at a time: a windowed half in vector
+// (VnniWindow), the rest four bytes per column into one word.
 void pack_b_vnni_gather(const std::int8_t* data, const std::int64_t* tap,
                         const std::int64_t* col, std::int64_t kc,
                         std::int64_t nr, std::uint8_t* out) {
   const std::int64_t kc4 = ceil_div(kc, 4);
-  const std::int64_t halves = ceil_div(nr, 16);
-  bool fast[2] = {false, false};
-  for (std::int64_t h = 0; h < halves; ++h)
-    fast[h] = 16 * h + 16 <= nr && contiguous(col + 16 * h, 16);
   const auto byte = [](const std::int8_t* p) {
     return static_cast<std::uint32_t>(static_cast<std::uint8_t>(*p));
   };
-  for (std::int64_t p4 = 0; p4 < kc4; ++p4) {
-    const std::int8_t* s[4];
-    for (std::int64_t q = 0; q < 4; ++q)
-      s[q] = data + tap[4 * p4 + q < kc ? 4 * p4 + q : 4 * p4];
-    std::uint8_t* dst = out + p4 * VNR * 4;
-    for (std::int64_t h = 0; h < halves; ++h) {
-      const std::int64_t ja = 16 * h;
-      if (fast[h]) {
-        const std::int64_t c = col[ja];
-        vnni_quad16(s[0] + c, s[1] + c, s[2] + c, s[3] + c, dst + 4 * ja);
-        continue;
-      }
-      for (std::int64_t j = ja; j < std::min(ja + 16, nr); ++j) {
-        const std::int64_t c = col[j];
+  for (std::int64_t ja = 0; ja < nr; ja += 16) {
+    const std::int64_t cols = std::min<std::int64_t>(16, nr - ja);
+    VnniWindow w;
+    if (vnni_window(col + ja, cols, w)) {
+      vnni_window_half(data, tap, kc, w, out + 4 * ja);
+      continue;
+    }
+    for (std::int64_t p4 = 0; p4 < kc4; ++p4) {
+      const std::int8_t* s[4];
+      for (std::int64_t q = 0; q < 4; ++q)
+        s[q] = data + tap[4 * p4 + q < kc ? 4 * p4 + q : 4 * p4];
+      std::uint8_t* dst = out + p4 * VNR * 4 + 4 * ja;
+      for (std::int64_t j = 0; j < cols; ++j) {
+        const std::int64_t c = col[ja + j];
         const std::uint32_t v = (byte(s[0] + c) | byte(s[1] + c) << 8 |
                                  byte(s[2] + c) << 16 | byte(s[3] + c) << 24) ^
                                 0x80808080u;

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -284,45 +285,75 @@ TEST(CapsKernels, SquashRowsMatchesScalarAllTiers) {
 
 TEST(CapsKernels, SquashGainRawMatchesSquashUnitOracleAllTiers) {
   // Bit-exact lock of the batched integer gain against the scalar
-  // hwmodel::SquashUnit datapath (the oracle), on every tier, across the
-  // internal widths the graph uses and norms spanning the whole dynamic
-  // range: zeros, tiny values (inv-sqrt saturation), exact powers of two
-  // (normalization edges), and dense random coverage.
+  // hwmodel::SquashUnit datapath (the oracle), on every tier, over the
+  // kernel's whole contract:
+  //   - every internal width qf in [1, 28];
+  //   - norms up to bit width 62: zeros, tiny values, exact powers of two and
+  //     their neighbours (normalization edges), 1 + s next to 2^(2qf) / k
+  //     (the ratio's quotient at and around an integer), dense random
+  //     coverage, and at qf 24 the DeepCaps band (bit widths 15-31);
+  //   - every length 1..17, so every masked tail, with nothing written past
+  //     the last norm;
+  //   - a zero at each lane position of a block and of a tail.
   common::Rng rng(21);
-  for (const int qf : {12, 16, 20, 24, 28}) {
-    const fixed::FixedFormat fmt{4, qf};
-    const hwmodel::SquashUnit unit(fmt, qf);
-    std::vector<std::int64_t> nsq;
-    nsq.push_back(0);
-    for (int b = 0; b <= 60; ++b) {
+  // A random norm of exactly `bits` bits.
+  const auto norm_of_width = [&](int bits) {
+    const std::uint64_t top = std::uint64_t{1} << (bits - 1);
+    return static_cast<std::int64_t>(top | (rng.next_u64() & (top - 1)));
+  };
+  for (int qf = 1; qf <= 28; ++qf) {
+    SCOPED_TRACE("qf " + std::to_string(qf));
+    const hwmodel::SquashUnit unit(fixed::FixedFormat{4, qf}, qf);
+    std::vector<std::int64_t> nsq = {0};
+    for (int b = 0; b <= 61; ++b) {
       nsq.push_back(std::int64_t{1} << b);
       nsq.push_back((std::int64_t{1} << b) - 1);
       nsq.push_back((std::int64_t{1} << b) + 1);
     }
-    for (int i = 0; i < 1000; ++i) {
-      const int bits = 1 + static_cast<int>(rng.uniform() * 59.0f);
-      const std::uint64_t r =
-          (static_cast<std::uint64_t>(rng.uniform() * 4294967295.0f) << 32) ^
-          static_cast<std::uint64_t>(rng.uniform() * 4294967295.0f);
-      nsq.push_back(static_cast<std::int64_t>(
-          r & ((std::uint64_t{1} << bits) - 1)));
-    }
-    std::vector<std::int64_t> want(nsq.size());
-    for (std::size_t i = 0; i < nsq.size(); ++i)
-      want[i] = unit.gain_raw(nsq[i]);
+    const std::int64_t one = std::int64_t{1} << qf;
+    for (std::int64_t k = 1; k <= 16; ++k)
+      for (std::int64_t d = -3; d <= 3; ++d) {
+        const std::int64_t s = (one << qf) / k + d - one;
+        if (s > 0) nsq.push_back(s);
+      }
+    for (int i = 0; i < 1000; ++i)
+      nsq.push_back(norm_of_width(1 + static_cast<int>(rng.uniform_index(62))));
+    if (qf == 24)
+      for (int bits = 15; bits <= 31; ++bits)
+        for (int i = 0; i < 200; ++i) nsq.push_back(norm_of_width(bits));
+    std::vector<std::int64_t> zeros(17);
+    for (auto& v : zeros) v = norm_of_width(24);
+    const auto oracle = [&](const std::int64_t* x, std::int64_t n) {
+      std::vector<std::int64_t> g(static_cast<std::size_t>(n));
+      for (std::int64_t i = 0; i < n; ++i)
+        g[static_cast<std::size_t>(i)] = unit.gain_raw(x[i]);
+      return g;
+    };
+    // Runs the kernel on x[0..n) into a buffer one longer than n and checks
+    // every gain and the untouched sentinel after them.
+    const auto check = [&](const std::int64_t* x, std::int64_t n,
+                           const char* what) {
+      const std::vector<std::int64_t> want = oracle(x, n);
+      std::vector<std::int64_t> got(static_cast<std::size_t>(n + 1), -1);
+      squash_gain_raw_n(x, got.data(), n, qf);
+      for (std::int64_t i = 0; i < n; ++i)
+        ASSERT_EQ(got[static_cast<std::size_t>(i)],
+                  want[static_cast<std::size_t>(i)])
+            << caps_kernel_name() << ' ' << what << " n " << n << " at " << i
+            << " nsq " << x[i];
+      ASSERT_EQ(got.back(), -1) << caps_kernel_name() << ' ' << what
+                                << " wrote past n " << n;
+    };
     testutil::for_each_isa([&](common::Isa) {
-      std::vector<std::int64_t> got(nsq.size(), -1);
-      squash_gain_raw_n(nsq.data(), got.data(),
-                        static_cast<std::int64_t>(nsq.size()), qf);
-      for (std::size_t i = 0; i < nsq.size(); ++i)
-        ASSERT_EQ(got[i], want[i])
-            << caps_kernel_name() << " qf " << qf << " nsq " << nsq[i];
-      // Odd lengths exercise the masked/scalar tail.
-      std::vector<std::int64_t> tail(nsq.begin(), nsq.begin() + 7);
-      std::vector<std::int64_t> tg(7, -1);
-      squash_gain_raw_n(tail.data(), tg.data(), 7, qf);
-      for (std::size_t i = 0; i < 7; ++i)
-        ASSERT_EQ(tg[i], want[i]) << caps_kernel_name() << " tail " << i;
+      check(nsq.data(), static_cast<std::int64_t>(nsq.size()), "all");
+      for (std::int64_t len = 1; len <= 17; ++len)
+        check(nsq.data() + 3 * len, len, "length");
+      for (std::size_t lane = 0; lane < zeros.size(); ++lane) {
+        std::vector<std::int64_t> z = zeros;
+        z[lane] = 0;
+        check(z.data(), 8, "zero lane");
+        check(z.data(), 17, "zero lane");
+      }
     });
   }
 }

@@ -364,6 +364,33 @@ TEST(CpuDispatch, EachLevelPinsWhatEveryBackendRuns) {
   }
 }
 
+TEST(CpuDispatch, EveryAcceptedLevelHasTheFeaturesItsKernelsUse) {
+  // The contract of the table in common/cpu_dispatch.hpp: a level force_isa
+  // accepts runs kernels compiled for these features, so the CPU has each.
+#ifdef QCAPS_X86_NATIVE
+  __builtin_cpu_init();
+  testutil::for_each_isa([](Isa level) {
+    if (level >= Isa::kAvx2) {
+      EXPECT_TRUE(__builtin_cpu_supports("avx2"));
+      EXPECT_TRUE(__builtin_cpu_supports("fma"));
+      EXPECT_TRUE(__builtin_cpu_supports("sse4.2"));  // CRC-32C
+    }
+    if (level >= Isa::kAvx512) {
+      EXPECT_TRUE(__builtin_cpu_supports("avx512f"));
+      EXPECT_TRUE(__builtin_cpu_supports("avx512bw"));
+      EXPECT_TRUE(__builtin_cpu_supports("avx512cd"));
+      EXPECT_TRUE(__builtin_cpu_supports("avx512dq"));
+      EXPECT_TRUE(__builtin_cpu_supports("avx512vl"));
+    }
+    if (level >= Isa::kAvx512Vnni) {
+      EXPECT_TRUE(__builtin_cpu_supports("avx512vnni"));
+    }
+  });
+#else
+  EXPECT_EQ(top_level(), Isa::kScalar);
+#endif
+}
+
 TEST(CpuDispatch, QcapsIsaCapsTheDetectedLevel) {
   const Isa top = top_level();
   const ScopedEnv g(kLegacyCaps[0], nullptr), q(kLegacyCaps[1], nullptr),

@@ -289,6 +289,11 @@ const DirectConvCase kDirectConvCases[] = {
     {1, 3, 11, 6, 1, 2, 1},    // K = 1, stride 2, pad 1: three K rows
     {1, 32, 16, 32, 3, 1, 2},  // batch 1: the column split at two threads
     {3, 64, 6, 8, 3, 1, 1},    // 576 K rows span two K blocks
+    // DeepCaps' own geometries (the VNNI window spans in brackets):
+    {2, 8, 32, 8, 3, 2, 1},    // B2 entry, 32x32 at stride 2 (30)
+    {3, 16, 16, 8, 3, 2, 1},   // B3 entry, 16x16 at stride 2 (50)
+    {4, 16, 8, 8, 3, 1, 1},    // B3 inner, 8x8 at stride 1 (17)
+    {8, 16, 4, 8, 3, 1, 1},    // B4 inner, 4x4 at stride 1 (21)
 };
 
 // Every case x epilogue (plain, bias without ReLU, bias + fused ReLU)
@@ -521,6 +526,8 @@ const ConvCapsCase kConvCapsCases[] = {
     {16, 64, 8, 8, 8, 2},  // B4 entry: a 32-column strip spans two images
     {16, 64, 2, 4, 8, 1},  // B5 inner: a 32-column strip spans eight
     {1, 64, 4, 8, 8, 2},   // B5 entry, batch 1: one 4-column strip
+    {3, 64, 8, 8, 8, 1},   // B3 inner: two 8-pixel rows per 16 columns
+    {8, 64, 4, 8, 8, 1},   // B4 inner: one 4x4 image per 16 columns
 };
 
 // Every case x epilogue (plain, bias) against the exact int64 conv followed

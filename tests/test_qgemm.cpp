@@ -9,9 +9,14 @@
 // float backend.
 #include <gtest/gtest.h>
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <new>
+#include <string>
 #include <vector>
 
 #ifdef _OPENMP
@@ -488,31 +493,95 @@ TEST(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
   });
 }
 
-// QGemmDirect against the naive oracle on the matrix its gather describes:
-// B(p, j) = b[p * n + perm[j]], with the identity permutation (contiguous
-// columns, the packers' vector paths) and a permutation (element gathers).
-// K = 600 crosses the direct path's 512-row K block, m and n leave partial
-// tiles and strips, and the columns run in two calls split mid-strip.
+// Source rows of a gathered B in their own mapping, placed so that the last
+// element ends a page and the next page is inaccessible: a vector load that
+// reads past the last source column of the last K row faults instead of
+// passing unnoticed.
 template <typename T>
-void check_direct_gather(const std::vector<T>& a, const std::vector<T>& b,
-                         std::int64_t m, std::int64_t k, std::int64_t n,
-                         const QGemmRequant& rq) {
+class GuardedRows {
+ public:
+  explicit GuardedRows(std::size_t count) {
+    const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+    bytes_ = (count * sizeof(T) + page - 1) / page * page + page;
+    void* base = mmap(nullptr, bytes_, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    base_ = static_cast<char*>(base);
+    char* guard = base_ + bytes_ - page;
+    if (mprotect(guard, page, PROT_NONE) != 0) throw std::bad_alloc();
+    data_ = reinterpret_cast<T*>(guard) - count;
+  }
+  ~GuardedRows() { munmap(base_, bytes_); }
+  GuardedRows(const GuardedRows&) = delete;
+  GuardedRows& operator=(const GuardedRows&) = delete;
+  T* data() const { return data_; }
+
+ private:
+  char* base_;
+  std::size_t bytes_;
+  T* data_;
+};
+
+// A column pattern of a gathered B: output column j reads element col[j] of
+// every K row, and the rows are max(col) + 1 elements apart.
+struct GatherCols {
+  std::string name;
+  std::vector<std::int64_t> col;
+};
+
+// The column patterns of the direct convolutions, for n columns: one image
+// row (contiguous), a scrambled order (element gathers), a stride-2 row,
+// rows of 8 pixels at pitch 10, 16-column groups whose sources span the
+// VNNI window's width W - 1 and W (W = 32 and 64), and images of 20
+// columns, 100 elements apart, so that some halves cross two images.
+std::vector<GatherCols> gather_cols(std::int64_t n) {
+  std::vector<GatherCols> out;
+  const auto add = [&](std::string name, const auto& f) {
+    GatherCols g{std::move(name), {}};
+    for (std::int64_t j = 0; j < n; ++j) g.col.push_back(f(j));
+    out.push_back(std::move(g));
+  };
+  add("contiguous", [](std::int64_t j) { return j; });
+  add("scrambled", [n](std::int64_t j) { return (j * 11) % n; });
+  add("stride 2", [](std::int64_t j) { return 2 * j; });
+  add("rows of 8 at pitch 10",
+      [](std::int64_t j) { return j / 8 * 10 + j % 8; });
+  for (const std::int64_t span : {31, 32, 63, 64})
+    add("span " + std::to_string(span), [span](std::int64_t j) {
+      return j / 16 * (span + 1) + (j % 16 == 15 ? span : j % 16);
+    });
+  add("images of 20 columns",
+      [](std::int64_t j) { return j / 20 * 100 + j % 20; });
+  return out;
+}
+
+// QGemmDirect against the naive oracle on the matrix its gather describes,
+// B(p, j) = src[p * pitch + col[j]], for every pattern of gather_cols. K =
+// 600 crosses the direct path's 512-row K block, m and n leave partial tiles
+// and strips, and the columns run in two calls split mid-strip. `value`
+// draws the source elements.
+template <typename T, typename Value>
+void check_direct_gather(const std::vector<T>& a, std::int64_t m,
+                         std::int64_t k, std::int64_t n,
+                         const QGemmRequant& rq, const Value& value) {
   const QGemmDirect<T> gemm(a.data(), m, k, rq);
-  std::vector<std::int64_t> tap(static_cast<std::size_t>(k));
-  for (std::int64_t p = 0; p < k; ++p) tap[static_cast<std::size_t>(p)] = p * n;
-  for (const bool scrambled : {false, true}) {
-    SCOPED_TRACE(scrambled ? "scrambled columns" : "contiguous columns");
-    std::vector<std::int64_t> col(static_cast<std::size_t>(n));
-    for (std::int64_t j = 0; j < n; ++j)
-      col[static_cast<std::size_t>(j)] = scrambled ? (j * 11) % n : j;
-    std::vector<T> bp(b.size());
-    for (std::int64_t p = 0; p < k; ++p)
+  for (const GatherCols& gc : gather_cols(n)) {
+    SCOPED_TRACE(gc.name);
+    const std::vector<std::int64_t>& col = gc.col;
+    const std::int64_t pitch = *std::max_element(col.begin(), col.end()) + 1;
+    const GuardedRows<T> src(static_cast<std::size_t>(k * pitch));
+    for (std::int64_t i = 0; i < k * pitch; ++i) src.data()[i] = value();
+    std::vector<std::int64_t> tap(static_cast<std::size_t>(k));
+    std::vector<T> bp(static_cast<std::size_t>(k * n));
+    for (std::int64_t p = 0; p < k; ++p) {
+      tap[static_cast<std::size_t>(p)] = p * pitch;
       for (std::int64_t j = 0; j < n; ++j)
-        bp[static_cast<std::size_t>(p * n + j)] = b[static_cast<std::size_t>(
-            p * n + col[static_cast<std::size_t>(j)])];
+        bp[static_cast<std::size_t>(p * n + j)] =
+            src.data()[p * pitch + col[static_cast<std::size_t>(j)]];
+    }
     const auto want = qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k,
                                   bp.data(), n, rq);
-    const QGemmGatherB<T> gb{b.data(), tap.data(), col.data()};
+    const QGemmGatherB<T> gb{src.data(), tap.data(), col.data()};
     const std::int64_t mid = std::min<std::int64_t>(37, n);
 
     // One requantized strip of at most 32 columns per call, in column order.
@@ -540,7 +609,10 @@ TEST(QGemmAllKernels, DirectGatherMatchesNaive) {
     common::Rng rng(32);
     const std::int64_t m = 13, k = 600, n = 70;
     const auto a = random_i8(rng, m * k);  // the full int8 range, -128 too
-    const auto b = random_i8(rng, k * n);
+    const auto b8 = [&] {
+      return static_cast<std::int8_t>(
+          static_cast<int>(rng.uniform_index(256)) - 128);
+    };
     std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
     std::vector<int> shift(static_cast<std::size_t>(m));
     std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
@@ -558,16 +630,18 @@ TEST(QGemmAllKernels, DirectGatherMatchesNaive) {
     rq.c_zero = 3;
     rq.qmin = -3000;
     rq.qmax = 3000;
-    check_direct_gather(a, b, m, k, n, rq);
+    check_direct_gather(a, m, k, n, rq, b8);
     rq.row_multipliers = mult.data();  // general multipliers: requant_one
-    check_direct_gather(a, b, m, k, n, rq);
+    check_direct_gather(a, m, k, n, rq, b8);
 
     const auto a16 = random_i16(rng, m * k, 300);
-    const auto b16 = random_i16(rng, k * n, 300);
     QGemmRequant rq16;
     rq16.shift = 7;
     rq16.bias = bias.data();
-    check_direct_gather(a16, b16, m, k, n, rq16);
+    check_direct_gather(a16, m, k, n, rq16, [&] {
+      return static_cast<std::int16_t>(
+          static_cast<int>(rng.uniform_index(601)) - 300);
+    });
   });
 }
 
@@ -579,9 +653,8 @@ TEST(QGemmAllKernels, DirectLongKStaysExact) {
     // 70000 * -128 * 127, is not.
     const std::int64_t m = 2, k = 70000, n = 3;
     const std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), -128);
-    const std::vector<std::int8_t> b(static_cast<std::size_t>(k * n), 127);
     QGemmRequant rq;
-    check_direct_gather(a, b, m, k, n, rq);
+    check_direct_gather(a, m, k, n, rq, [] { return std::int8_t{127}; });
   });
 }
 
