@@ -191,12 +191,13 @@ void BM_QGemmDirect(benchmark::State& state) {
 }
 BENCHMARK(BM_QGemmDirect)->DenseRange(0, 5);
 
-// ShallowCaps L3 vote product as the quantized engine runs it: one strided
-// int8 qgemm_batch over the input types (the i-major result is permuted to
-// the j-major routing layout inside the engine's int32 -> int64 widening
-// copy, which is not part of this kernel measurement).
+// ShallowCaps L3 vote product as the quantized engine runs it
+// (qengine::vote_transform): one strided int8 qgemm_batch_scatter over the
+// input types, whose requant epilogue stores each vote straight into the
+// int8 j-major [B, Nout, Nin, Dout] routing layout.
 void BM_QGemmBatchVotes(benchmark::State& state) {
-  const std::int64_t bsz = 16, nin = 512, din = 8, jd = 10 * 16;
+  const std::int64_t bsz = 16, nin = 512, din = 8, nout = 10, dout = 16;
+  const std::int64_t jd = nout * dout;
   common::Rng rng(3);
   std::vector<std::int8_t> u(static_cast<std::size_t>(bsz * nin * din));
   std::vector<std::int8_t> w(static_cast<std::size_t>(nin * jd * din));
@@ -204,16 +205,24 @@ void BM_QGemmBatchVotes(benchmark::State& state) {
     v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) - 128);
   for (auto& v : w)
     v = static_cast<std::int8_t>(static_cast<int>(rng.uniform_index(256)) - 128);
-  std::vector<std::int32_t> votes(static_cast<std::size_t>(bsz * nin * jd));
+  std::vector<std::int8_t> votes(static_cast<std::size_t>(bsz * nin * jd));
   tensor::QGemmRequant rq;
   rq.shift = 6;
-  rq.qmin = -2048;
-  rq.qmax = 2047;
+  rq.qmin = -128;
+  rq.qmax = 127;
+  tensor::QGemmScatterDst<std::int8_t> sd;
+  sd.dst = votes.data();
+  sd.row_stride = nout * nin * dout;  // per image
+  sd.col_inner = dout;
+  sd.col_outer_stride = nin * dout;   // per output type
+  sd.col_inner_stride = 1;            // per vote component
+  sd.batch_stride = dout;             // per input type
   for (auto _ : state) {
-    tensor::qgemm_batch(tensor::Trans::kN, tensor::Trans::kT, bsz, jd, din,
-                        u.data(), nin * din, din, w.data(), din, jd * din,
-                        votes.data(), nin * jd, jd, nin, rq);
+    tensor::qgemm_batch_scatter(tensor::Trans::kN, tensor::Trans::kT, bsz, jd,
+                                din, u.data(), nin * din, din, w.data(), din,
+                                jd * din, nin, rq, sd);
     benchmark::DoNotOptimize(votes.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * bsz * nin * jd * din);
 }

@@ -9,7 +9,8 @@
 // latency percentiles. The batch-1
 // row is the no-batching baseline; the speedup at larger B is the
 // served-throughput value of cross-request batching (one strided
-// gemm_batch / qgemm_batch per coalesced batch instead of per request).
+// gemm_batch / qgemm_batch_scatter per coalesced batch instead of per
+// request).
 //
 // Models are randomly initialized: the forward-pass cost (and therefore the
 // throughput) of a capsule network does not depend on the weight values.

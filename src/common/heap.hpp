@@ -10,6 +10,10 @@
 // int8 ones do not. On the benchmark's deep_offline_2t (batch 16, two
 // threads, 8 s) the int8/fp32 loop took about 400k minor page faults with
 // dynamic thresholds and about 10k with the thresholds pinned below.
+//
+// Building a qengine::QuantizedGraph (compile, or from_ops and so the .qcg
+// loader) and an nn::Network's first forward apply the policy, so fp32-only
+// and int8-only processes run under the same one.
 #pragma once
 
 namespace qcaps::common {

@@ -25,6 +25,10 @@ std::string memo_key(const NetworkQuantSpec& spec) {
   return os.str();
 }
 
+// Storage cap of the packed qgemm tier: calibrated specs with any operand
+// wordlength beyond this fall back to the fake-quant reference path.
+constexpr int kMaxGraphWordlength = 16;
+
 int ceil_log2(std::int64_t v) {
   return v <= 1 ? 0
                : 64 - std::countl_zero(static_cast<std::uint64_t>(v - 1));
@@ -50,7 +54,7 @@ bool QGraphEvaluator::packed_tier_ok(const NetworkQuantSpec& c) const {
     const int wl_w = l.weight_wordlength();
     const int wl_a = l.act_wordlength();
     const int wl_dr = l.dr_format().wordlength();
-    if (std::max({wl_w, wl_a, wl_dr}) > cfg_.max_graph_wordlength)
+    if (std::max({wl_w, wl_a, wl_dr}) > kMaxGraphWordlength)
       return false;
     // Exact int32 accumulation over the layer's reduction depth k: operands
     // bounded by 2^(wl-1), so sum_k |a||b| needs (wl_w-1)+(wl_a-1)+log2(k)
@@ -105,15 +109,12 @@ float QGraphEvaluator::evaluate_impl(const NetworkQuantSpec& spec,
                                      float acc_floor) {
   NetworkQuantSpec calibrated = spec;
   calibrate_spec(calibrated);
-  const std::string key = cfg_.memoize ? memo_key(calibrated) : std::string();
-  if (cfg_.memoize) {
-    // Memoized values are always full evaluations, so they serve bounded
-    // and unbounded calls alike.
-    const auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      ++memo_hits_;
-      return it->second;
-    }
+  const std::string key = memo_key(calibrated);
+  // Memoized values are always full evaluations, so they serve bounded and
+  // unbounded calls alike.
+  if (const auto it = memo_.find(key); it != memo_.end()) {
+    ++memo_hits_;
+    return it->second;
   }
 
   const auto batch_indices = [](std::int64_t lo, std::int64_t hi) {
@@ -155,8 +156,7 @@ float QGraphEvaluator::evaluate_impl(const NetworkQuantSpec& spec,
     net_.clear_quantization();
   } else {
     qengine::QuantizedGraph graph = qengine::QuantizedGraph::compile(
-        net_, calibrated, cfg_.reuse_weights ? &wcache_ : nullptr,
-        /*track_saturation=*/false);
+        net_, calibrated, &wcache_, /*track_saturation=*/false);
     ++graphs_compiled_;
     if (cfg_.workers > 1) {
       acc = evaluate_served(std::move(graph));
@@ -172,7 +172,7 @@ float QGraphEvaluator::evaluate_impl(const NetworkQuantSpec& spec,
   }
   if (truncated) ++truncated_evals_;
   acc = record(calibrated, acc, truncated);
-  if (cfg_.memoize && !truncated) memo_.emplace(key, acc);
+  if (!truncated) memo_.emplace(key, acc);
   return acc;
 }
 

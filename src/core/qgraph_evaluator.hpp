@@ -63,11 +63,6 @@ struct QGraphEvalConfig {
   int workers = 0;
   /// Images per forward (direct path) / per coalesced batch (served path).
   std::int64_t eval_batch = 64;
-  /// Storage cap of the packed qgemm tier: calibrated specs with any operand
-  /// wordlength beyond this fall back to the fake-quant reference path.
-  int max_graph_wordlength = 16;
-  bool memoize = true;
-  bool reuse_weights = true;
 };
 
 class QGraphEvaluator : public Evaluator {

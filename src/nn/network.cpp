@@ -1,6 +1,7 @@
 #include "nn/network.hpp"
 
 #include "common/error.hpp"
+#include "common/heap.hpp"
 #include "nn/caps_ops.hpp"
 #include "tensor/ops.hpp"
 
@@ -15,6 +16,7 @@ std::vector<std::size_t> Network::weighted_layers() {
 
 tensor::Tensor Network::forward(const tensor::Tensor& x, Phase phase) {
   QCAPS_CHECK_MSG(!layers_.empty(), "forward on an empty network");
+  common::retain_heap();
   tensor::Tensor cur = x;
   for (auto& layer : layers_) cur = layer->forward(cur, phase);
   return cur;

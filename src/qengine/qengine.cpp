@@ -118,7 +118,7 @@ void run_qgemm_votes(const QActivation& u, const QTensor& w,
   const std::int64_t jd = nout * dout;
   tensor::QGemmScatterDst<O> sd;
   sd.dst = votes;
-  sd.row_outer_stride = nout * nin * dout;  // per image row bi (row_inner = 1)
+  sd.row_stride = nout * nin * dout;        // per image row bi
   sd.col_inner = dout;
   sd.col_outer_stride = nin * dout;         // per output type j
   sd.col_inner_stride = 1;                  // per vote component dd

@@ -16,9 +16,9 @@
 // atomics, so a pool of per-worker replicas reports one coherent per-node
 // saturation picture (see saturation() below). Building a graph (compile or
 // from_ops, and so the .qcg loader) pins the process's heap thresholds once
-// (common::retain_heap): forwards allocate and free their activations, and
-// with glibc's dynamic thresholds the heap was handed back to the OS after
-// each one.
+// (common::retain_heap), as an nn::Network's first forward does: forwards
+// allocate and free their activations, and with glibc's dynamic thresholds
+// the heap was handed back to the OS after each one.
 //
 // Supported layers: Conv2dLayer, ReluLayer, PrimaryCapsLayer, FCCapsLayer,
 // FlattenCapsLayer, ConvCapsLayer, RoutedConvCapsLayer, and CapsBlockLayer

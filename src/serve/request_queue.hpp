@@ -4,8 +4,8 @@
 // classification; consumers (the per-model worker pool) pop *batches*: the
 // first request is waited for, then up to `window` is spent letting further
 // concurrent requests coalesce into the same batch so the capsule vote
-// products downstream run as one strided gemm_batch/qgemm_batch call instead
-// of N separate ones.
+// products downstream run as one strided gemm_batch / qgemm_batch_scatter
+// call instead of N separate ones.
 //
 // Semantics:
 //   * FIFO within a priority class — requests carry a monotone sequence

@@ -10,10 +10,11 @@
 // Each worker loops: take the next coalesced batch, run one batched forward
 // on its private model replica, fulfil the per-request promises. Because a
 // batch of B single-image requests becomes ONE forward pass, the capsule
-// vote products execute as a single strided gemm_batch / qgemm_batch call
-// and the conv + routing loops parallelize across the whole batch — this is
-// where the kernel-level speedups of the packed backends turn into served
-// throughput (see bench/serve_bench.cpp and docs/serving.md for numbers).
+// vote products execute as a single strided gemm_batch /
+// qgemm_batch_scatter call and the conv + routing loops parallelize across
+// the whole batch — this is where the kernel-level speedups of the packed
+// backends turn into served throughput (see bench/serve_bench.cpp and
+// docs/serving.md for numbers).
 //
 // Knobs (ServerConfig): max_batch, the coalescing window, workers per model,
 // queue capacity (backpressure), and the per-worker OpenMP team size so

@@ -260,93 +260,4 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
   return grads;
 }
 
-namespace {
-/// Copy a channel slice [lo, hi) of every image in a [B, C, H, W] tensor.
-Tensor channel_slice(const Tensor& x, std::int64_t lo, std::int64_t hi) {
-  const std::int64_t b = x.dim(0), c = x.dim(1), plane = x.dim(2) * x.dim(3);
-  Tensor out({b, hi - lo, x.dim(2), x.dim(3)});
-  for (std::int64_t bi = 0; bi < b; ++bi)
-    std::memcpy(out.data() + bi * (hi - lo) * plane,
-                x.data() + (bi * c + lo) * plane,
-                static_cast<std::size_t>((hi - lo) * plane) * sizeof(float));
-  return out;
-}
-
-/// Write a [B, Cg, H, W] slice back into channels [lo, lo+Cg) of dst.
-void channel_unslice(const Tensor& src, Tensor& dst, std::int64_t lo) {
-  const std::int64_t b = src.dim(0), cg = src.dim(1),
-                     plane = src.dim(2) * src.dim(3);
-  const std::int64_t c = dst.dim(1);
-  for (std::int64_t bi = 0; bi < b; ++bi)
-    std::memcpy(dst.data() + (bi * c + lo) * plane,
-                src.data() + bi * cg * plane,
-                static_cast<std::size_t>(cg * plane) * sizeof(float));
-}
-
-/// Row slice [lo, hi) of a [F, ...] weight-like tensor.
-Tensor filter_slice(const Tensor& w, std::int64_t lo, std::int64_t hi) {
-  const std::int64_t per = w.numel() / w.dim(0);
-  Shape shape = w.shape();
-  shape[0] = hi - lo;
-  Tensor out(shape);
-  std::memcpy(out.data(), w.data() + lo * per,
-              static_cast<std::size_t>((hi - lo) * per) * sizeof(float));
-  return out;
-}
-}  // namespace
-
-Tensor conv2d_grouped_forward(const Tensor& input, const Tensor& weight,
-                              const Tensor& bias, std::int64_t stride,
-                              std::int64_t pad, std::int64_t groups) {
-  QCAPS_CHECK(groups >= 1);
-  if (groups == 1) return conv2d_forward(input, weight, bias, stride, pad);
-  QCAPS_CHECK_MSG(input.dim(1) % groups == 0 && weight.dim(0) % groups == 0,
-                  "channels/filters not divisible by groups=" << groups);
-  const std::int64_t cg = input.dim(1) / groups;
-  const std::int64_t fg = weight.dim(0) / groups;
-  QCAPS_CHECK_MSG(weight.dim(1) == cg, "grouped weight expects C/groups = "
-                                           << cg << ", got " << weight.dim(1));
-  Tensor out;
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const Tensor xg = channel_slice(input, g * cg, (g + 1) * cg);
-    const Tensor wg = filter_slice(weight, g * fg, (g + 1) * fg);
-    const Tensor bg = bias.empty() ? Tensor() : filter_slice(bias, g * fg, (g + 1) * fg);
-    const Tensor og = conv2d_forward(xg, wg, bg, stride, pad);
-    if (g == 0)
-      out = Tensor({input.dim(0), weight.dim(0), og.dim(2), og.dim(3)});
-    channel_unslice(og, out, g * fg);
-  }
-  return out;
-}
-
-Conv2dGrads conv2d_grouped_backward(const Tensor& input, const Tensor& weight,
-                                    const Tensor& grad_output,
-                                    std::int64_t stride, std::int64_t pad,
-                                    bool has_bias, std::int64_t groups) {
-  QCAPS_CHECK(groups >= 1);
-  if (groups == 1)
-    return conv2d_backward(input, weight, grad_output, stride, pad, has_bias);
-  const std::int64_t cg = input.dim(1) / groups;
-  const std::int64_t fg = weight.dim(0) / groups;
-  Conv2dGrads grads;
-  grads.grad_input = Tensor(input.shape());
-  grads.grad_weight = Tensor(weight.shape());
-  if (has_bias) grads.grad_bias = Tensor({weight.dim(0)});
-  const std::int64_t wper = weight.numel() / weight.dim(0);
-  for (std::int64_t g = 0; g < groups; ++g) {
-    const Tensor xg = channel_slice(input, g * cg, (g + 1) * cg);
-    const Tensor wg = filter_slice(weight, g * fg, (g + 1) * fg);
-    const Tensor gg = channel_slice(grad_output, g * fg, (g + 1) * fg);
-    auto sub = conv2d_backward(xg, wg, gg, stride, pad, has_bias);
-    channel_unslice(sub.grad_input, grads.grad_input, g * cg);
-    std::memcpy(grads.grad_weight.data() + g * fg * wper,
-                sub.grad_weight.data(),
-                static_cast<std::size_t>(fg * wper) * sizeof(float));
-    if (has_bias)
-      std::memcpy(grads.grad_bias.data() + g * fg, sub.grad_bias.data(),
-                  static_cast<std::size_t>(fg) * sizeof(float));
-  }
-  return grads;
-}
-
 }  // namespace qcaps::tensor

@@ -38,17 +38,4 @@ Conv2dGrads conv2d_backward(const Tensor& input, const Tensor& weight,
                             const Tensor& grad_output, std::int64_t stride,
                             std::int64_t pad, bool has_bias);
 
-/// Grouped convolution: input channels and filters split into `groups`
-/// independent convolutions (AlexNet's two-tower convs; the per-capsule-type
-/// vote convolutions of ConvCaps3D). weight is [F, C/groups, K, K] with the
-/// first F/groups filters reading group 0, and so on.
-Tensor conv2d_grouped_forward(const Tensor& input, const Tensor& weight,
-                              const Tensor& bias, std::int64_t stride,
-                              std::int64_t pad, std::int64_t groups);
-
-Conv2dGrads conv2d_grouped_backward(const Tensor& input, const Tensor& weight,
-                                    const Tensor& grad_output,
-                                    std::int64_t stride, std::int64_t pad,
-                                    bool has_bias, std::int64_t groups);
-
 }  // namespace qcaps::tensor

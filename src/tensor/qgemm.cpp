@@ -611,7 +611,7 @@ using KernelFn = void (*)(std::int64_t kc2, const std::int16_t* ap,
                           bool accumulate);
 
 // The microkernel of each dispatch level. At vnni this is the int16-panel
-// kernel; int8 operands take the narrow-operand driver (qgemm_i32_vnni).
+// kernel; int8 operands take the narrow-operand driver (qgemm_raw_vnni).
 #ifdef QCAPS_X86_NATIVE
 constexpr KernelFn kKernels[] = {kernel_scalar_q, kernel_avx2_q,
                                  kernel_avx512_q, kernel_avx512vnni_q16};
@@ -628,12 +628,11 @@ constexpr const char* kKernelNames[] = {"scalar", "avx2", "avx512",
 template <typename SrcT, typename PackB>
 void qgemm_serial(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
                   const SrcT* a, std::int64_t lda, const PackB& pack_b,
-                  std::int32_t* c, std::int64_t ldc, bool accumulate) {
+                  std::int32_t* c, std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
-    if (!accumulate)
-      for (std::int64_t i = 0; i < m; ++i)
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
+    for (std::int64_t i = 0; i < m; ++i)
+      std::fill(c + i * ldc, c + i * ldc + n, 0);
     return;
   }
   Scratch& s = scratch();
@@ -645,7 +644,7 @@ void qgemm_serial(Trans ta, std::int64_t m, std::int64_t n, std::int64_t k,
     for (std::int64_t pc = 0; pc < k; pc += KC) {
       const std::int64_t kc = std::min(KC, k - pc);
       const std::int64_t kc2 = ceil_div(kc, 2);
-      const bool acc_c = accumulate || pc > 0;
+      const bool acc_c = pc > 0;
       pack_b(pc, kc, jc, nc, bpack);
       for (std::int64_t ic = 0; ic < m; ic += MC) {
         const std::int64_t mc = std::min(MC, m - ic);
@@ -677,13 +676,12 @@ bool want_parallel(std::int64_t work) {
 template <typename PackB>
 void qgemm_serial_vnni(Trans ta, std::int64_t m, std::int64_t n,
                        std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                       const PackB& pack_b, std::int32_t* c, std::int64_t ldc,
-                       bool accumulate) {
+                       const PackB& pack_b, std::int32_t* c,
+                       std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
   if (k <= 0) {
-    if (!accumulate)
-      for (std::int64_t i = 0; i < m; ++i)
-        std::fill(c + i * ldc, c + i * ldc + n, 0);
+    for (std::int64_t i = 0; i < m; ++i)
+      std::fill(c + i * ldc, c + i * ldc + n, 0);
     return;
   }
   Scratch& s = scratch_vnni();
@@ -694,7 +692,7 @@ void qgemm_serial_vnni(Trans ta, std::int64_t m, std::int64_t n,
     for (std::int64_t pc = 0; pc < k; pc += KC) {
       const std::int64_t kc = std::min(KC, k - pc);
       const std::int64_t kc4 = ceil_div(kc, 4);
-      const bool acc_c = accumulate || pc > 0;
+      const bool acc_c = pc > 0;
       pack_b(pc, kc, jc, nc, bpack);
       for (std::int64_t ic = 0; ic < m; ic += MC) {
         const std::int64_t mc = std::min(MC, m - ic);
@@ -714,10 +712,10 @@ void qgemm_serial_vnni(Trans ta, std::int64_t m, std::int64_t n,
   }
 }
 
-void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+void qgemm_raw_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                     std::int64_t k, const std::int8_t* a, std::int64_t lda,
                     const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
-                    std::int64_t ldc, bool accumulate) {
+                    std::int64_t ldc) {
   if (m <= 0 || n <= 0) return;
 #ifdef _OPENMP
   if (want_parallel(m * n * k)) {
@@ -740,8 +738,7 @@ void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                                     std::uint8_t* out) {
             pack_b_vnni(tb, bsub, ldb, p0, kc, jj, nc, out);
           };
-          qgemm_serial_vnni(ta, m, j1 - j0, k, a, lda, pb, c + j0, ldc,
-                            accumulate);
+          qgemm_serial_vnni(ta, m, j1 - j0, k, a, lda, pb, c + j0, ldc);
         } else {
           const std::int64_t i0 = lo * MR;
           const std::int64_t i1 = std::min(m, hi * MR);
@@ -752,7 +749,7 @@ void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
             pack_b_vnni(tb, b, ldb, p0, kc, jj, nc, out);
           };
           qgemm_serial_vnni(ta, i1 - i0, n, k, asub, lda, pb, c + i0 * ldc,
-                            ldc, accumulate);
+                            ldc);
         }
       }
     }
@@ -763,7 +760,7 @@ void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                            std::int64_t nc, std::uint8_t* out) {
       pack_b_vnni(tb, b, ldb, p0, kc, jj, nc, out);
     };
-    qgemm_serial_vnni(ta, m, n, k, a, lda, pb, c, ldc, accumulate);
+    qgemm_serial_vnni(ta, m, n, k, a, lda, pb, c, ldc);
   }
   if (k <= 0) return;
   // Undo the +128 B-panel offset: the driver accumulated
@@ -786,15 +783,16 @@ void qgemm_i32_vnni(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
 }
 #endif  // QCAPS_X86_NATIVE
 
+// C[m,n] = op(A)[m,k] * op(B)[k,n] as raw int32 accumulators, on the active
+// dispatch level's driver and split over an OpenMP team when large enough.
 template <typename SrcT>
-void qgemm_i32_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                    std::int64_t k, const SrcT* a, std::int64_t lda,
-                    const SrcT* b, std::int64_t ldb, std::int32_t* c,
-                    std::int64_t ldc, bool accumulate) {
+void qgemm_raw(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
+               std::int64_t k, const SrcT* a, std::int64_t lda, const SrcT* b,
+               std::int64_t ldb, std::int32_t* c, std::int64_t ldc) {
 #ifdef QCAPS_X86_NATIVE
   if constexpr (std::is_same_v<SrcT, std::int8_t>) {
     if (common::isa() == common::Isa::kAvx512Vnni) {
-      qgemm_i32_vnni(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
+      qgemm_raw_vnni(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
       return;
     }
   }
@@ -822,7 +820,7 @@ void qgemm_i32_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                                     std::int16_t* out) {
             pack_b_block(tb, bsub, ldb, p0, kc, jj, nc, out);
           };
-          qgemm_serial(ta, m, j1 - j0, k, a, lda, pb, c + j0, ldc, accumulate);
+          qgemm_serial(ta, m, j1 - j0, k, a, lda, pb, c + j0, ldc);
         } else {
           const std::int64_t i0 = lo * MR;
           const std::int64_t i1 = std::min(m, hi * MR);
@@ -832,8 +830,7 @@ void qgemm_i32_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                                  std::int16_t* out) {
             pack_b_block(tb, b, ldb, p0, kc, jj, nc, out);
           };
-          qgemm_serial(ta, i1 - i0, n, k, asub, lda, pb, c + i0 * ldc, ldc,
-                       accumulate);
+          qgemm_serial(ta, i1 - i0, n, k, asub, lda, pb, c + i0 * ldc, ldc);
         }
       }
     }
@@ -844,163 +841,93 @@ void qgemm_i32_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                          std::int64_t nc, std::int16_t* out) {
     pack_b_block(tb, b, ldb, p0, kc, jj, nc, out);
   };
-  qgemm_serial(ta, m, n, k, a, lda, pb, c, ldc, accumulate);
+  qgemm_serial(ta, m, n, k, a, lda, pb, c, ldc);
 }
 
 // ---- requantization --------------------------------------------------------
 
 void check_requant(const QGemmRequant& rq) {
-  QCAPS_CHECK_MSG(rq.multiplier > 0, "qgemm requant multiplier must be > 0");
   QCAPS_CHECK_MSG(rq.shift >= -30 && rq.shift <= 31,
                   "qgemm requant shift out of [-30, 31]");
   QCAPS_CHECK(rq.qmin <= rq.qmax);
 }
 
-// Validate the per-row overrides up front: requant_pass may run inside an
-// OpenMP parallel region (the batch loop), where a QCAPS throw would abort
-// the process instead of propagating.
-void check_requant_rows(const QGemmRequant& rq, std::int64_t m) {
-  if (!rq.row_multipliers && !rq.row_shifts) return;
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    QCAPS_CHECK_MSG(mult > 0 && shift >= -30 && shift <= 31,
-                    "qgemm per-row requant parameters out of range");
-  }
+void check_k_bound_s8(std::int64_t k) {
+  QCAPS_CHECK_MSG(k <= qgemm_max_k(8, 8),
+                  "qgemm int8 K too large for exact int32 accumulation");
 }
 
-inline std::int32_t requant_one(std::int64_t acc, std::int64_t multiplier,
-                                int shift, std::int32_t c_zero,
-                                std::int32_t qmin, std::int32_t qmax) {
-  const std::int64_t v = acc * multiplier;
-  const int total = 30 + shift;
-  std::int64_t r;
-  if (total > 0)
-    r = (v + (std::int64_t{1} << (total - 1))) >> total;  // round half-up
-  else if (total == 0)
-    r = v;
-  else
-    r = v << -total;
-  r += c_zero;
+// Round half-up shift and clamp. For |acc| < 2^33 (an int32 accumulator plus
+// an int32 bias) the left shift by at most 30 is exact in int64.
+inline std::int32_t requant_one(std::int64_t acc, int shift, std::int32_t qmin,
+                                std::int32_t qmax) {
+  const std::int64_t r = shift > 0
+                             ? (acc + (std::int64_t{1} << (shift - 1))) >> shift
+                             : acc << -shift;
   return static_cast<std::int32_t>(std::clamp<std::int64_t>(r, qmin, qmax));
 }
 
-template <typename SrcT>
-std::vector<std::int64_t> op_a_row_sums(Trans ta, std::int64_t m,
-                                        std::int64_t k, const SrcT* a,
-                                        std::int64_t lda) {
-  std::vector<std::int64_t> sums(static_cast<std::size_t>(m), 0);
-  for (std::int64_t i = 0; i < m; ++i) {
-    std::int64_t s = 0;
-    for (std::int64_t p = 0; p < k; ++p)
-      s += ta == Trans::kN ? a[i * lda + p] : a[p * lda + i];
-    sums[static_cast<std::size_t>(i)] = s;
-  }
-  return sums;
-}
-
-template <typename SrcT>
-std::vector<std::int64_t> op_b_col_sums(Trans tb, std::int64_t k,
-                                        std::int64_t n, const SrcT* b,
-                                        std::int64_t ldb) {
-  std::vector<std::int64_t> sums(static_cast<std::size_t>(n), 0);
-  for (std::int64_t j = 0; j < n; ++j) {
-    std::int64_t s = 0;
-    for (std::int64_t p = 0; p < k; ++p)
-      s += tb == Trans::kN ? b[p * ldb + j] : b[j * ldb + p];
-    sums[static_cast<std::size_t>(j)] = s;
-  }
-  return sums;
-}
-
 #ifdef QCAPS_X86_NATIVE
-// Vectorized row requantization for the common case (no per-column
-// compensation): 8 accumulators per iteration through vpmuldq (the sign
-// behaviour matches the scalar requant_one exactly — the low 32 bits of the
-// sign-extended lane are the original accumulator, and arithmetic 64-bit
-// shift is the same floor division).
+// requant_one over a row of n int32 accumulators plus `base`, in place, 8
+// int64 lanes per step (vpsraq / vpsllq); the clamp to [qmin, qmax] makes
+// the int32 store exact.
 //
 // GCC 12 emits -Wmaybe-uninitialized false positives from its own AVX-512
 // intrinsic headers here (PR105593).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 __attribute__((target("avx512f"))) void requant_row_avx512(
-    std::int32_t* row, std::int64_t n, std::int64_t base, std::int64_t mult,
-    int total, std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax) {
-  const __m512i vbase = _mm512_set1_epi64(base);
-  const __m512i vmult = _mm512_set1_epi64(mult);
-  const __m512i vrnd =
-      _mm512_set1_epi64(total > 0 ? (std::int64_t{1} << (total - 1)) : 0);
-  const __m512i vzero = _mm512_set1_epi64(c_zero);
+    std::int32_t* row, std::int64_t n, std::int64_t base, int shift,
+    std::int32_t qmin, std::int32_t qmax) {
+  const __m512i vadd = _mm512_set1_epi64(
+      base + (shift > 0 ? std::int64_t{1} << (shift - 1) : 0));
+  const __m128i vshr = _mm_cvtsi32_si128(shift > 0 ? shift : 0);
+  const __m128i vshl = _mm_cvtsi32_si128(shift < 0 ? -shift : 0);
   const __m512i vmin = _mm512_set1_epi64(qmin);
   const __m512i vmax = _mm512_set1_epi64(qmax);
-  const __m128i vshr = _mm_cvtsi32_si128(total > 0 ? total : 0);
-  const __m128i vshl = _mm_cvtsi32_si128(total < 0 ? -total : 0);
-  std::int64_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    const __m512i acc = _mm512_add_epi64(
-        _mm512_cvtepi32_epi64(
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + j))),
-        vbase);
-    // |acc| <= 2^31, so the low 32 bits of each lane hold the exact value
-    // vpmuldq needs.
-    __m512i v = _mm512_mul_epi32(acc, vmult);
-    v = _mm512_sra_epi64(_mm512_add_epi64(v, vrnd), vshr);
-    if (total < 0) v = _mm512_sll_epi64(v, vshl);
-    v = _mm512_add_epi64(v, vzero);
+  for (std::int64_t j = 0; j < n; j += 8) {
+    const __mmask8 k = n - j >= 8
+                           ? static_cast<__mmask8>(0xFF)
+                           : static_cast<__mmask8>((1u << (n - j)) - 1);
+    const __m256i a =
+        _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(k, row + j));
+    __m512i v = _mm512_add_epi64(_mm512_cvtepi32_epi64(a), vadd);
+    v = _mm512_sll_epi64(_mm512_sra_epi64(v, vshr), vshl);
     v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(row + j),
-                        _mm512_cvtepi64_epi32(v));
+    _mm512_mask_cvtepi64_storeu_epi32(row + j, k, v);
   }
-  for (; j < n; ++j)
-    row[j] = requant_one(row[j] + base, mult, total - 30, c_zero, qmin, qmax);
 }
 #pragma GCC diagnostic pop
 #endif  // QCAPS_X86_NATIVE
 
-// In-place requantization of the raw int32 accumulators in C, including the
-// zero-point compensation terms:
-//   (a - za)(b - zb) summed over k
-//     = acc - za*colsum_b[j] - zb*rowsum_a[i] + k*za*zb.
-void requant_pass(std::int32_t* c, std::int64_t ldc, std::int64_t m,
-                  std::int64_t n, std::int64_t k, const QGemmRequant& rq,
-                  const std::int64_t* rowsum, const std::int64_t* colsum) {
-  const std::int64_t zz =
-      static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
+// Requantize one row of n accumulators plus `base` in place: the vector loop
+// when `vec` (an AVX-512 level), requant_one otherwise. Every epilogue (the
+// dense pass, the scatter, the direct tiles) runs its rows through here.
+void requant_row(std::int32_t* row, std::int64_t n, std::int64_t base,
+                 const QGemmRequant& rq, bool vec) {
 #ifdef QCAPS_X86_NATIVE
-  // The vector path reads each compensated accumulator from the low 32 bits
-  // of its lane (vpmuldq), which is exact only while |acc + base| < 2^31.
-  // Without bias that follows from the caller's no-wrap bound on the
-  // effective (zero-point-adjusted) operands; an arbitrary int32 bias can
-  // push past it, so bias rows take the scalar path.
-  const bool vector_rows = colsum == nullptr && rq.bias == nullptr &&
-                           common::isa() >= common::Isa::kAvx512;
+  if (vec) {
+    requant_row_avx512(row, n, base, rq.shift, rq.qmin, rq.qmax);
+    return;
+  }
+#else
+  (void)vec;
 #endif
+  for (std::int64_t j = 0; j < n; ++j)
+    row[j] = requant_one(row[j] + base, rq.shift, rq.qmin, rq.qmax);
+}
+
+bool vector_requant() { return common::isa() >= common::Isa::kAvx512; }
+
+// In-place requantization of the m x n raw int32 accumulators in C.
+void requant_pass(std::int32_t* c, std::int64_t ldc, std::int64_t m,
+                  std::int64_t n, const QGemmRequant& rq) {
+  const bool vec = vector_requant();
 #ifdef _OPENMP
 #pragma omp parallel for schedule(static) if (want_parallel(m * n))
 #endif
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    std::int64_t base = zz;
-    if (rq.bias) base += rq.bias[i];
-    if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
-    std::int32_t* row = c + i * ldc;
-#ifdef QCAPS_X86_NATIVE
-    if (vector_rows) {
-      requant_row_avx512(row, n, base, mult, 30 + shift, rq.c_zero, rq.qmin,
-                         rq.qmax);
-      continue;
-    }
-#endif
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t acc = row[j] + base;
-      if (colsum) acc -= static_cast<std::int64_t>(rq.a_zero) * colsum[j];
-      row[j] = requant_one(acc, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
-    }
-  }
+  for (std::int64_t i = 0; i < m; ++i)
+    requant_row(c + i * ldc, n, rq.bias ? rq.bias[i] : 0, rq, vec);
 }
 
 template <typename SrcT>
@@ -1009,141 +936,42 @@ void qgemm_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                 std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
                 const QGemmRequant& rq) {
   check_requant(rq);
-  check_requant_rows(rq, m);
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc,
-                 /*accumulate=*/false);
-  std::vector<std::int64_t> rowsum, colsum;
-  if (rq.b_zero != 0) rowsum = op_a_row_sums(ta, m, k, a, lda);
-  if (rq.a_zero != 0) colsum = op_b_col_sums(tb, k, n, b, ldb);
-  requant_pass(c, ldc, m, n, k, rq, rowsum.empty() ? nullptr : rowsum.data(),
-               colsum.empty() ? nullptr : colsum.data());
-}
-
-template <typename SrcT>
-void qgemm_batch_impl(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                      std::int64_t k, const SrcT* a, std::int64_t lda,
-                      std::int64_t stride_a, const SrcT* b, std::int64_t ldb,
-                      std::int64_t stride_b, std::int32_t* c, std::int64_t ldc,
-                      std::int64_t stride_c, std::int64_t batch,
-                      const QGemmRequant& rq) {
-  if (batch <= 0) return;
-  check_requant(rq);
-  check_requant_rows(rq, m);
-#ifdef _OPENMP
-  if (batch > 1 && want_parallel(batch * m * n * k)) {
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < batch; ++i)
-      qgemm_impl(ta, tb, m, n, k, a + i * stride_a, lda, b + i * stride_b,
-                 ldb, c + i * stride_c, ldc, rq);
-    return;
-  }
-#endif
-  for (std::int64_t i = 0; i < batch; ++i)
-    qgemm_impl(ta, tb, m, n, k, a + i * stride_a, lda, b + i * stride_b, ldb,
-               c + i * stride_c, ldc, rq);
+  qgemm_raw(ta, tb, m, n, k, a, lda, b, ldb, c, ldc);
+  requant_pass(c, ldc, m, n, rq);
 }
 
 // ---- fused requantize + scatter epilogue -----------------------------------
 
-template <typename Out>
-void check_scatter(const QGemmScatterDst<Out>& sd) {
-  QCAPS_CHECK_MSG(sd.dst != nullptr, "qgemm scatter destination is null");
-  QCAPS_CHECK_MSG(sd.row_inner >= 1 && sd.col_inner >= 1,
-                  "qgemm scatter inner split sizes must be >= 1");
-}
-
-// requant_pass, except each requantized element is stored into the
-// affine-scattered destination's container instead of back into C. The
-// clamp onto [qmin, qmax] makes that store exact.
-template <typename Out>
-void requant_scatter_pass(const std::int32_t* c, std::int64_t ldc,
-                          std::int64_t m, std::int64_t n, std::int64_t k,
-                          const QGemmRequant& rq, const std::int64_t* rowsum,
-                          const std::int64_t* colsum,
-                          const QGemmScatterDst<Out>& sd, Out* dst) {
-  const std::int64_t zz =
-      static_cast<std::int64_t>(rq.a_zero) * rq.b_zero * k;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(static) if (want_parallel(m * n))
-#endif
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    std::int64_t base = zz;
-    if (rq.bias) base += rq.bias[i];
-    if (rowsum) base -= static_cast<std::int64_t>(rq.b_zero) * rowsum[i];
-    const std::int32_t* row = c + i * ldc;
-    Out* drow = dst + (i / sd.row_inner) * sd.row_outer_stride +
-                (i % sd.row_inner) * sd.row_inner_stride;
-    std::int64_t j = 0;
-    for (std::int64_t jo = 0; j < n; ++jo) {
-      Out* dcol = drow + jo * sd.col_outer_stride;
-      const std::int64_t ji_end = std::min(sd.col_inner, n - j);
-      for (std::int64_t ji = 0; ji < ji_end; ++ji, ++j) {
-        std::int64_t acc = row[j] + base;
-        if (colsum) acc -= static_cast<std::int64_t>(rq.a_zero) * colsum[j];
-        dcol[ji * sd.col_inner_stride] = static_cast<Out>(
-            requant_one(acc, mult, shift, rq.c_zero, rq.qmin, rq.qmax));
-      }
-    }
-  }
-}
-
+// One batch item: the accumulators land in a per-thread dense buffer, each
+// row is requantized there in place (requant_row) and then only stored into
+// the scattered destination's container. The clamp onto [qmin, qmax] makes
+// that store exact; the microkernels are untouched.
 template <typename SrcT, typename Out>
 void qgemm_scatter_one(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                        std::int64_t k, const SrcT* a, std::int64_t lda,
                        const SrcT* b, std::int64_t ldb, const QGemmRequant& rq,
                        const QGemmScatterDst<Out>& sd, Out* dst) {
   if (m <= 0 || n <= 0) return;
-  // The accumulators bounce through a per-thread dense buffer; only the
-  // epilogue is scattered, so the microkernels are untouched.
   thread_local std::vector<std::int32_t> cbuf;
   if (cbuf.size() < static_cast<std::size_t>(m * n))
     cbuf.resize(static_cast<std::size_t>(m * n));
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, cbuf.data(), n,
-                 /*accumulate=*/false);
-  std::vector<std::int64_t> rowsum, colsum;
-  if (rq.b_zero != 0) rowsum = op_a_row_sums(ta, m, k, a, lda);
-  if (rq.a_zero != 0) colsum = op_b_col_sums(tb, k, n, b, ldb);
-  requant_scatter_pass(cbuf.data(), n, m, n, k, rq,
-                       rowsum.empty() ? nullptr : rowsum.data(),
-                       colsum.empty() ? nullptr : colsum.data(), sd, dst);
-}
-
-template <typename SrcT, typename Out>
-void qgemm_batch_scatter_impl(Trans ta, Trans tb, std::int64_t m,
-                              std::int64_t n, std::int64_t k, const SrcT* a,
-                              std::int64_t lda, std::int64_t stride_a,
-                              const SrcT* b, std::int64_t ldb,
-                              std::int64_t stride_b, std::int64_t batch,
-                              const QGemmRequant& rq,
-                              const QGemmScatterDst<Out>& sd) {
-  if (batch <= 0) return;
-  check_requant(rq);
-  check_requant_rows(rq, m);
-  check_scatter(sd);
+  std::int32_t* const c = cbuf.data();  // this thread's buffer, for the team
+  qgemm_raw(ta, tb, m, n, k, a, lda, b, ldb, c, n);
+  const bool vec = vector_requant();
 #ifdef _OPENMP
-  if (batch > 1 && want_parallel(batch * m * n * k)) {
-#pragma omp parallel for schedule(static)
-    for (std::int64_t i = 0; i < batch; ++i)
-      qgemm_scatter_one(ta, tb, m, n, k, a + i * stride_a, lda,
-                        b + i * stride_b, ldb, rq, sd,
-                        sd.dst + i * sd.batch_stride);
-    return;
-  }
+#pragma omp parallel for schedule(static) if (want_parallel(m * n))
 #endif
-  for (std::int64_t i = 0; i < batch; ++i)
-    qgemm_scatter_one(ta, tb, m, n, k, a + i * stride_a, lda,
-                      b + i * stride_b, ldb, rq, sd,
-                      sd.dst + i * sd.batch_stride);
-}
-
-void check_k_bound_s8(std::int64_t k, const QGemmRequant* rq) {
-  const int bits_a = 8 + (rq && rq->a_zero != 0 ? 1 : 0);
-  const int bits_b = 8 + (rq && rq->b_zero != 0 ? 1 : 0);
-  QCAPS_CHECK_MSG(k <= qgemm_max_k(bits_a, bits_b),
-                  "qgemm int8 K too large for exact int32 accumulation");
+  for (std::int64_t i = 0; i < m; ++i) {
+    std::int32_t* row = c + i * n;
+    requant_row(row, n, rq.bias ? rq.bias[i] : 0, rq, vec);
+    Out* drow = dst + i * sd.row_stride;
+    for (std::int64_t j0 = 0; j0 < n; j0 += sd.col_inner) {
+      Out* dcol = drow + (j0 / sd.col_inner) * sd.col_outer_stride;
+      const std::int64_t nj = std::min(sd.col_inner, n - j0);
+      for (std::int64_t ji = 0; ji < nj; ++ji)
+        dcol[ji * sd.col_inner_stride] = static_cast<Out>(row[j0 + ji]);
+    }
+  }
 }
 
 // ---- direct convolution (gathered B) ---------------------------------------
@@ -1351,77 +1179,13 @@ void pack_b_vnni_gather(const std::int8_t* data, const std::int64_t* tap,
   }
 }
 
-// Requantize a run of n int32 accumulators with the unit multiplier into
-// contiguous int32 outputs (in place when out == acc), 8 lanes per step. With
-// M = 2^30 requant_one's (acc * M + 2^(29 + s)) >> (30 + s) is exactly
-// (acc + 2^(s-1)) >> s for s >= 1 and acc << -s for s <= 0, so the whole
-// rescale stays in int64 lanes (vpsraq / vpsllq) for any base; the clamp
-// to [qmin, qmax] makes the int32 store exact.
-//
-// GCC 12 emits -Wmaybe-uninitialized false positives from its own AVX-512
-// intrinsic headers here (PR105593).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-__attribute__((target("avx512f"))) void requant_run_unit_avx512(
-    const std::int32_t* acc, std::int64_t n, std::int64_t base, int shift,
-    std::int32_t c_zero, std::int32_t qmin, std::int32_t qmax,
-    std::int32_t* out) {
-  const __m512i vadd = _mm512_set1_epi64(
-      base + (shift > 0 ? std::int64_t{1} << (shift - 1) : 0));
-  const __m128i vshr = _mm_cvtsi32_si128(shift > 0 ? shift : 0);
-  const __m128i vshl = _mm_cvtsi32_si128(shift < 0 ? -shift : 0);
-  const __m512i vzero = _mm512_set1_epi64(c_zero);
-  const __m512i vmin = _mm512_set1_epi64(qmin);
-  const __m512i vmax = _mm512_set1_epi64(qmax);
-  for (std::int64_t j = 0; j < n; j += 8) {
-    const __mmask8 k = n - j >= 8
-                           ? static_cast<__mmask8>(0xFF)
-                           : static_cast<__mmask8>((1u << (n - j)) - 1);
-    const __m256i a =
-        _mm512_castsi512_si256(_mm512_maskz_loadu_epi32(k, acc + j));
-    __m512i v = _mm512_add_epi64(_mm512_cvtepi32_epi64(a), vadd);
-    v = _mm512_sll_epi64(_mm512_sra_epi64(v, vshr), vshl);
-    v = _mm512_add_epi64(v, vzero);
-    v = _mm512_min_epi64(_mm512_max_epi64(v, vmin), vmax);
-    _mm512_mask_cvtepi64_storeu_epi32(out + j, k, v);
-  }
-}
-#pragma GCC diagnostic pop
 #endif  // QCAPS_X86_NATIVE
-
-// Requantize the m x nr int32 tile in place (the run_tiles epilogue). Rows
-// with the unit multiplier take the vector path when `vec`.
-void requant_tile(std::int32_t* c, std::int64_t ldc, std::int64_t m,
-                  std::int64_t nr, const QGemmRequant& rq,
-                  const std::int64_t* base, bool vec) {
-#ifndef QCAPS_X86_NATIVE
-  (void)vec;
-#endif
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    const std::int64_t b = base ? base[i] : 0;
-    std::int32_t* row = c + i * ldc;
-#ifdef QCAPS_X86_NATIVE
-    if (vec && mult == kQGemmUnitMultiplier) {
-      requant_run_unit_avx512(row, nr, b, shift, rq.c_zero, rq.qmin, rq.qmax,
-                              row);
-      continue;
-    }
-#endif
-    for (std::int64_t j = 0; j < nr; ++j)
-      row[j] = requant_one(row[j] + b, mult, shift, rq.c_zero, rq.qmin,
-                           rq.qmax);
-  }
-}
 
 }  // namespace
 
 std::int32_t qgemm_requantize(std::int64_t acc, const QGemmRequant& rq) {
   check_requant(rq);
-  return requant_one(acc, rq.multiplier, rq.shift, rq.c_zero, rq.qmin,
-                     rq.qmax);
+  return requant_one(acc, rq.shift, rq.qmin, rq.qmax);
 }
 
 std::int64_t qgemm_max_k(int bits_a, int bits_b) {
@@ -1430,26 +1194,11 @@ std::int64_t qgemm_max_k(int bits_a, int bits_b) {
   return ((std::int64_t{1} << 31) - 1) >> (bits_a + bits_b - 2);
 }
 
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int8_t* a, std::int64_t lda,
-               const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate) {
-  check_k_bound_s8(k, nullptr);
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-}
-
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int16_t* a, std::int64_t lda,
-               const std::int16_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate) {
-  qgemm_i32_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, accumulate);
-}
-
 void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
            const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
            std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
            const QGemmRequant& rq) {
-  check_k_bound_s8(k, &rq);
+  check_k_bound_s8(k);
   qgemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, rq);
 }
 
@@ -1460,35 +1209,6 @@ void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
   qgemm_impl(ta, tb, m, n, k, a, lda, b, ldb, c, ldc, rq);
 }
 
-void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                 std::int64_t stride_a, const std::int8_t* b, std::int64_t ldb,
-                 std::int64_t stride_b, std::int32_t* c, std::int64_t ldc,
-                 std::int64_t stride_c, std::int64_t batch,
-                 const QGemmRequant& rq) {
-  check_k_bound_s8(k, &rq);
-  qgemm_batch_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb, stride_b, c,
-                   ldc, stride_c, batch, rq);
-}
-
-void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const std::int16_t* a, std::int64_t lda,
-                 std::int64_t stride_a, const std::int16_t* b,
-                 std::int64_t ldb, std::int64_t stride_b, std::int32_t* c,
-                 std::int64_t ldc, std::int64_t stride_c, std::int64_t batch,
-                 const QGemmRequant& rq) {
-  qgemm_batch_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb, stride_b, c,
-                   ldc, stride_c, batch, rq);
-}
-
-template <typename T, typename Out>
-void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const T* a, std::int64_t lda, const T* b,
-                   std::int64_t ldb, const QGemmRequant& rq,
-                   const QGemmScatterDst<Out>& sd) {
-  qgemm_batch_scatter(ta, tb, m, n, k, a, lda, 0, b, ldb, 0, 1, rq, sd);
-}
-
 template <typename T, typename Out>
 void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                          std::int64_t k, const T* a, std::int64_t lda,
@@ -1496,16 +1216,29 @@ void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                          std::int64_t stride_b, std::int64_t batch,
                          const QGemmRequant& rq,
                          const QGemmScatterDst<Out>& sd) {
-  if constexpr (std::is_same_v<T, std::int8_t>) check_k_bound_s8(k, &rq);
-  qgemm_batch_scatter_impl(ta, tb, m, n, k, a, lda, stride_a, b, ldb,
-                           stride_b, batch, rq, sd);
+  if (batch <= 0) return;
+  if constexpr (std::is_same_v<T, std::int8_t>) check_k_bound_s8(k);
+  check_requant(rq);
+  QCAPS_CHECK_MSG(sd.dst != nullptr, "qgemm scatter destination is null");
+  QCAPS_CHECK_MSG(sd.col_inner >= 1,
+                  "qgemm scatter inner split size must be >= 1");
+#ifdef _OPENMP
+  if (batch > 1 && want_parallel(batch * m * n * k)) {
+#pragma omp parallel for schedule(static)
+    for (std::int64_t i = 0; i < batch; ++i)
+      qgemm_scatter_one(ta, tb, m, n, k, a + i * stride_a, lda,
+                        b + i * stride_b, ldb, rq, sd,
+                        sd.dst + i * sd.batch_stride);
+    return;
+  }
+#endif
+  for (std::int64_t i = 0; i < batch; ++i)
+    qgemm_scatter_one(ta, tb, m, n, k, a + i * stride_a, lda,
+                      b + i * stride_b, ldb, rq, sd,
+                      sd.dst + i * sd.batch_stride);
 }
 
 #define QCAPS_QGEMM_SCATTER(T, Out)                                           \
-  template void qgemm_scatter<T, Out>(                                        \
-      Trans, Trans, std::int64_t, std::int64_t, std::int64_t, const T*,      \
-      std::int64_t, const T*, std::int64_t, const QGemmRequant&,             \
-      const QGemmScatterDst<Out>&);                                          \
   template void qgemm_batch_scatter<T, Out>(                                  \
       Trans, Trans, std::int64_t, std::int64_t, std::int64_t, const T*,      \
       std::int64_t, std::int64_t, const T*, std::int64_t, std::int64_t,      \
@@ -1526,11 +1259,8 @@ QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
     : m_(m), k_(k), isa_(common::isa()), vnni8_(false), rq_(rq) {
   QCAPS_CHECK_MSG(m > 0 && k > 0, "qgemm direct convolution needs m, k > 0");
   check_requant(rq);
-  check_requant_rows(rq, m);
-  QCAPS_CHECK_MSG(rq.a_zero == 0 && rq.b_zero == 0,
-                  "qgemm direct convolution takes no zero points");
   if constexpr (std::is_same_v<T, std::int8_t>) {
-    check_k_bound_s8(k, &rq);
+    check_k_bound_s8(k);
     vnni8_ = isa_ == common::Isa::kAvx512Vnni && k <= kDirectVnniMaxK;
   }
   // One block of panels per kDirectKC slice of K, every block sized for a
@@ -1553,15 +1283,13 @@ QGemmDirect<T>::QGemmDirect(const T* a, std::int64_t m, std::int64_t k,
     a16_.resize(size);
     pack_a_block(Trans::kN, a, k, 0, m, pc, kc, a16_.data() + at);
   }
-  if (rq.bias != nullptr || vnni8_) {
-    base_.assign(static_cast<std::size_t>(m), 0);
-    for (std::int64_t i = 0; i < m; ++i) {
-      std::int64_t b = rq.bias ? rq.bias[i] : 0;
-      if (vnni8_)
-        for (std::int64_t p = 0; p < k; ++p)
-          b -= 128 * std::int64_t{a[i * k + p]};
-      base_[static_cast<std::size_t>(i)] = b;
-    }
+  base_.resize(static_cast<std::size_t>(m));
+  for (std::int64_t i = 0; i < m; ++i) {
+    std::int64_t b = rq.bias ? rq.bias[i] : 0;
+    if (vnni8_)
+      for (std::int64_t p = 0; p < k; ++p)
+        b -= 128 * std::int64_t{a[i * k + p]};
+    base_[static_cast<std::size_t>(i)] = b;
   }
   rq_.bias = nullptr;  // folded into base_
 }
@@ -1578,7 +1306,7 @@ void QGemmDirect<T>::run_tiles(const QGemmGatherB<T>& b, std::int64_t j0,
     s.c.resize(static_cast<std::size_t>(m_ * w));
   const KernelFn kernel = kKernels[static_cast<std::size_t>(isa_)];
   const bool vec = isa_ != common::Isa::kScalar;
-  const std::int64_t* base = base_.empty() ? nullptr : base_.data();
+  const bool vec_requant = isa_ >= common::Isa::kAvx512;
   for (std::int64_t s0 = j0; s0 < j1; s0 += w) {
     const std::int64_t nr = std::min(w, j1 - s0);
     const std::int64_t* col = b.col + s0;
@@ -1609,8 +1337,9 @@ void QGemmDirect<T>::run_tiles(const QGemmGatherB<T>& b, std::int64_t j0,
         kernel(kc2, a16_.data() + at + ir * kc2 * 2, s.b16.data(),
                s.c.data() + ir * w, w, std::min(MR, m_ - ir), nr, acc);
     }
-    requant_tile(s.c.data(), w, m_, nr, rq_, base,
-                 isa_ >= common::Isa::kAvx512);
+    for (std::int64_t i = 0; i < m_; ++i)
+      requant_row(s.c.data() + i * w, nr, base_[static_cast<std::size_t>(i)],
+                  rq_, vec_requant);
     consume(s0, nr, s.c.data(), w);
   }
 }

@@ -1,6 +1,6 @@
 // Blocked, packed, register-tiled integer GEMM backend for the quantized
-// engine: int8 (or int16) operands, exact int32 accumulation, and an optional
-// fused requantization stage.
+// engine: int8 (or int16) operands, exact int32 accumulation, and a fused
+// fixed-point requantization stage (QGemmRequant).
 //
 // The kernel reuses the GotoBLAS/BLIS decomposition of the float backend in
 // gemm.{hpp,cpp}: N is walked in blocks of NC, K in blocks of KC, M in blocks
@@ -49,64 +49,36 @@ namespace qcaps::tensor {
 inline constexpr std::int64_t kQGemmMR = 6;
 inline constexpr std::int64_t kQGemmNR = 16;
 
-/// The multiplier value that makes the requantization scale an exact power
-/// of two: with multiplier == kQGemmUnitMultiplier the rescale is
-/// out = round_half_up(acc / 2^shift), bit-identical to
-/// hwmodel::rescale_raw(acc, from_qf, out_fmt, kRoundToNearest) with
-/// shift = from_qf - out_fmt.qf.
-inline constexpr std::int32_t kQGemmUnitMultiplier = std::int32_t{1} << 30;
-
-/// Requantization of raw int32 accumulators onto a narrower integer grid.
+/// Requantization of raw int32 accumulators onto a narrower fixed-point
+/// grid: the rounded power-of-two shift plus saturation of the paper's
+/// datapath. Per output element of row i:
 ///
-/// Effective operand values are (stored - zero_point): a_zero/b_zero are
-/// subtracted via rowsum/colsum compensation outside the kernel, so the
-/// packed panels always hold the stored bytes. Per output element:
+///   out = clamp(round_half_up((acc + bias[i]) / 2^shift), qmin, qmax)
 ///
-///   acc' = acc + comp(a_zero, b_zero) + bias[i]
-///   out  = clamp(round_half_up(acc' * M_i / 2^(30 + s_i)) + c_zero,
-///                qmin, qmax)
-///
-/// where M_i/s_i are `multiplier`/`shift`, or the per-row overrides when
-/// `row_multipliers`/`row_shifts` are set (per-channel weight scales).
-/// round_half_up is floor(x + 1/2) — the same convention as
-/// fixed::RoundingScheme::kRoundToNearest and hwmodel::rescale_raw, so for
-/// power-of-two scales the whole path is bit-identical to the fixed-point
-/// rescale applied to the exact int32 product.
+/// where a negative shift is an exact left shift. round_half_up is
+/// floor(x + 1/2), the convention of fixed::RoundingScheme::kRoundToNearest,
+/// so with shift = from_qf - out_fmt.qf and out_fmt's rails the whole path is
+/// bit-identical to hwmodel::rescale_raw(acc, from_qf, out_fmt,
+/// kRoundToNearest) applied to the exact int32 product.
 struct QGemmRequant {
-  std::int32_t multiplier = kQGemmUnitMultiplier;  ///< positive, Q2.30 scale
-  int shift = 0;              ///< extra right shift; negative shifts left
-  std::int32_t c_zero = 0;    ///< output zero point, added after scaling
-  std::int32_t a_zero = 0;    ///< input zero points: value = stored - zero
-  std::int32_t b_zero = 0;
+  int shift = 0;                  ///< right shift in [-30, 31]
   std::int32_t qmin = INT32_MIN;  ///< saturation bounds of the output grid
   std::int32_t qmax = INT32_MAX;
-  const std::int32_t* row_multipliers = nullptr;  ///< optional, length m
-  const int* row_shifts = nullptr;                ///< optional, length m
   const std::int32_t* bias = nullptr;  ///< optional per-row int32 bias at
                                        ///< accumulator scale, length m
 };
 
-/// Requantize a single raw accumulator with `rq` (using the per-tensor
-/// multiplier/shift) — the exact scalar applied to every output element.
-/// Zero-point compensation and bias are not included; pass them in `acc`.
+/// Requantize a single raw accumulator with `rq`'s shift and bounds — the
+/// exact scalar applied to every output element. Bias is not included; pass
+/// it in `acc`.
 std::int32_t qgemm_requantize(std::int64_t acc, const QGemmRequant& rq);
 
 /// Largest K for which exact int32 accumulation of products of operands with
 /// the given significant bit widths (including sign) cannot wrap.
 std::int64_t qgemm_max_k(int bits_a, int bits_b);
 
-/// C[m,n] (+)= op(A)[m,k] * op(B)[k,n], raw int32 accumulation, no requant.
-/// accumulate=false overwrites C, accumulate=true adds into it.
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int8_t* a, std::int64_t lda,
-               const std::int8_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate);
-void qgemm_i32(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-               std::int64_t k, const std::int16_t* a, std::int64_t lda,
-               const std::int16_t* b, std::int64_t ldb, std::int32_t* c,
-               std::int64_t ldc, bool accumulate);
-
-/// C[m,n] = requant(op(A)[m,k] * op(B)[k,n]) per `rq`.
+/// C[m,n] = requant(op(A)[m,k] * op(B)[k,n]) per `rq`. shift = 0 with the
+/// default bounds returns the raw int32 accumulators.
 void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
            const std::int8_t* a, std::int64_t lda, const std::int8_t* b,
            std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
@@ -116,61 +88,34 @@ void qgemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
            std::int64_t ldb, std::int32_t* c, std::int64_t ldc,
            const QGemmRequant& rq);
 
-/// Strided batch of requantizing GEMMs: for i in [0, batch):
-///   C_i = requant(op(A_i) * op(B_i))
-/// with A_i = a + i*stride_a etc. Strides are in elements and may interleave,
-/// matching gemm_batch (the capsule vote-product layout).
-void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const std::int8_t* a, std::int64_t lda,
-                 std::int64_t stride_a, const std::int8_t* b, std::int64_t ldb,
-                 std::int64_t stride_b, std::int32_t* c, std::int64_t ldc,
-                 std::int64_t stride_c, std::int64_t batch,
-                 const QGemmRequant& rq);
-void qgemm_batch(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                 std::int64_t k, const std::int16_t* a, std::int64_t lda,
-                 std::int64_t stride_a, const std::int16_t* b,
-                 std::int64_t ldb, std::int64_t stride_b, std::int32_t* c,
-                 std::int64_t ldc, std::int64_t stride_c, std::int64_t batch,
-                 const QGemmRequant& rq);
-
-/// Affine scatter destination for the fused requantize+scatter epilogue
-/// (qgemm_scatter / qgemm_batch_scatter): output element (i, j) of the
-/// logical m x n result is requantized and stored, in the destination's
-/// container Out (int8, int16 or int64), at
+/// Affine scatter destination of qgemm_batch_scatter: element (i, j) of the
+/// logical m x n result of batch item b is requantized and stored, in the
+/// destination's container Out (int8, int16 or int64), at
 ///
-///   dst[(i / row_inner) * row_outer_stride
-///       + (i % row_inner) * row_inner_stride
+///   dst[b * batch_stride + i * row_stride
 ///       + (j / col_inner) * col_outer_stride
 ///       + (j % col_inner) * col_inner_stride]
 ///
-/// Splitting each output axis into two strided sub-axes expresses the
-/// capsule permutations (the j-major [R, Nout, Nin, D] votes layout) without
-/// a separate copy pass over a dense result. The requant's [qmin, qmax] must
+/// Splitting the column axis into two strided sub-axes expresses the capsule
+/// vote permutation (the j-major [R, Nout, Nin, D] layout) without a
+/// separate copy pass over a dense result. The requant's [qmin, qmax] must
 /// fit Out; the store is then exact.
 template <typename Out>
 struct QGemmScatterDst {
   Out* dst = nullptr;
-  std::int64_t row_inner = 1;  ///< i splits as (i / row_inner, i % row_inner)
-  std::int64_t row_outer_stride = 0;
-  std::int64_t row_inner_stride = 0;
+  std::int64_t row_stride = 0;
   std::int64_t col_inner = 1;  ///< j splits as (j / col_inner, j % col_inner)
   std::int64_t col_outer_stride = 0;
   std::int64_t col_inner_stride = 0;
-  std::int64_t batch_stride = 0;  ///< dst advance per qgemm_batch_scatter item
+  std::int64_t batch_stride = 0;  ///< dst advance per batch item
 };
 
-/// Scattered variant of qgemm: requant(op(A)[m,k] * op(B)[k,n]) per `rq`,
-/// each element written straight to `sd` (see QGemmScatterDst) instead of a
-/// dense int32 C. Bit-identical to qgemm followed by a scatter. T is int8_t
-/// or int16_t; Out is int8_t, int16_t or int64_t.
-template <typename T, typename Out>
-void qgemm_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
-                   std::int64_t k, const T* a, std::int64_t lda, const T* b,
-                   std::int64_t ldb, const QGemmRequant& rq,
-                   const QGemmScatterDst<Out>& sd);
-
-/// Strided batch of scattered requantizing GEMMs: item i reads
-/// a + i*stride_a / b + i*stride_b and writes to sd.dst + i*sd.batch_stride.
+/// Strided batch of scattered requantizing GEMMs: item i computes
+/// requant(op(A_i) * op(B_i)) per `rq` with A_i = a + i*stride_a and
+/// B_i = b + i*stride_b (strides in elements; they may interleave, the
+/// capsule vote-product layout) and stores it through `sd` (see
+/// QGemmScatterDst). Bit-identical to qgemm followed by a scatter. T is
+/// int8_t or int16_t; Out is int8_t, int16_t or int64_t.
 template <typename T, typename Out>
 void qgemm_batch_scatter(Trans ta, Trans tb, std::int64_t m, std::int64_t n,
                          std::int64_t k, const T* a, std::int64_t lda,
@@ -214,10 +159,9 @@ using QGemmTileFn = std::function<void(std::int64_t j0, std::int64_t nr,
 /// into its own layout and container (the convolutions write their planes,
 /// the capsule convolution squashes there). It computes a column range on
 /// the calling thread with no OpenMP region of its own, so callers split
-/// images or columns across their own team. Zero points must be 0; the
-/// exactness contract is qgemm's (sum_k |a||b| < 2^31). `rq`'s per-row
-/// arrays, if any, must outlive the object. Bit-identical to qgemm on the
-/// materialized im2col matrix, on every tier.
+/// images or columns across their own team. The exactness contract is
+/// qgemm's (sum_k |a||b| < 2^31). Bit-identical to qgemm on the materialized
+/// im2col matrix, on every tier.
 template <typename T>
 class QGemmDirect {
  public:
@@ -235,7 +179,7 @@ class QGemmDirect {
   QGemmRequant rq_;
   std::vector<std::int8_t> a8_;    // VNNI quad panels
   std::vector<std::int16_t> a16_;  // pair panels of the other tiers
-  std::vector<std::int64_t> base_;  // per-row requant base (empty: none)
+  std::vector<std::int64_t> base_;  // per-row requant base
 };
 
 }  // namespace qcaps::tensor

@@ -42,7 +42,7 @@ QTensor random_q(common::Rng& rng, tensor::Shape shape, fixed::FixedFormat fmt,
 
 // The legacy vote product exactly as the ShallowCaps deployment computed
 // it before the qgemm rewire (PR 2): scalar int64 loops + rescale_raw. Kept
-// verbatim as the regression oracle for the new qgemm_batch path.
+// verbatim as the regression oracle for the qgemm_batch_scatter path.
 QTensor legacy_vote_transform(const QTensor& u, const QTensor& w,
                               fixed::FixedFormat out_fmt) {
   const std::int64_t b = u.dim(0), nin = u.dim(1), din = u.dim(2);
@@ -904,8 +904,9 @@ TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
 
 TEST(QEngineVotes, QGemmPathIdenticalToLegacyLoopAtQ88) {
   // The regression lock the rewire rides on: at the paper's Q8.8-style
-  // wordlengths the qgemm_batch vote product must reproduce the legacy
-  // scalar path raw-for-raw, so downstream routing logits are *identical*.
+  // wordlengths the qgemm_batch_scatter vote product must reproduce the
+  // legacy scalar path raw-for-raw, so downstream routing logits are
+  // *identical*.
   common::Rng rng(34);
   const fixed::FixedFormat act(8, 8), wf(8, 8), act3(2, 10), dr(3, 8);
   const std::int64_t b = 3, nin = 24, din = 8, nout = 4, dout = 6;

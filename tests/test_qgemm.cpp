@@ -1,12 +1,12 @@
 // Oracle tests for the packed integer GEMM backend (tensor/qgemm.hpp).
 //
-// Everything here is exact: qgemm must match the naive int64 reference
-// (testutil::qgemm_naive) bit for bit — at every supported dispatch level
-// (scalar, avx2, avx512, vnni), all four transpose variants, edge shapes that
-// exercise partial register tiles and cache-block boundaries, strided
-// batches, saturation-boundary inputs, zero points at the extremes, per-row
-// requantization, and any thread count. Mirrors tests/test_gemm.cpp for the
-// float backend.
+// Everything here is exact: qgemm, qgemm_batch_scatter and QGemmDirect must
+// match the naive int64 reference (testutil::qgemm_naive) bit for bit — at
+// every supported dispatch level (scalar, avx2, avx512, vnni), all four
+// transpose variants, edge shapes that exercise partial register tiles and
+// cache-block boundaries, strided batches, saturation-boundary inputs, every
+// requant shift in [-30, 31] with and without bias, and any thread count.
+// Mirrors tests/test_gemm.cpp for the float backend.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -34,7 +34,7 @@ namespace {
 
 using testutil::qgemm_acc_naive;
 using testutil::qgemm_naive;
-using testutil::requant_naive;
+using testutil::requant_acc_naive;
 
 // Shapes chosen to hit the microkernel edge cases: 1x1, m/n/k = 1, odd K
 // (the packed K-pair tail), tails not divisible by the 6x16 tile, and one
@@ -77,6 +77,34 @@ std::vector<T> transposed(const std::vector<T>& src, std::int64_t r,
   return out;
 }
 
+std::vector<std::int32_t> random_bias(common::Rng& rng, std::int64_t m,
+                                      int bound) {
+  std::vector<std::int32_t> v(static_cast<std::size_t>(m));
+  for (auto& x : v)
+    x = static_cast<std::int32_t>(rng.uniform_index(2 * bound + 1)) - bound;
+  return v;
+}
+
+// fn(rq) for every shift in [-30, 31], without and with `bias`, on the
+// given output rails.
+template <typename F>
+void for_each_requant(const std::int32_t* bias, std::int32_t qmin,
+                      std::int32_t qmax, const F& fn) {
+  for (int shift = -30; shift <= 31; ++shift)
+    for (const std::int32_t* b : {static_cast<const std::int32_t*>(nullptr),
+                                  bias}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shift=" << shift << (b ? " bias" : "") << " rails ["
+                   << qmin << ", " << qmax << "]");
+      QGemmRequant rq;
+      rq.shift = shift;
+      rq.qmin = qmin;
+      rq.qmax = qmax;
+      rq.bias = b;
+      fn(rq);
+    }
+}
+
 // The QGemmAllKernels tests run at every dispatch level this machine has
 // (testutil::for_each_isa). All of them must agree with the oracle (and
 // therefore with each other) bit for bit.
@@ -94,24 +122,25 @@ TEST(QGemmAllKernels, AllTransposeVariantsBitExactI32) {
       const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
                                         a.data(), s.k, b.data(), s.n);
       std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
+      const QGemmRequant raw;  // shift 0 on int32 rails: the accumulators
 
-      qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
-                s.n, c.data(), s.n, false);
+      qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+            c.data(), s.n, raw);
       for (std::size_t i = 0; i < c.size(); ++i)
         ASSERT_EQ(c[i], want[i]) << "NN flat " << i;
 
-      qgemm_i32(Trans::kT, Trans::kN, s.m, s.n, s.k, at.data(), s.m, b.data(),
-                s.n, c.data(), s.n, false);
+      qgemm(Trans::kT, Trans::kN, s.m, s.n, s.k, at.data(), s.m, b.data(), s.n,
+            c.data(), s.n, raw);
       for (std::size_t i = 0; i < c.size(); ++i)
         ASSERT_EQ(c[i], want[i]) << "TN flat " << i;
 
-      qgemm_i32(Trans::kN, Trans::kT, s.m, s.n, s.k, a.data(), s.k, bt.data(),
-                s.k, c.data(), s.n, false);
+      qgemm(Trans::kN, Trans::kT, s.m, s.n, s.k, a.data(), s.k, bt.data(), s.k,
+            c.data(), s.n, raw);
       for (std::size_t i = 0; i < c.size(); ++i)
         ASSERT_EQ(c[i], want[i]) << "NT flat " << i;
 
-      qgemm_i32(Trans::kT, Trans::kT, s.m, s.n, s.k, at.data(), s.m, bt.data(),
-                s.k, c.data(), s.n, false);
+      qgemm(Trans::kT, Trans::kT, s.m, s.n, s.k, at.data(), s.m, bt.data(), s.k,
+            c.data(), s.n, raw);
       for (std::size_t i = 0; i < c.size(); ++i)
         ASSERT_EQ(c[i], want[i]) << "TT flat " << i;
     }
@@ -127,21 +156,19 @@ TEST(QGemmAllKernels, RequantizedOutputBitExact) {
                    << "m=" << s.m << " k=" << s.k << " n=" << s.n);
       const auto a = random_i8(rng, s.m * s.k);
       const auto b = random_i8(rng, s.k * s.n);
-      QGemmRequant rq;
-      // Random non-power-of-two multiplier in [2^29, 2^30), random shift.
-      rq.multiplier = static_cast<std::int32_t>(
-          (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-      rq.shift = static_cast<int>(rng.uniform_index(9));
-      rq.c_zero = static_cast<std::int32_t>(rng.uniform_index(17)) - 8;
-      rq.qmin = -128;
-      rq.qmax = 127;
-      const auto want = qgemm_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
-                                    a.data(), s.k, b.data(), s.n, rq);
+      const auto bias = random_bias(rng, s.m, 20000);
+      const auto acc = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
+                                       a.data(), s.k, b.data(), s.n);
       std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
-      qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
-            c.data(), s.n, rq);
-      for (std::size_t i = 0; i < c.size(); ++i)
-        ASSERT_EQ(c[i], want[i]) << "flat " << i;
+      const auto check = [&](const QGemmRequant& rq) {
+        const auto want = requant_acc_naive(acc, s.m, s.n, rq);
+        qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
+              s.n, c.data(), s.n, rq);
+        for (std::size_t i = 0; i < c.size(); ++i)
+          ASSERT_EQ(c[i], want[i]) << "flat " << i;
+      };
+      for_each_requant(bias.data(), -128, 127, check);
+      for_each_requant(bias.data(), INT32_MIN, INT32_MAX, check);
     }
   });
 }
@@ -176,68 +203,6 @@ TEST(QGemmAllKernels, SaturationBoundaryInputs) {
     }
     EXPECT_TRUE(clipped_lo) << "test vectors never hit qmin";
     EXPECT_TRUE(clipped_hi) << "test vectors never hit qmax";
-  });
-}
-
-TEST(QGemmAllKernels, ZeroPointsAtExtremes) {
-  testutil::for_each_isa([](common::Isa) {
-    common::Rng rng(23);
-    const std::int64_t m = 11, k = 23, n = 19;
-    const auto a = random_i8(rng, m * k);
-    const auto b = random_i8(rng, k * n);
-    for (const int za : {-128, 0, 127}) {
-      for (const int zb : {-128, 1, 127}) {
-        SCOPED_TRACE(::testing::Message() << "za=" << za << " zb=" << zb);
-        QGemmRequant rq;
-        rq.a_zero = za;
-        rq.b_zero = zb;
-        rq.shift = 4;
-        rq.c_zero = -3;
-        rq.qmin = -(std::int32_t{1} << 20);
-        rq.qmax = (std::int32_t{1} << 20) - 1;
-        const auto want = qgemm_naive(Trans::kN, Trans::kT, m, n, k, a.data(),
-                                      k, b.data(), k, rq);
-        std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-        qgemm(Trans::kN, Trans::kT, m, n, k, a.data(), k, b.data(), k, c.data(),
-              n, rq);
-        for (std::size_t i = 0; i < c.size(); ++i)
-          ASSERT_EQ(c[i], want[i]) << "flat " << i;
-      }
-    }
-  });
-}
-
-TEST(QGemmAllKernels, PerRowRequantAndBias) {
-  testutil::for_each_isa([](common::Isa) {
-    common::Rng rng(24);
-    const std::int64_t m = 13, k = 29, n = 31;
-    const auto a = random_i8(rng, m * k);
-    const auto b = random_i8(rng, k * n);
-    std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
-    std::vector<int> shift(static_cast<std::size_t>(m));
-    std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
-    for (std::int64_t i = 0; i < m; ++i) {
-      mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-          (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-      shift[static_cast<std::size_t>(i)] =
-          static_cast<int>(rng.uniform_index(7));
-      bias[static_cast<std::size_t>(i)] =
-          static_cast<std::int32_t>(rng.uniform_index(4001)) - 2000;
-    }
-    QGemmRequant rq;
-    rq.row_multipliers = mult.data();
-    rq.row_shifts = shift.data();
-    rq.bias = bias.data();
-    rq.qmin = -128;
-    rq.qmax = 127;
-    const auto want =
-        qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
-                    rq);
-    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-    qgemm(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(), n,
-          rq);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], want[i]) << "flat " << i;
   });
 }
 
@@ -287,8 +252,8 @@ TEST(QGemmAllKernels, Int16OperandsBitExact) {
       const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, s.m, s.n, s.k,
                                         a.data(), s.k, b.data(), s.n);
       std::vector<std::int32_t> c(static_cast<std::size_t>(s.m * s.n));
-      qgemm_i32(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(),
-                s.n, c.data(), s.n, false);
+      qgemm(Trans::kN, Trans::kN, s.m, s.n, s.k, a.data(), s.k, b.data(), s.n,
+            c.data(), s.n, QGemmRequant{});  // shift 0, int32 rails
       for (std::size_t i = 0; i < c.size(); ++i)
         ASSERT_EQ(c[i], want[i]) << "flat " << i;
 
@@ -306,34 +271,12 @@ TEST(QGemmAllKernels, Int16OperandsBitExact) {
   });
 }
 
-TEST(QGemmAllKernels, AccumulateAddsIntoC) {
-  testutil::for_each_isa([](common::Isa) {
-    common::Rng rng(26);
-    const std::int64_t m = 7, k = 13, n = 17;
-    const auto a = random_i8(rng, m * k);
-    const auto b = random_i8(rng, k * n);
-    const auto want = qgemm_acc_naive(Trans::kN, Trans::kN, m, n, k, a.data(),
-                                      k, b.data(), n);
-    std::vector<std::int32_t> c(static_cast<std::size_t>(m * n));
-    for (std::size_t i = 0; i < c.size(); ++i)
-      c[i] = static_cast<std::int32_t>(rng.uniform_index(2001)) - 1000;
-    const std::vector<std::int32_t> base = c;
-    qgemm_i32(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, c.data(),
-              n, /*accumulate=*/true);
-    for (std::size_t i = 0; i < c.size(); ++i)
-      ASSERT_EQ(c[i], base[i] + want[i]) << "flat " << i;
-  });
-}
-
-TEST(QGemmAllKernels, KZeroZeroesOrKeepsC) {
+TEST(QGemmAllKernels, KZeroZeroesC) {
   testutil::for_each_isa([](common::Isa) {
     std::vector<std::int32_t> c = {1, 2, 3, 4, 5, 6};
     const std::int8_t dummy = 0;
-    qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
-              /*accumulate=*/true);
-    EXPECT_EQ(c[0], 1);
-    qgemm_i32(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
-              /*accumulate=*/false);
+    qgemm(Trans::kN, Trans::kN, 2, 3, 0, &dummy, 0, &dummy, 3, c.data(), 3,
+          QGemmRequant{});
     for (const auto v : c) EXPECT_EQ(v, 0);
   });
 }
@@ -342,7 +285,7 @@ TEST(QGemmAllKernels, StridedBatchInterleavedLikeCapsuleVotes) {
   testutil::for_each_isa([](common::Isa) {
     // The capsule vote layout: u [B, Nin, Din], w [Nin, JD, Din], votes
     // [B, Nin, JD]; the batch runs over Nin with strides smaller than the
-    // matrix extents.
+    // matrix extents, and the destination interleaves the same way.
     common::Rng rng(27);
     const std::int64_t bsz = 4, nin = 3, din = 7, jd = 10;
     const auto u = random_i8(rng, bsz * nin * din);
@@ -351,9 +294,14 @@ TEST(QGemmAllKernels, StridedBatchInterleavedLikeCapsuleVotes) {
     rq.shift = 3;
     rq.qmin = -512;
     rq.qmax = 511;
-    std::vector<std::int32_t> votes(static_cast<std::size_t>(bsz * nin * jd));
-    qgemm_batch(Trans::kN, Trans::kT, bsz, jd, din, u.data(), nin * din, din,
-                w.data(), din, jd * din, votes.data(), nin * jd, jd, nin, rq);
+    std::vector<std::int16_t> votes(static_cast<std::size_t>(bsz * nin * jd));
+    QGemmScatterDst<std::int16_t> sd;
+    sd.dst = votes.data();
+    sd.row_stride = nin * jd;
+    sd.col_outer_stride = 1;
+    sd.batch_stride = jd;
+    qgemm_batch_scatter(Trans::kN, Trans::kT, bsz, jd, din, u.data(), nin * din,
+                        din, w.data(), din, jd * din, nin, rq, sd);
     for (std::int64_t i = 0; i < nin; ++i) {
       // Gather the i-th slice and run the 2-D oracle on it.
       std::vector<std::int8_t> ui(static_cast<std::size_t>(bsz * din));
@@ -378,41 +326,37 @@ TEST(QGemmAllKernels, StridedBatchInterleavedLikeCapsuleVotes) {
 
 TEST(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
   testutil::for_each_isa([](common::Isa) {
-    // qgemm_scatter = qgemm into a dense C, then store each element into the
-    // affine-scattered destination's container. Exercise both axis splits: the vote layout
-    // splits columns (j -> (nout, dout)), the grouped ConvCaps3d layout splits
-    // rows (i -> (nout, dout)).
+    // A one-item qgemm_batch_scatter = qgemm into a dense C, then store each
+    // element into the affine-scattered destination's container. The column
+    // split j -> (j / 4, j % 4) is the vote layout's (nout, dout) split.
     common::Rng rng(31);
     const std::int64_t m = 12, k = 29, n = 20;
     const auto a = random_i8(rng, m * k);
     const auto b = random_i8(rng, k * n);
+    const auto bias = random_bias(rng, m, 4000);
     QGemmRequant rq;
-    rq.multiplier = (std::int32_t{1} << 29) + 54321;
     rq.shift = 5;
-    rq.c_zero = 2;
-    rq.a_zero = -7;
-    rq.b_zero = 3;
+    rq.bias = bias.data();
     rq.qmin = -128;
     rq.qmax = 127;
     const auto want =
         qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n,
                     rq);
 
-    // Column split: j = (jo, ji) with ji in [0, 4); element (i, jo, ji) lands
-    // at dst[ji * (n/4 * m) + jo * m + i] — a [4, n/4, m] layout. The
-    // [-128, 127] requant grid fits every destination container.
+    // Element (i, jo, ji) lands at dst[ji * (n/4 * m) + jo * m + i] — a
+    // [4, n/4, m] layout. The [-128, 127] requant grid fits every
+    // destination container.
     const auto column_split = [&](auto fill) {
       using Out = decltype(fill);
       std::vector<Out> dst(static_cast<std::size_t>(m * n), fill);
       QGemmScatterDst<Out> sd;
       sd.dst = dst.data();
-      sd.row_inner = 1;
-      sd.row_outer_stride = 1;
+      sd.row_stride = 1;
       sd.col_inner = 4;
       sd.col_outer_stride = m;
       sd.col_inner_stride = (n / 4) * m;
-      qgemm_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq,
-                    sd);
+      qgemm_batch_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, 0,
+                          b.data(), n, 0, 1, rq, sd);
       for (std::int64_t i = 0; i < m; ++i)
         for (std::int64_t j = 0; j < n; ++j)
           ASSERT_EQ(dst[static_cast<std::size_t>((j % 4) * (n / 4) * m +
@@ -423,65 +367,49 @@ TEST(QGemmAllKernels, ScatterEpilogueMatchesDenseRequantPlusPermute) {
     column_split(std::int64_t{-999});
     column_split(std::int16_t{-999});
     column_split(std::int8_t{99});
-
-    // Row split: i = (io, ii) with ii in [0, 3); element (io, ii, j) lands at
-    // dst[j * m + ii * (m / 3) + io] — a [n, 3, m/3] layout.
-    {
-      std::vector<std::int64_t> dst(static_cast<std::size_t>(m * n),
-                                    std::int64_t{-999});
-      QGemmScatterDst<std::int64_t> sd;
-      sd.dst = dst.data();
-      sd.row_inner = 3;
-      sd.row_outer_stride = 1;
-      sd.row_inner_stride = m / 3;
-      sd.col_inner = 1;
-      sd.col_outer_stride = m;
-      qgemm_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k, b.data(), n, rq,
-                    sd);
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t j = 0; j < n; ++j)
-          ASSERT_EQ(dst[static_cast<std::size_t>(j * m + (i % 3) * (m / 3) +
-                                                 i / 3)],
-                    want[static_cast<std::size_t>(i * n + j)])
-              << "i=" << i << " j=" << j;
-    }
   });
 }
 
-TEST(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
-  testutil::for_each_isa([](common::Isa) {
-    // The vote-transform fusion target: per input capsule i (the batch axis),
-    // votes [B, JD] scatter into the j-major [B, Nout, Nin, Dout] layout.
-    common::Rng rng(32);
-    const std::int64_t bsz = 3, nin = 5, din = 7, nout = 4, dout = 2;
-    const std::int64_t jd = nout * dout;
-    const auto u = random_i8(rng, bsz * nin * din);
-    const auto w = random_i8(rng, nin * jd * din);
-    QGemmRequant rq;
-    rq.shift = 3;
-    rq.qmin = -512;
-    rq.qmax = 511;
-    std::vector<std::int64_t> votes(
-        static_cast<std::size_t>(bsz * nout * nin * dout), std::int64_t{-999});
-    QGemmScatterDst<std::int64_t> sd;
+// The vote-transform fusion target: per input capsule i (the batch axis),
+// votes [B, JD] scatter into the j-major [B, Nout, Nin, Dout] layout of
+// container Out, at every shift, without and with bias, on rails [qmin,
+// qmax] that fit Out.
+template <typename Out>
+void check_votes_j_major(std::int32_t qmin, std::int32_t qmax) {
+  SCOPED_TRACE(::testing::Message() << sizeof(Out) << "-byte votes");
+  common::Rng rng(32);
+  // JD = 15 columns: one full 8-lane step and a masked tail per row.
+  const std::int64_t bsz = 3, nin = 5, din = 7, nout = 5, dout = 3;
+  const std::int64_t jd = nout * dout;
+  const auto u = random_i8(rng, bsz * nin * din);
+  const auto w = random_i8(rng, nin * jd * din);
+  const auto bias = random_bias(rng, bsz, 2000);
+  std::vector<std::vector<std::int64_t>> acc;  // per input capsule i
+  for (std::int64_t i = 0; i < nin; ++i) {
+    std::vector<std::int8_t> ui(static_cast<std::size_t>(bsz * din));
+    for (std::int64_t bb = 0; bb < bsz; ++bb)
+      for (std::int64_t d = 0; d < din; ++d)
+        ui[static_cast<std::size_t>(bb * din + d)] =
+            u[static_cast<std::size_t>((bb * nin + i) * din + d)];
+    acc.push_back(qgemm_acc_naive(Trans::kN, Trans::kT, bsz, jd, din,
+                                  ui.data(), din, w.data() + i * jd * din,
+                                  din));
+  }
+  for_each_requant(bias.data(), qmin, qmax, [&](const QGemmRequant& rq) {
+    std::vector<Out> votes(static_cast<std::size_t>(bsz * nout * nin * dout),
+                           Out{-99});
+    QGemmScatterDst<Out> sd;
     sd.dst = votes.data();
     sd.batch_stride = dout;
-    sd.row_inner = 1;
-    sd.row_outer_stride = nout * nin * dout;
+    sd.row_stride = nout * nin * dout;
     sd.col_inner = dout;
     sd.col_outer_stride = nin * dout;
     sd.col_inner_stride = 1;
-    qgemm_batch_scatter(Trans::kN, Trans::kT, bsz, jd, din, u.data(), nin * din,
-                        din, w.data(), din, jd * din, nin, rq, sd);
+    qgemm_batch_scatter(Trans::kN, Trans::kT, bsz, jd, din, u.data(),
+                        nin * din, din, w.data(), din, jd * din, nin, rq, sd);
     for (std::int64_t i = 0; i < nin; ++i) {
-      std::vector<std::int8_t> ui(static_cast<std::size_t>(bsz * din));
-      for (std::int64_t bb = 0; bb < bsz; ++bb)
-        for (std::int64_t d = 0; d < din; ++d)
-          ui[static_cast<std::size_t>(bb * din + d)] =
-              u[static_cast<std::size_t>((bb * nin + i) * din + d)];
-      const auto want =
-          qgemm_naive(Trans::kN, Trans::kT, bsz, jd, din, ui.data(), din,
-                      w.data() + i * jd * din, din, rq);
+      const auto want = requant_acc_naive(acc[static_cast<std::size_t>(i)],
+                                          bsz, jd, rq);
       for (std::int64_t bb = 0; bb < bsz; ++bb)
         for (std::int64_t j = 0; j < nout; ++j)
           for (std::int64_t d = 0; d < dout; ++d)
@@ -490,6 +418,14 @@ TEST(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
                       want[static_cast<std::size_t>(bb * jd + j * dout + d)])
                 << "i=" << i << " b=" << bb << " j=" << j << " d=" << d;
     }
+  });
+}
+
+TEST(QGemmAllKernels, BatchScatterLandsVotesJMajor) {
+  testutil::for_each_isa([](common::Isa) {
+    check_votes_j_major<std::int8_t>(-128, 127);
+    check_votes_j_major<std::int16_t>(-32768, 32767);
+    check_votes_j_major<std::int64_t>(INT32_MIN, INT32_MAX);
   });
 }
 
@@ -556,15 +492,15 @@ std::vector<GatherCols> gather_cols(std::int64_t n) {
 }
 
 // QGemmDirect against the naive oracle on the matrix its gather describes,
-// B(p, j) = src[p * pitch + col[j]], for every pattern of gather_cols. K =
-// 600 crosses the direct path's 512-row K block, m and n leave partial tiles
-// and strips, and the columns run in two calls split mid-strip. `value`
-// draws the source elements.
+// B(p, j) = src[p * pitch + col[j]], for every pattern of gather_cols and
+// every requant of `rqs`. K = 600 crosses the direct path's 512-row K block,
+// m and n leave partial tiles and strips, and the columns run in two calls
+// split mid-strip. `value` draws the source elements.
 template <typename T, typename Value>
 void check_direct_gather(const std::vector<T>& a, std::int64_t m,
                          std::int64_t k, std::int64_t n,
-                         const QGemmRequant& rq, const Value& value) {
-  const QGemmDirect<T> gemm(a.data(), m, k, rq);
+                         const std::vector<QGemmRequant>& rqs,
+                         const Value& value) {
   for (const GatherCols& gc : gather_cols(n)) {
     SCOPED_TRACE(gc.name);
     const std::vector<std::int64_t>& col = gc.col;
@@ -579,28 +515,37 @@ void check_direct_gather(const std::vector<T>& a, std::int64_t m,
         bp[static_cast<std::size_t>(p * n + j)] =
             src.data()[p * pitch + col[static_cast<std::size_t>(j)]];
     }
-    const auto want = qgemm_naive(Trans::kN, Trans::kN, m, n, k, a.data(), k,
-                                  bp.data(), n, rq);
+    const auto acc = qgemm_acc_naive(Trans::kN, Trans::kN, m, n, k, a.data(),
+                                     k, bp.data(), n);
     const QGemmGatherB<T> gb{src.data(), tap.data(), col.data()};
     const std::int64_t mid = std::min<std::int64_t>(37, n);
+    for (const QGemmRequant& rq : rqs) {
+      SCOPED_TRACE(::testing::Message()
+                   << "shift=" << rq.shift << (rq.bias ? " bias" : "")
+                   << " rails [" << rq.qmin << ", " << rq.qmax << "]");
+      const auto want = requant_acc_naive(acc, m, n, rq);
+      const QGemmDirect<T> gemm(a.data(), m, k, rq);
 
-    // One requantized strip of at most 32 columns per call, in column order.
-    std::vector<std::int64_t> tiles(static_cast<std::size_t>(m * n), -999);
-    std::int64_t next = 0;
-    const auto consume = [&](std::int64_t j0, std::int64_t nr,
-                             const std::int32_t* tile, std::int64_t ld) {
-      ASSERT_EQ(j0, next);
-      ASSERT_TRUE(nr >= 1 && nr <= 32);
-      next = j0 + nr;
-      for (std::int64_t i = 0; i < m; ++i)
-        for (std::int64_t jj = 0; jj < nr; ++jj)
-          tiles[static_cast<std::size_t>(i * n + j0 + jj)] = tile[i * ld + jj];
-    };
-    gemm.run_tiles(gb, 0, mid, consume);
-    gemm.run_tiles(gb, mid, n, consume);
-    EXPECT_EQ(next, n);
-    for (std::size_t i = 0; i < tiles.size(); ++i)
-      ASSERT_EQ(tiles[i], want[i]) << "tile flat " << i;
+      // One requantized strip of at most 32 columns per call, in column
+      // order.
+      std::vector<std::int64_t> tiles(static_cast<std::size_t>(m * n), -999);
+      std::int64_t next = 0;
+      const auto consume = [&](std::int64_t j0, std::int64_t nr,
+                               const std::int32_t* tile, std::int64_t ld) {
+        ASSERT_EQ(j0, next);
+        ASSERT_TRUE(nr >= 1 && nr <= 32);
+        next = j0 + nr;
+        for (std::int64_t i = 0; i < m; ++i)
+          for (std::int64_t jj = 0; jj < nr; ++jj)
+            tiles[static_cast<std::size_t>(i * n + j0 + jj)] =
+                tile[i * ld + jj];
+      };
+      gemm.run_tiles(gb, 0, mid, consume);
+      gemm.run_tiles(gb, mid, n, consume);
+      EXPECT_EQ(next, n);
+      for (std::size_t i = 0; i < tiles.size(); ++i)
+        ASSERT_EQ(tiles[i], want[i]) << "tile flat " << i;
+    }
   }
 }
 
@@ -613,32 +558,27 @@ TEST(QGemmAllKernels, DirectGatherMatchesNaive) {
       return static_cast<std::int8_t>(
           static_cast<int>(rng.uniform_index(256)) - 128);
     };
-    std::vector<std::int32_t> mult(static_cast<std::size_t>(m));
-    std::vector<int> shift(static_cast<std::size_t>(m));
-    std::vector<std::int32_t> bias(static_cast<std::size_t>(m));
-    for (std::int64_t i = 0; i < m; ++i) {
-      mult[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-          (std::int64_t{1} << 29) + rng.uniform_index(std::uint64_t{1} << 29));
-      shift[static_cast<std::size_t>(i)] =
-          static_cast<int>(rng.uniform_index(9)) - 2;
-      bias[static_cast<std::size_t>(i)] =
-          static_cast<std::int32_t>(rng.uniform_index(40001)) - 20000;
+    const auto bias = random_bias(rng, m, 20000);
+    // Every shift without and with bias on int32 rails, and random shifts
+    // with bias on narrow rails.
+    std::vector<QGemmRequant> rqs;
+    for_each_requant(bias.data(), INT32_MIN, INT32_MAX,
+                     [&](const QGemmRequant& rq) { rqs.push_back(rq); });
+    for (int r = 0; r < 4; ++r) {
+      QGemmRequant rq;
+      rq.shift = static_cast<int>(rng.uniform_index(11)) - 2;
+      rq.bias = bias.data();
+      rq.qmin = -3000;
+      rq.qmax = 3000;
+      rqs.push_back(rq);
     }
-    QGemmRequant rq;  // unit multiplier: the vector epilogue on AVX-512
-    rq.row_shifts = shift.data();
-    rq.bias = bias.data();
-    rq.c_zero = 3;
-    rq.qmin = -3000;
-    rq.qmax = 3000;
-    check_direct_gather(a, m, k, n, rq, b8);
-    rq.row_multipliers = mult.data();  // general multipliers: requant_one
-    check_direct_gather(a, m, k, n, rq, b8);
+    check_direct_gather(a, m, k, n, rqs, b8);
 
     const auto a16 = random_i16(rng, m * k, 300);
     QGemmRequant rq16;
     rq16.shift = 7;
     rq16.bias = bias.data();
-    check_direct_gather(a16, m, k, n, rq16, [&] {
+    check_direct_gather(a16, m, k, n, {rq16}, [&] {
       return static_cast<std::int16_t>(
           static_cast<int>(rng.uniform_index(601)) - 300);
     });
@@ -653,20 +593,13 @@ TEST(QGemmAllKernels, DirectLongKStaysExact) {
     // 70000 * -128 * 127, is not.
     const std::int64_t m = 2, k = 70000, n = 3;
     const std::vector<std::int8_t> a(static_cast<std::size_t>(m * k), -128);
-    QGemmRequant rq;
-    check_direct_gather(a, m, k, n, rq, [] { return std::int8_t{127}; });
+    check_direct_gather(a, m, k, n, {QGemmRequant{}},
+                        [] { return std::int8_t{127}; });
   });
 }
 
-TEST(QGemmGuards, DirectRejectsZeroPoints) {
-  const std::vector<std::int8_t> a(12, 1);
-  QGemmRequant rq;
-  rq.a_zero = 1;
-  EXPECT_THROW(QGemmDirect<std::int8_t>(a.data(), 3, 4, rq), qcaps::Error);
-}
-
 TEST(QGemmRequantize, MatchesRescaleRawOnExactProducts) {
-  // Unit multiplier + shift is the fixed-point rescale: bit-identical to
+  // The rounded shift is the fixed-point rescale: bit-identical to
   // hwmodel::rescale_raw(acc, from_qf, out_fmt, kRoundToNearest), including
   // negative accumulators, rounding ties, and saturation.
   const fixed::FixedFormat out(3, 4);
@@ -698,7 +631,7 @@ TEST(QGemmRequantize, NegativeShiftIsExactLeftShift) {
 TEST(QGemmMaxK, BoundsMatchAccumulatorWidth) {
   // 8-bit operands: k * 2^14 < 2^31.
   EXPECT_EQ(qgemm_max_k(8, 8), 131071);
-  // An int8 zero point widens the effective operand to 9 bits.
+  // 9-bit operands: k * 2^16 < 2^31.
   EXPECT_EQ(qgemm_max_k(9, 9), 32767);
   EXPECT_GE(qgemm_max_k(2, 2), (std::int64_t{1} << 29) - 1);
 }
@@ -709,9 +642,10 @@ TEST(QGemmThreads, DeterministicAcrossThreadCounts) {
   const std::int64_t m = 150, k = 300, n = 200;  // big enough to parallelize
   const auto a = random_i8(rng, m * k);
   const auto b = random_i8(rng, k * n);
+  const auto bias = random_bias(rng, m, 20000);
   QGemmRequant rq;
-  rq.multiplier = (std::int32_t{1} << 29) + 12345;
-  rq.shift = 5;
+  rq.shift = static_cast<int>(rng.uniform_index(12));
+  rq.bias = bias.data();
   rq.qmin = -(std::int32_t{1} << 24);
   rq.qmax = (std::int32_t{1} << 24) - 1;
   std::vector<std::int32_t> c1(static_cast<std::size_t>(m * n));
@@ -734,25 +668,28 @@ TEST(QGemmThreads, DeterministicAcrossThreadCounts) {
 TEST(QGemmGuards, RejectsOversizedKForInt8) {
   const std::int8_t dummy = 0;
   std::int32_t c = 0;
-  EXPECT_THROW(qgemm_i32(Trans::kN, Trans::kN, 1, 1, 200000, &dummy, 200000,
-                         &dummy, 1, &c, 1, false),
+  EXPECT_THROW(qgemm(Trans::kN, Trans::kN, 1, 1, 200000, &dummy, 200000,
+                     &dummy, 1, &c, 1, QGemmRequant{}),
                qcaps::Error);
 }
 
-TEST(QGemmGuards, BadPerRowParametersThrowCatchablyFromLargeBatch) {
-  // Large enough to take the OpenMP batch path: the per-row validation must
+TEST(QGemmGuards, BadShiftThrowsCatchablyFromLargeBatch) {
+  // Large enough to take the OpenMP batch path: the requant validation must
   // still surface as a catchable qcaps::Error, not a terminate inside the
   // parallel region.
   const std::int64_t batch = 4, m = 32, k = 64, n = 64;
   std::vector<std::int8_t> a(static_cast<std::size_t>(batch * m * k), 1);
   std::vector<std::int8_t> b(static_cast<std::size_t>(batch * k * n), 1);
-  std::vector<std::int32_t> c(static_cast<std::size_t>(batch * m * n));
-  std::vector<int> shifts(static_cast<std::size_t>(m), 2);
-  shifts[5] = 40;  // out of range
+  std::vector<std::int64_t> c(static_cast<std::size_t>(batch * m * n));
+  QGemmScatterDst<std::int64_t> sd;
+  sd.dst = c.data();
+  sd.row_stride = n;
+  sd.col_outer_stride = 1;
+  sd.batch_stride = m * n;
   QGemmRequant rq;
-  rq.row_shifts = shifts.data();
-  EXPECT_THROW(qgemm_batch(Trans::kN, Trans::kN, m, n, k, a.data(), k, m * k,
-                           b.data(), n, k * n, c.data(), n, m * n, batch, rq),
+  rq.shift = 40;  // out of range
+  EXPECT_THROW(qgemm_batch_scatter(Trans::kN, Trans::kN, m, n, k, a.data(), k,
+                                   m * k, b.data(), n, k * n, batch, rq, sd),
                qcaps::Error);
 }
 
@@ -760,11 +697,6 @@ TEST(QGemmGuards, RejectsBadRequantParameters) {
   const std::int8_t dummy = 0;
   std::int32_t c = 0;
   QGemmRequant rq;
-  rq.multiplier = 0;
-  EXPECT_THROW(
-      qgemm(Trans::kN, Trans::kN, 1, 1, 1, &dummy, 1, &dummy, 1, &c, 1, rq),
-      qcaps::Error);
-  rq.multiplier = kQGemmUnitMultiplier;
   rq.shift = 40;
   EXPECT_THROW(
       qgemm(Trans::kN, Trans::kN, 1, 1, 1, &dummy, 1, &dummy, 1, &c, 1, rq),

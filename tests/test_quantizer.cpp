@@ -1,8 +1,7 @@
 // Tests for tensor-level fake quantization and error statistics, and for the
 // agreement between the fake-quantized (float-grid) world and the packed
 // integer world: exact products of grid values, requantized with the qgemm
-// multiplier+shift path, must land on the same grid points the quantizer
-// produces.
+// rounded shift, must land on the same grid points the quantizer produces.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -145,7 +144,7 @@ TEST(ErrorStats, TruncationBiasNegativeOnTensors) {
 TEST(QuantizerVsQGemm, ExactProductRequantLandsOnQuantizerGrid) {
   // For grid values x (fmt A) and y (fmt B), the exact product x*y is a raw
   // integer with qf_a + qf_b fractional bits. Pushing that raw product
-  // through the qgemm requant (unit multiplier + shift) must match what the
+  // through the qgemm requant (rounded shift) must match what the
   // float-side definition — quantize_value of the real product — produces.
   // This is the element-level statement of "fake quantization simulates the
   // integer datapath exactly".

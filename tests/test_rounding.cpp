@@ -1,6 +1,6 @@
 // Tests for the rounding schemes (paper Sec. II-B): grid membership,
 // per-scheme semantics, bias properties and saturation — plus proof that the
-// qgemm requantization (multiplier + shift) is bit-identical to the fixed
+// qgemm requantization (rounded shift) is bit-identical to the fixed
 // rounding applied to exact int32 products.
 #include <gtest/gtest.h>
 
@@ -172,7 +172,7 @@ TEST(Raw, InvalidFormatRejected) {
 //
 // A raw int32 accumulator with acc_qf fractional bits represents the exact
 // real value acc * 2^-acc_qf. Requantizing it into out_fmt with the qgemm
-// multiplier+shift path (unit multiplier, shift = acc_qf - out_fmt.qf) must
+// rounded shift (shift = acc_qf - out_fmt.qf) must
 // land on exactly the raw value that fixed::to_raw produces for that real
 // value under round-to-nearest — for positives, negatives, and half-way ties.
 

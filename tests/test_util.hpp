@@ -85,14 +85,12 @@ inline tensor::Tensor gemm_naive(const tensor::Tensor& a,
 }
 
 /// Reference integer-GEMM accumulation oracle: the simplest possible exact
-/// int64 triple loop over op(A)·op(B), with the input zero points applied
-/// directly to every operand element (the backend instead uses rowsum/colsum
-/// compensation — comparing the two is part of the point).
+/// int64 triple loop over op(A)·op(B).
 template <typename T>
 inline std::vector<std::int64_t> qgemm_acc_naive(
     tensor::Trans ta, tensor::Trans tb, std::int64_t m, std::int64_t n,
-    std::int64_t k, const T* a, std::int64_t lda, const T* b, std::int64_t ldb,
-    std::int64_t a_zero = 0, std::int64_t b_zero = 0) {
+    std::int64_t k, const T* a, std::int64_t lda, const T* b,
+    std::int64_t ldb) {
   std::vector<std::int64_t> acc(static_cast<std::size_t>(m * n), 0);
   for (std::int64_t i = 0; i < m; ++i)
     for (std::int64_t j = 0; j < n; ++j) {
@@ -102,56 +100,58 @@ inline std::vector<std::int64_t> qgemm_acc_naive(
             ta == tensor::Trans::kN ? a[i * lda + p] : a[p * lda + i];
         const std::int64_t bv =
             tb == tensor::Trans::kN ? b[p * ldb + j] : b[j * ldb + p];
-        s += (av - a_zero) * (bv - b_zero);
+        s += av * bv;
       }
       acc[static_cast<std::size_t>(i * n + j)] = s;
     }
   return acc;
 }
 
-/// The documented qgemm requantization formula, spelled out longhand:
-///   clamp(round_half_up(acc * M / 2^(30+shift)) + c_zero, qmin, qmax).
-inline std::int32_t requant_naive(std::int64_t acc, std::int64_t multiplier,
-                                  int shift, std::int32_t c_zero,
+/// The documented qgemm requantization formula, spelled out longhand with
+/// division instead of shifts:
+///   clamp(floor((acc + 2^(shift-1)) / 2^shift), qmin, qmax)  for shift > 0,
+///   clamp(acc * 2^-shift, qmin, qmax)                         otherwise.
+inline std::int32_t requant_naive(std::int64_t acc, int shift,
                                   std::int32_t qmin, std::int32_t qmax) {
-  const std::int64_t v = acc * multiplier;
-  const int total = 30 + shift;
   std::int64_t r;
-  if (total > 0)
-    r = (v + (std::int64_t{1} << (total - 1))) >> total;
-  else if (total == 0)
-    r = v;
-  else
-    r = v << -total;
-  r += c_zero;
+  if (shift > 0) {
+    const std::int64_t d = std::int64_t{1} << shift;
+    const std::int64_t x = acc + d / 2;
+    r = x / d - (x % d < 0 ? 1 : 0);  // floor, not truncation
+  } else {
+    r = acc * (std::int64_t{1} << -shift);
+  }
   if (r < qmin) r = qmin;
   if (r > qmax) r = qmax;
   return static_cast<std::int32_t>(r);
 }
 
+/// requant_naive of every accumulator of an m x n oracle result, plus the
+/// per-row bias when `rq` has one.
+inline std::vector<std::int32_t> requant_acc_naive(
+    const std::vector<std::int64_t>& acc, std::int64_t m, std::int64_t n,
+    const tensor::QGemmRequant& rq) {
+  std::vector<std::int32_t> out(static_cast<std::size_t>(m * n));
+  for (std::int64_t i = 0; i < m; ++i)
+    for (std::int64_t j = 0; j < n; ++j) {
+      std::int64_t s = acc[static_cast<std::size_t>(i * n + j)];
+      if (rq.bias) s += rq.bias[i];
+      out[static_cast<std::size_t>(i * n + j)] =
+          requant_naive(s, rq.shift, rq.qmin, rq.qmax);
+    }
+  return out;
+}
+
 /// Full integer-GEMM oracle: naive accumulation + naive requantization,
-/// honouring bias and the per-row multiplier/shift overrides. Every fast
-/// path of tensor/qgemm.{hpp,cpp} must match this bit for bit.
+/// honouring the bias. Every fast path of tensor/qgemm.{hpp,cpp} must match
+/// this bit for bit.
 template <typename T>
 inline std::vector<std::int32_t> qgemm_naive(
     tensor::Trans ta, tensor::Trans tb, std::int64_t m, std::int64_t n,
     std::int64_t k, const T* a, std::int64_t lda, const T* b, std::int64_t ldb,
     const tensor::QGemmRequant& rq) {
-  const auto acc =
-      qgemm_acc_naive(ta, tb, m, n, k, a, lda, b, ldb, rq.a_zero, rq.b_zero);
-  std::vector<std::int32_t> out(static_cast<std::size_t>(m * n));
-  for (std::int64_t i = 0; i < m; ++i) {
-    const std::int64_t mult =
-        rq.row_multipliers ? rq.row_multipliers[i] : rq.multiplier;
-    const int shift = rq.row_shifts ? rq.row_shifts[i] : rq.shift;
-    for (std::int64_t j = 0; j < n; ++j) {
-      std::int64_t s = acc[static_cast<std::size_t>(i * n + j)];
-      if (rq.bias) s += rq.bias[i];
-      out[static_cast<std::size_t>(i * n + j)] =
-          requant_naive(s, mult, shift, rq.c_zero, rq.qmin, rq.qmax);
-    }
-  }
-  return out;
+  return requant_acc_naive(qgemm_acc_naive(ta, tb, m, n, k, a, lda, b, ldb), m,
+                           n, rq);
 }
 
 /// Deterministic weighted-sum "loss head" for gradient checks: L = Σ w ⊙ y.
