@@ -73,7 +73,7 @@ FamilySearch search_both_backends(const std::string& family, qcaps::nn::Network&
 
   const auto meta_for = [&](const char* backend, double wall,
                             const core::FrameworkResult& res,
-                            std::int64_t memo_hits) {
+                            std::int64_t memo_hits, std::int64_t cut_resumes) {
     core::TraceJsonMeta m;
     m.model = family;
     m.backend = backend;
@@ -84,6 +84,7 @@ FamilySearch search_both_backends(const std::string& family, qcaps::nn::Network&
     m.wall_seconds = wall;
     m.evaluations = res.total_evaluations;
     m.memo_hits = memo_hits;
+    m.cut_resumes = cut_resumes;
     m.layer_names = layer_names;
     return m;
   };
@@ -95,7 +96,7 @@ FamilySearch search_both_backends(const std::string& family, qcaps::nn::Network&
     out.reference_seconds = seconds_since(t0);
     out.reference_json = core::trace_to_json(
         trace,
-        meta_for("fake_quant", out.reference_seconds, out.reference, 0));
+        meta_for("fake_quant", out.reference_seconds, out.reference, 0, 0));
     net.clear_quantization();
   }
   trace.clear();
@@ -109,15 +110,17 @@ FamilySearch search_both_backends(const std::string& family, qcaps::nn::Network&
     out.qgraph_seconds = seconds_since(t0);
     out.qgraph_json = core::trace_to_json(
         trace,
-        meta_for("qgraph", out.qgraph_seconds, out.qgraph, eval.memo_hits()));
+        meta_for("qgraph", out.qgraph_seconds, out.qgraph, eval.memo_hits(),
+                 eval.cut_resumes()));
     std::printf(
         "  [qgraph] %lld graphs compiled, %lld memo hits, %lld wide-spec "
-        "fallbacks, %lld early-exit evals, weight cache %zu entries / %llu "
-        "hits\n",
+        "fallbacks, %lld early-exit evals, %lld chunk forwards resumed from "
+        "cached cuts, weight cache %zu entries / %llu hits\n",
         static_cast<long long>(eval.graphs_compiled()),
         static_cast<long long>(eval.memo_hits()),
         static_cast<long long>(eval.fake_quant_fallbacks()),
         static_cast<long long>(eval.truncated_evals()),
+        static_cast<long long>(eval.cut_resumes()),
         eval.weight_cache().size(),
         static_cast<unsigned long long>(eval.weight_cache().hits()));
     net.clear_quantization();

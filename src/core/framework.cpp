@@ -221,7 +221,6 @@ FrameworkResult run_qcapsnets(nn::Network& net, const data::Dataset& test_set,
   FrameworkResult result;
   if (cfg.backend == FrameworkConfig::Backend::kQGraph) {
     QGraphEvalConfig qcfg;
-    qcfg.workers = cfg.qgraph_workers;
     qcfg.eval_batch = cfg.batch_size;
     QGraphEvaluator eval(net, test_set, cfg.eval_samples, cfg.batch_size,
                          qcfg);

@@ -50,9 +50,6 @@ struct FrameworkConfig {
   /// compiled integer QuantizedGraph path (memoized, packed-weight reuse).
   enum class Backend { kFakeQuant, kQGraph };
   Backend backend = Backend::kFakeQuant;
-  /// kQGraph only: evaluate through a serve::InferenceServer pool of this
-  /// many workers (<= 1 evaluates directly on the calling thread).
-  int qgraph_workers = 0;
 
   /// Optional: record every evaluation (spec, accuracy, memory, energy)
   /// into this trace — the Pareto-front artifact. Not owned.

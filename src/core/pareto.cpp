@@ -106,6 +106,7 @@ std::string trace_to_json(const SearchTrace& trace, const TraceJsonMeta& meta) {
   os << "  \"wall_seconds\": " << meta.wall_seconds << ",\n";
   os << "  \"evaluations\": " << meta.evaluations << ",\n";
   os << "  \"memo_hits\": " << meta.memo_hits << ",\n";
+  os << "  \"cut_resumes\": " << meta.cut_resumes << ",\n";
   os << "  \"layers\": [";
   for (std::size_t i = 0; i < meta.layer_names.size(); ++i)
     os << (i ? "," : "") << '"' << json_escape(meta.layer_names[i]) << '"';

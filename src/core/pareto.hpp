@@ -72,6 +72,8 @@ struct TraceJsonMeta {
   double wall_seconds = 0.0;
   std::int64_t evaluations = 0;
   std::int64_t memo_hits = 0;
+  /// Chunk forwards that resumed from a cached layer cut (qgraph backend).
+  std::int64_t cut_resumes = 0;
   std::vector<std::string> layer_names;
 };
 

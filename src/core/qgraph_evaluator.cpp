@@ -2,27 +2,39 @@
 
 #include <algorithm>
 #include <bit>
-#include <future>
+#include <cstddef>
+#include <numeric>
 #include <sstream>
-#include <thread>
-#include <vector>
+#include <utility>
 
 #include "common/error.hpp"
-#include "serve/server.hpp"
+#include "nn/network.hpp"
 
 namespace qcaps::core {
 
 namespace {
-// Memo key: everything that determines a compiled graph's output — rounding
-// scheme, quantization toggles, and the six calibrated per-layer widths.
-std::string memo_key(const NetworkQuantSpec& spec) {
+// keys[l]: everything that determines a compiled graph's output through
+// layer l — rounding scheme, quantization toggles, and the calibrated widths
+// of layers 0…l. The last key covers the whole spec: the memo key.
+std::vector<std::string> prefix_keys(const NetworkQuantSpec& spec) {
+  QCAPS_CHECK(!spec.layers.empty());
   std::ostringstream os;
   os << static_cast<int>(spec.scheme) << '|' << spec.quantize_weights
      << spec.quantize_activations << spec.quantize_routing;
-  for (const auto& l : spec.layers)
+  std::vector<std::string> keys;
+  for (const auto& l : spec.layers) {
     os << '|' << l.qw_int << '.' << l.qw_frac << ',' << l.qa_int << '.'
        << l.qa_frac << ',' << l.qdr_int << '.' << l.qdr_frac;
-  return os.str();
+    keys.push_back(os.str());
+  }
+  return keys;
+}
+
+// Layer l's output is kept when 1 <= l <= L - 2. Layer 0's output (DeepCaps'
+// L1, the widest activation) would save only the cheapest layer, and nothing
+// follows the last layer.
+bool stored_cut(std::size_t l, std::size_t num_layers) {
+  return l >= 1 && l + 2 <= num_layers;
 }
 
 // Storage cap of the packed qgemm tier: calibrated specs with any operand
@@ -43,8 +55,6 @@ QGraphEvaluator::QGraphEvaluator(nn::Network& net,
       cfg_(std::move(cfg)) {
   QCAPS_CHECK(cfg_.eval_batch >= 1);
 }
-
-QGraphEvaluator::~QGraphEvaluator() = default;
 
 bool QGraphEvaluator::packed_tier_ok(const NetworkQuantSpec& c) const {
   const auto& sizes = memory().layers();
@@ -105,11 +115,41 @@ float QGraphEvaluator::bounded_accuracy(float acc_floor, ChunkFn&& correct_in,
                    : 0.0f;
 }
 
+std::vector<int> QGraphEvaluator::classify_chunk(
+    const qengine::QuantizedGraph& graph, const CutEntry* base,
+    std::size_t depth, CutEntry& cur, std::int64_t lo, std::int64_t hi) {
+  const std::size_t num_layers = graph.num_layers();
+  const auto c = static_cast<std::size_t>(lo / cfg_.eval_batch);
+  auto& mine = cur.chunks[c];
+  mine.assign(num_layers, nullptr);
+  qengine::QActivation x;
+  std::size_t first = 0;
+  if (base != nullptr && !base->chunks[c].empty()) {
+    // This candidate's cuts through layer `depth` are the base's.
+    std::copy_n(base->chunks[c].begin() + 1, depth, mine.begin() + 1);
+    first = depth + 1;
+    ++cut_resumes_;
+    x = *mine[depth];  // a copy: the run consumes its input
+  } else {
+    std::vector<std::int64_t> idx(static_cast<std::size_t>(hi - lo));
+    std::iota(idx.begin(), idx.end(), lo);
+    x = qengine::QActivation::from_float(test_.batch(idx),
+                                         graph.input_format());
+  }
+  for (std::size_t l = first; l < num_layers; ++l) {
+    x = graph.run_layers(std::move(x), l, l + 1);
+    if (stored_cut(l, num_layers))
+      mine[l] = std::make_shared<const qengine::QActivation>(x);
+  }
+  return nn::classify_lengths(qengine::lengths(x.widen()));
+}
+
 float QGraphEvaluator::evaluate_impl(const NetworkQuantSpec& spec,
                                      float acc_floor) {
   NetworkQuantSpec calibrated = spec;
   calibrate_spec(calibrated);
-  const std::string key = memo_key(calibrated);
+  std::vector<std::string> keys = prefix_keys(calibrated);
+  const std::string key = keys.back();
   // Memoized values are always full evaluations, so they serve bounded and
   // unbounded calls alike.
   if (const auto it = memo_.find(key); it != memo_.end()) {
@@ -117,17 +157,11 @@ float QGraphEvaluator::evaluate_impl(const NetworkQuantSpec& spec,
     return it->second;
   }
 
-  const auto batch_indices = [](std::int64_t lo, std::int64_t hi) {
-    std::vector<std::int64_t> idx;
-    idx.reserve(static_cast<std::size_t>(hi - lo));
-    for (std::int64_t i = lo; i < hi; ++i) idx.push_back(i);
-    return idx;
-  };
   const auto count_correct = [&](const std::vector<int>& pred,
-                                 const std::vector<std::int64_t>& idx) {
+                                 std::int64_t lo) {
     std::int64_t correct = 0;
     for (std::size_t k = 0; k < pred.size(); ++k)
-      if (pred[k] == test_.labels[static_cast<std::size_t>(idx[k])]) ++correct;
+      if (pred[k] == test_.labels[static_cast<std::size_t>(lo) + k]) ++correct;
     return correct;
   };
 
@@ -147,65 +181,53 @@ float QGraphEvaluator::evaluate_impl(const NetworkQuantSpec& spec,
     acc = bounded_accuracy(
         acc_floor,
         [&](std::int64_t lo, std::int64_t hi) {
-          const auto idx = batch_indices(lo, hi);
+          std::vector<std::int64_t> idx(static_cast<std::size_t>(hi - lo));
+          std::iota(idx.begin(), idx.end(), lo);
           const tensor::Tensor out =
               net_.forward(test_.batch(idx), nn::Phase::kEval);
-          return count_correct(nn::Network::predict(out), idx);
+          return count_correct(nn::Network::predict(out), lo);
         },
         &truncated);
     net_.clear_quantization();
   } else {
-    qengine::QuantizedGraph graph = qengine::QuantizedGraph::compile(
+    const qengine::QuantizedGraph graph = qengine::QuantizedGraph::compile(
         net_, calibrated, &wcache_, /*track_saturation=*/false);
     ++graphs_compiled_;
-    if (cfg_.workers > 1) {
-      acc = evaluate_served(std::move(graph));
-    } else {
-      acc = bounded_accuracy(
-          acc_floor,
-          [&](std::int64_t lo, std::int64_t hi) {
-            const auto idx = batch_indices(lo, hi);
-            return count_correct(graph.predict_batch(test_.batch(idx)), idx);
-          },
-          &truncated);
+    // The cached candidate whose keys match deepest is the base this one
+    // resumes from. It stays, as the most recent beside this candidate
+    // (with no match, the most recent one stays), and the other one goes.
+    const std::size_t num_layers = keys.size();
+    std::size_t keep = 0, depth = 0;
+    for (std::size_t e = 0; e < cuts_.size(); ++e) {
+      std::size_t d = 0;
+      while (stored_cut(d + 1, num_layers) &&
+             cuts_[e].keys[d + 1] == keys[d + 1])
+        ++d;
+      if (d > depth) {
+        keep = e;
+        depth = d;
+      }
     }
+    if (cuts_.size() == 2)
+      cuts_.erase(cuts_.begin() + static_cast<std::ptrdiff_t>(1 - keep));
+    CutEntry cur;
+    cur.keys = std::move(keys);
+    cur.chunks.resize(static_cast<std::size_t>(
+        (eval_samples_ + cfg_.eval_batch - 1) / cfg_.eval_batch));
+    const CutEntry* base = depth > 0 ? &cuts_.front() : nullptr;
+    acc = bounded_accuracy(
+        acc_floor,
+        [&](std::int64_t lo, std::int64_t hi) {
+          return count_correct(
+              classify_chunk(graph, base, depth, cur, lo, hi), lo);
+        },
+        &truncated);
+    cuts_.insert(cuts_.begin(), std::move(cur));
   }
   if (truncated) ++truncated_evals_;
   acc = record(calibrated, acc, truncated);
   if (!truncated) memo_.emplace(key, acc);
   return acc;
-}
-
-float QGraphEvaluator::evaluate_served(qengine::QuantizedGraph graph) {
-  if (!server_) server_ = std::make_unique<serve::InferenceServer>();
-  // One short-lived model per candidate graph; remove_model() makes the
-  // registration turnover cheap and keeps the server's map small.
-  const std::string model = "search-cand-" + std::to_string(served_models_++);
-  serve::ServerConfig scfg;
-  scfg.max_batch = cfg_.eval_batch;
-  scfg.num_workers = cfg_.workers;
-  // Partition the machine between the workers instead of oversubscribing
-  // each worker's OpenMP team over all cores.
-  const int hw = static_cast<int>(std::thread::hardware_concurrency());
-  if (hw > 0) scfg.intra_op_threads = std::max(1, hw / cfg_.workers);
-  scfg.batch_window = std::chrono::microseconds(100);
-  server_->add_model(model,
-                     std::make_unique<serve::QuantizedBackend>(
-                         model, std::move(graph)),
-                     scfg);
-  std::vector<std::future<serve::InferenceResult>> futures;
-  futures.reserve(static_cast<std::size_t>(eval_samples_));
-  for (std::int64_t i = 0; i < eval_samples_; ++i)
-    futures.push_back(server_->submit(model, test_.image(i)));
-  std::int64_t correct = 0;
-  for (std::int64_t i = 0; i < eval_samples_; ++i)
-    if (futures[static_cast<std::size_t>(i)].get().prediction.label ==
-        test_.labels[static_cast<std::size_t>(i)])
-      ++correct;
-  server_->remove_model(model);
-  return eval_samples_ > 0
-             ? static_cast<float>(correct) / static_cast<float>(eval_samples_)
-             : 0.0f;
 }
 
 }  // namespace qcaps::core

@@ -388,6 +388,7 @@ QuantizedGraph QuantizedGraph::compile(nn::Network& net,
   std::size_t w = 0;  // weighted-layer cursor = spec index
   int last = -1;      // value produced by the previous op
   bool input_fmt_set = false;
+  std::vector<int> layer_start;  // first node of each weighted layer
 
   const auto push = [&g, &last](QuantizedOp op) {
     g.ops_.push_back(std::move(op));
@@ -397,6 +398,7 @@ QuantizedGraph QuantizedGraph::compile(nn::Network& net,
     QCAPS_CHECK_MSG(w < spec.layers.size(),
                     "spec exhausted before layer " << layer.name());
     const core::LayerQuantSpec& ls = spec.layers[w++];
+    layer_start.push_back(static_cast<int>(g.ops_.size()));
     if (!input_fmt_set) {
       // Inputs are [0, 1] pixels: reuse the first layer's activation format.
       g.input_fmt_ = ls.act_format();
@@ -529,6 +531,12 @@ QuantizedGraph QuantizedGraph::compile(nn::Network& net,
                   "spec has " << spec.layers.size() << " entries but only " << w
                               << " weighted layers were compiled");
   QCAPS_CHECK_MSG(!g.ops_.empty(), "cannot compile an empty network");
+  // Each layer ends where the next weighted layer starts, so the unweighted
+  // nodes after a weighted layer (L1's ReLU, the flatten) belong to it.
+  for (std::size_t l = 1; l < layer_start.size(); ++l)
+    g.layer_end_.push_back(layer_start[l] - 1);
+  g.layer_end_.push_back(static_cast<int>(g.ops_.size()) - 1);
+  g.plan();
   if (track_saturation) g.sat_ = std::make_shared<SatCounters>(g.ops_.size());
   g.init_profile();
   g.fuse();
@@ -564,9 +572,41 @@ QuantizedGraph QuantizedGraph::from_ops(std::vector<QuantizedOp> ops,
     op.grouped_cache.reset();
   }
   g.input_fmt_ = input_fmt;
+  g.layer_end_ = {static_cast<int>(g.ops_.size()) - 1};
+  g.plan();
   if (track_saturation) g.sat_ = std::make_shared<SatCounters>(g.ops_.size());
   g.init_profile();
   return g;
+}
+
+void QuantizedGraph::plan() {
+  const std::size_t n = ops_.size();
+  std::vector<fixed::FixedFormat> fmt(n);
+  storage_.assign(n, Storage::kInt16);
+  last_use_.assign(n + 1, -1);
+  for (std::size_t i = 0; i < n; ++i) {
+    const QuantizedOp& op = ops_[i];
+    const bool layout = op.kind == QOpKind::kRelu || op.kind == QOpKind::kFlatten;
+    fmt[i] = !layout        ? op.out_fmt
+             : op.input < 0 ? input_fmt_
+                            : fmt[static_cast<std::size_t>(op.input)];
+    storage_[i] = storage_for(fmt[i]);
+    // Every node reads `input`; only the residual add reads `input2`.
+    last_use_[static_cast<std::size_t>(op.input + 1)] = static_cast<int>(i);
+    if (op.kind == QOpKind::kResidualAdd)
+      last_use_[static_cast<std::size_t>(op.input2 + 1)] = static_cast<int>(i);
+  }
+  // A layer boundary is a cut when no value before it is read after it, so
+  // a run starting at the next layer needs nothing but the boundary value.
+  for (std::size_t l = 0; l + 1 < layer_end_.size(); ++l) {
+    const int cut = layer_end_[l];
+    for (int v = -1; v < cut; ++v)
+      QCAPS_CHECK_MSG(last_use_[static_cast<std::size_t>(v + 1)] <= cut,
+                      "value " << v << " is read by node "
+                               << last_use_[static_cast<std::size_t>(v + 1)]
+                               << ", past the layer boundary at node "
+                               << cut);
+  }
 }
 
 void QuantizedGraph::fuse() {
@@ -740,83 +780,101 @@ void QuantizedGraph::init_profile() {
 QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
   QCAPS_CHECK_MSG(!ops_.empty(), "forward on an empty graph");
   QCAPS_CHECK_MSG(images.ndim() == 4, "expected [B, C, H, W] images");
-  const QActivation x0 = QActivation::from_float(images, input_fmt_);
-  const std::vector<Storage> plan = value_storage();
-  std::vector<QActivation> vals(ops_.size());
-  const auto val = [&](int idx) -> const QActivation& {
-    return idx < 0 ? x0 : vals[static_cast<std::size_t>(idx)];
+  // Only the class capsules leave as int64 (lengths, the classifiers and the
+  // artifact digests read QTensor::raw).
+  return run_layers(QActivation::from_float(images, input_fmt_), 0,
+                    num_layers())
+      .widen();
+}
+
+QActivation QuantizedGraph::run_layers(QActivation x, std::size_t first,
+                                       std::size_t last) const {
+  QCAPS_CHECK_MSG(first < last && last <= layer_end_.size(),
+                  "layer range [" << first << ", " << last << ") of a "
+                                  << layer_end_.size() << "-layer graph");
+  const int begin = first == 0 ? 0 : layer_end_[first - 1] + 1;
+  const int end = layer_end_[last - 1] + 1;
+  const Storage entry = begin == 0
+                            ? storage_for(input_fmt_)
+                            : storage_[static_cast<std::size_t>(begin - 1)];
+  QCAPS_CHECK_MSG(x.storage() == entry,
+                  "layer " << first << " input held in "
+                           << storage_name(x.storage()) << ", planned "
+                           << storage_name(entry));
+  // Value v lives in vals[v + 1], the network input in vals[0]. The range
+  // starts from the value of node begin - 1 and, the boundary being a cut,
+  // reads no value before it.
+  std::vector<QActivation> vals(ops_.size() + 1);
+  const auto val = [&](int v) -> QActivation& {
+    return vals[static_cast<std::size_t>(v + 1)];
   };
-  // Last consumer of each value: intermediates are freed as soon as no
-  // later op reads them, so the peak working set stays at a couple of
-  // layer activations instead of the whole (batched) value list.
-  std::vector<int> last_use(ops_.size(), -1);
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    if (ops_[i].input >= 0)
-      last_use[static_cast<std::size_t>(ops_[i].input)] = static_cast<int>(i);
-    if (ops_[i].input2 >= 0)
-      last_use[static_cast<std::size_t>(ops_[i].input2)] = static_cast<int>(i);
-  }
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const QuantizedOp& op = ops_[i];
-    const QActivation& x = val(op.input);
+  const auto last_read = [&](int v) {
+    return last_use_[static_cast<std::size_t>(v + 1)];
+  };
+  val(begin - 1) = std::move(x);
+  for (int i = begin; i < end; ++i) {
+    const QuantizedOp& op = ops_[static_cast<std::size_t>(i)];
+    const QActivation& in = val(op.input);
+    QActivation& y = val(i);
     const auto t0 = prof_ ? std::chrono::steady_clock::now()
                           : std::chrono::steady_clock::time_point{};
     switch (op.kind) {
       case QOpKind::kConv2d:
-        vals[i] = conv2d(x, op.weight, op.bias, op.stride, op.pad, op.out_fmt,
-                         kRtn, &op.wcache, op.fused_relu);
+        y = conv2d(in, op.weight, op.bias, op.stride, op.pad, op.out_fmt,
+                   kRtn, &op.wcache, op.fused_relu);
         break;
       case QOpKind::kRelu:
         // Steal the input when this is its last use (the common case: relu
         // directly follows its conv) instead of deep-copying the activation.
-        if (op.input >= 0 &&
-            last_use[static_cast<std::size_t>(op.input)] ==
-                static_cast<int>(i))
-          vals[i] = std::move(vals[static_cast<std::size_t>(op.input)]);
+        // The run owns every value it can steal: a value the caller keeps
+        // enters as a copy.
+        if (last_read(op.input) == i)
+          y = std::move(val(op.input));
         else
-          vals[i] = x;
+          y = in;
         // Folded into the producing conv's requant clamp: the value already
         // is relu(conv(...)); this node just forwards it.
-        if (!op.fused_away) relu(vals[i]);
+        if (!op.fused_away) relu(y);
         break;
       case QOpKind::kRescale:
-        vals[i] = rescale(x, op.out_fmt);
+        y = rescale(in, op.out_fmt);
         break;
       case QOpKind::kPrimaryCaps:
-        vals[i] = exec_primary_caps(op, x);
+        y = exec_primary_caps(op, in);
         break;
       case QOpKind::kVoteTransform:
-        QCAPS_CHECK_MSG(x.dim(1) == op.in_types && x.dim(2) == op.in_dim,
+        QCAPS_CHECK_MSG(in.dim(1) == op.in_types && in.dim(2) == op.in_dim,
                         op.source << ": capsule list shape mismatch");
-        vals[i] = vote_transform(x, op.weight, op.out_fmt, kRtn, &op.wcache);
+        y = vote_transform(in, op.weight, op.out_fmt, kRtn, &op.wcache);
         break;
       case QOpKind::kDynamicRouting:
-        vals[i] = dynamic_routing(x, op.iterations, op.out_fmt, op.dr_fmt);
+        y = dynamic_routing(in, op.iterations, op.out_fmt, op.dr_fmt);
         break;
       case QOpKind::kConvCaps:
-        vals[i] = conv_caps(x, op.weight, op.bias, op.stride, op.pad,
-                            op.out_dim, op.mid_fmt, op.out_fmt, &op.wcache);
+        y = conv_caps(in, op.weight, op.bias, op.stride, op.pad, op.out_dim,
+                      op.mid_fmt, op.out_fmt, &op.wcache);
         break;
       case QOpKind::kConvCaps3d:
-        vals[i] = exec_conv_caps3d(op, x);
+        y = exec_conv_caps3d(op, in);
         break;
       case QOpKind::kResidualAdd:
-        vals[i] = residual_add(x, val(op.input2));
+        y = residual_add(in, val(op.input2));
         break;
       case QOpKind::kFlatten:
-        vals[i] = exec_flatten(op, x);
+        y = exec_flatten(op, in);
         break;
     }
-    QCAPS_CHECK_MSG(vals[i].storage() == plan[i],
+    const std::size_t node = static_cast<std::size_t>(i);
+    QCAPS_CHECK_MSG(y.storage() == storage_[node],
                     op.source << ": value held in "
-                              << storage_name(vals[i].storage())
-                              << ", planned " << storage_name(plan[i]));
+                              << storage_name(y.storage()) << ", planned "
+                              << storage_name(storage_[node]));
     if (prof_) {
       const auto dt = std::chrono::steady_clock::now() - t0;
-      prof_->ns[i].fetch_add(
+      prof_->ns[node].fetch_add(
           std::chrono::duration_cast<std::chrono::nanoseconds>(dt).count(),
           std::memory_order_relaxed);
-      prof_->bytes[i].fetch_add(vals[i].bytes(), std::memory_order_relaxed);
+      prof_->bytes[node].fetch_add(y.bytes(), std::memory_order_relaxed);
     }
     // Requant-saturation accounting: count produced raws sitting exactly on
     // the output format's rails. Anything requantized (conv, rescale,
@@ -830,33 +888,19 @@ QTensor QuantizedGraph::forward(const tensor::Tensor& images) const {
     // value's own container, under the team for large values; it touches
     // only relaxed atomics, so replica pools can run it concurrently.
     if (sat_ && op.kind != QOpKind::kRelu && op.kind != QOpKind::kFlatten) {
-      sat_->saturated[i].fetch_add(count_at_rails(vals[i]),
-                                   std::memory_order_relaxed);
-      sat_->total[i].fetch_add(static_cast<std::uint64_t>(vals[i].numel()),
-                               std::memory_order_relaxed);
+      sat_->saturated[node].fetch_add(count_at_rails(y),
+                                      std::memory_order_relaxed);
+      sat_->total[node].fetch_add(static_cast<std::uint64_t>(y.numel()),
+                                  std::memory_order_relaxed);
     }
-    for (const int in : {op.input, op.input2})
-      if (in >= 0 && last_use[static_cast<std::size_t>(in)] ==
-                         static_cast<int>(i))
-        vals[static_cast<std::size_t>(in)] = QActivation();
+    // Intermediates are freed after their last reader, so the peak working
+    // set stays at a couple of layer activations instead of the whole
+    // (batched) value list.
+    if (last_read(op.input) == i) val(op.input) = QActivation();
+    if (op.kind == QOpKind::kResidualAdd && last_read(op.input2) == i)
+      val(op.input2) = QActivation();
   }
-  // Only the class capsules leave as int64 (lengths, the classifiers and the
-  // artifact digests read QTensor::raw).
-  return vals.back().widen();
-}
-
-std::vector<Storage> QuantizedGraph::value_storage() const {
-  std::vector<fixed::FixedFormat> fmt(ops_.size());
-  std::vector<Storage> out(ops_.size());
-  for (std::size_t i = 0; i < ops_.size(); ++i) {
-    const QuantizedOp& op = ops_[i];
-    const bool layout = op.kind == QOpKind::kRelu || op.kind == QOpKind::kFlatten;
-    fmt[i] = !layout        ? op.out_fmt
-             : op.input < 0 ? input_fmt_
-                            : fmt[static_cast<std::size_t>(op.input)];
-    out[i] = storage_for(fmt[i]);
-  }
-  return out;
+  return std::move(val(end - 1));
 }
 
 std::vector<NodeSaturation> QuantizedGraph::saturation() const {

@@ -204,8 +204,28 @@ class QuantizedGraph {
   bool fused() const { return fused_; }
 
   /// Integer forward: images [B, C, H, W] in [0, 1] -> class capsules
-  /// [B, Ncls, D] in the final activation format.
+  /// [B, Ncls, D] in the final activation format. The full range of
+  /// run_layers().
   QTensor forward(const tensor::Tensor& images) const;
+
+  /// The graph's layers: compile() makes one per weighted network layer
+  /// (spec entry), holding its nodes and the unweighted nodes after it up to
+  /// the next weighted layer (the ReLU after L1, the flatten before the
+  /// class capsules). No node reads a value from before its layer's input,
+  /// so each layer boundary is a cut. A graph built by from_ops() is one
+  /// layer.
+  std::size_t num_layers() const { return layer_end_.size(); }
+
+  /// Ranged run: layers [first, last) on `x`, the value entering layer
+  /// `first`. That is the quantized images
+  /// (QActivation::from_float(images, input_format())) for first == 0, and
+  /// otherwise what a run ending at layer first - 1 returned. Returns the
+  /// value leaving layer last - 1 (for the last layer, the class capsules
+  /// forward() widens). `x` is consumed: the range frees or steals it like
+  /// any value, so a caller that keeps a value passes a copy. Chained runs
+  /// are bit-identical to forward().
+  QActivation run_layers(QActivation x, std::size_t first,
+                         std::size_t last) const;
 
   /// Batched argmax-of-length classification (see Network::predict_batch).
   /// Integer arithmetic is order-exact, so the result is bit-identical to B
@@ -223,7 +243,7 @@ class QuantizedGraph {
   /// entry per op, in op order), read from the value formats alone. kRelu
   /// and kFlatten keep their input's format; every other node produces its
   /// out_fmt. forward() holds each value in exactly this container.
-  std::vector<Storage> value_storage() const;
+  const std::vector<Storage>& value_storage() const { return storage_; }
   bool empty() const { return ops_.empty(); }
 
   /// Per-node saturation snapshot (one entry per op, in op order). Layout
@@ -266,8 +286,18 @@ class QuantizedGraph {
   /// Build prof_ when QCAPS_QGRAPH_PROFILE enables it (compile / from_ops).
   void init_profile();
 
+  /// Derive the per-graph execution tables from ops_, input_fmt_ and
+  /// layer_end_ (compile / from_ops): the storage plan, the liveness table,
+  /// and the check that every layer boundary is a cut.
+  void plan();
+
   std::vector<QuantizedOp> ops_;
   fixed::FixedFormat input_fmt_{1, 15};
+  std::vector<int> layer_end_;  ///< last node of each layer
+  std::vector<Storage> storage_;  ///< value_storage()
+  /// Last node reading each value, the network input first (index v + 1
+  /// for value v); -1 when nothing reads it.
+  std::vector<int> last_use_;
   bool fused_ = false;
   std::shared_ptr<SatCounters> sat_;
   std::shared_ptr<NodeProfile> prof_;

@@ -439,6 +439,83 @@ TEST_F(TrainedDeepCapsGraphTest, ForwardTracksFp32CapsuleLengths) {
   EXPECT_GE(agree, 13) << "of 16 cached inputs";
 }
 
+// ---- ranged runs --------------------------------------------------------------
+
+// Chained run_layers() calls reproduce forward()'s class capsules raw for raw:
+// one layer at a time, and from every layer boundary to the end on the
+// caller's kept copy of that boundary's value.
+void expect_ranges_match_forward(const QuantizedGraph& g,
+                                 const tensor::Tensor& images) {
+  const QTensor want = g.forward(images);
+  const std::size_t n = g.num_layers();
+  const auto expect_same = [&](const QActivation& got, const std::string& what) {
+    const QTensor t = got.widen();
+    ASSERT_EQ(t.shape, want.shape) << what;
+    ASSERT_TRUE(t.fmt == want.fmt) << what;
+    for (std::size_t i = 0; i < t.raw.size(); ++i)
+      ASSERT_EQ(t.raw[i], want.raw[i]) << what << ", flat " << i;
+  };
+  std::vector<QActivation> entry{
+      QActivation::from_float(images, g.input_format())};
+  for (std::size_t l = 0; l < n; ++l)
+    entry.push_back(g.run_layers(entry.back(), l, l + 1));
+  expect_same(entry.back(), "layer by layer");
+  for (std::size_t l = 0; l < n; ++l)
+    expect_same(g.run_layers(entry[l], l, n),
+                "layers " + std::to_string(l) + "..");
+}
+
+TEST(QGraphRanges, ShallowCapsChainedRunsMatchForward) {
+  const auto cfg = models::ShallowCapsConfig::experiment();
+  common::Rng rng(67);
+  auto net = models::build_shallow_caps(cfg, rng);
+  const tensor::Tensor images =
+      tensor::Tensor::uniform({3, 1, 28, 28}, rng, 0.0f, 1.0f);
+  for (const int frac : {6, 10}) {
+    const QuantizedGraph g = QuantizedGraph::compile(
+        *net, core::NetworkQuantSpec::uniform(
+                  3, frac, fixed::RoundingScheme::kRoundToNearest));
+    // The ReLU fused into L1's conv ends L1; one range per spec entry.
+    ASSERT_EQ(g.num_layers(), 3u);
+    expect_ranges_match_forward(g, images);
+  }
+}
+
+TEST_F(TrainedDeepCapsGraphTest, ChainedRunsMatchForward) {
+  nn::Network& net = *trained_->net;
+  std::vector<std::int64_t> idx;
+  for (std::int64_t i = 0; i < 16; ++i) idx.push_back(i);
+  const tensor::Tensor batch = split_->test.batch(idx);
+  core::Evaluator eval(net, split_->test, 128);
+  for (const int frac : {6, 12}) {
+    auto spec = core::NetworkQuantSpec::uniform(
+        6, frac, fixed::RoundingScheme::kRoundToNearest);
+    eval.calibrate_spec(spec);
+    const QuantizedGraph g = QuantizedGraph::compile(net, spec);
+    ASSERT_EQ(g.num_layers(), 6u);
+    expect_ranges_match_forward(g, batch);
+  }
+}
+
+TEST(QGraphRanges, OpListGraphIsOneLayerAndBadRangesThrow) {
+  const auto cfg = models::ShallowCapsConfig::experiment();
+  common::Rng rng(68);
+  auto net = models::build_shallow_caps(cfg, rng);
+  const QuantizedGraph g = QuantizedGraph::compile(
+      *net, core::NetworkQuantSpec::uniform(
+                3, 6, fixed::RoundingScheme::kRoundToNearest));
+  const QuantizedGraph twin =
+      QuantizedGraph::from_ops(g.ops(), g.input_format());
+  EXPECT_EQ(twin.num_layers(), 1u);
+  const tensor::Tensor images =
+      tensor::Tensor::uniform({2, 1, 28, 28}, rng, 0.0f, 1.0f);
+  expect_ranges_match_forward(twin, images);
+  const QActivation x = QActivation::from_float(images, g.input_format());
+  EXPECT_THROW(g.run_layers(x, 1, 1), qcaps::Error);
+  EXPECT_THROW(g.run_layers(x, 0, 4), qcaps::Error);
+  EXPECT_THROW(QuantizedGraph().run_layers(x, 0, 1), qcaps::Error);
+}
+
 // ---- graph-level fusion -----------------------------------------------------
 
 // The unfused twin of a compiled graph: round-tripping through from_ops

@@ -14,6 +14,7 @@
 #include "core/qgraph_evaluator.hpp"
 #include "core/search.hpp"
 #include "data/synth.hpp"
+#include "models/deep_caps.hpp"
 #include "models/shallow_caps.hpp"
 #include "nn/trainer.hpp"
 
@@ -178,6 +179,12 @@ TEST(ScriptedSearch, TraceRecordsEveryEvaluationAndParetoIsClean) {
               trace.points()[front[i - 1]].accuracy);
   }
   eval.set_observer({});
+  TraceJsonMeta meta;
+  meta.memo_hits = 3;
+  meta.cut_resumes = 7;
+  const std::string json = trace_to_json(trace, meta);
+  EXPECT_NE(json.find("\"memo_hits\": 3,\n  \"cut_resumes\": 7,"),
+            std::string::npos);
 }
 
 /// Shared trained model: training happens once per test binary.
@@ -449,16 +456,6 @@ TEST_F(SearchTest, QGraphRoutesUnservableSpecsToFakeQuant) {
   EXPECT_EQ(q.graphs_compiled(), 0);
 }
 
-TEST_F(SearchTest, QGraphServedMatchesDirect) {
-  QGraphEvalConfig served_cfg;
-  served_cfg.workers = 2;
-  QGraphEvaluator direct(*net_, split_->test, 128);
-  QGraphEvaluator served(*net_, split_->test, 128, 64, served_cfg);
-  const auto spec =
-      NetworkQuantSpec::uniform(3, 8, fixed::RoundingScheme::kRoundToNearest);
-  EXPECT_FLOAT_EQ(served.evaluate(spec), direct.evaluate(spec));
-}
-
 TEST_F(SearchTest, QGraphBoundedTruncatesHopelessCandidates) {
   QGraphEvaluator q(*net_, split_->test, 128);
   const auto spec =
@@ -482,6 +479,98 @@ TEST_F(SearchTest, QGraphBoundedTruncatesHopelessCandidates) {
   EXPECT_EQ(q.memo_hits(), 0);
   EXPECT_EQ(q.num_evaluations(), 2);
   EXPECT_LE(full, bound);
+}
+
+// Cut reuse. One evaluator runs the search's shape: a base spec,
+// Algorithm 2's suffix trials from every start layer (Step 3A), a trial deep
+// below the cliff from every start layer (truncated by the floor, as Step 1's
+// probes are), Algorithm 3 on every routed layer (Step 4A), and the first
+// truncated candidate again in full. Every result and truncation flag must
+// equal what a fresh evaluator returns for that spec alone.
+void expect_cut_reuse_matches_fresh(nn::Network& net,
+                                    const data::Dataset& test) {
+  constexpr std::int64_t kSamples = 128;
+  constexpr auto kRtn = fixed::RoundingScheme::kRoundToNearest;
+  QGraphEvalConfig cfg;
+  cfg.eval_batch = 32;  // four chunks
+  QGraphEvaluator q(net, test, kSamples, 64, cfg);
+  struct Eval {
+    NetworkQuantSpec spec;
+    float floor;  ///< 0: evaluate(), else evaluate_bounded()
+    float acc;
+    bool truncated;
+  };
+  std::vector<Eval> log;
+  float floor = 0.0f;
+  q.set_observer([&](const NetworkQuantSpec& s, float acc, bool truncated) {
+    log.push_back({s, floor, acc, truncated});
+  });
+
+  // Floors as Algorithm 1 sets them: Step 3A's above Step 4A's.
+  const std::size_t num_layers = q.memory().layers().size();
+  const auto base = NetworkQuantSpec::uniform(num_layers, 6, kRtn);
+  const float acc_base = q.evaluate(base);
+  floor = acc_base - 0.01f;
+  const NetworkQuantSpec accepted =
+      layer_wise_quantization(q, base, Target::kActivations, floor,
+                              /*min_frac=*/2)
+          .spec;
+  for (std::size_t start = 1; start < num_layers; ++start) {
+    NetworkQuantSpec cliff = accepted;
+    for (std::size_t l = start; l < num_layers; ++l)
+      cliff.layers[l].qa_frac = 0;
+    q.evaluate_bounded(cliff, floor);
+  }
+  floor = acc_base - 0.04f;
+  NetworkQuantSpec spec = accepted;
+  for (std::size_t l = 0; l < num_layers; ++l)
+    if (q.memory().layers()[l].has_routing)
+      spec = dr_quantization(q, spec, l, spec.layers[l].qa_frac, floor)
+                 .spec;
+  const auto first_truncated = std::find_if(
+      log.begin(), log.end(), [](const Eval& e) { return e.truncated; });
+  ASSERT_NE(first_truncated, log.end());
+  const NetworkQuantSpec again = first_truncated->spec;
+  floor = 0.0f;
+  q.evaluate(again);
+  q.set_observer({});
+
+  EXPECT_GT(q.cut_resumes(), 0);
+  EXPECT_EQ(q.fake_quant_fallbacks(), 0);
+  for (const Eval& e : log) {
+    QGraphEvaluator fresh(net, test, kSamples, 64, cfg);
+    bool truncated = false;
+    fresh.set_observer(
+        [&](const NetworkQuantSpec&, float, bool t) { truncated = t; });
+    const float acc = e.floor > 0.0f ? fresh.evaluate_bounded(e.spec, e.floor)
+                                     : fresh.evaluate(e.spec);
+    EXPECT_EQ(acc, e.acc) << e.spec.to_string();
+    EXPECT_EQ(truncated, e.truncated) << e.spec.to_string();
+    EXPECT_EQ(fresh.cut_resumes(), 0);
+  }
+}
+
+TEST_F(SearchTest, QGraphCutReuseMatchesFreshEvaluations) {
+  expect_cut_reuse_matches_fresh(*net_, split_->test);
+}
+
+// The same on a small DeepCaps: six layers, so four stored cuts per chunk
+// and resumes from each depth.
+TEST_F(SearchTest, QGraphCutReuseMatchesFreshEvaluationsOnDeepCaps) {
+  auto cfg = models::DeepCapsConfig::experiment(28, 1);
+  cfg.conv_channels = 16;
+  cfg.block_types = 4;
+  cfg.block_dims = {4, 4, 4, 4};
+  cfg.out_caps_dim = 8;
+  common::Rng rng(23);
+  auto net = models::build_deep_caps(cfg, rng);
+  nn::TrainConfig tcfg;
+  tcfg.epochs = 1;
+  tcfg.verbose = false;
+  nn::train(*net, split_->train, split_->test, tcfg);
+  ASSERT_GT(nn::evaluate(*net, split_->test, 64, 128), 0.5f)
+      << "DeepCaps fixture failed to train";
+  expect_cut_reuse_matches_fresh(*net, split_->test);
 }
 
 }  // namespace
