@@ -17,9 +17,9 @@
 namespace {
 
 // Integer-deployment accuracy of `net` under `spec` over the whole test
-// set, in bounded batches (the executor's int64 activations make a whole-
-// set forward needlessly large; chunking is bit-exact since integer
-// execution is order-exact per sample).
+// set, in bounded batches (a whole-set forward would hold every layer's
+// activations for the whole set at once; chunking is bit-exact since
+// integer execution is order-exact per sample).
 float integer_accuracy(qcaps::nn::Network& net,
                        const qcaps::core::NetworkQuantSpec& spec,
                        const qcaps::data::Dataset& test) {

@@ -98,13 +98,9 @@ int cmd_info(const std::string& path) {
   // unfused op list): load the graph the way a server would and report what
   // the pass annotated.
   const qengine::QuantizedGraph g = io::load_graph(path);
-  int relu_folds = 0, grouped = 0;
-  for (const auto& op : g.ops()) {
-    relu_folds += op.fused_away ? 1 : 0;
-    grouped += op.grouped ? 1 : 0;
-  }
-  std::printf("  fusion         : %d relu folds, %d grouped vote convs\n",
-              relu_folds, grouped);
+  int relu_folds = 0;
+  for (const auto& op : g.ops()) relu_folds += op.fused_away ? 1 : 0;
+  std::printf("  fusion         : %d relu folds\n", relu_folds);
   // The activation storage plan: the container each node's value is held
   // in, picked from its format's wordlength.
   const std::vector<qengine::Storage> plan = g.value_storage();

@@ -209,8 +209,9 @@ int main(int argc, char** argv) {
   fcfg.init_frac = 15;
   // Fast (CI) mode compares the backends on round-to-nearest only — the
   // deployment scheme, and the one the packed requant implements natively.
-  // TRN/SR integer execution is scalar-exact and would time the fallback
-  // path, not the graph. Full mode keeps all three schemes.
+  // The executor rounds to nearest only, so the qgraph backend scores
+  // TRN/SR candidates on its fake-quant fallback and would time that path,
+  // not the graph. Full mode keeps all three schemes.
   if (fast) fcfg.schemes = {fixed::RoundingScheme::kRoundToNearest};
   std::printf("=== ShallowCaps search: fake-quant vs qgraph backend ===\n");
   const FamilySearch shallow =
@@ -311,8 +312,9 @@ int main(int argc, char** argv) {
           6, bits, fixed::RoundingScheme::kRoundToNearest);
       dcalib.calibrate_spec(dspec);
       const auto ddep = qengine::QuantizedGraph::compile(*deep.net, dspec);
-      // Bounded batches: the int64 activations make a whole-set forward
-      // needlessly large, and chunking is bit-exact (order-exact per sample).
+      // Bounded batches: a whole-set forward would hold each layer's
+      // activations for every test image at once, and chunking is
+      // bit-exact (order-exact per sample).
       int dcorrect = 0;
       std::int64_t dtotal = 0;
       for (std::int64_t b0 = 0; b0 < split.test.size(); b0 += 64) {

@@ -42,11 +42,10 @@
 //                      packed int8/int16 qgemm tier engages. Candidates it
 //                      cannot serve delegate to the fake-quant base path
 //                      (with the same early exit):
-//                        - non-round-to-nearest schemes (the packed requant
-//                          is RTN — the deployment scheme; TRN/SR integer
-//                          execution is exact but scalar, and SR's
-//                          per-requant noise also diverges from the paper's
-//                          fake-quant SR semantics),
+//                        - non-round-to-nearest schemes (the executor
+//                          requantizes RTN only — the deployment scheme;
+//                          SR's per-requant noise would also diverge from
+//                          the paper's fake-quant SR semantics),
 //                        - wordlengths past the int16 storage tier or whose
 //                          per-layer reduction depth overflows the int32
 //                          accumulator (Step 1's widest probes),

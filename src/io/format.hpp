@@ -3,7 +3,7 @@
 // A .qcg file is a serialized qengine::QuantizedGraph: the flat QuantizedOp
 // node table, a string table for layer names, and every quantized weight in
 // the packed container layout the qgemm backend consumes (int8/int16 panels
-// plus, where the scalar fallback could still run, the raw int64 grid
+// plus, where the exact kernel tier could still run, the raw int64 grid
 // values). The layout is designed for zero-copy loading: all multi-byte
 // fields are little-endian and naturally aligned, tensor sections are
 // 64-byte aligned, and the loader points the packed-operand caches straight
@@ -86,7 +86,7 @@ enum class QcgFamily : std::uint32_t {
 /// One serialized tensor (a weight, bias, or per-type vote weight). Sections
 /// hold the same values in up to three widths, mirroring the in-memory
 /// QGemmOperandCache: int8/int16 packed containers when `max_abs` fits them,
-/// and the raw int64 grid values when the executor's scalar fallback could
+/// and the raw int64 grid values when the executor's exact kernel tier could
 /// still need them (absent when the packed fast path is statically
 /// guaranteed for every possible input — the weight loads "hollow").
 /// Offsets are absolute file offsets; 0 marks an absent section (offset 0

@@ -103,7 +103,7 @@ std::uint64_t align_up(std::uint64_t v, std::uint64_t a) {
 //
 // A weight may be stored WITHOUT its raw int64 grid values ("hollow") only
 // when the executor's packed-GEMM fast path is guaranteed for EVERY input
-// the consuming op can ever see — the scalar fallback, which reads w.raw,
+// the consuming op can ever see — the exact kernel tier, which reads w.raw,
 // must be statically unreachable. The executor decides its packed paths
 // from the consuming op's formats and the weights' packed range alone
 // (qengine::packed_tier), so that same predicate, evaluated on the unfused
@@ -115,8 +115,10 @@ std::int64_t conv_fan_in(const QTensor& w) {
 }
 
 // True when `w` (op.weight, or one of a kConvCaps3d node's type_weights)
-// with packed range `w_max_abs` is guaranteed the packed path of `op`, whose
-// input value has format `x_fmt`.
+// is guaranteed the packed path of `op`, whose input value has format
+// `x_fmt`. `w_max_abs` is the packed range the op's tier is picked from:
+// the weight's own, or for a kConvCaps3d node the grouped range of all its
+// type weights (the largest), since the node runs one tier for them all.
 bool hollow_ok(const QuantizedOp& op, const QTensor& w, std::int64_t w_max_abs,
                fixed::FixedFormat x_fmt) {
   const auto packed = [&](std::int64_t k, fixed::FixedFormat out,
@@ -134,7 +136,7 @@ bool hollow_ok(const QuantizedOp& op, const QTensor& w, std::int64_t w_max_abs,
     case QOpKind::kVoteTransform:
       return packed(w.dim(3), op.out_fmt, QTensor());
     case QOpKind::kConvCaps3d:
-      // Per-type vote convolutions run bias-free into out_fmt.
+      // The vote convolutions run bias-free into out_fmt.
       return packed(conv_fan_in(w), op.out_fmt, QTensor());
     default:
       return false;  // unexpected weight carrier: keep the raw values
@@ -179,7 +181,7 @@ TensorPlan plan_tensor(const QTensor& t, const QGemmOperandCache* cache,
   p.i64 = !hollow_ok;
   if (p.i64)
     QCAPS_CHECK_MSG(!t.raw.empty() || p.numel == 0,
-                    "cannot re-serialize a hollow weight whose fallback "
+                    "cannot re-serialize a hollow weight whose packed-path "
                     "guarantee no longer holds");
   return p;
 }
@@ -301,12 +303,17 @@ void save_graph(const qengine::QuantizedGraph& g, const std::string& path,
                     op.source << ": type weight/cache count mismatch");
     QCAPS_CHECK_MSG(op.type_weights.size() < kMaxTypeRefs,
                     op.source << ": too many per-type weights");
+    // A kConvCaps3d node picks one tier for all its type weights, from
+    // their grouped range.
+    std::int64_t group_max = 0;
+    for (std::size_t t = 0; t < op.type_weights.size(); ++t)
+      group_max = std::max(group_max,
+                           cached_or_scanned_max_abs(op.type_weights[t],
+                                                     &op.type_caches[t]));
     for (std::size_t t = 0; t < op.type_weights.size(); ++t) {
       const QTensor& wt = op.type_weights[t];
-      const QGemmOperandCache& ct = op.type_caches[t];
-      const std::int64_t wmax = cached_or_scanned_max_abs(wt, &ct);
-      np.types.push_back(
-          plan_tensor(wt, &ct, hollow_ok(op, wt, wmax, x_fmt)));
+      np.types.push_back(plan_tensor(wt, &op.type_caches[t],
+                                     hollow_ok(op, wt, group_max, x_fmt)));
     }
     total_typerefs += np.types.size();
 
@@ -597,14 +604,17 @@ const char* bad_node(const QuantizedOp& op) {
     if (op.in_types < 1 ||
         op.type_weights.size() != static_cast<std::size_t>(op.in_types))
       return "per-type weight count differs from the input types";
-    const tensor::Shape& first = op.type_weights.front().shape;
-    for (const QTensor& w : op.type_weights)
-      if (w.shape.size() != 4 || first.size() != 4 ||
+    const QTensor& first = op.type_weights.front();
+    for (const QTensor& w : op.type_weights) {
+      if (w.shape.size() != 4 || first.shape.size() != 4 ||
           !splits(w.shape[0], op.out_types, op.out_dim) ||
-          w.shape[1] != op.in_dim || w.shape[2] != first[2] ||
-          w.shape[3] != first[2])
+          w.shape[1] != op.in_dim || w.shape[2] != first.shape[2] ||
+          w.shape[3] != first.shape[2])
         return "per-type vote weight shape differs from the node's capsules";
-    if (op.pad >= first[2]) return wide_pad;
+      // The grouped vote convolution reads every type on one weight grid.
+      if (!(w.fmt == first.fmt)) return "per-type vote weights differ in format";
+    }
+    if (op.pad >= first.shape[2]) return wide_pad;
   }
   return nullptr;
 }
@@ -703,18 +713,19 @@ qengine::QuantizedGraph load_graph(const std::string& path,
         !(op.out_fmt == x_fmt))
       corrupt(path, "node " + std::to_string(i) +
                         ": layout node changes its value's format");
-    const auto check_hollow = [&](const QTensor& w,
-                                  const QGemmOperandCache& cache) {
+    const auto check_hollow = [&](const QTensor& w, std::int64_t w_max_abs) {
       const bool hollow = w.raw.empty() && !w.shape.empty();
       if (hollow && (w.shape.size() != 4 ||
-                     !hollow_ok(op, w, cache.max_abs, x_fmt)))
+                     !hollow_ok(op, w, w_max_abs, x_fmt)))
         corrupt(path, "node " + std::to_string(i) +
                           ": hollow weight whose formats leave the packed "
                           "path");
     };
-    check_hollow(op.weight, op.wcache);
-    for (std::size_t t = 0; t < op.type_weights.size(); ++t)
-      check_hollow(op.type_weights[t], op.type_caches[t]);
+    check_hollow(op.weight, op.wcache.max_abs);
+    std::int64_t group_max = 0;
+    for (const QGemmOperandCache& c : op.type_caches)
+      group_max = std::max(group_max, c.max_abs);
+    for (const QTensor& wt : op.type_weights) check_hollow(wt, group_max);
     ops.push_back(std::move(op));
   }
 

@@ -4,7 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
-#include <cstdlib>
+#include <functional>
 #include <type_traits>
 #include <vector>
 
@@ -29,28 +29,6 @@ int ceil_log2(std::int64_t v) {
                : std::bit_width(static_cast<std::uint64_t>(v - 1));
 }
 
-// The int64 scalar fallbacks are exact only while k * |a| * |b| cannot wrap
-// int64; FixedFormat allows wordlengths up to 62, so this must be checked.
-void check_i64_acc(const std::int64_t* a, std::int64_t n, const QTensor& b,
-                   std::int64_t k, const char* what) {
-  std::int64_t a_max = 0;
-  for (std::int64_t i = 0; i < n; ++i) a_max = std::max(a_max, std::abs(a[i]));
-  const int ba = std::bit_width(static_cast<std::uint64_t>(a_max));
-  const int bb = std::bit_width(static_cast<std::uint64_t>(b.max_abs_raw()));
-  QCAPS_CHECK_MSG(ba + bb + ceil_log2(std::max<std::int64_t>(k, 1)) <= 62,
-                  what << " accumulator would overflow for these values");
-}
-
-// True when the accumulator -> out_fmt rescale is expressible as a qgemm
-// requant (round-to-nearest, int32 output grid, shift within range).
-bool requant_expressible(int acc_qf, const fixed::FixedFormat& out_fmt,
-                         fixed::RoundingScheme scheme) {
-  if (scheme != fixed::RoundingScheme::kRoundToNearest) return false;
-  if (out_fmt.wordlength() > 31) return false;
-  const int shift = acc_qf - out_fmt.qf;
-  return shift >= -30 && shift <= 31;
-}
-
 tensor::QGemmRequant make_requant(int acc_qf,
                                   const fixed::FixedFormat& out_fmt) {
   tensor::QGemmRequant rq;
@@ -70,15 +48,35 @@ std::vector<T> packed_of(const QTensor& t) {
 
 template <typename T>
 const T* cached_data(const QGemmOperandCache& cache) {
-  if constexpr (std::is_same_v<T, std::int8_t>)
+  if constexpr (std::is_same_v<T, std::int8_t>) {
+    QCAPS_CHECK_MSG(cache.has_i8(), "weight cache lacks its int8 container");
     return cache.i8_data();
-  else
+  } else {
+    QCAPS_CHECK_MSG(cache.has_i16(), "weight cache lacks its int16 container");
     return cache.i16_data();
+  }
+}
+
+// The weights as tier T reads them: the packed cache (or one packed copy
+// into `local` when no cache is given) on the int8/int16 tiers, the raw
+// values on the exact tier.
+template <typename T>
+const T* weights_as(const QTensor& w, const QGemmOperandCache* cache,
+                    std::vector<T>& local) {
+  if constexpr (std::is_same_v<T, std::int64_t>) {
+    QCAPS_CHECK_MSG(!w.raw.empty(),
+                    "the exact tier reads raw weights, which a hollow weight "
+                    "lacks");
+    return w.raw.data();
+  } else {
+    if (cache) return cached_data<T>(*cache);
+    local = packed_of<T>(w);
+    return local.data();
+  }
 }
 
 // The activation's values as T: its own container when that is T, else one
-// widening copy into `local` (int8 values feeding the int16 tier, or an
-// int64 fallback reading a narrower container).
+// widening copy into `local` (int8 values feeding the int16 tier).
 template <typename T>
 const T* values_as(const QActivation& x, std::vector<T>& local) {
   if (storage_bytes(x.storage()) == static_cast<std::int64_t>(sizeof(T)))
@@ -89,6 +87,17 @@ const T* values_as(const QActivation& x, std::vector<T>& local) {
                    [](auto v) { return static_cast<T>(v); });
   });
   return local.data();
+}
+
+// f(T{}) with T the operand type of `tier`: int8, int16, or int64 for the
+// exact tier (kNone).
+template <typename F>
+decltype(auto) on_tier(PackedTier tier, F&& f) {
+  switch (tier) {
+    case PackedTier::kInt8: return f(std::int8_t{});
+    case PackedTier::kInt16: return f(std::int16_t{});
+    default: return f(std::int64_t{});
+  }
 }
 
 // One strided GEMM per input type i (the shape qgemm amortizes best):
@@ -108,13 +117,7 @@ void run_qgemm_votes(const QActivation& u, const QTensor& w,
                      O* votes) {
   std::vector<T> u_local, wp_local;
   const T* up = values_as<T>(u, u_local);
-  const T* wp;
-  if (w_cache) {
-    wp = cached_data<T>(*w_cache);
-  } else {
-    wp_local = packed_of<T>(w);
-    wp = wp_local.data();
-  }
+  const T* wp = weights_as<T>(w, w_cache, wp_local);
   const std::int64_t jd = nout * dout;
   tensor::QGemmScatterDst<O> sd;
   sd.dst = votes;
@@ -130,14 +133,15 @@ void run_qgemm_votes(const QActivation& u, const QTensor& w,
 
 // ---- direct convolution ----------------------------------------------------
 //
-// The packed conv paths never build an im2col matrix. Each image is copied
-// once from its activation container into a zero-padded int8/int16 buffer
-// [C, H + 2p, W + 2p] of the tier's type, and qgemm reads its B operand
-// through offsets into that copy (tensor::QGemmGatherB): tap[p] per K row
-// p = (ci, ky, kx) and col[j] per output column j = (image, oy, ox). Padding
-// is stored zeros, which are exact zeros on the symmetric grid. Each
-// requantized strip of output columns (QGemmDirect::run_tiles) is then
-// stored into the output's own container.
+// The conv paths never build an im2col matrix. Each image is copied once
+// from its activation container into a zero-padded buffer
+// [C, H + 2p, W + 2p] of the tier's operand type (int8, int16, or int64 for
+// the exact tier), and the tier's GEMM reads its B operand through offsets
+// into that copy (tensor::QGemmGatherB): tap[p] per K row p = (ci, ky, kx)
+// and col[j] per output column j = (image, oy, ox). Padding is stored zeros,
+// which are exact zeros on the symmetric grid. Each requantized strip of
+// output columns (QGemmDirect::run_tiles, ExactDirect::run_tiles) then goes
+// to the op's one epilogue, which stores it into the output's own container.
 
 struct ConvGeom {
   std::int64_t b, c, h, wd, k, stride, pad, oh, ow;
@@ -149,13 +153,15 @@ struct ConvGeom {
 };
 
 // Shape checks and output geometry of x [B, C, H, W] convolved with
-// w [F, C, K, K].
+// w [F, C / groups, K, K] (each of the `groups` channel groups convolved on
+// its own, as the ConvCaps3d votes are).
 ConvGeom conv_geom(const tensor::Shape& xs, const QTensor& w,
-                   std::int64_t stride, std::int64_t pad) {
+                   std::int64_t stride, std::int64_t pad,
+                   std::int64_t groups = 1) {
   QCAPS_CHECK_MSG(xs.size() == 4 && w.shape.size() == 4,
                   "qengine conv2d expects [B,C,H,W] x [F,C,K,K]");
   const std::int64_t c = xs[1], k = w.dim(2);
-  QCAPS_CHECK(w.dim(1) == c && w.dim(3) == k);
+  QCAPS_CHECK(w.dim(1) * groups == c && w.dim(3) == k);
   const std::int64_t h = xs[2], wd = xs[3];
   const std::int64_t oh = (h + 2 * pad - k) / stride + 1;
   const std::int64_t ow = (wd + 2 * pad - k) / stride + 1;
@@ -188,9 +194,8 @@ std::vector<std::int64_t> col_offsets(const ConvGeom& g, std::int64_t images) {
 
 // Copy channel ci of image bi into the interior of its padded plane at dst:
 // a row copy when the activation's container is the tier's T, an exact
-// widening when int8 values feed the int16 tier. Only the interior is
-// written, so the borders of a zero-initialized buffer stay zero however
-// often it is refilled.
+// widening otherwise. Only the interior is written, so the borders of a
+// zero-initialized buffer stay zero however often it is refilled.
 template <typename T>
 void copy_channel(const QActivation& x, const ConvGeom& g, std::int64_t bi,
                   std::int64_t ci, T* dst) {
@@ -223,15 +228,15 @@ void for_each_image_run(std::int64_t j0, std::int64_t nr, std::int64_t plane,
 // Store a requantized strip (rows i < `rows`, image-local columns
 // [j0, j0 + nr)) into the [rows, plane] planes of the images at out. Strip
 // values are on the output format's rails, so the store into O is exact.
-template <typename O>
-void store_strip(const std::int32_t* tile, std::int64_t ld, std::int64_t rows,
+template <typename S, typename O>
+void store_strip(const S* tile, std::int64_t ld, std::int64_t rows,
                  std::int64_t j0, std::int64_t nr, std::int64_t plane,
                  O* out) {
   for_each_image_run(j0, nr, plane, [&](std::int64_t jj, std::int64_t len,
                                         std::int64_t img, std::int64_t p) {
     O* dst = out + (img * rows) * plane + p;
     for (std::int64_t i = 0; i < rows; ++i) {
-      const std::int32_t* src = tile + i * ld + jj;
+      const S* src = tile + i * ld + jj;
       O* d = dst + i * plane;
       for (std::int64_t t = 0; t < len; ++t) d[t] = static_cast<O>(src[t]);
     }
@@ -311,64 +316,118 @@ void direct_conv(const QActivation& x, const ConvGeom& g, std::int64_t macs,
 #endif
 }
 
-// The direct GEMM of a conv with weights w [F, C, K, K]: the weights packed,
-// the bias aligned to the accumulator and folded with the fused ReLU into
-// one requantization onto out_fmt.
+// The exact tier: tensor::QGemmDirect's contract on int64 operands, for
+// formats the packed tiers cannot hold. Element (p, j) of B is read from an
+// int64 padded copy through the same tap/column offsets; each output
+// accumulates in int64 from its row's bias aligned to the accumulator, and
+// each finished strip is rounded to nearest onto out_fmt
+// (hwmodel::rescale_raw, which saturates) with the lower rail raised to 0 by
+// a fused ReLU: the packed requantization, element for element.
+class ExactDirect {
+ public:
+  ExactDirect(const std::int64_t* a, std::int64_t m, std::int64_t k,
+              std::vector<std::int64_t> base, int acc_qf,
+              fixed::FixedFormat out_fmt, bool relu)
+      : a_(a), m_(m), k_(k), base_(std::move(base)), acc_qf_(acc_qf),
+        out_fmt_(out_fmt), lo_(relu ? 0 : out_fmt.raw_min()) {}
+
+  // Output columns [j0, j1), one requantized strip of at most kStrip
+  // columns per consume(j0, nr, tile, ld) call, in column order.
+  void run_tiles(const tensor::QGemmGatherB<std::int64_t>& b, std::int64_t j0,
+                 std::int64_t j1,
+                 const std::function<void(std::int64_t, std::int64_t,
+                                          const std::int64_t*, std::int64_t)>&
+                     consume) const {
+    constexpr std::int64_t kStrip = 32;
+    std::vector<std::int64_t> tile(static_cast<std::size_t>(m_ * kStrip));
+    for (std::int64_t s0 = j0; s0 < j1; s0 += kStrip) {
+      const std::int64_t nr = std::min(kStrip, j1 - s0);
+      for (std::int64_t i = 0; i < m_; ++i) {
+        const std::int64_t* a = a_ + i * k_;
+        for (std::int64_t jj = 0; jj < nr; ++jj) {
+          const std::int64_t* src = b.data + b.col[s0 + jj];
+          std::int64_t acc = base_[static_cast<std::size_t>(i)];
+          for (std::int64_t p = 0; p < k_; ++p) acc += a[p] * src[b.tap[p]];
+          tile[static_cast<std::size_t>(i * kStrip + jj)] =
+              std::max(hwmodel::rescale_raw(acc, acc_qf_, out_fmt_), lo_);
+        }
+      }
+      consume(s0, nr, tile.data(), kStrip);
+    }
+  }
+
+ private:
+  const std::int64_t* a_;
+  std::int64_t m_, k_;
+  std::vector<std::int64_t> base_;
+  int acc_qf_;
+  fixed::FixedFormat out_fmt_;
+  std::int64_t lo_;
+};
+
 template <typename T>
-tensor::QGemmDirect<T> conv_gemm(const QTensor& w, const QTensor& bias,
-                                 const QGemmOperandCache* w_cache, int acc_qf,
-                                 fixed::FixedFormat out_fmt, bool fuse_relu,
-                                 std::int64_t f, std::int64_t kk) {
-  std::vector<T> w_local;
-  const T* wp;
-  if (w_cache) {
-    wp = cached_data<T>(*w_cache);
+using DirectGemm = std::conditional_t<std::is_same_v<T, std::int64_t>,
+                                      ExactDirect, tensor::QGemmDirect<T>>;
+
+// The direct GEMM of tier T over weights a [m, k] (row-major) in w_fmt, for
+// an input in x_fmt: the accumulator (x_fmt.qf + w_fmt.qf fractional bits)
+// plus `bias` (one value per row, possibly empty) aligned to it, requantized
+// onto out_fmt, the lower rail raised to 0 by a fused ReLU (relu(clamp(v,
+// qmin, qmax)) == clamp(v, 0, qmax) on the symmetric grid).
+template <typename T>
+DirectGemm<T> direct_gemm(const T* a, std::int64_t m, std::int64_t k,
+                          const QTensor& bias, fixed::FixedFormat x_fmt,
+                          fixed::FixedFormat w_fmt, fixed::FixedFormat out_fmt,
+                          bool relu) {
+  const int acc_qf = x_fmt.qf + w_fmt.qf;
+  const int bshift = acc_qf - bias.fmt.qf;
+  if constexpr (std::is_same_v<T, std::int64_t>) {
+    // Exact while k * 2^(wl_x - 1) * 2^(wl_w - 1) cannot wrap int64, bounded
+    // from the formats alone.
+    QCAPS_CHECK_MSG(x_fmt.wordlength() + w_fmt.wordlength() +
+                            ceil_log2(k + 1) <=
+                        62,
+                    "int64 accumulator would overflow for these formats");
+    QCAPS_CHECK_MSG(bias.raw.empty() || bshift >= 0,
+                    "bias fractional width exceeds the accumulator's");
+    std::vector<std::int64_t> base(static_cast<std::size_t>(m), 0);
+    for (std::size_t i = 0; i < bias.raw.size(); ++i)
+      base[i] = bias.raw[i] << bshift;
+    return ExactDirect(a, m, k, std::move(base), acc_qf, out_fmt, relu);
   } else {
-    w_local = packed_of<T>(w);
-    wp = w_local.data();
+    // packed_tier admitted the bias: bshift in [0, 31), aligned fits int32.
+    std::vector<std::int32_t> bias32(bias.raw.size());
+    for (std::size_t i = 0; i < bias.raw.size(); ++i)
+      bias32[i] = static_cast<std::int32_t>(bias.raw[i] << bshift);
+    tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
+    if (relu) rq.qmin = std::max(rq.qmin, std::int32_t{0});
+    if (!bias32.empty()) rq.bias = bias32.data();
+    return tensor::QGemmDirect<T>(a, m, k, rq);  // folds the bias
   }
-
-  std::vector<std::int32_t> bias32;
-  if (!bias.raw.empty()) {
-    const int bshift = acc_qf - bias.fmt.qf;
-    bias32.resize(static_cast<std::size_t>(f));
-    for (std::int64_t i = 0; i < f; ++i)
-      bias32[static_cast<std::size_t>(i)] = static_cast<std::int32_t>(
-          bias.raw[static_cast<std::size_t>(i)] << bshift);
-  }
-
-  tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-  // Fused ReLU: clamp-lo at the (zero) output zero point inside the requant.
-  if (fuse_relu) rq.qmin = std::max(rq.qmin, std::int32_t{0});
-  if (!bias32.empty()) rq.bias = bias32.data();
-  return tensor::QGemmDirect<T>(wp, f, kk, rq);
 }
 
-template <typename T>
-QActivation conv2d_direct(const QActivation& x, const QTensor& w,
-                          const QTensor& bias, fixed::FixedFormat out_fmt,
-                          int acc_qf, const QGemmOperandCache* w_cache,
-                          bool fuse_relu, const ConvGeom& g, std::int64_t f) {
-  const std::int64_t kk = g.fan_in();
-  const std::int64_t plane = g.plane();
-  const tensor::QGemmDirect<T> gemm =
-      conv_gemm<T>(w, bias, w_cache, acc_qf, out_fmt, fuse_relu, f, kk);
+// A convolution of x by the f-row GEMM of tier T into [B, f, H', W'] of
+// out_fmt: every requantized strip goes to epilogue(tile, ld, j0, nr, dst),
+// dst being the output of the strip's first image in its container.
+template <typename T, typename Gemm, typename Epilogue>
+QActivation conv_direct(const QActivation& x, const ConvGeom& g,
+                        const Gemm& gemm, std::int64_t f,
+                        fixed::FixedFormat out_fmt,
+                        const Epilogue& epilogue) {
   const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
   QActivation out({g.b, f, g.oh, g.ow}, out_fmt);
-  out.visit([&](auto* y) {
-    direct_conv<T>(x, g, g.b * plane * f * kk,
-                   [&](const T* data, const std::int64_t* col,
-                       std::int64_t b0, std::int64_t j0, std::int64_t j1) {
-                     auto* dst = y + b0 * f * plane;
-                     gemm.run_tiles({data, tap.data(), col}, j0, j1,
-                                    [&](std::int64_t s0, std::int64_t nr,
-                                        const std::int32_t* tile,
-                                        std::int64_t ld) {
-                                      store_strip(tile, ld, f, s0, nr, plane,
-                                                  dst);
-                                    });
-                   });
-  });
+  direct_conv<T>(
+      x, g, g.b * g.plane() * f * g.fan_in(),
+      [&](const T* data, const std::int64_t* col, std::int64_t b0,
+          std::int64_t j0, std::int64_t j1) {
+        gemm.run_tiles({data, tap.data(), col}, j0, j1,
+                       [&](std::int64_t s0, std::int64_t nr, const auto* tile,
+                           std::int64_t ld) {
+                         out.visit([&](auto* y) {
+                           epilogue(tile, ld, s0, nr, y + b0 * f * g.plane());
+                         });
+                       });
+      });
   return out;
 }
 
@@ -403,15 +462,15 @@ SquashScale squash_scale(const hwmodel::SquashUnit& unit,
 
 // ---- one-pass capsule convolution ------------------------------------------
 //
-// conv_caps squashes each requantized strip of its direct GEMM
-// (tensor::QGemmDirect::run_tiles) while the strip is in cache. Strip rows
-// are the T*D output channels, so capsule (t, column) is rows
-// t*D .. t*D + D - 1 of one column: per strip one norms pass, ONE batched
-// gain call over its T*nr capsules, and one finishing pass that writes
-// [B, T*D, H', W'] directly — element for element the arithmetic of conv2d
-// into mid_fmt followed by squash_channels. The norms and finishing passes
-// have an AVX-512 path, taken at the avx512 and vnni dispatch levels, the
-// ones that run the direct GEMM's own AVX-512 epilogue.
+// conv_caps squashes each requantized strip of its direct GEMM while the
+// strip is in cache. Strip rows are the T*D output channels, so capsule
+// (t, column) is rows t*D .. t*D + D - 1 of one column: per strip one norms
+// pass, ONE batched gain call over its T*nr capsules, and one finishing pass
+// that writes [B, T*D, H', W'] directly — element for element the
+// arithmetic of a conv into mid_fmt followed by a per-capsule
+// SquashUnit::apply. On the packed tiers' int32 strips the norms and
+// finishing passes have an AVX-512 path, taken at the avx512 and vnni
+// dispatch levels, the ones that run the direct GEMM's own AVX-512 epilogue.
 
 // Squared norms of channel-grouped capsules: capsule (t, column jj) is rows
 // t*dim .. t*dim + dim - 1 (row stride ld) of column jj, and its norm lands
@@ -513,27 +572,29 @@ struct CapsStrip {
   std::int64_t types, dim, plane;
   const hwmodel::SquashUnit* unit;
   SquashScale scale;
-  bool vec;  // the AVX-512 passes
+  bool vec;  // the AVX-512 passes (int32 strips only)
 };
 
 // Squash one requantized strip (columns [j0, j0 + nr), image-local to the
 // images whose output starts at `out`) into [T*D, H', W'] planes.
-template <typename O>
-void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
-                  std::int64_t ld, std::int64_t j0, std::int64_t nr, O* out) {
+template <typename S, typename O>
+void squash_strip(const CapsStrip& cs, const S* tile, std::int64_t ld,
+                  std::int64_t j0, std::int64_t nr, O* out) {
   thread_local std::vector<std::int64_t> nsq, gain;
   const std::size_t n = static_cast<std::size_t>(cs.types * nr);
   if (nsq.size() < n) {
     nsq.resize(n);
     gain.resize(n);
   }
+  auto norms = strip_norms<S>;
+  auto finish = squash_run<S, O>;
 #ifdef QCAPS_X86_NATIVE
-  const auto norms = cs.vec ? strip_norms_avx512 : strip_norms<std::int32_t>;
-  const auto finish =
-      cs.vec ? squash_run_avx512<O> : squash_run<std::int32_t, O>;
-#else
-  const auto norms = strip_norms<std::int32_t>;
-  const auto finish = squash_run<std::int32_t, O>;
+  if constexpr (std::is_same_v<S, std::int32_t>) {
+    if (cs.vec) {
+      norms = strip_norms_avx512;
+      finish = squash_run_avx512<O>;
+    }
+  }
 #endif
   norms(tile, ld, cs.types, cs.dim, nr, cs.scale.shift_up, nsq.data());
   cs.unit->gain_raw_n(nsq.data(), gain.data(), cs.types * nr);
@@ -550,38 +611,56 @@ void squash_strip(const CapsStrip& cs, const std::int32_t* tile,
   });
 }
 
+// ---- j-major vote convolutions ---------------------------------------------
+//
+// Input type t of x [B, Tin*Din, H, W] convolved with wt[t]
+// [Tout*Dout, Din, K, K] (row-major [Tout*Dout, Din*K*K]): each image is
+// copied once over the full channel set, and type t's GEMM reads its Din
+// channels at offset t * Din * Hp * Wp of that copy. Each requantized strip
+// of type t (rows j*Dout + dd, image-local columns (bi, p)) lands at
+// votes[((b0 + bi) * plane + p) * Tout*Tin*Dout + j*Tin*Dout + t*Dout + dd]:
+// the j-major [R, Tout, Tin, Dout] the routing consumes, R = B * OH * OW.
 template <typename T>
-QActivation conv_caps_direct(const QActivation& x, const QTensor& w,
-                             const QTensor& bias,
-                             const QGemmOperandCache* w_cache,
-                             std::int64_t caps_dim, fixed::FixedFormat mid_fmt,
-                             fixed::FixedFormat out_fmt,
-                             const hwmodel::SquashUnit& unit,
-                             const SquashScale& scale, const ConvGeom& g,
-                             std::int64_t f) {
-  const std::int64_t kk = g.fan_in();
+QActivation votes_direct(const QActivation& x, const std::vector<const T*>& wt,
+                         const ConvGeom& g, fixed::FixedFormat w_fmt,
+                         std::int64_t din, std::int64_t out_types,
+                         std::int64_t dout, fixed::FixedFormat out_fmt) {
+  const std::int64_t in_types = static_cast<std::int64_t>(wt.size());
+  const std::int64_t kk = din * g.k * g.k;  // fan-in of ONE type's vote conv
+  const std::int64_t jd = out_types * dout;
+  const std::int64_t jd_all = jd * in_types;
   const std::int64_t plane = g.plane();
-  const tensor::QGemmDirect<T> gemm =
-      conv_gemm<T>(w, bias, w_cache, x.fmt().qf + w.fmt.qf, mid_fmt,
-                   /*fuse_relu=*/false, f, kk);
-  const CapsStrip cs{f / caps_dim, caps_dim, plane, &unit, scale,
-                     common::isa() >= common::Isa::kAvx512};
-  const std::vector<std::int64_t> tap = tap_offsets(g, g.c);
-  QActivation out({g.b, f, g.oh, g.ow}, out_fmt);
-  out.visit([&](auto* y) {
-    direct_conv<T>(x, g, g.b * plane * f * kk,
-                   [&](const T* data, const std::int64_t* col,
-                       std::int64_t b0, std::int64_t j0, std::int64_t j1) {
-                     auto* dst = y + b0 * f * plane;
-                     gemm.run_tiles({data, tap.data(), col}, j0, j1,
-                                    [&](std::int64_t s0, std::int64_t nr,
-                                        const std::int32_t* tile,
-                                        std::int64_t ld) {
-                                      squash_strip(cs, tile, ld, s0, nr, dst);
-                                    });
-                   });
-  });
-  return out;
+  QActivation votes({g.b * plane, out_types, in_types, dout}, out_fmt);
+  if (votes.numel() == 0) return votes;
+  std::vector<DirectGemm<T>> gemms;
+  gemms.reserve(wt.size());
+  for (const T* w : wt)
+    gemms.push_back(
+        direct_gemm<T>(w, jd, kk, QTensor(), x.fmt(), w_fmt, out_fmt, false));
+  const std::vector<std::int64_t> tap = tap_offsets(g, din);
+  direct_conv<T>(
+      x, g, g.b * plane * in_types * jd * kk,
+      [&](const T* data, const std::int64_t* col, std::int64_t b0,
+          std::int64_t j0, std::int64_t j1) {
+        for (std::int64_t t = 0; t < in_types; ++t)
+          gemms[static_cast<std::size_t>(t)].run_tiles(
+              {data + t * din * g.hp() * g.wp(), tap.data(), col}, j0, j1,
+              [&](std::int64_t s0, std::int64_t nr, const auto* tile,
+                  std::int64_t ld) {
+                votes.visit([&](auto* v) {
+                  using O = elem_t<decltype(v)>;
+                  O* at = v + (b0 * plane + s0) * jd_all + t * dout;
+                  for (std::int64_t jj = 0; jj < nr; ++jj) {
+                    O* d = at + jj * jd_all;
+                    for (std::int64_t j = 0; j < out_types; ++j)
+                      for (std::int64_t dd = 0; dd < dout; ++dd)
+                        d[j * in_types * dout + dd] =
+                            static_cast<O>(tile[(j * dout + dd) * ld + jj]);
+                  }
+                });
+              });
+      });
+  return votes;
 }
 
 }  // namespace
@@ -591,9 +670,10 @@ PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
                        fixed::FixedFormat out_fmt, const QTensor& bias) {
   const int wl = x_fmt.wordlength();
   if (w_max_abs < 0 || w_max_abs > 32767 || wl > 16) return PackedTier::kNone;
+  // The requant onto out_fmt: an int32 output grid, a shift in range.
   const int acc_qf = x_fmt.qf + w_fmt.qf;
-  if (!requant_expressible(acc_qf, out_fmt,
-                           fixed::RoundingScheme::kRoundToNearest))
+  const int shift = acc_qf - out_fmt.qf;
+  if (out_fmt.wordlength() > 31 || shift < -30 || shift > 31)
     return PackedTier::kNone;
   // |x| <= 2^(wl-1) has bit width wl: sum_k |x||w| < 2^31.
   const int wb = std::bit_width(static_cast<std::uint64_t>(w_max_abs));
@@ -609,78 +689,28 @@ PackedTier packed_tier(fixed::FixedFormat x_fmt, fixed::FixedFormat w_fmt,
 
 QActivation conv2d(const QActivation& x, const QTensor& w, const QTensor& bias,
                    std::int64_t stride, std::int64_t pad,
-                   fixed::FixedFormat out_fmt, fixed::RoundingScheme scheme,
+                   fixed::FixedFormat out_fmt,
                    const QGemmOperandCache* w_cache, bool fuse_relu) {
   const ConvGeom g = conv_geom(x.shape(), w, stride, pad);
-  const std::int64_t b = g.b, c = g.c, h = g.h, wd = g.wd, k = g.k;
-  const std::int64_t oh = g.oh, ow = g.ow, f = w.dim(0);
-  // Accumulator guard: fan-in * 2^(wl_x + wl_w) must fit in int64.
-  QCAPS_CHECK_MSG(x.fmt().wordlength() + w.fmt.wordlength() +
-                          static_cast<int>(std::ceil(std::log2(
-                              static_cast<double>(c * k * k + 1)))) <=
-                      62,
-                  "conv accumulator would overflow for these formats");
-  const int acc_qf = x.fmt().qf + w.fmt.qf;
-  const bool has_bias = !bias.raw.empty();
+  const std::int64_t f = w.dim(0);
   QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
                   "conv2d weight cache was not built");
-  QCAPS_CHECK_MSG(!has_bias || bias.fmt.qf <= acc_qf,
-                  "conv2d bias fractional width exceeds the accumulator's");
-  if (b == 0) return QActivation({b, f, oh, ow}, out_fmt);
-
-  // Packed-GEMM fast path (bit-identical; see header).
-  if (scheme == fixed::RoundingScheme::kRoundToNearest) {
-    const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const PackedTier tier =
-        packed_tier(x.fmt(), w.fmt, wmax, g.fan_in(), out_fmt, bias);
-    if (tier == PackedTier::kInt8)
-      return conv2d_direct<std::int8_t>(x, w, bias, out_fmt, acc_qf, w_cache,
-                                        fuse_relu, g, f);
-    if (tier == PackedTier::kInt16)
-      return conv2d_direct<std::int16_t>(x, w, bias, out_fmt, acc_qf,
-                                         w_cache, fuse_relu, g, f);
-  }
-
-  // Exact int64 fallback: the input widened once (read in place when it is
-  // held in int64), each result stored into the output's container.
-  std::vector<std::int64_t> x_local;
-  const std::int64_t* xv = values_as<std::int64_t>(x, x_local);
-  QActivation out({b, f, oh, ow}, out_fmt);
-  out.visit([&](auto* y) {
-#pragma omp parallel for collapse(2) schedule(static)
-    for (std::int64_t bi = 0; bi < b; ++bi) {
-      for (std::int64_t fi = 0; fi < f; ++fi) {
-        for (std::int64_t yy = 0; yy < oh; ++yy) {
-          for (std::int64_t xx = 0; xx < ow; ++xx) {
-            std::int64_t acc = 0;
-            for (std::int64_t ci = 0; ci < c; ++ci) {
-              for (std::int64_t ky = 0; ky < k; ++ky) {
-                const std::int64_t iy = yy * stride + ky - pad;
-                if (iy < 0 || iy >= h) continue;
-                for (std::int64_t kx = 0; kx < k; ++kx) {
-                  const std::int64_t ix = xx * stride + kx - pad;
-                  if (ix < 0 || ix >= wd) continue;
-                  acc += xv[((bi * c + ci) * h + iy) * wd + ix] *
-                         w.raw[static_cast<std::size_t>(
-                             ((fi * c + ci) * k + ky) * k + kx)];
-                }
-              }
-            }
-            if (has_bias) {
-              // Align the bias (weight fmt) to the accumulator's frac width.
-              acc += bias.raw[static_cast<std::size_t>(fi)]
-                     << (acc_qf - bias.fmt.qf);
-            }
-            std::int64_t v = hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme);
-            if (fuse_relu && v < 0) v = 0;
-            y[((bi * f + fi) * oh + yy) * ow + xx] =
-                static_cast<elem_t<decltype(y)>>(v);
-          }
-        }
-      }
-    }
+  if (g.b == 0) return QActivation({0, f, g.oh, g.ow}, out_fmt);
+  const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
+  const PackedTier tier =
+      packed_tier(x.fmt(), w.fmt, wmax, g.fan_in(), out_fmt, bias);
+  return on_tier(tier, [&](auto zero) {
+    using T = decltype(zero);
+    std::vector<T> local;
+    const auto gemm =
+        direct_gemm<T>(weights_as<T>(w, w_cache, local), f, g.fan_in(), bias,
+                       x.fmt(), w.fmt, out_fmt, fuse_relu);
+    return conv_direct<T>(x, g, gemm, f, out_fmt,
+                          [&](const auto* tile, std::int64_t ld,
+                              std::int64_t s0, std::int64_t nr, auto* dst) {
+                            store_strip(tile, ld, f, s0, nr, g.plane(), dst);
+                          });
   });
-  return out;
 }
 
 QActivation conv_caps(const QActivation& x, const QTensor& w,
@@ -696,62 +726,25 @@ QActivation conv_caps(const QActivation& x, const QTensor& w,
   QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
                   "conv_caps weight cache was not built");
   const hwmodel::SquashUnit unit(mid_fmt);
-  const SquashScale scale = squash_scale(unit, mid_fmt, out_fmt);
+  const CapsStrip cs{f / caps_dim, caps_dim, g.plane(), &unit,
+                     squash_scale(unit, mid_fmt, out_fmt),
+                     common::isa() >= common::Isa::kAvx512};
+  if (g.b == 0) return QActivation({0, f, g.oh, g.ow}, out_fmt);
   const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
   const PackedTier tier =
-      g.b == 0 ? PackedTier::kNone
-               : packed_tier(x.fmt(), w.fmt, wmax, g.fan_in(), mid_fmt, bias);
-  if (tier == PackedTier::kInt8)
-    return conv_caps_direct<std::int8_t>(x, w, bias, w_cache, caps_dim,
-                                         mid_fmt, out_fmt, unit, scale, g, f);
-  if (tier == PackedTier::kInt16)
-    return conv_caps_direct<std::int16_t>(x, w, bias, w_cache, caps_dim,
-                                          mid_fmt, out_fmt, unit, scale, g,
-                                          f);
-  return squash_channels(conv2d(x, w, bias, stride, pad, mid_fmt,
-                                fixed::RoundingScheme::kRoundToNearest,
-                                w_cache),
-                         caps_dim, out_fmt);
-}
-
-QActivation squash_channels(const QActivation& s, std::int64_t caps_dim,
-                            fixed::FixedFormat out_fmt) {
-  QCAPS_CHECK_MSG(s.shape().size() == 4 && s.dim(1) % caps_dim == 0,
-                  "squash_channels expects [B, T*D, H, W] with D = "
-                      << caps_dim);
-  const std::int64_t b = s.dim(0), c = s.dim(1), plane = s.dim(2) * s.dim(3);
-  const std::int64_t types = c / caps_dim;
-  // Squash in the channel-grouped layout directly: capsule (b, t, y, x)'s
-  // elements sit exactly `plane` apart, so per (b, t) slab the squared norms
-  // accumulate vertically across the D contiguous channel rows, pixel-block
-  // by pixel-block, in one streaming pass. Bit-identical to
-  // SquashUnit::apply: integer addition is order-free and the per-term
-  // shift, the gain, and the final rescale are element-local.
-  const hwmodel::SquashUnit unit(s.fmt());
-  const SquashScale sc = squash_scale(unit, s.fmt(), out_fmt);
-  QActivation out(s.shape(), out_fmt);
-  const std::int64_t slabs = b * types;
-  constexpr std::int64_t kBlock = 512;
-  s.visit([&](const auto* in) {
-    out.visit([&](auto* y) {
-#pragma omp parallel for schedule(static) if (slabs > 1)
-      for (std::int64_t sl = 0; sl < slabs; ++sl) {
-        const auto* src = in + sl * caps_dim * plane;
-        auto* dst = y + sl * caps_dim * plane;
-        std::int64_t nsq[kBlock];
-        std::int64_t gain[kBlock];
-        for (std::int64_t p0 = 0; p0 < plane; p0 += kBlock) {
-          const std::int64_t pc = std::min(kBlock, plane - p0);
-          strip_norms(src + p0, plane, 1, caps_dim, pc, sc.shift_up, nsq);
-          unit.gain_raw_n(nsq, gain, pc);
-          for (std::int64_t j = 0; j < caps_dim; ++j)
-            squash_run(src + j * plane + p0, gain, pc, sc,
-                       dst + j * plane + p0);
-        }
-      }
-    });
+      packed_tier(x.fmt(), w.fmt, wmax, g.fan_in(), mid_fmt, bias);
+  return on_tier(tier, [&](auto zero) {
+    using T = decltype(zero);
+    std::vector<T> local;
+    const auto gemm =
+        direct_gemm<T>(weights_as<T>(w, w_cache, local), f, g.fan_in(), bias,
+                       x.fmt(), w.fmt, mid_fmt, /*relu=*/false);
+    return conv_direct<T>(x, g, gemm, f, out_fmt,
+                          [&](const auto* tile, std::int64_t ld,
+                              std::int64_t s0, std::int64_t nr, auto* dst) {
+                            squash_strip(cs, tile, ld, s0, nr, dst);
+                          });
   });
-  return out;
 }
 
 void relu(QActivation& x) {
@@ -761,14 +754,13 @@ void relu(QActivation& x) {
   });
 }
 
-QActivation rescale(const QActivation& x, fixed::FixedFormat out_fmt,
-                    fixed::RoundingScheme scheme) {
+QActivation rescale(const QActivation& x, fixed::FixedFormat out_fmt) {
   QActivation out(x.shape(), out_fmt);
   x.visit([&](const auto* src) {
     out.visit([&](auto* dst) {
       for (std::int64_t i = 0; i < x.numel(); ++i)
         dst[i] = static_cast<elem_t<decltype(dst)>>(
-            hwmodel::rescale_raw(src[i], x.fmt().qf, out_fmt, scheme));
+            hwmodel::rescale_raw(src[i], x.fmt().qf, out_fmt));
     });
   });
   return out;
@@ -824,24 +816,19 @@ QActivation squash_last(const QActivation& s, fixed::FixedFormat out_fmt) {
 namespace {
 
 // The routing of dynamic_routing over votes and outputs in container S (the
-// activation format's: votes, couplings and outputs share it).
-template <typename S>
+// activation format's: votes, couplings and outputs share it), both
+// contractions accumulating in Acc. With the j-major layout both walk
+// unit-stride slabs, and dynamic_routing picks int32 whenever Σ |c||u|
+// (resp. Σ |v||u|) cannot wrap it: the loops then vectorize. Integer
+// addition is associative, so every Acc gives the same bits — the requant
+// points (rescale into QDR before squash, per Fig. 9) are untouched.
+template <typename Acc, typename S>
 void route(const S* votes, std::int64_t r_count, std::int64_t nout,
            std::int64_t nin, std::int64_t d, int iterations,
            fixed::FixedFormat act_fmt, fixed::FixedFormat dr_fmt, S* v_out) {
   const hwmodel::SoftmaxUnit softmax(dr_fmt);
   const hwmodel::SquashUnit squash(dr_fmt);
-  // Both paths read the votes' container in place. Integer fast path: with
-  // the j-major layout both contractions walk unit-stride slabs, and exact
-  // int32 accumulation is admissible as long as Σ |c||u| (resp. Σ |v||u|)
-  // cannot wrap. Votes, couplings and squashed outputs all carry the
-  // activation format, whose rails bound every raw magnitude by 2^(wl-1)
-  // (bit width wl), so the format decides. Integer addition is associative,
-  // so the int32 and int64 paths are bit-identical — the requant points
-  // (rescale into QDR before squash, per Fig. 9) are untouched.
-  const int bact = act_fmt.wordlength();
-  const bool i32_ok =
-      2 * bact + ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <= 30;
+  const int acc_qf = act_fmt.qf + act_fmt.qf;
 
 #pragma omp parallel for schedule(static) if (r_count > 4)
   for (std::int64_t r = 0; r < r_count; ++r) {
@@ -851,12 +838,11 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
     // while the weighted sum's coupling reads and the agreement's logit
     // writes (both per-j slabs) become unit-stride.
     std::vector<std::int64_t> b_raw(static_cast<std::size_t>(nout * nin), 0);
-    std::vector<std::int64_t> s_raw(static_cast<std::size_t>(nout * d), 0);
-    std::vector<std::int64_t> v_raw(static_cast<std::size_t>(nout * d), 0);
-    std::vector<std::int32_t> c32(static_cast<std::size_t>(nout * nin), 0);
-    std::vector<std::int32_t> v32(static_cast<std::size_t>(nout * d), 0);
-    std::vector<std::int32_t> acc32(static_cast<std::size_t>(d), 0);
     std::vector<std::int64_t> c_raw(static_cast<std::size_t>(nout * nin), 0);
+    std::vector<std::int64_t> s_raw(static_cast<std::size_t>(nout * d), 0);
+    std::vector<Acc> c(static_cast<std::size_t>(nout * nin), 0);
+    std::vector<Acc> v(static_cast<std::size_t>(nout * d), 0);
+    std::vector<Acc> acc(static_cast<std::size_t>(d), 0);
     std::vector<std::int64_t> nsq_scratch(static_cast<std::size_t>(nout));
     std::vector<std::int64_t> gain_scratch(static_cast<std::size_t>(nout));
     const S* u = votes + r * nout * nin * d;
@@ -868,38 +854,24 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
       // pass over all Nin rows: no per-i FixedNum marshaling.
       softmax.apply_rows_t_raw(b_raw.data(), c_raw.data(), nin, nout,
                                act_fmt);
-      if (i32_ok)
-        for (std::size_t t = 0; t < c_raw.size(); ++t)
-          c32[t] = static_cast<std::int32_t>(c_raw[t]);
+      for (std::size_t t = 0; t < c_raw.size(); ++t)
+        c[t] = static_cast<Acc>(c_raw[t]);
       // s_j = Σ_i c_ij û_j|i, accumulated wide, rescaled into dr fmt
       // (precision lowered before the squash, Fig. 9). Per (r, j) slab the
-      // votes rows are contiguous in k, so the int32 loop vectorizes.
-      const int acc_qf = act_fmt.qf + act_fmt.qf;
+      // votes rows are contiguous in k.
       for (std::int64_t j = 0; j < nout; ++j) {
         const S* uj = u + j * nin * d;
-        if (i32_ok) {
-          const std::int32_t* cj = c32.data() + j * nin;
-          std::fill(acc32.begin(), acc32.end(), 0);
-          for (std::int64_t i = 0; i < nin; ++i) {
-            const std::int32_t cij = cj[i];
-            const S* uv = uj + i * d;
-            for (std::int64_t k = 0; k < d; ++k)
-              acc32[static_cast<std::size_t>(k)] +=
-                  cij * static_cast<std::int32_t>(uv[k]);
-          }
+        const Acc* cj = c.data() + j * nin;
+        std::fill(acc.begin(), acc.end(), 0);
+        for (std::int64_t i = 0; i < nin; ++i) {
+          const Acc cij = cj[i];
+          const S* uv = uj + i * d;
           for (std::int64_t k = 0; k < d; ++k)
-            s_raw[static_cast<std::size_t>(j * d + k)] = hwmodel::rescale_raw(
-                acc32[static_cast<std::size_t>(k)], acc_qf, dr_fmt);
-        } else {
-          const std::int64_t* cj = c_raw.data() + j * nin;
-          for (std::int64_t k = 0; k < d; ++k) {
-            std::int64_t acc = 0;
-            for (std::int64_t i = 0; i < nin; ++i)
-              acc += cj[i] * std::int64_t{uj[i * d + k]};
-            s_raw[static_cast<std::size_t>(j * d + k)] =
-                hwmodel::rescale_raw(acc, acc_qf, dr_fmt);
-          }
+            acc[static_cast<std::size_t>(k)] += cij * static_cast<Acc>(uv[k]);
         }
+        for (std::int64_t k = 0; k < d; ++k)
+          s_raw[static_cast<std::size_t>(j * d + k)] = hwmodel::rescale_raw(
+              acc[static_cast<std::size_t>(k)], acc_qf, dr_fmt);
       }
       // v_j = squash(s_j): QDR input, activation-precision output. Raw bulk
       // seam: norms for all Nout capsules, ONE batched gain call (vector NR
@@ -910,25 +882,21 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
         const int prod_qf = dr_fmt.qf + squash.internal_qf();
         for (std::int64_t j = 0; j < nout; ++j) {
           const std::int64_t* sj = s_raw.data() + j * d;
-          std::int64_t acc = 0;
+          std::int64_t norm = 0;
           for (std::int64_t k = 0; k < d; ++k) {
             const std::int64_t wide = sj[k] * sj[k];
-            acc += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
+            norm += shift_up >= 0 ? (wide << shift_up) : (wide >> -shift_up);
           }
-          nsq_scratch[static_cast<std::size_t>(j)] = acc;
+          nsq_scratch[static_cast<std::size_t>(j)] = norm;
         }
         squash.gain_raw_n(nsq_scratch.data(), gain_scratch.data(), nout);
         for (std::int64_t j = 0; j < nout; ++j) {
           const std::int64_t g = gain_scratch[static_cast<std::size_t>(j)];
-          for (std::int64_t k = 0; k < d; ++k) {
-            const std::int64_t raw = hwmodel::rescale_raw(
-                s_raw[static_cast<std::size_t>(j * d + k)] * g, prod_qf,
-                act_fmt);
-            v_raw[static_cast<std::size_t>(j * d + k)] = raw;
-            if (i32_ok)
-              v32[static_cast<std::size_t>(j * d + k)] =
-                  static_cast<std::int32_t>(raw);
-          }
+          for (std::int64_t k = 0; k < d; ++k)
+            v[static_cast<std::size_t>(j * d + k)] =
+                static_cast<Acc>(hwmodel::rescale_raw(
+                    s_raw[static_cast<std::size_t>(j * d + k)] * g, prod_qf,
+                    act_fmt));
         }
       }
       if (it + 1 == iterations) break;
@@ -937,33 +905,20 @@ void route(const S* votes, std::int64_t r_count, std::int64_t nout,
       for (std::int64_t j = 0; j < nout; ++j) {
         std::int64_t* bj = b_raw.data() + j * nin;
         const S* uj = u + j * nin * d;
-        if (i32_ok) {
-          const std::int32_t* vj = v32.data() + j * d;
-          for (std::int64_t i = 0; i < nin; ++i) {
-            const S* uv = uj + i * d;
-            std::int32_t acc = 0;
-            for (std::int64_t k = 0; k < d; ++k)
-              acc += static_cast<std::int32_t>(uv[k]) * vj[k];
-            const std::int64_t a =
-                hwmodel::rescale_raw(acc, 2 * act_fmt.qf, dr_fmt);
-            bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
-          }
-        } else {
-          const std::int64_t* vj = v_raw.data() + j * d;
-          for (std::int64_t i = 0; i < nin; ++i) {
-            const S* uv = uj + i * d;
-            std::int64_t acc = 0;
-            for (std::int64_t k = 0; k < d; ++k)
-              acc += std::int64_t{uv[k]} * vj[k];
-            const std::int64_t a =
-                hwmodel::rescale_raw(acc, 2 * act_fmt.qf, dr_fmt);
-            bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
-          }
+        const Acc* vj = v.data() + j * d;
+        for (std::int64_t i = 0; i < nin; ++i) {
+          const S* uv = uj + i * d;
+          Acc dot = 0;
+          for (std::int64_t k = 0; k < d; ++k)
+            dot += static_cast<Acc>(uv[k]) * vj[k];
+          const std::int64_t a =
+              hwmodel::rescale_raw(dot, 2 * act_fmt.qf, dr_fmt);
+          bj[i] = hwmodel::saturate_raw(bj[i] + a, dr_fmt);
         }
       }
     }
-    std::transform(v_raw.begin(), v_raw.end(), v_out + r * nout * d,
-                   [](std::int64_t v) { return static_cast<S>(v); });
+    std::transform(v.begin(), v.end(), v_out + r * nout * d,
+                   [](Acc x) { return static_cast<S>(x); });
   }
 }
 
@@ -980,9 +935,21 @@ QActivation dynamic_routing(const QActivation& votes, int iterations,
   QCAPS_CHECK(votes.fmt() == act_fmt);
   QActivation v_out({r_count, nout, d}, act_fmt);
   if (v_out.numel() == 0) return v_out;
+  // Votes, couplings and squashed outputs all carry the activation format,
+  // whose rails bound every raw magnitude by 2^(wl-1) (bit width wl), so
+  // the format decides whether both contractions fit int32.
+  const bool i32 =
+      2 * act_fmt.wordlength() +
+          ceil_log2(std::max<std::int64_t>(std::max(nin, d), 1)) <=
+      30;
   // Votes and outputs share act_fmt, hence one container type.
   visit_pair(v_out, votes, [&](auto* v, const auto* u) {
-    route(u, r_count, nout, nin, d, iterations, act_fmt, dr_fmt, v);
+    if (i32)
+      route<std::int32_t>(u, r_count, nout, nin, d, iterations, act_fmt,
+                          dr_fmt, v);
+    else
+      route<std::int64_t>(u, r_count, nout, nin, d, iterations, act_fmt,
+                          dr_fmt, v);
   });
   return v_out;
 }
@@ -995,9 +962,33 @@ QGemmOperandCache make_operand_cache(const QTensor& t) {
   return cache;
 }
 
+QGemmOperandCache make_grouped_cache(
+    const std::vector<QTensor>& weights,
+    const std::vector<QGemmOperandCache>& caches) {
+  QCAPS_CHECK_MSG(weights.size() == caches.size(),
+                  "one packed cache per type weight");
+  QGemmOperandCache grouped;
+  grouped.max_abs = 0;
+  for (const QGemmOperandCache& c : caches) {
+    QCAPS_CHECK_MSG(c.max_abs >= 0, "type weight cache was not built");
+    grouped.max_abs = std::max(grouped.max_abs, c.max_abs);
+  }
+  // No type's range exceeds the grouped one, so each type's cache holds
+  // every container the grouped range admits.
+  const auto append = [](auto& dst, const auto* src, const QTensor& w) {
+    dst.insert(dst.end(), src, src + tensor::shape_numel(w.shape));
+  };
+  for (std::size_t t = 0; t < weights.size(); ++t) {
+    if (grouped.max_abs <= 127)
+      append(grouped.i8, cached_data<std::int8_t>(caches[t]), weights[t]);
+    if (grouped.max_abs <= 32767)
+      append(grouped.i16, cached_data<std::int16_t>(caches[t]), weights[t]);
+  }
+  return grouped;
+}
+
 QActivation vote_transform(const QActivation& u, const QTensor& w,
                            fixed::FixedFormat out_fmt,
-                           fixed::RoundingScheme scheme,
                            const QGemmOperandCache* w_cache) {
   QCAPS_CHECK_MSG(u.shape().size() == 3 && w.shape.size() == 4,
                   "vote_transform expects u [B,Nin,Din], w [Nin,Nout,Dout,Din]");
@@ -1007,136 +998,69 @@ QActivation vote_transform(const QActivation& u, const QTensor& w,
   QCAPS_CHECK_MSG(!w_cache || w_cache->max_abs >= 0,
                   "vote_transform weight cache was not built");
   const std::int64_t jd = nout * dout;
-  const int acc_qf = u.fmt().qf + w.fmt.qf;
+  const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
+  const PackedTier tier = din > 0
+                              ? packed_tier(u.fmt(), w.fmt, wmax, din, out_fmt)
+                              : PackedTier::kNone;
+  if (tier == PackedTier::kNone) {
+    // The exact tier: the ConvCaps3d vote convolutions over 1x1 images,
+    // input type i reading row u[b, i, :] against w[i] as [Nout*Dout, Din].
+    const ConvGeom g{b, nin * din, 1, 1, 1, 1, 0, 1, 1};
+    std::vector<std::int64_t> unused;
+    const std::int64_t* w64 = weights_as(w, nullptr, unused);
+    std::vector<const std::int64_t*> wt(static_cast<std::size_t>(nin));
+    for (std::int64_t i = 0; i < nin; ++i)
+      wt[static_cast<std::size_t>(i)] = w64 + i * jd * din;
+    return votes_direct(u, wt, g, w.fmt, din, nout, dout, out_fmt);
+  }
   QActivation votes({b, nout, nin, dout}, out_fmt);
   if (votes.numel() == 0) return votes;
-
-  if (din > 0 && scheme == fixed::RoundingScheme::kRoundToNearest) {
-    const std::int64_t wmax = w_cache ? w_cache->max_abs : w.max_abs_raw();
-    const PackedTier tier = packed_tier(u.fmt(), w.fmt, wmax, din, out_fmt);
-    if (tier != PackedTier::kNone) {
-      const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-      votes.visit([&](auto* v) {
-        if (tier == PackedTier::kInt8)
-          run_qgemm_votes<std::int8_t>(u, w, w_cache, b, nin, din, nout, dout,
-                                       rq, v);
-        else
-          run_qgemm_votes<std::int16_t>(u, w, w_cache, b, nin, din, nout,
-                                        dout, rq, v);
-      });
-      return votes;
-    }
-  }
-
-  // Exact int64 fallback, writing the j-major layout directly: the input
-  // widened once (read in place when it is held in int64), each result
-  // stored into the votes' container.
-  std::vector<std::int64_t> u_local;
-  const std::int64_t* uv64 = values_as<std::int64_t>(u, u_local);
-  check_i64_acc(uv64, u.numel(), w, din, "qengine vote_transform");
+  const tensor::QGemmRequant rq = make_requant(u.fmt().qf + w.fmt.qf, out_fmt);
   votes.visit([&](auto* v) {
-#pragma omp parallel for collapse(2) schedule(static)
-    for (std::int64_t bi = 0; bi < b; ++bi) {
-      for (std::int64_t i = 0; i < nin; ++i) {
-        const std::int64_t* uv = uv64 + (bi * nin + i) * din;
-        const std::int64_t* wrow = w.raw.data() + i * jd * din;
-        for (std::int64_t x = 0; x < jd; ++x) {
-          std::int64_t acc = 0;
-          for (std::int64_t p = 0; p < din; ++p)
-            acc += wrow[x * din + p] * uv[p];
-          v[((bi * nout + x / dout) * nin + i) * dout + x % dout] =
-              static_cast<elem_t<decltype(v)>>(
-                  hwmodel::rescale_raw(acc, acc_qf, out_fmt, scheme));
-        }
-      }
-    }
+    if (tier == PackedTier::kInt8)
+      run_qgemm_votes<std::int8_t>(u, w, w_cache, b, nin, din, nout, dout, rq,
+                                   v);
+    else
+      run_qgemm_votes<std::int16_t>(u, w, w_cache, b, nin, din, nout, dout,
+                                    rq, v);
   });
   return votes;
 }
 
-namespace {
-
-// Grouped ConvCaps3d vote convolutions (see the header): each image is
-// copied once over the full channel set, and input type t's vote GEMM reads
-// its Din channels at offset t * Din * Hp * Wp of that copy, against the
-// t-th slice of the concatenated packed weights. Each requantized strip of
-// type t (rows j*Dout + dd, image-local columns (bi, p)) lands at
-// votes[((b0 + bi) * plane + p) * Tout*Tin*Dout + j*Tin*Dout + t*Dout + dd].
-template <typename T, typename O>
-void conv_caps3d_votes_impl(const QActivation& x, const T* wp,
-                            const tensor::QGemmRequant& rq, const ConvGeom& g,
-                            std::int64_t in_types, std::int64_t din,
-                            std::int64_t out_types, std::int64_t dout,
-                            O* votes) {
-  const std::int64_t kk = din * g.k * g.k;  // fan-in of ONE type's vote conv
-  const std::int64_t jd = out_types * dout;
-  const std::int64_t jd_all = out_types * in_types * dout;
-  const std::int64_t plane = g.plane();
-
-  std::vector<tensor::QGemmDirect<T>> gemms;
-  gemms.reserve(static_cast<std::size_t>(in_types));
-  for (std::int64_t t = 0; t < in_types; ++t)
-    gemms.emplace_back(wp + t * jd * kk, jd, kk, rq);
-  const std::vector<std::int64_t> tap = tap_offsets(g, din);
-  direct_conv<T>(
-      x, g, g.b * plane * in_types * jd * kk,
-      [&](const T* data, const std::int64_t* col, std::int64_t b0,
-          std::int64_t j0, std::int64_t j1) {
-        for (std::int64_t t = 0; t < in_types; ++t) {
-          O* at = votes + b0 * plane * jd_all + t * dout;
-          gemms[static_cast<std::size_t>(t)].run_tiles(
-              {data + t * din * g.hp() * g.wp(), tap.data(), col}, j0, j1,
-              [&](std::int64_t s0, std::int64_t nr, const std::int32_t* tile,
-                  std::int64_t ld) {
-                for (std::int64_t jj = 0; jj < nr; ++jj) {
-                  O* d = at + (s0 + jj) * jd_all;
-                  for (std::int64_t j = 0; j < out_types; ++j)
-                    for (std::int64_t dd = 0; dd < dout; ++dd)
-                      d[j * in_types * dout + dd] = static_cast<O>(
-                          tile[(j * dout + dd) * ld + jj]);
-                }
-              });
-        }
-      });
-}
-
-}  // namespace
-
-bool conv_caps3d_votes(const QActivation& x, const QGemmOperandCache& grouped,
-                       fixed::FixedFormat w_fmt, std::int64_t in_types,
-                       std::int64_t in_dim, std::int64_t out_types,
-                       std::int64_t out_dim, std::int64_t ksize,
-                       std::int64_t stride, std::int64_t pad,
-                       fixed::FixedFormat out_fmt, QActivation& votes) {
-  QCAPS_CHECK_MSG(x.shape().size() == 4 && x.dim(1) == in_types * in_dim,
-                  "conv_caps3d_votes expects [B, Tin*Din, H, W] input");
-  const PackedTier tier = packed_tier(x.fmt(), w_fmt, grouped.max_abs,
-                                      in_dim * ksize * ksize, out_fmt);
-  if (tier == PackedTier::kNone) return false;
-  if (tier == PackedTier::kInt8 && !grouped.has_i8()) return false;
-  if (tier == PackedTier::kInt16 && !grouped.has_i16()) return false;
-  const int acc_qf = x.fmt().qf + w_fmt.qf;
-
-  const std::int64_t b = x.dim(0), h = x.dim(2), wd = x.dim(3);
-  const std::int64_t oh = (h + 2 * pad - ksize) / stride + 1;
-  const std::int64_t ow = (wd + 2 * pad - ksize) / stride + 1;
-  QCAPS_CHECK_MSG(votes.fmt() == out_fmt &&
-                      votes.numel() ==
-                          b * oh * ow * out_types * in_types * out_dim,
-                  "conv_caps3d_votes: votes tensor has the wrong size or "
-                  "format");
-  if (votes.numel() == 0) return true;
-  const tensor::QGemmRequant rq = make_requant(acc_qf, out_fmt);
-  const ConvGeom g{b, in_types * in_dim, h, wd, ksize, stride, pad, oh, ow};
-  votes.visit([&](auto* v) {
-    if (tier == PackedTier::kInt8)
-      conv_caps3d_votes_impl(x, grouped.i8_data(), rq, g, in_types, in_dim,
-                             out_types, out_dim, v);
-    else
-      conv_caps3d_votes_impl(x, grouped.i16_data(), rq, g, in_types, in_dim,
-                             out_types, out_dim, v);
+QActivation conv_caps3d_votes(const QActivation& x,
+                              const std::vector<QTensor>& type_weights,
+                              const QGemmOperandCache& grouped,
+                              std::int64_t out_dim, std::int64_t stride,
+                              std::int64_t pad, fixed::FixedFormat out_fmt) {
+  QCAPS_CHECK_MSG(!type_weights.empty(), "conv_caps3d_votes needs weights");
+  const QTensor& w0 = type_weights.front();
+  const std::int64_t in_types = static_cast<std::int64_t>(type_weights.size());
+  const ConvGeom g = conv_geom(x.shape(), w0, stride, pad, in_types);
+  for (const QTensor& w : type_weights)
+    QCAPS_CHECK_MSG(w.shape == w0.shape && w.fmt == w0.fmt,
+                    "conv_caps3d_votes: type weights differ in shape or "
+                    "format");
+  QCAPS_CHECK_MSG(out_dim > 0 && w0.dim(0) % out_dim == 0,
+                  "conv_caps3d_votes: " << w0.dim(0) << " rows do not split "
+                                        << "into capsules of dim " << out_dim);
+  const std::int64_t din = w0.dim(1), kk = din * g.k * g.k;
+  const PackedTier tier =
+      packed_tier(x.fmt(), w0.fmt, grouped.max_abs, kk, out_fmt);
+  return on_tier(tier, [&](auto zero) {
+    using T = decltype(zero);
+    std::vector<const T*> wt;
+    for (std::int64_t t = 0; t < in_types; ++t) {
+      if constexpr (std::is_same_v<T, std::int64_t>) {
+        std::vector<T> unused;
+        wt.push_back(weights_as<T>(
+            type_weights[static_cast<std::size_t>(t)], nullptr, unused));
+      } else {
+        wt.push_back(cached_data<T>(grouped) + t * w0.dim(0) * kk);
+      }
+    }
+    return votes_direct<T>(x, wt, g, w0.fmt, din, w0.dim(0) / out_dim,
+                           out_dim, out_fmt);
   });
-  return true;
 }
 
 tensor::Tensor lengths(const QTensor& caps) {

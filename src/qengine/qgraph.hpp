@@ -82,6 +82,13 @@ struct QuantizedOp {
   std::int64_t in_types = 0, in_dim = 0;      ///< caps convolutions
   std::int64_t out_types = 0, out_dim = 0;
 
+  /// kConvCaps3d: the per-type packed vote weights concatenated into one
+  /// image (make_grouped_cache), the operand of its grouped vote
+  /// convolutions. Rebuilt from the type caches whenever a graph is
+  /// (compile, from_ops); never serialized. Shared, not copied: the serving
+  /// pool's N replicas of one graph all point at the same panels.
+  std::shared_ptr<const QGemmOperandCache> grouped_cache;
+
   // ---- fusion annotations (in-memory only; see QuantizedGraph::fuse) ----
   // Never serialized: the .qcg op list is always the unfused graph, and
   // from_ops() clears these fields, so any round trip through ops() or disk
@@ -90,12 +97,6 @@ struct QuantizedOp {
                             ///< requant's clamp-lo (element-exact)
   bool fused_away = false;  ///< kRelu folded into its producing conv; at
                             ///< run time it aliases its input unchanged
-  bool grouped = false;     ///< kConvCaps3d: per-type vote convs run as one
-                            ///< grouped direct conv over a shared input
-  /// kConvCaps3d: the per-type packed vote weights concatenated into one
-  /// image (A operand of the grouped GEMM batch). Shared, not copied: the
-  /// serving pool's N replicas of one graph all point at the same panels.
-  std::shared_ptr<const QGemmOperandCache> grouped_cache;
 
   /// Storage cost of this node's quantized parameters.
   std::int64_t weight_bits() const;
@@ -188,17 +189,12 @@ class QuantizedGraph {
 
   /// Graph-level fusion pass over the compiled op list. Annotates in place —
   /// no node is added, removed, or renamed, so saturation()/profile layouts
-  /// and the serialized form are untouched:
-  ///   - kRelu whose producer is a kConv2d with no other consumer and the
-  ///     same output format folds into the conv's requant clamp (the relu
-  ///     node stays but becomes an alias of its input at run time);
-  ///   - kConvCaps3d nodes whose per-type packed weights share a storage
-  ///     tier get a concatenated operand cache and run as ONE grouped
-  ///     direct conv over a shared padded input copy instead of Tin separate
-  ///     convs.
-  /// Fused execution is bit-identical to unfused (golden-locked). compile()
-  /// and the .qcg loader always call this; a graph from from_ops() alone is
-  /// the unfused reference. Idempotent.
+  /// and the serialized form are untouched: a kRelu whose producer is a
+  /// kConv2d with no other consumer and the same output format folds into
+  /// the conv's requant clamp (the relu node stays but becomes an alias of
+  /// its input at run time). Fused execution is bit-identical to unfused
+  /// (golden-locked). compile() and the .qcg loader always call this; a
+  /// graph from from_ops() alone is the unfused reference. Idempotent.
   void fuse();
   /// True once fuse() has run on this graph.
   bool fused() const { return fused_; }
@@ -288,7 +284,8 @@ class QuantizedGraph {
 
   /// Derive the per-graph execution tables from ops_, input_fmt_ and
   /// layer_end_ (compile / from_ops): the storage plan, the liveness table,
-  /// and the check that every layer boundary is a cut.
+  /// the check that every layer boundary is a cut, and each ConvCaps3d
+  /// node's grouped vote operand.
   void plan();
 
   std::vector<QuantizedOp> ops_;

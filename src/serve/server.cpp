@@ -240,24 +240,6 @@ std::vector<std::string> InferenceServer::model_names() const {
   return out;
 }
 
-void InferenceServer::remove_model(const std::string& name) {
-  // Take the pool out of the map first so new submits fail fast with the
-  // unknown-model error, then tear it down outside the lock (workers may be
-  // mid-batch; joining under mu_ would stall every other pool's submits).
-  std::unique_ptr<ModelPool> pool;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    const auto it = pools_.find(name);
-    QCAPS_CHECK_MSG(it != pools_.end(),
-                    "remove_model: unknown model '" << name << "'");
-    pool = std::move(it->second);
-    pools_.erase(it);
-  }
-  pool->queue.close();  // workers drain pending requests, then exit
-  for (auto& t : pool->workers)
-    if (t.joinable()) t.join();
-}
-
 void InferenceServer::shutdown() {
   std::lock_guard<std::mutex> lk(mu_);
   if (stopped_) return;

@@ -136,14 +136,6 @@ class InferenceServer {
   ModelStats stats(const std::string& model) const;
   std::vector<std::string> model_names() const;
 
-  /// Unregister one model: close its queue, drain pending requests, join its
-  /// workers and drop the pool. The name becomes reusable. Callers must stop
-  /// submitting to `name` before removing it — a submit racing the removal
-  /// may either complete or throw the unknown-model error. This is what lets
-  /// a long-lived server turn models over (the search evaluator registers
-  /// one model per candidate graph).
-  void remove_model(const std::string& name);
-
   /// Graceful stop: queues close, workers drain every pending request, then
   /// join. Idempotent; also run by the destructor.
   void shutdown();

@@ -199,11 +199,10 @@ TEST(QEngineConv, NarrowOutputFormatSaturates) {
   EXPECT_EQ(out.raw[0], f.raw_max());
 }
 
-// ---- direct convolution: packed path against the exact int64 oracle ---------
+// ---- direct convolution on every tier against the exact int64 oracle ------
 
-// The exact int64 scalar convolution, the same loop as qengine::conv2d's
-// fallback for formats the packed path cannot express: wide accumulate, bias
-// aligned to the accumulator, RTN rescale, then the fused ReLU.
+// The exact int64 scalar convolution: wide accumulate, bias aligned to the
+// accumulator, RTN rescale, then the fused ReLU.
 QTensor conv2d_ref(const QTensor& x, const QTensor& w, const QTensor& bias,
                    std::int64_t stride, std::int64_t pad,
                    fixed::FixedFormat out_fmt, bool relu) {
@@ -255,25 +254,29 @@ QTensor random_rails(common::Rng& rng, tensor::Shape shape,
   return t;
 }
 
+// Runs `body` at one and at two OpenMP threads.
+template <typename F>
+void for_each_team(const F& body) {
+#ifdef _OPENMP
+  const int saved = omp_get_max_threads();
+#endif
+  for (const int threads : {1, 2}) {
+#ifdef _OPENMP
+    omp_set_num_threads(threads);
+#endif
+    SCOPED_TRACE("threads " + std::to_string(threads));
+    body();
+  }
+#ifdef _OPENMP
+  omp_set_num_threads(saved);
+#endif
+}
+
 // Runs `body` at every dispatch level this CPU supports, at one and at two
 // OpenMP threads.
 template <typename F>
 void for_each_isa_and_team(const F& body) {
-#ifdef _OPENMP
-  const int saved = omp_get_max_threads();
-#endif
-  testutil::for_each_isa([&](common::Isa) {
-    for (const int threads : {1, 2}) {
-#ifdef _OPENMP
-      omp_set_num_threads(threads);
-#endif
-      SCOPED_TRACE("threads " + std::to_string(threads));
-      body();
-    }
-  });
-#ifdef _OPENMP
-  omp_set_num_threads(saved);
-#endif
+  testutil::for_each_isa([&](common::Isa) { for_each_team(body); });
 }
 
 struct DirectConvCase {
@@ -296,17 +299,16 @@ const DirectConvCase kDirectConvCases[] = {
     {8, 16, 4, 8, 3, 1, 1},    // B4 inner, 4x4 at stride 1 (21)
 };
 
-// Every case x epilogue (plain, bias without ReLU, bias + fused ReLU)
-// against conv2d_ref, under every tier and team size. `cases` defaults to
-// all of kDirectConvCases.
+// Every case of kDirectConvCases x epilogue (plain, bias without ReLU,
+// bias + fused ReLU) against conv2d_ref, at one and two threads under every
+// dispatch level, or under the default level alone when the formats take
+// the `exact` tier, whose kernel is scalar.
 void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
                        std::int64_t xhi, fixed::FixedFormat wf,
                        std::int64_t wmax, fixed::FixedFormat out_fmt,
-                       std::vector<DirectConvCase> cases = {}) {
-  if (cases.empty())
-    cases.assign(std::begin(kDirectConvCases), std::end(kDirectConvCases));
+                       bool exact = false) {
   common::Rng rng(41);
-  for (const auto& cs : cases) {
+  for (const auto& cs : kDirectConvCases) {
     SCOPED_TRACE("b=" + std::to_string(cs.b) + " c=" + std::to_string(cs.c) +
                  " hw=" + std::to_string(cs.hw) + " k=" +
                  std::to_string(cs.k) + " stride=" +
@@ -324,23 +326,24 @@ void check_direct_conv(fixed::FixedFormat xf, std::int64_t xlo,
         conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, false);
     const QTensor want_relu =
         conv2d_ref(x, w, bias, cs.stride, cs.pad, out_fmt, true);
-    for_each_isa_and_team([&] {
+    const auto body = [&] {
       const QActivation plain =
           conv2d(xa, w, QTensor(), cs.stride, cs.pad, out_fmt);
       ASSERT_EQ(plain.storage(), storage_for(out_fmt));
       EXPECT_EQ(plain.widen().raw, want_plain.raw);
-      EXPECT_EQ(conv2d(xa, w, bias, cs.stride, cs.pad, out_fmt,
-                       fixed::RoundingScheme::kRoundToNearest, &cache)
-                    .widen()
-                    .raw,
-                want_bias.raw);
-      EXPECT_EQ(conv2d(xa, w, bias, cs.stride, cs.pad, out_fmt,
-                       fixed::RoundingScheme::kRoundToNearest, &cache,
+      EXPECT_EQ(
+          conv2d(xa, w, bias, cs.stride, cs.pad, out_fmt, &cache).widen().raw,
+          want_bias.raw);
+      EXPECT_EQ(conv2d(xa, w, bias, cs.stride, cs.pad, out_fmt, &cache,
                        /*fuse_relu=*/true)
                     .widen()
                     .raw,
                 want_relu.raw);
-    });
+    };
+    if (exact)
+      for_each_team(body);
+    else
+      for_each_isa_and_team(body);
   }
 }
 
@@ -389,24 +392,27 @@ TEST(QEngineDirectConv, Int8InputWithInt16WeightsWidensIntoTheInt16Tier) {
                     fixed::FixedFormat(2, 8), 300, fixed::FixedFormat(8, 8));
 }
 
-TEST(QEngineDirectConv, Int8InputWithWideWeightsTakesTheInt64Fallback) {
-  // Weights past the int16 range leave the packed path: the int8-held input
-  // is widened once and the exact int64 loop stores into the int16 output.
+TEST(QEngineDirectConv, Int8InputWithWideWeightsTakesTheExactTier) {
+  // Weights past the int16 range leave the packed tiers: the int8-held
+  // input is widened into the int64 padded copy and the exact kernel stores
+  // into the int16 output.
   ASSERT_EQ(packed_tier(fixed::FixedFormat(1, 7), fixed::FixedFormat(17, 8),
-                        40000, 64 * 9, fixed::FixedFormat(8, 7)),
+                        40000, 1, fixed::FixedFormat(8, 7)),
             PackedTier::kNone);
   check_direct_conv(fixed::FixedFormat(1, 7), -128, 127,
                     fixed::FixedFormat(17, 8), 40000, fixed::FixedFormat(8, 7),
-                    {kDirectConvCases[0], kDirectConvCases[2],
-                     kDirectConvCases[7]});
+                    /*exact=*/true);
 }
 
-TEST(QEngineDirectConv, WideFormatHeldInInt64TakesTheInt64Fallback) {
-  // An 18-bit activation format is held in int64 and runs the exact loop.
+TEST(QEngineDirectConv, WideFormatHeldInInt64TakesTheExactTier) {
+  // An 18-bit activation format is held in int64 and runs the exact kernel.
   ASSERT_EQ(storage_for(fixed::FixedFormat(6, 12)), Storage::kInt64);
+  ASSERT_EQ(packed_tier(fixed::FixedFormat(6, 12), fixed::FixedFormat(2, 8),
+                        199, 1, fixed::FixedFormat(8, 12)),
+            PackedTier::kNone);
   check_direct_conv(fixed::FixedFormat(6, 12), -131072, 131071,
                     fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(8, 12),
-                    {kDirectConvCases[0], kDirectConvCases[2]});
+                    /*exact=*/true);
 }
 
 TEST(QEngineDirectConv, NarrowOutputSaturatesOnEveryTier) {
@@ -426,14 +432,15 @@ struct VotesCase {
   std::int64_t b, tin, din, tout, dout, hw, k, stride, pad;
 };
 
-// The grouped ConvCaps3d votes against the per-type path: each type's
-// channel slice convolved by the oracle and scattered j-major. Inputs in
-// [lo, hi] of format f, weights in [-wmax, wmax] of format wf.
+// The grouped ConvCaps3d votes against the per-type oracle: each type's
+// channel slice convolved by conv2d_ref and scattered j-major. Inputs in
+// [lo, hi] of format f, weights in [-wmax, wmax] of format wf, except the
+// first type's in [-first_wmax, first_wmax] when that is given.
 void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
                          std::int64_t hi, fixed::FixedFormat wf,
                          std::int64_t wmax,
-                         fixed::FixedFormat out_fmt = fixed::FixedFormat(6,
-                                                                         10)) {
+                         fixed::FixedFormat out_fmt = fixed::FixedFormat(6, 10),
+                         std::int64_t first_wmax = 0) {
   const VotesCase cases[] = {
       {3, 4, 4, 3, 4, 6, 3, 1, 1},
       {16, 8, 8, 8, 8, 4, 3, 2, 1},  // B5: a 2x2 plane
@@ -446,20 +453,13 @@ void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
     const QTensor x = random_rails(rng, {vc.b, vc.tin * vc.din, vc.hw, vc.hw},
                                    f, lo, hi);
     std::vector<QTensor> wt;
-    QGemmOperandCache grouped;
-    grouped.max_abs = 0;
+    std::vector<QGemmOperandCache> caches;
     for (std::int64_t t = 0; t < vc.tin; ++t) {
-      wt.push_back(random_rails(rng, {jd, vc.din, vc.k, vc.k}, wf, -wmax,
-                                wmax));
-      grouped.max_abs = std::max(grouped.max_abs, wt.back().max_abs_raw());
-      // Both containers when they fit, as the graph's fusion pass builds.
-      if (wmax <= 127) {
-        const auto p8 = wt.back().packed_i8();
-        grouped.i8.insert(grouped.i8.end(), p8.begin(), p8.end());
-      }
-      const auto p16 = wt.back().packed_i16();
-      grouped.i16.insert(grouped.i16.end(), p16.begin(), p16.end());
+      const std::int64_t m = t == 0 && first_wmax > 0 ? first_wmax : wmax;
+      wt.push_back(random_rails(rng, {jd, vc.din, vc.k, vc.k}, wf, -m, m));
+      caches.push_back(make_operand_cache(wt.back()));
     }
+    const QGemmOperandCache grouped = make_grouped_cache(wt, caches);
     const std::int64_t oh = (vc.hw + 2 * vc.pad - vc.k) / vc.stride + 1;
     const std::int64_t plane = oh * oh;
     QTensor want({vc.b * plane, vc.tout, vc.tin, vc.dout}, out_fmt);
@@ -483,10 +483,10 @@ void check_grouped_votes(fixed::FixedFormat f, std::int64_t lo,
     }
     const QActivation xa(x);
     for_each_isa_and_team([&] {
-      QActivation votes({vc.b * plane, vc.tout, vc.tin, vc.dout}, out_fmt);
-      ASSERT_TRUE(conv_caps3d_votes(xa, grouped, wf, vc.tin, vc.din, vc.tout,
-                                    vc.dout, vc.k, vc.stride, vc.pad, out_fmt,
-                                    votes));
+      const QActivation votes = conv_caps3d_votes(
+          xa, wt, grouped, vc.dout, vc.stride, vc.pad, out_fmt);
+      ASSERT_EQ(votes.storage(), storage_for(out_fmt));
+      EXPECT_EQ(votes.shape(), want.shape);
       EXPECT_EQ(votes.widen().raw, want.raw);
     });
   }
@@ -511,7 +511,26 @@ TEST(QEngineDirectConv, GroupedVotesMatchPerTypeOracleInt16) {
                       fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(8, 12));
 }
 
-// ---- one-pass capsule convolution against conv2d -> squash_channels --------
+TEST(QEngineDirectConv, GroupedVotesExactTierMatchesPerTypeOracle) {
+  // Vote weights past the int16 range send every type to the exact kernel,
+  // the first type too, although its own range would pack int8: the node
+  // runs one tier, picked from the grouped range.
+  const fixed::FixedFormat f(1, 7), wf(17, 8);
+  std::vector<QTensor> wt = {QTensor({1}, wf), QTensor({1}, wf)};
+  wt[0].raw = {100};
+  wt[1].raw = {40000};
+  const QGemmOperandCache grouped = make_grouped_cache(
+      wt, {make_operand_cache(wt[0]), make_operand_cache(wt[1])});
+  EXPECT_EQ(grouped.max_abs, 40000);
+  EXPECT_FALSE(grouped.has_i8() || grouped.has_i16());
+  check_grouped_votes(f, -128, 127, wf, 40000, fixed::FixedFormat(8, 7),
+                      /*first_wmax=*/100);
+  // An 18-bit input held in int64.
+  check_grouped_votes(fixed::FixedFormat(6, 12), -131072, 131071,
+                      fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(8, 12));
+}
+
+// ---- one-pass capsule convolution against conv -> squash_channels ----------
 
 struct ConvCapsCase {
   std::int64_t b, c, hw, types, dim, stride;
@@ -531,12 +550,14 @@ const ConvCapsCase kConvCapsCases[] = {
 };
 
 // Every case x epilogue (plain, bias) against the exact int64 conv followed
-// by squash_channels, at every dispatch level and team size. The pre-squash
-// format is the executor's rule for activation format `act`.
+// by testutil::squash_channels, at one and two threads under every dispatch
+// level, or under the default level alone when the formats take the `exact`
+// tier. The pre-squash format is the executor's rule for activation format
+// `act`.
 void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
                      std::int64_t xhi, fixed::FixedFormat wf,
                      std::int64_t wmax, fixed::FixedFormat act,
-                     std::vector<ConvCapsCase> cases) {
+                     std::vector<ConvCapsCase> cases, bool exact = false) {
   const fixed::FixedFormat mid(8, std::min(20, act.qf + 8));
   common::Rng rng(53);
   for (const auto& cs : cases) {
@@ -552,14 +573,12 @@ void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
     const QTensor bias = random_rails(rng, {f}, wf, -wmax, wmax);
     const QGemmOperandCache cache = make_operand_cache(w);
     const auto want = [&](const QTensor& bs) {
-      return squash_channels(
-                 QActivation(conv2d_ref(x, w, bs, cs.stride, 1, mid, false)),
-                 cs.dim, act)
-          .widen();
+      return testutil::squash_channels(
+          conv2d_ref(x, w, bs, cs.stride, 1, mid, false), cs.dim, act);
     };
     const QTensor want_plain = want(QTensor());
     const QTensor want_bias = want(bias);
-    for_each_isa_and_team([&] {
+    const auto body = [&] {
       const QActivation plain =
           conv_caps(xa, w, QTensor(), cs.stride, 1, cs.dim, mid, act);
       ASSERT_EQ(plain.storage(), storage_for(act));
@@ -568,7 +587,11 @@ void check_conv_caps(fixed::FixedFormat xf, std::int64_t xlo,
                     .widen()
                     .raw,
                 want_bias.raw);
-    });
+    };
+    if (exact)
+      for_each_team(body);
+    else
+      for_each_isa_and_team(body);
   }
 }
 
@@ -610,26 +633,30 @@ TEST(QEngineConvCaps, Int16RailsMatchConvThenSquashOnEveryTier) {
                   fixed::FixedFormat(1, 7), 3, fixed::FixedFormat(1, 7), some);
 }
 
-TEST(QEngineConvCaps, WideFormatTakesTheInt64Fallback) {
-  // An 18-bit activation format is past the int16 container: conv2d's exact
-  // int64 loop then squash_channels, with the same results.
+TEST(QEngineConvCaps, WideFormatTakesTheExactTier) {
+  // An 18-bit activation format is past the int16 container: the exact
+  // kernel's int64 strips are squashed by the same epilogue.
   ASSERT_EQ(packed_tier(fixed::FixedFormat(6, 12), fixed::FixedFormat(2, 8),
-                        199, 64 * 9, fixed::FixedFormat(8, 18)),
+                        199, 1, fixed::FixedFormat(8, 18)),
             PackedTier::kNone);
+  const std::vector<ConvCapsCase> all(std::begin(kConvCapsCases),
+                                      std::end(kConvCapsCases));
   check_conv_caps(fixed::FixedFormat(6, 12), -131072, 131071,
                   fixed::FixedFormat(2, 8), 199, fixed::FixedFormat(2, 10),
-                  {kConvCapsCases[4], kConvCapsCases[5]});
+                  all, /*exact=*/true);
 }
 
-TEST(QEngineConvCaps, Int8InputWithWideWeightsTakesTheInt64Fallback) {
-  // Weights past the int16 range: the int8-held input widened once, then
-  // conv2d's exact loop and squash_channels.
+TEST(QEngineConvCaps, Int8InputWithWideWeightsTakesTheExactTier) {
+  // Weights past the int16 range: the int8-held input widened into the
+  // int64 padded copy, then the exact kernel and the squash epilogue.
   ASSERT_EQ(packed_tier(fixed::FixedFormat(1, 7), fixed::FixedFormat(17, 8),
-                        40000, 64 * 9, fixed::FixedFormat(8, 15)),
+                        40000, 1, fixed::FixedFormat(8, 15)),
             PackedTier::kNone);
+  const std::vector<ConvCapsCase> all(std::begin(kConvCapsCases),
+                                      std::end(kConvCapsCases));
   check_conv_caps(fixed::FixedFormat(1, 7), -128, 127,
                   fixed::FixedFormat(17, 8), 40000, fixed::FixedFormat(1, 7),
-                  {kConvCapsCases[4], kConvCapsCases[5]});
+                  all, /*exact=*/true);
 }
 
 // ---- the other ops on int8 / int16 containers at their rails --------------
@@ -648,7 +675,8 @@ TEST(QEngineDirectConv, VoteTransformRailsMatchInt64Oracle) {
       {{1, 7}, -128, 127, {1, 7}, 127, {6, 10}},      // int8 -> int16
       {{1, 7}, -128, 127, {2, 8}, 300, {10, 10}},     // int8 widened, int64
       {{1, 15}, -32768, 32767, {1, 7}, 3, {4, 12}},   // int16 -> int16
-      {{1, 7}, -128, 127, {17, 8}, 40000, {8, 7}},    // the int64 fallback
+      {{1, 7}, -128, 127, {17, 8}, 40000, {8, 7}},    // the exact tier
+      {{6, 12}, -131072, 131071, {2, 8}, 199, {8, 12}},  // int64 u, exact
   };
   common::Rng rng(71);
   for (const auto& cs : cases) {
@@ -661,8 +689,7 @@ TEST(QEngineDirectConv, VoteTransformRailsMatchInt64Oracle) {
     const QTensor want = to_jmajor(legacy_vote_transform(u, w, cs.out));
     const QActivation ua(u);
     for_each_isa_and_team([&] {
-      const QActivation got = vote_transform(
-          ua, w, cs.out, fixed::RoundingScheme::kRoundToNearest, &cache);
+      const QActivation got = vote_transform(ua, w, cs.out, &cache);
       ASSERT_EQ(got.storage(), storage_for(cs.out));
       EXPECT_EQ(got.widen().raw, want.raw);
     });
@@ -891,9 +918,7 @@ TEST(QEngineVotes, WeightCacheMatchesUncachedPath) {
   const auto check = [&out](const QTensor& u, const QTensor& w) {
     const QGemmOperandCache cache = make_operand_cache(w);
     const QTensor got =
-        vote_transform(QActivation(u), w, out,
-                       fixed::RoundingScheme::kRoundToNearest, &cache)
-            .widen();
+        vote_transform(QActivation(u), w, out, &cache).widen();
     const QTensor want = vote_transform(QActivation(u), w, out).widen();
     for (std::size_t i = 0; i < got.raw.size(); ++i)
       ASSERT_EQ(got.raw[i], want.raw[i]) << "flat " << i;

@@ -99,15 +99,12 @@ class LegacyShallowCaps {
     const std::int64_t b = images.dim(0);
 
     const QActivation x0(QTensor::from_float(images, input_fmt_));
-    QActivation x1 = conv2d(x0, w1_, b1_, stride1_, pad1_, act1_,
-                            fixed::RoundingScheme::kRoundToNearest, &w1_cache_);
+    QActivation x1 = conv2d(x0, w1_, b1_, stride1_, pad1_, act1_, &w1_cache_);
     relu(x1);
 
     const fixed::FixedFormat pre_squash(8, std::min(20, act2_.qf + 8));
     const QTensor s2 =
-        conv2d(x1, w2_, b2_, stride2_, 0, pre_squash,
-               fixed::RoundingScheme::kRoundToNearest, &w2_cache_)
-            .widen();
+        conv2d(x1, w2_, b2_, stride2_, 0, pre_squash, &w2_cache_).widen();
     const std::int64_t oh = s2.dim(2), ow = s2.dim(3);
     const std::int64_t plane = oh * ow;
     QTensor caps({b, caps_types_ * plane, caps_dim_}, pre_squash);
@@ -124,8 +121,7 @@ class LegacyShallowCaps {
     const QActivation u = squash_last(QActivation(caps), act2_);
 
     QCAPS_CHECK(u.dim(1) == num_in_ && u.dim(2) == dim_in_);
-    const QActivation votes = vote_transform(
-        u, w3_, act3_, fixed::RoundingScheme::kRoundToNearest, &w3_cache_);
+    const QActivation votes = vote_transform(u, w3_, act3_, &w3_cache_);
     return dynamic_routing(votes, iterations_, act3_, dr3_).widen();
   }
 
@@ -258,8 +254,7 @@ TEST(QGraphOps, SquashChannelsMatchesFloatReferenceWithinPrecision) {
   const tensor::Tensor s =
       q.quantized(tensor::Tensor::randn({2, 3 * 4, 5, 5}, rng, 0.0f, 0.6f));
   const QTensor got =
-      squash_channels(QActivation(QTensor::from_float(s, fmt)), 4, fmt)
-          .widen();
+      testutil::squash_channels(QTensor::from_float(s, fmt), 4, fmt);
   const tensor::Tensor ref = nn::squash_channels(s, 4);
   const tensor::Tensor gotf = got.to_float();
   ASSERT_TRUE(ref.same_shape(gotf));
@@ -525,7 +520,7 @@ QuantizedGraph unfused_twin(const QuantizedGraph& g) {
   return QuantizedGraph::from_ops(std::move(ops), g.input_format());
 }
 
-TEST(QGraphFusion, CompileFoldsReluAndGroupsVoteConvs) {
+TEST(QGraphFusion, CompileFoldsRelu) {
   const auto cfg = models::ShallowCapsConfig::experiment();
   common::Rng rng(62);
   auto net = models::build_shallow_caps(cfg, rng);
@@ -544,8 +539,6 @@ TEST(QGraphFusion, CompileFoldsReluAndGroupsVoteConvs) {
   for (const auto& op : twin.ops()) {
     EXPECT_FALSE(op.fused_relu);
     EXPECT_FALSE(op.fused_away);
-    EXPECT_FALSE(op.grouped);
-    EXPECT_EQ(op.grouped_cache, nullptr);
   }
 }
 
@@ -583,16 +576,17 @@ TEST(QGraphFusion, DeepCapsFusedBitIdenticalToUnfusedAcrossTiers) {
         6, frac, fixed::RoundingScheme::kRoundToNearest);
     const QuantizedGraph fused = QuantizedGraph::compile(*net, spec);
     ASSERT_TRUE(fused.fused());
-    // The ConvCaps3d skip (block 3) must carry the grouped operand image.
-    bool any_grouped = false;
-    for (const auto& op : fused.ops())
-      if (op.kind == QOpKind::kConvCaps3d) {
-        EXPECT_TRUE(op.grouped);
-        EXPECT_NE(op.grouped_cache, nullptr);
-        any_grouped = true;
-      }
-    EXPECT_TRUE(any_grouped);
     const QuantizedGraph plain = unfused_twin(fused);
+    // The ConvCaps3d skip (block 3) carries its grouped vote operand with
+    // the node, fused or not.
+    int grouped = 0;
+    for (const QuantizedGraph* g : {&fused, &plain})
+      for (const auto& op : g->ops())
+        if (op.kind == QOpKind::kConvCaps3d) {
+          EXPECT_NE(op.grouped_cache, nullptr);
+          ++grouped;
+        }
+    EXPECT_EQ(grouped, 2);
     const QTensor want = plain.forward(images);
     const QTensor got = fused.forward(images);
     ASSERT_EQ(got.shape, want.shape);
@@ -678,7 +672,7 @@ TEST(QGraphStorage, EightBitGraphsHoldEveryValueInOneByte) {
 
 TEST(QGraphStorage, WideActivationsTakeInt16AndInt64Containers) {
   // Q1.11 activations hold int16 values and Q6.12 ones int64 (the exact
-  // int64 fallbacks); both match the unfused twin.
+  // kernel tier); both match the unfused twin.
   common::Rng rng(76);
   const auto net = models::build_shallow_caps(
       models::ShallowCapsConfig::experiment(), rng);

@@ -19,6 +19,7 @@
 //    must consciously re-bake.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -194,6 +195,50 @@ TEST(QcgRoundTrip, DeepCapsAllOpKinds) {
   const QuantizedGraph loaded = load_graph(path);
   expect_bit_identical(direct, loaded, probes(2, 1, 28));
   EXPECT_EQ(inspect(path).family, QcgFamily::kDeepCaps);
+}
+
+TEST(QcgRoundTrip, ConvCaps3dTypeWeightsJudgedOnTheirGroupedRange) {
+  // A kConvCaps3d node runs one tier for all its vote weights, picked from
+  // their grouped range. Type 0's own range packs, but type 1 passes int16,
+  // so the node runs the exact kernel, which reads every type's raw values:
+  // none of them may be stored hollow.
+  const auto cfg = models::DeepCapsConfig::experiment(28, 1);
+  common::Rng rng(77);
+  auto net = models::build_deep_caps(cfg, rng);
+  const QuantizedGraph compiled = QuantizedGraph::compile(
+      *net, core::NetworkQuantSpec::uniform(
+                6, 8, fixed::RoundingScheme::kRoundToNearest));
+  std::vector<qengine::QuantizedOp> ops = compiled.ops();
+  const auto it = std::find_if(ops.begin(), ops.end(), [](const auto& op) {
+    return op.kind == QOpKind::kConvCaps3d;
+  });
+  ASSERT_NE(it, ops.end());
+  qengine::QuantizedOp& op = *it;
+  ASSERT_GE(op.type_weights.size(), 2u);
+  for (std::size_t t = 0; t < op.type_weights.size(); ++t) {
+    qengine::QTensor& w = op.type_weights[t];
+    w.fmt = fixed::FixedFormat(20 - w.fmt.qf, w.fmt.qf);  // room for 40000
+    if (t == 1) w.raw[0] = 40000;
+    op.type_caches[t] = qengine::make_operand_cache(w);
+  }
+  const fixed::FixedFormat x_fmt =
+      ops[static_cast<std::size_t>(op.input)].out_fmt;
+  const qengine::QTensor& w0 = op.type_weights[0];
+  const std::int64_t k = w0.dim(1) * w0.dim(2) * w0.dim(3);
+  ASSERT_NE(qengine::packed_tier(x_fmt, w0.fmt, op.type_caches[0].max_abs, k,
+                                 op.out_fmt),
+            qengine::PackedTier::kNone);
+  ASSERT_EQ(qengine::packed_tier(x_fmt, w0.fmt, 40000, k, op.out_fmt),
+            qengine::PackedTier::kNone);
+  const std::size_t node = static_cast<std::size_t>(it - ops.begin());
+  const QuantizedGraph direct =
+      QuantizedGraph::from_ops(std::move(ops), compiled.input_format());
+  const std::string path = tmp_path("rt_deep_grouped.qcg");
+  save_graph(direct, path);
+  const QuantizedGraph loaded = load_graph(path);
+  for (const qengine::QTensor& w : loaded.ops()[node].type_weights)
+    EXPECT_FALSE(w.raw.empty());
+  expect_bit_identical(direct, loaded, probes(2, 1, 28));
 }
 
 TEST(QcgRoundTrip, PlainReadMatchesMmap) {
@@ -448,6 +493,20 @@ TEST(QcgReject, NodeGeometryForwardCannotRun) {
   expect_corrupt(patch_node(deep, caps3d, offsetof(R, in_dim),
                             deep_graph.ops()[caps3d].in_dim + 1),
                  "convcaps3d input dim past its vote weights");
+  // Type weight 1's qf, patched through node 0's record offset: the
+  // grouped vote convolution reads every type on the first one's grid.
+  QcgHeader dh;
+  std::memcpy(&dh, deep.data(), sizeof dh);
+  R rec;
+  std::memcpy(&rec, deep.data() + dh.nodes_offset + caps3d * sizeof(R),
+              sizeof rec);
+  ASSERT_GE(rec.type_count, 2u);
+  expect_corrupt(
+      patch_node(deep, 0,
+                 rec.type_refs_offset - dh.nodes_offset + sizeof(T) +
+                     offsetof(T, qf),
+                 deep_graph.ops()[caps3d].type_weights[1].fmt.qf + 1),
+      "convcaps3d type weights on different grids");
   expect_corrupt(patch_node(deep, flat, offsetof(R, caps_dim), std::int64_t{0}),
                  "flatten caps dim 0");
 }
@@ -455,8 +514,8 @@ TEST(QcgReject, NodeGeometryForwardCannotRun) {
 TEST(QcgReject, HollowWeightWhoseFormatsLeaveThePackedPath) {
   // The golden conv (node 0) and vote (node 3) weights are stored hollow.
   // A 36-bit output format (out_qi 30) is past the qgemm requant, so either
-  // node would take its int64 fallback and read the raw values the file
-  // does not carry: the load re-applies the hollow rule and rejects it.
+  // node would take the exact tier and read the raw values the file does
+  // not carry: the load re-applies the hollow rule and rejects it.
   using R = QcgNodeRecord;
   const std::string golden_path =
       std::string(QCAPS_GOLDEN_DIR) + "/shallow_caps_v1.qcg";

@@ -487,25 +487,6 @@ TEST(InferenceServer, RejectsUnknownModelAndDuplicateRegistration) {
   server.shutdown();
 }
 
-TEST(InferenceServer, RemoveModelDrainsAndFreesTheName) {
-  // The qgraph search registers one short-lived model per candidate graph;
-  // remove_model must drain in-flight work, reject later submits, and let
-  // the name be reused for the next candidate.
-  serve::InferenceServer server;
-  server.add_model("cand", std::make_unique<EchoBackend>(5ms));
-  std::vector<std::future<serve::InferenceResult>> futures;
-  for (int i = 0; i < 8; ++i)
-    futures.push_back(server.submit("cand", tiny_image(0.04f)));
-  server.remove_model("cand");
-  for (auto& f : futures) EXPECT_EQ(f.get().prediction.label, 4);
-  EXPECT_THROW(server.submit("cand", tiny_image(0.1f)), qcaps::Error);
-  EXPECT_THROW(server.remove_model("cand"), qcaps::Error);
-
-  server.add_model("cand", std::make_unique<EchoBackend>());
-  EXPECT_EQ(server.submit("cand", tiny_image(0.07f)).get().prediction.label, 7);
-  server.shutdown();
-}
-
 TEST(InferenceServer, ServedFp32PredictionsMatchDirectModel) {
   const auto cfg = models::ShallowCapsConfig::experiment();
   common::Rng rng(31);

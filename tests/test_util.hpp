@@ -10,7 +10,10 @@
 #include <vector>
 
 #include "common/cpu_dispatch.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "hwmodel/units.hpp"
+#include "qengine/qtensor.hpp"
 #include "tensor/qgemm.hpp"
 #include "tensor/tensor.hpp"
 
@@ -152,6 +155,35 @@ inline std::vector<std::int32_t> qgemm_naive(
     const tensor::QGemmRequant& rq) {
   return requant_acc_naive(qgemm_acc_naive(ta, tb, m, n, k, a, lda, b, ldb), m,
                            n, rq);
+}
+
+/// Per-capsule squash of a channel-grouped feature map s [B, T*D, H, W] into
+/// out_fmt: capsule (b, t, y, x) is s[b, t*D .. t*D + D - 1, y, x], squashed
+/// by hwmodel::SquashUnit::apply, the unit's own per-vector datapath. The
+/// oracle of qengine::conv_caps' squash epilogue.
+inline qengine::QTensor squash_channels(const qengine::QTensor& s,
+                                        std::int64_t caps_dim,
+                                        fixed::FixedFormat out_fmt) {
+  QCAPS_CHECK_MSG(s.shape.size() == 4 && s.dim(1) % caps_dim == 0,
+                  "squash_channels expects [B, T*D, H, W] with D = "
+                      << caps_dim);
+  const std::int64_t plane = s.dim(2) * s.dim(3);
+  const std::int64_t slabs = s.dim(0) * s.dim(1) / caps_dim;
+  const hwmodel::SquashUnit unit(s.fmt);
+  qengine::QTensor out(s.shape, out_fmt);
+  std::vector<hwmodel::FixedNum> caps(static_cast<std::size_t>(caps_dim));
+  for (std::int64_t sl = 0; sl < slabs; ++sl)
+    for (std::int64_t p = 0; p < plane; ++p) {
+      const auto at = [&](std::int64_t d) {
+        return static_cast<std::size_t>((sl * caps_dim + d) * plane + p);
+      };
+      for (std::int64_t d = 0; d < caps_dim; ++d)
+        caps[static_cast<std::size_t>(d)] = {s.raw[at(d)], s.fmt};
+      const std::vector<hwmodel::FixedNum> v = unit.apply(caps, out_fmt);
+      for (std::int64_t d = 0; d < caps_dim; ++d)
+        out.raw[at(d)] = v[static_cast<std::size_t>(d)].raw;
+    }
+  return out;
 }
 
 /// Deterministic weighted-sum "loss head" for gradient checks: L = Σ w ⊙ y.
